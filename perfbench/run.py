@@ -7,7 +7,7 @@ One command reproduces every number, from the repository root::
 ``--workload`` is ``cold``, ``warm``, ``edit`` or ``cold-j2``; ``--trace 1``
 prints the per-layer metrics instead of the end-to-end ones.  The last line
 of standard output is one JSON object; the lines before it say how many
-operations ran and which percentile ``wall_tail_s`` is.
+operations ran and give their absolute median times.
 
 What an operation is
 --------------------
@@ -19,6 +19,7 @@ repository and nothing under ``~/.cache`` is written; the scratch directory
 is removed at exit.  Every operation is checked against the hand-written
 answer key in ``answer_key.py`` (verdicts, the subgoal total, pass-cache
 hits/misses); an operation fails if it exits nonzero or disagrees with it.
+Operations run with ``OPENBLAS_NUM_THREADS=1`` (see ``child_env``).
 
 Set-up (``setup_s``, the median of three) copies ``src/``, byte-compiles
 the copy, and runs one cold operation whose store seeds ``warm`` and
@@ -51,11 +52,26 @@ Why each workload exists
 
 End-to-end metrics (``--trace 0``)
 ----------------------------------
-``wall_s`` median spawn-to-exit wall; ``wall_tail_s`` the highest
-percentile with at least ten operations beyond it (stated on stdout);
-``cpu_s`` median user+sys from ``os.wait4`` (forked workers included);
+Times are ratios to a reference process.  On a small shared host a fresh
+Python process can run up to twice as slowly for minutes at a time, so
+whole runs land in such a stretch and seconds spread far past any useful
+bound.  Every operation is therefore bracketed by runs of ``REFERENCE``, a
+fixed stdlib-only Python program (a fresh interpreter, some imports, a
+pure-Python loop) that no change to the repository can make faster, and
+each operation's wall and CPU are divided by the mean of the two reference
+runs beside it.  The slowdown hits both and largely cancels; a change to
+``repro`` moves the ratio as it moves the seconds.  The absolute medians
+are printed on the line before the result.
+
+``wall_vs_ref`` median spawn-to-exit wall over the reference's;
+``wall_p75_vs_ref`` the upper quartile of the same ratio, as the tail (a
+20-second run holds 15 to 40 operations, too few for a higher percentile
+to repeat from run to run; stdout states how many lie beyond it);
+``cpu_vs_ref`` median user+sys from ``os.wait4`` (forked workers
+included) over the reference's;
 ``peak_rss_mib`` median ``ru_maxrss``; ``store_bytes`` median cache-dir
-size after the operation; ``setup_s`` as above.  Failed operations are the
+size after the operation, not counting the scratch tree's path where the
+store records it (see ``store_bytes``); ``setup_s`` as above.  Failed operations are the
 result's ``failed`` out of ``attempted``.
 
 Per-layer metrics (``--trace 1``)
@@ -64,22 +80,23 @@ Untraced and traced operations alternate, each traced one running
 ``traced_verify.py``, which wraps each layer's entry points from outside.
 A layer counts only its outermost activation, and its self time excludes
 nested layers.  Each value is the median over the traced operations.  Which
-end-to-end metric a layer should move, and on which workload:
+end-to-end metric a layer should move, and on which workload (``wall`` is
+``wall_vs_ref``, ``cpu`` is ``cpu_vs_ref``):
 
 =========================  ==============================================
 ``process.*``              the trace's own coverage; moves nothing
-``import.*``               ``wall_s``, ``peak_rss_mib`` on all; ``warm`` most
-``cli.resolve_s``          ``wall_s`` on ``warm``
-``engine.fingerprint.*``   ``wall_s`` on ``warm`` and ``edit``
-``incremental.deps.*``     ``wall_s``, ``store_bytes`` on ``cold``,
+``import.*``               ``wall``, ``peak_rss_mib`` on all; ``warm`` most
+``cli.resolve_s``          ``wall`` on ``warm``
+``engine.fingerprint.*``   ``wall`` on ``warm`` and ``edit``
+``incremental.deps.*``     ``wall``, ``store_bytes`` on ``cold``,
                            ``cold-j2``, ``edit``; not on ``warm``
-``engine.cache.*``         loads/reads: ``wall_s`` on ``warm``; persists:
-                           ``wall_s`` on ``cold`` and ``edit``
-``verify.preprocessor.*``  ``wall_s`` on ``cold``
-``verify.session.*``       ``wall_s`` on ``cold`` and ``edit``
-``verify.discharge.*``     ``wall_s``, ``cpu_s`` on ``cold``; ~0 on
+``engine.cache.*``         loads/reads: ``wall`` on ``warm``; persists:
+                           ``wall`` on ``cold`` and ``edit``
+``verify.preprocessor.*``  ``wall`` on ``cold``
+``verify.session.*``       ``wall`` on ``cold`` and ``edit``
+``verify.discharge.*``     ``wall``, ``cpu`` on ``cold``; ~0 on
                            ``warm`` and ``edit``
-``engine.scheduler.*``     ``wall_s``, ``cpu_s`` on ``cold-j2`` only
+``engine.scheduler.*``     ``wall``, ``cpu`` on ``cold-j2`` only
 ``telemetry.stats.*``      all workloads
 ``verify.report.*``        all workloads
 =========================  ==============================================
@@ -137,6 +154,18 @@ SPAWN_STAMP = "<spawned-at>"
 #: with spaces as ``_``); time of any other method still counts in its total.
 DISCHARGE_METHODS = ("congruence_closure", "identical", "library_lemma",
                      "structural")
+#: The reference process the end-to-end times are divided by: a fresh
+#: interpreter that imports stdlib modules and runs a fixed loop, about
+#: a third of a ``warm`` operation.
+REFERENCE = ("import argparse, ast, asyncio, concurrent.futures, csv, dataclasses\n"
+             "import decimal, difflib, email.parser, fractions, http.client\n"
+             "import inspect, json, logging, pathlib, shutil, sqlite3\n"
+             "import statistics, subprocess, tarfile, tempfile, typing\n"
+             "import unittest, xml.etree.ElementTree, zipfile\n"
+             "total = 0\n"
+             "for i in range(300000):\n"
+             "    total += i * i % 7\n"
+             "print(total)\n")
 
 
 class BenchError(Exception):
@@ -260,8 +289,19 @@ def run_op(argv: List[str], env: Dict[str, str], cwd: Path) -> Op:
               stderr=err_path.read_text(encoding="utf-8", errors="replace"))
 
 
-def dir_bytes(path: Path) -> int:
-    return sum(entry.stat().st_size for entry in path.rglob("*") if entry.is_file())
+def store_bytes(cache: Path, tree_root: Path) -> int:
+    """Bytes under ``cache``, each copy of ``tree_root``'s path counting 0.
+
+    The dependency index records absolute source paths thousands of times,
+    so the raw size would move with the length of the checkout's path.
+    """
+    prefix = os.fsencode(tree_root)
+    total = 0
+    for entry in cache.rglob("*"):
+        if entry.is_file():
+            data = entry.read_bytes()
+            total += len(data) - data.count(prefix) * len(prefix)
+    return total
 
 
 # --------------------------------------------------------------------------- #
@@ -292,6 +332,10 @@ def child_env(root: Path) -> Dict[str, str]:
     # ever fall back to ~/.cache.
     env["XDG_CACHE_HOME"] = str(root / "xdg-cache")
     env["REPRO_CACHE_DIR"] = str(root / "default-cache")
+    # numpy's BLAS pool is never used by a verify run, but its idle threads
+    # spin on whichever core is free and add up to a tenth of a second of
+    # CPU time that depends only on what else the host is doing.
+    env["OPENBLAS_NUM_THREADS"] = "1"
     return env
 
 
@@ -355,38 +399,55 @@ class Tally:
         return not problems
 
 
-def tail(values: List[float]):
-    """(value, percentile): the highest percentile with >= 10 values beyond."""
-    ordered = sorted(values)
-    n = len(ordered)
-    if n <= 10:
-        return ordered[-1], 100
-    return ordered[n - 11], int(100 * (n - 10) / n)
+def upper_quartile(values: List[float]) -> float:
+    if len(values) < 2:
+        return values[0]
+    return statistics.quantiles(values, n=4, method="inclusive")[2]
+
+
+def run_reference(tree: Tree) -> Op:
+    op = run_op([PYTHON, "-c", REFERENCE], tree.env, tree.root)
+    if op.code != 0:
+        raise BenchError(f"reference process exit code {op.code}: "
+                         f"{op.stderr.strip()[-300:]}")
+    return op
 
 
 def end_to_end(tree: Tree, name: str, seconds: float, setup_s: float):
     workload = WORKLOADS[name]
     tally = Tally(name)
     good: List[Op] = []
+    wall_ratios: List[float] = []
+    cpu_ratios: List[float] = []
+    ref_walls: List[float] = []
     stores: List[int] = []
+    before = run_reference(tree)
     deadline = time.perf_counter() + seconds
     while tally.attempted == 0 or time.perf_counter() < deadline:
         cache = prepare(tree, workload)
         op = run_op([PYTHON] + tree.verify_argv(cache, workload.jobs),
                     tree.env, tree.root)
+        after = run_reference(tree)
         if tally.check(op):
             good.append(op)
-            stores.append(dir_bytes(cache))
+            wall_ratios.append(2 * op.wall / (before.wall + after.wall))
+            cpu_ratios.append(2 * op.cpu / (before.cpu + after.cpu))
+            stores.append(store_bytes(cache, tree.root))
+        ref_walls.append(after.wall)
+        before = after
     if not good:
         raise BenchError(f"every {name} operation failed")
-    walls = [op.wall for op in good]
-    tail_value, percentile = tail(walls)
+    p75 = upper_quartile(wall_ratios)
     print(f"# {name}: {tally.attempted} ops, {tally.failed} failed; "
-          f"wall_tail_s is p{percentile} of {len(walls)} ops")
+          f"median wall {statistics.median(op.wall for op in good):.4f} s, "
+          f"cpu {statistics.median(op.cpu for op in good):.4f} s, reference "
+          f"wall {statistics.median(ref_walls):.4f} s; "
+          f"{sum(ratio > p75 for ratio in wall_ratios)} of {len(good)} ops "
+          f"lie beyond wall_p75_vs_ref")
     metrics = {
-        "wall_s": (statistics.median(walls), "s"),
-        "wall_tail_s": (tail_value, "s"),
-        "cpu_s": (statistics.median(op.cpu for op in good), "s"),
+        "wall_vs_ref": (statistics.median(wall_ratios), "x"),
+        "wall_p75_vs_ref": (p75, "x"),
+        "cpu_vs_ref": (statistics.median(cpu_ratios), "x"),
         "peak_rss_mib": (statistics.median(op.rss_mib for op in good), "MiB"),
         "store_bytes": (statistics.median(stores), "bytes"),
         "setup_s": (setup_s, "s"),

@@ -81,6 +81,17 @@ def test_edit_moves_exactly_the_picked_pass_fingerprint(tmp_path, seed):
     assert {name for name in before if before[name] != after[name]} == {edit.pass_name}
 
 
+def test_store_bytes_does_not_depend_on_where_the_tree_lives(tmp_path):
+    sizes = []
+    for root in (tmp_path / "a", tmp_path / "a-much-longer-checkout-path"):
+        cache = root / "op-cache"
+        cache.mkdir(parents=True)
+        line = json.dumps({"path": str(root / "src" / "repro" / "cli.py")})
+        (cache / "deps.jsonl").write_text(line * 3 + "\n", encoding="utf-8")
+        sizes.append(run.store_bytes(cache, root))
+    assert sizes[0] == sizes[1] > 0
+
+
 def test_span_recorder_keeps_only_the_outermost_activation():
     recorder = traced_verify.SpanRecorder()
 
