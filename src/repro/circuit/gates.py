@@ -18,12 +18,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.gate import Gate
 from repro.errors import CircuitError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -32,62 +33,90 @@ SQRT2_INV = 1.0 / math.sqrt(2.0)
 # Matrix constructors
 # --------------------------------------------------------------------------- #
 def _mat_id(_params: Sequence[float]) -> np.ndarray:
+    import numpy as np
+
     return np.eye(2, dtype=complex)
 
 
 def _mat_x(_params):
+    import numpy as np
+
     return np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def _mat_y(_params):
+    import numpy as np
+
     return np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
 def _mat_z(_params):
+    import numpy as np
+
     return np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _mat_h(_params):
+    import numpy as np
+
     return SQRT2_INV * np.array([[1, 1], [1, -1]], dtype=complex)
 
 
 def _mat_s(_params):
+    import numpy as np
+
     return np.array([[1, 0], [0, 1j]], dtype=complex)
 
 
 def _mat_sdg(_params):
+    import numpy as np
+
     return np.array([[1, 0], [0, -1j]], dtype=complex)
 
 
 def _mat_t(_params):
+    import numpy as np
+
     return np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex)
 
 
 def _mat_tdg(_params):
+    import numpy as np
+
     return np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]], dtype=complex)
 
 
 def _mat_sx(_params):
+    import numpy as np
+
     return 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
 
 
 def _mat_sxdg(_params):
+    import numpy as np
+
     return 0.5 * np.array([[1 - 1j, 1 + 1j], [1 + 1j, 1 - 1j]], dtype=complex)
 
 
 def _mat_rx(params):
+    import numpy as np
+
     (theta,) = params
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
 def _mat_ry(params):
+    import numpy as np
+
     (theta,) = params
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def _mat_rz(params):
+    import numpy as np
+
     (phi,) = params
     return np.array(
         [[cmath.exp(-1j * phi / 2), 0], [0, cmath.exp(1j * phi / 2)]], dtype=complex
@@ -95,11 +124,15 @@ def _mat_rz(params):
 
 
 def _mat_u1(params):
+    import numpy as np
+
     (lam,) = params
     return np.array([[1, 0], [0, cmath.exp(1j * lam)]], dtype=complex)
 
 
 def _mat_u2(params):
+    import numpy as np
+
     phi, lam = params
     return SQRT2_INV * np.array(
         [[1, -cmath.exp(1j * lam)], [cmath.exp(1j * phi), cmath.exp(1j * (phi + lam))]],
@@ -108,6 +141,8 @@ def _mat_u2(params):
 
 
 def _mat_u3(params):
+    import numpy as np
+
     theta, phi, lam = params
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return np.array(
@@ -125,6 +160,8 @@ def _two_qubit_controlled(base: np.ndarray) -> np.ndarray:
     Operand order is (control, target); the returned matrix acts on the
     2-qubit space with basis |control target>.
     """
+    import numpy as np
+
     out = np.eye(4, dtype=complex)
     out[2:, 2:] = base
     return out
@@ -159,24 +196,32 @@ def _mat_cu3(params):
 
 
 def _mat_swap(_params):
+    import numpy as np
+
     return np.array(
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
     )
 
 
 def _mat_iswap(_params):
+    import numpy as np
+
     return np.array(
         [[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex
     )
 
 
 def _mat_iswap_dg(_params):
+    import numpy as np
+
     return np.array(
         [[1, 0, 0, 0], [0, 0, -1j, 0], [0, -1j, 0, 0], [0, 0, 0, 1]], dtype=complex
     )
 
 
 def _mat_rxx(params):
+    import numpy as np
+
     (theta,) = params
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     out = np.eye(4, dtype=complex) * c
@@ -189,6 +234,8 @@ def _mat_rxx(params):
 
 
 def _mat_rzz(params):
+    import numpy as np
+
     (theta,) = params
     phase = cmath.exp(1j * theta / 2)
     return np.diag([1 / phase, phase, phase, 1 / phase]).astype(complex)
@@ -196,6 +243,8 @@ def _mat_rzz(params):
 
 def _mat_ecr(_params):
     """Echoed cross-resonance gate (1/sqrt(2)) (IX - XY)."""
+    import numpy as np
+
     x = _mat_x(())
     y = _mat_y(())
     eye = np.eye(2, dtype=complex)
@@ -203,6 +252,8 @@ def _mat_ecr(_params):
 
 
 def _mat_ccx(_params):
+    import numpy as np
+
     out = np.eye(8, dtype=complex)
     out[6, 6] = out[7, 7] = 0
     out[6, 7] = out[7, 6] = 1
@@ -210,6 +261,8 @@ def _mat_ccx(_params):
 
 
 def _mat_cswap(_params):
+    import numpy as np
+
     out = np.eye(8, dtype=complex)
     out[[5, 6], :] = out[[6, 5], :]
     return out
@@ -267,6 +320,8 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     ``q_if`` controls are folded in as additional controls; classically
     conditioned gates have no single unitary and raise ``CircuitError``.
     """
+    import numpy as np
+
     if gate.condition is not None:
         raise CircuitError(f"classically conditioned gate {gate.name} has no fixed unitary")
     spec = gate_spec(gate.name)

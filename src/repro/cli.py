@@ -84,11 +84,11 @@ import sqlite3
 import sys
 from typing import Dict, List, Optional, Sequence, Type
 
-from repro.bench.table2 import pass_kwargs_for
-from repro.coupling.devices import DEVICE_BUILDERS, device
-from repro.errors import ReproError
+# Module scope holds only what ``verify`` runs; every other subcommand
+# imports its own dependencies, so a verification process never loads the
+# benchmark drivers, the OpenQASM front end or the DAG transpiler.
+from repro.engine.driver import default_pass_kwargs as pass_kwargs_for
 from repro.passes import ALL_VERIFIED_PASSES, EXTENSION_PASSES, UNSUPPORTED_PASSES
-from repro.qasm import parse_qasm
 from repro.telemetry.bounds import DEFAULT_MIN_SECONDS, DEFAULT_NOISE_PCT
 from repro.verify.report import to_json, to_markdown, to_text
 
@@ -392,6 +392,9 @@ def _read_source(path: str) -> str:
 
 
 def _cmd_transpile(args: argparse.Namespace) -> int:
+    from repro.coupling.devices import DEVICE_BUILDERS, device
+    from repro.errors import ReproError
+    from repro.qasm import parse_qasm
     from repro.transpiler.presets import baseline_pipeline, verified_pipeline
 
     try:
@@ -1116,6 +1119,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
             reason = getattr(pass_class, "unsupported_reason", "")
             print(f"{pass_class.__name__:34s} unsupported ({reason})")
     elif args.what == "devices":
+        from repro.coupling.devices import DEVICE_BUILDERS, device
+
         for name in sorted(DEVICE_BUILDERS):
             topology = device(name)
             print(f"{name:20s} {topology.num_qubits:3d} qubits, {len(topology.edges)} edges")

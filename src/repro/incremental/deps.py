@@ -26,7 +26,7 @@ verification time; :mod:`repro.incremental.detect` consumes them.
 from __future__ import annotations
 
 import ast
-import importlib.util
+import importlib.machinery
 import os
 import sys
 from functools import lru_cache
@@ -56,23 +56,50 @@ def module_source_path(module_name: str) -> Optional[str]:
     """The source file backing ``module_name``, or ``None`` (builtin, C ext).
 
     Prefers the already-imported module's ``__file__`` (cheap, and correct
-    for reloaded modules); falls back to :func:`importlib.util.find_spec`
-    without importing the module.  Memoised — ``find_spec`` imports parent
-    packages, which dominated dependency recording for whole suites — and
-    dropped by :func:`reset_memos` after reloads (a module's backing file
-    only moves across restarts otherwise).
+    for reloaded modules); otherwise searches the parent package's path
+    with :class:`importlib.machinery.PathFinder`, which — unlike
+    :func:`importlib.util.find_spec` — executes no package on the way.
+    Memoised, and dropped by :func:`reset_memos` after reloads (a module's
+    backing file only moves across restarts otherwise).
     """
     module = sys.modules.get(module_name)
     path = getattr(module, "__file__", None) if module is not None else None
     if path is None:
-        try:
-            spec = importlib.util.find_spec(module_name)
-        except (ImportError, AttributeError, ValueError):
-            return None
+        spec = _find_spec(module_name)
         path = spec.origin if spec is not None else None
     if path is None or not path.endswith(".py"):
         return None
     return _normalize(path)
+
+
+def _find_spec(module_name: str) -> Optional[importlib.machinery.ModuleSpec]:
+    """``module_name``'s import spec, or ``None``; imports nothing."""
+    parent = module_name.rpartition(".")[0]
+    search_path = None
+    if parent:
+        search_path = _submodule_search_path(parent)
+        if search_path is None:
+            return None  # the parent is a plain module, or missing
+    try:
+        return importlib.machinery.PathFinder.find_spec(module_name, search_path)
+    except (ImportError, ValueError):
+        return None
+
+
+@lru_cache(maxsize=None)
+def _submodule_search_path(package_name: str) -> Optional[Tuple[str, ...]]:
+    """Where ``package_name``'s submodules live; ``None`` if not a package.
+
+    Read from the imported package's ``__path__``, or else from the
+    package's own spec, found the same way one level up.
+    """
+    package = sys.modules.get(package_name)
+    if package is not None:
+        path = getattr(package, "__path__", None)
+    else:
+        spec = _find_spec(package_name)
+        path = spec.submodule_search_locations if spec is not None else None
+    return tuple(path) if path is not None else None
 
 
 def _stamp(path: str) -> Optional[Tuple[str, int, int]]:
@@ -96,7 +123,6 @@ def _module_imports(module_name: str, stamp: Tuple) -> Tuple[str, ...]:
     (path, mtime, size) keys the memo so an edited file is re-parsed.
     """
     path = stamp[0]
-    del module_name  # identified by the stamp's path; kept for readability
     try:
         with open(path, "r", encoding="utf-8") as handle:
             tree = ast.parse(handle.read())
@@ -115,10 +141,7 @@ def _module_imports(module_name: str, stamp: Tuple) -> Tuple[str, ...]:
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
             if node.level:
-                # Relative import: resolve against the file's package.  The
-                # package name is recovered from the path suffix, which is
-                # reliable for this repo's src layout.
-                base = _package_of(path, node.level, base)
+                base = _package_of(module_name, path, node.level, base)
             note(base)
             for alias in node.names:
                 if base:
@@ -131,14 +154,18 @@ def _module_imports(module_name: str, stamp: Tuple) -> Tuple[str, ...]:
     return resolved
 
 
-def _package_of(path: str, level: int, base: str) -> str:
-    """Resolve a ``from . import x``-style module name from the file path."""
-    parts = _normalize(path).split(os.sep)
-    try:
-        root = parts.index(_PACKAGE_ROOT)
-    except ValueError:
-        return base
-    package = parts[root:-1]  # drop the file name
+def _package_of(module_name: str, path: str, level: int, base: str) -> str:
+    """Resolve a ``from . import x``-style module name.
+
+    The anchor is the importing module's package, taken from its name as
+    the import system does: an ``__init__.py`` is its own package, any
+    other module belongs to its parent.  The directories above the package
+    play no part, so a checkout cloned into a directory that is itself
+    called ``repro`` resolves the same names.
+    """
+    package = module_name.split(".")
+    if os.path.basename(path) != "__init__.py":
+        package = package[:-1]
     ascend = level - 1
     if ascend:
         package = package[:-ascend] if ascend < len(package) else []
@@ -197,6 +224,7 @@ def reset_memos() -> None:
     _toolchain_paths_memo = None
     _module_imports.cache_clear()
     module_source_path.cache_clear()
+    _submodule_search_path.cache_clear()
     _module_dependency_paths.cache_clear()
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,8 @@ class Quaternion:
     # ------------------------------------------------------------------ #
     def to_rotation_matrix(self) -> np.ndarray:
         """The 3x3 SO(3) rotation matrix of the (normalised) quaternion."""
+        import numpy as np
+
         q = self.normalized()
         w, x, y, z = q.w, q.x, q.y, q.z
         return np.array(

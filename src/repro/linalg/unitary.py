@@ -10,14 +10,15 @@ proofs play in the paper), and counterexample validation.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.circuit.circuit import QCircuit
 from repro.circuit.gate import Gate
 from repro.circuit.gates import gate_matrix
 from repro.errors import CircuitError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Largest register for which we will build dense unitaries.
 MAX_DENSE_QUBITS = 12
@@ -38,6 +39,8 @@ def apply_gate_to_state(state: np.ndarray, gate: Gate, num_qubits: int) -> np.nd
     The statevector uses the big-endian qubit convention: qubit 0 is the most
     significant axis after reshaping to a rank-``num_qubits`` tensor.
     """
+    import numpy as np
+
     if gate.is_barrier():
         return state
     if gate.is_measurement() or gate.is_reset() or gate.condition is not None:
@@ -59,6 +62,8 @@ def apply_gate_to_state(state: np.ndarray, gate: Gate, num_qubits: int) -> np.nd
 
 def gate_unitary_on_register(gate: Gate, num_qubits: int) -> np.ndarray:
     """Embed a gate's unitary into the full ``2^n``-dimensional register space."""
+    import numpy as np
+
     _check_size(num_qubits)
     dim = 2**num_qubits
     columns = np.empty((dim, dim), dtype=complex)
@@ -78,6 +83,8 @@ def circuit_apply(circuit: QCircuit, state: np.ndarray) -> np.ndarray:
 
 def circuit_unitary(circuit: QCircuit, num_qubits: Optional[int] = None) -> np.ndarray:
     """Dense unitary of a circuit (the paper's denotational semantics)."""
+    import numpy as np
+
     n = circuit.num_qubits if num_qubits is None else num_qubits
     _check_size(n)
     dim = 2**n
@@ -91,6 +98,8 @@ def circuit_unitary(circuit: QCircuit, num_qubits: Optional[int] = None) -> np.n
 
 def statevector(circuit: QCircuit) -> np.ndarray:
     """Final state of running ``circuit`` on the all-zero state."""
+    import numpy as np
+
     _check_size(circuit.num_qubits)
     state = np.zeros(2**circuit.num_qubits, dtype=complex)
     state[0] = 1.0
@@ -99,6 +108,8 @@ def statevector(circuit: QCircuit) -> np.ndarray:
 
 def global_phase_between(a: np.ndarray, b: np.ndarray) -> Optional[complex]:
     """Return the phase ``e^{i t}`` with ``a ~= e^{i t} b``, or ``None``."""
+    import numpy as np
+
     flat_a = a.reshape(-1)
     flat_b = b.reshape(-1)
     idx = int(np.argmax(np.abs(flat_b)))
@@ -113,6 +124,8 @@ def global_phase_between(a: np.ndarray, b: np.ndarray) -> Optional[complex]:
 
 def allclose_up_to_global_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-8) -> bool:
     """True when two matrices/vectors are equal up to a single global phase."""
+    import numpy as np
+
     if a.shape != b.shape:
         return False
     phase = global_phase_between(a, b)
@@ -171,6 +184,8 @@ def circuits_equivalent(
     registers are accepted as long as their joint active-qubit support fits in
     :data:`MAX_DENSE_QUBITS` (idle wires carry the identity and are dropped).
     """
+    import numpy as np
+
     n = max(left.num_qubits, right.num_qubits)
     if n > MAX_DENSE_QUBITS:
         compact = _compact_onto_active(left, right)
@@ -186,6 +201,8 @@ def circuits_equivalent(
 
 def permutation_unitary(permutation: Sequence[int], num_qubits: int) -> np.ndarray:
     """Unitary that relocates the state of qubit ``i`` to qubit ``permutation[i]``."""
+    import numpy as np
+
     _check_size(num_qubits)
     perm = list(permutation) + list(range(len(permutation), num_qubits))
     if sorted(perm) != list(range(num_qubits)):
@@ -243,6 +260,8 @@ def circuits_equivalent_under_relabelling(
 
 def unitary_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Phase-insensitive operator distance used in counterexample reports."""
+    import numpy as np
+
     phase = global_phase_between(a, b)
     if phase is None:
         phase = 1.0

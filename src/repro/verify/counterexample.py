@@ -15,9 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.circuit import QCircuit
 from repro.circuit.gate import Gate
@@ -28,6 +26,9 @@ from repro.symbolic.equivalence import strip_final_measurements
 from repro.verify import facts as F
 from repro.verify.session import Subgoal
 from repro.verify.symvalues import Segment, SymGate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass

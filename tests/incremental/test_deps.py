@@ -1,6 +1,11 @@
 """Dependency-index construction and persistence across both cache backends."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -8,14 +13,20 @@ from repro.engine.cache import ProofCache
 from repro.engine.fingerprint import pass_fingerprint
 from repro.incremental.deps import (
     DEPS_SCHEMA_VERSION,
+    _module_imports,
+    _package_of,
+    _stamp,
     build_dep_entry,
     identity_key,
     import_closure,
+    module_source_path,
     pass_dependency_paths,
     toolchain_dependency_paths,
 )
 from repro.passes import CommutationAnalysis, CXCancellation, Depth
 from repro.service.store import SqliteProofCache
+
+REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 # --------------------------------------------------------------------------- #
@@ -73,6 +84,106 @@ def test_build_dep_entry_shape():
     assert entry["qualname"] == "Depth"
     assert entry["paths"] == list(pass_dependency_paths(Depth))
     json.dumps(entry)  # must be wire/sidecar serialisable
+
+
+def test_relative_imports_resolve_against_the_module_name():
+    # A checkout cloned into a directory itself named ``repro``: the path
+    # holds two ``repro`` components, and only the module name says which
+    # one is the package.
+    checkout = os.path.join(os.sep, "home", "u", "repro", "src", "repro", "passes")
+    module = os.path.join(checkout, "x.py")
+    init = os.path.join(checkout, "__init__.py")
+    assert _package_of("repro.passes.x", module, 1, "routing") == "repro.passes.routing"
+    assert _package_of("repro.passes.x", module, 2, "verify") == "repro.verify"
+    assert _package_of("repro.passes.x", module, 1, "") == "repro.passes"
+    assert _package_of("repro.passes", init, 1, "routing") == "repro.passes.routing"
+    assert _package_of("repro.passes", init, 2, "") == "repro"
+
+
+def test_relative_imports_reach_the_dependency_set(tmp_path):
+    package = tmp_path / "repro" / "src" / "repro" / "passes"
+    package.mkdir(parents=True)
+    source = package / "user_pass.py"
+    source.write_text("from .routing import BasicSwap\n"
+                      "from ..verify import passes\n")
+    imports = _module_imports("repro.passes.user_pass", _stamp(str(source)))
+    assert {"repro.passes.routing", "repro.verify", "repro.verify.passes"} <= set(imports)
+
+
+def _fresh_python(code, *args):
+    """Run ``code`` in a new interpreter on this checkout; parse its JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = REPO_SRC + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout)
+
+
+def test_module_source_path_executes_no_package():
+    found = _fresh_python(
+        """
+        import json
+        import sys
+
+        from repro.incremental.deps import module_source_path
+
+        names = sys.argv[1:]
+        print(json.dumps({
+            "paths": {name: module_source_path(name) for name in names},
+            "loaded": [name for name in ("repro.dag", "repro.qasm")
+                       if name in sys.modules],
+        }))
+        """,
+        "repro.dag.converters", "repro.qasm.parser", "repro.qasm",
+        # Attribute readings of ``from x import y``, imported parent or not.
+        "repro.verify.passes.AnalysisPass", "repro.qasm.parse_qasm",
+        "repro.dag.dagcircuit.DAGCircuit",
+        "repro.no_such_module", "repro.no_such_package.module",
+    )
+    paths = found["paths"]
+    assert paths["repro.dag.converters"].endswith(
+        os.path.join("repro", "dag", "converters.py"))
+    assert paths["repro.qasm"].endswith(os.path.join("repro", "qasm", "__init__.py"))
+    for name in ("repro.dag.converters", "repro.qasm.parser", "repro.qasm"):
+        # The same file this (fully imported) process resolves.
+        assert paths[name] == module_source_path(name)
+    for name in ("repro.verify.passes.AnalysisPass", "repro.qasm.parse_qasm",
+                 "repro.dag.dagcircuit.DAGCircuit", "repro.no_such_module",
+                 "repro.no_such_package.module"):
+        assert paths[name] is None, name
+    assert found["loaded"] == []
+
+
+_SUITE_DEP_ENTRIES = """
+    import json
+    import sys
+
+    if sys.argv[1] == "eager":
+        import repro.bench, repro.dag, repro.qasm  # noqa: E401,F401
+
+    from repro.cli import _known_passes, pass_kwargs_for
+    from repro.incremental.deps import build_dep_entry
+
+    print(json.dumps({
+        name: build_dep_entry(cls, pass_kwargs_for(cls), "fingerprint")
+        for name, cls in _known_passes().items()
+    }))
+"""
+
+
+def test_dep_entries_do_not_depend_on_what_is_imported():
+    lazy = _fresh_python(_SUITE_DEP_ENTRIES, "lazy")
+    eager = _fresh_python(_SUITE_DEP_ENTRIES, "eager")
+    assert len(lazy) == 47
+    assert lazy == eager
+    # The walk did reach the modules the lazy process never imported.
+    assert any(path.endswith(os.path.join("repro", "dag", "converters.py"))
+               for path in lazy["CXCancellation"]["paths"])
 
 
 # --------------------------------------------------------------------------- #
