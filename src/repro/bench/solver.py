@@ -1,4 +1,4 @@
-"""Solver benchmark: the indexed prover vs the seed-era linear scan.
+"""Solver benchmark: the indexed rulebase vs the seed-era linear scan.
 
 Two measurements, both cold:
 
@@ -7,16 +7,15 @@ Two measurements, both cold:
   only a handful can fire on — the shape a production-scale rule library
   has) is instantiated through the operator-indexed
   :class:`~repro.prover.rulebase.RuleBase` and through the seed's linear
-  scan (:func:`repro.smt.ematch.instantiate_rules`).  The derived
-  equalities must agree; the wall ratio is the headline ``speedup``.
-* **Suite** — the full verification suite, stateless, once per solver
-  configuration: ``builtin`` (indexed), ``builtin-linear`` (the
-  pre-refactor shape), plus whatever ``--solver`` adds (``bounded``; ``z3``
-  where installed).  Verdicts must match across all of them; per-method
+  scan (:func:`repro.smt.ematch.instantiate_rules`), which stays as the
+  reference implementation.  The derived equalities must agree; the wall
+  ratio is the headline ``speedup``.  The index is a scaling property:
+  at the paper's scale (a handful of rules per obligation) the two are
+  within noise of each other.
+* **Suite** — the full verification suite, stateless, once under
+  ``builtin`` plus whatever ``--solver`` adds (``bounded``; ``z3`` where
+  installed).  Verdicts must match across all of them; per-method
   discharge counts ride along so the record says where the time goes.
-  At the paper's scale (a handful of rules per obligation) the two builtin
-  shapes are within noise of each other — the index is a scaling property,
-  which is exactly what the E-matching measurement shows.
 
 Run as ``repro bench solver [--record PATH] [--solver NAME ...]`` or
 ``python -m repro.bench.solver``; the CI solver-matrix job records the JSON
@@ -125,17 +124,14 @@ def run_solver_bench(pass_classes: Optional[Sequence] = None,
                      solvers: Sequence[str] = ()) -> Dict[str, object]:
     """Measure the E-matching component and cold stateless suite runs.
 
-    Always measures ``builtin`` (indexed), ``builtin-linear`` (the seed
-    scan), and ``portfolio`` (per-subgoal escalation — its verdicts must
-    match builtin's by construction, and this is where that is enforced);
-    ``solvers`` adds further backends (e.g. ``bounded``, or ``z3`` where
-    installed) to the same record.
+    Always measures ``builtin``; ``solvers`` adds further backends (e.g.
+    ``bounded``, or ``z3`` where installed) to the same record.
     """
     from repro.prover import SolverUnavailable, resolve_solver
 
     suite = _suite(pass_classes)
     ematch = ematch_bench()
-    names = ["builtin", "builtin-linear", "portfolio"]
+    names = ["builtin"]
     skipped: Dict[str, str] = {}
     for name in solvers:
         if name in names:

@@ -992,15 +992,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if args.record:
             argv += ["--record", args.record]
         return solver_main(argv)
-    if args.target == "kernel":
-        from repro.bench.kernel import main as kernel_main
-
-        argv = []
-        if args.record:
-            argv += ["--record", args.record]
-        if args.repeats is not None:
-            argv += ["--repeats", str(args.repeats)]
-        return kernel_main(argv)
     if args.target == "telemetry":
         from repro.bench.telemetry import main as telemetry_main
 
@@ -1158,16 +1149,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="proof-cache tier: jsonl (single-writer file) or "
                              "sqlite (shared store, safe for concurrent clients)")
     verify.add_argument("--solver",
-                        choices=("auto", "builtin", "z3", "bounded",
-                                 "portfolio"),
+                        choices=("auto", "builtin", "z3", "bounded"),
                         default="auto",
                         help="prover backend for subgoal discharge: auto "
                              "(the builtin congruence-closure prover), z3 "
-                             "(requires z3-solver; detected at run time), "
-                             "bounded (bidirectional bounded rewriting), or "
-                             "portfolio (per-subgoal escalation: syntactic "
-                             "fast path, builtin, then bounded/z3 on the "
-                             "residue under learned time budgets). "
+                             "(requires z3-solver; detected at run time), or "
+                             "bounded (bidirectional bounded rewriting). "
                              "Verdicts are backend-independent; the choice "
                              "joins every cache key")
     verify.add_argument("--daemon", action="store_true",
@@ -1453,7 +1440,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run one of the paper's evaluation drivers")
     bench.add_argument("target",
                        choices=("table2", "figure11", "case-studies", "cluster",
-                                "solver", "kernel", "telemetry", "stats"))
+                                "solver", "telemetry", "stats"))
     bench.add_argument("--small", action="store_true", help="figure11: use the trimmed suite")
     bench.add_argument("--new-passes-only", action="store_true",
                        help="table2: only the passes new in Qiskit 0.32")
@@ -1464,9 +1451,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(repeatable)")
     bench.add_argument("--repeats", type=int, default=None, metavar="N",
                        help="telemetry/stats: warm off/on measurement pairs "
-                            "(default 20); kernel: stressor best-of count")
+                            "(default 20)")
     bench.add_argument("--record", default=None, metavar="PATH",
-                       help="cluster/solver/kernel/telemetry/stats: write "
+                       help="cluster/solver/telemetry/stats: write "
                             "the measured comparison as JSON")
     bench.set_defaults(handler=_cmd_bench)
 

@@ -981,16 +981,6 @@ def _verify_passes_with_cache(
         except Exception:
             recorder = None
 
-    # Kernel counters are process-global and cumulative; snapshot them so
-    # the recorder is fed this run's delta, not the process total.
-    kernel_base = None
-    try:
-        from repro.smt.arena import kernel_stats
-
-        kernel_base = kernel_stats()
-    except Exception:
-        pass
-
     results, pending = resolve_pending(
         pass_classes, stats, cache, kwargs_fn,
         changed_paths=changed_paths, record_deps=record_deps,
@@ -1085,30 +1075,7 @@ def _verify_passes_with_cache(
     if tracer is not None and backend_stats is not None:
         tracer.event("prover.stats", kind="prover",
                      solver=discharger.solver_name, **backend_stats)
-    kernel_delta = None
-    if kernel_base is not None:
-        try:
-            from repro.smt.arena import kernel_stats
-
-            kernel_delta = {
-                field: value - kernel_base.get(field, 0)
-                for field, value in kernel_stats().items()
-            }
-        except Exception:
-            kernel_delta = None
-    if tracer is not None and kernel_delta is not None:
-        tracer.event("kernel.stats", kind="prover",
-                     solver=discharger.solver_name, **kernel_delta)
     if recorder is not None:
-        if kernel_delta is not None:
-            recorder.note_kernel(kernel_delta)
-        if backend_stats is not None:
-            escalations = {
-                field: value for field, value in backend_stats.items()
-                if field.startswith("escalation_")
-            }
-            if escalations:
-                recorder.note_portfolio(escalations)
         try:
             recorder.finalize_and_save()
         except Exception:

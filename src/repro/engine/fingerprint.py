@@ -348,6 +348,12 @@ def toolchain_modules() -> Tuple:
     separately through :func:`rule_set_fingerprint` but are included here so
     callers asking "which files can change a cache key?" (the incremental
     dependency index) get the complete answer.
+
+    Every entry is a module object.  ``repro.verify.discharge`` is imported
+    by name because the ``repro.verify`` package re-exports the
+    :func:`~repro.verify.discharge.discharge` function under the same name,
+    so ``from repro.verify import discharge`` would hash that function's
+    source rather than the module holding the discharge pipeline.
     """
     from repro.prover import (
         backend,
@@ -364,7 +370,7 @@ def toolchain_modules() -> Tuple:
         structural as method_structural,
         syntactic as method_syntactic,
     )
-    from repro.smt import congruence, ematch, solver
+    from repro.smt import congruence, ematch, solver, terms
     from repro.symbolic import commutation, equivalence, rules
     from repro.utility import (
         analysis_ops,
@@ -376,7 +382,6 @@ def toolchain_modules() -> Tuple:
     )
     from repro.verify import (
         counterexample,
-        discharge,
         facts,
         passes,
         preprocessor,
@@ -386,13 +391,14 @@ def toolchain_modules() -> Tuple:
         verifier,
     )
 
+    discharge = importlib.import_module("repro.verify.discharge")
     return (
         # obligation generation
         verifier, preprocessor, session, symvalues, templates, facts,
         passes, analysis_ops, circuit_ops, coupling_ops,
         layout_selection, merge, transforms,
         # obligation discharge (the pluggable prover core)
-        discharge, equivalence, solver, congruence, ematch,
+        discharge, equivalence, solver, congruence, ematch, terms,
         backend, builtin, boundedbackend, z3backend, rulebase, certificate,
         methods, method_syntactic, method_structural, method_sequence,
         method_congruence,

@@ -29,12 +29,10 @@ from repro.prover.backend import (
 from repro.prover import (  # noqa: F401  (registration)
     boundedbackend,
     builtin,
-    portfolio,
     z3backend,
 )
 from repro.prover.boundedbackend import BoundedBackend
 from repro.prover.builtin import BuiltinBackend
-from repro.prover.portfolio import PortfolioBackend
 from repro.prover.certificate import (
     CERTIFICATE_VERSION,
     ProofCertificate,
@@ -50,7 +48,6 @@ __all__ = [
     "BuiltinBackend",
     "CERTIFICATE_VERSION",
     "DischargeResult",
-    "PortfolioBackend",
     "ProofCertificate",
     "ReplayOutcome",
     "RuleBase",

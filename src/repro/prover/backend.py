@@ -32,12 +32,8 @@ from repro.smt.solver import CheckResult
 from repro.smt.terms import Rule, Term
 
 #: The names ``repro verify --solver`` accepts.  ``auto`` resolves to the
-#: builtin backend (the only one guaranteed present); dashed names such as
-#: ``builtin-linear`` (bench modes) and ``portfolio-syntactic`` (the
-#: portfolio's replayable fast-path tier) are internal aliases and are
-#: deliberately not listed here.
-SOLVER_CHOICES: Tuple[str, ...] = ("auto", "builtin", "z3", "bounded",
-                                   "portfolio")
+#: builtin backend (the only one guaranteed present).
+SOLVER_CHOICES: Tuple[str, ...] = ("auto", "builtin", "z3", "bounded")
 
 
 class SolverUnavailable(RuntimeError):
@@ -121,8 +117,6 @@ def available_solvers() -> List[Tuple[str, bool]]:
     """Every registered public backend with its availability."""
     out: List[Tuple[str, bool]] = []
     for name in sorted(_REGISTRY):
-        if "-" in name:
-            continue  # internal aliases (bench modes, portfolio tiers)
         backend = _INSTANCES.get(name)
         try:
             available = (backend or _REGISTRY[name]()).available()

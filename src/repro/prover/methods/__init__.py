@@ -38,10 +38,6 @@ class DischargeResult:
     #: The rules whose instantiation actually contributed (solver stages
     #: report it; the certificate persists it for replay).
     rules_fired: Tuple[str, ...] = ()
-    #: The registry name of the backend tier that actually produced the
-    #: verdict (set when the portfolio escalates; ``None`` means the
-    #: discharger's own backend ran the check directly).
-    solver_via: Optional[str] = None
     #: Attached by :class:`repro.verify.discharge.Discharger`; absent on
     #: results reconstructed from cache payloads (certificates live in
     #: their own cache tier).

@@ -33,10 +33,6 @@ METHOD_NAMES = {
     "builtin": "congruence closure",
     "bounded": "bounded rewrite",
     "z3": "z3",
-    # Portfolio tiers report the method of the tier that proved the goal
-    # (so histograms stay comparable with single-backend runs); the
-    # syntactic fast path gets its own label.
-    "portfolio-syntactic": "syntactic identity",
 }
 
 
@@ -307,16 +303,11 @@ def discharge_with_backend(
         apply_sequence(encoder.encode_sequence(list(subgoal.rhs)), register),
     )
     result = backend.check(goal, rules)
-    # An escalating backend reports the tier that actually decided the
-    # goal in ``via``; the method label and the certificate's backend
-    # field then name the tier, not the umbrella backend.
-    via = getattr(result, "via", None)
     return DischargeResult(
         result.proved,
-        METHOD_NAMES.get(via or backend.name, via or backend.name),
+        METHOD_NAMES.get(backend.name, backend.name),
         result.reason,
         rules_used=tuple(rule.name for rule in rules),
         instantiations=result.instantiations,
         rules_fired=tuple(result.rules_fired),
-        solver_via=via,
     )

@@ -310,24 +310,6 @@ class VerificationService:
         rss = read_rss()
         if rss is not None:
             values["repro_rss_bytes"] = rss
-        try:
-            from repro.smt.arena import kernel_stats
-
-            kernel = kernel_stats()
-            values["repro_kernel_interned_nodes"] = kernel["interned_nodes"]
-            values["repro_kernel_intern_hits_total"] = kernel["intern_hits"]
-            values["repro_kernel_find_ops_total"] = kernel["find_ops"]
-            values["repro_kernel_union_ops_total"] = kernel["union_ops"]
-            values["repro_kernel_closures_total"] = kernel["closures"]
-        except Exception:
-            pass
-        try:
-            from repro.prover.portfolio import portfolio_stats
-
-            for field, value in portfolio_stats().items():
-                values[f"repro_portfolio_{field}_total"] = int(value)
-        except Exception:
-            pass
         summary = getattr(self.cache, "summary", None)
         if callable(summary):
             store = summary()
@@ -346,9 +328,6 @@ class VerificationService:
             "repro_uptime_seconds": "seconds since the daemon started",
             "repro_inflight_requests": "verify requests currently executing",
             "repro_rss_bytes": "daemon resident set size",
-            "repro_kernel_interned_nodes": "slot-arena term nodes interned",
-            "repro_kernel_find_ops_total": "kernel union-find find operations",
-            "repro_kernel_union_ops_total": "kernel union operations",
             "repro_verify_latency_seconds":
                 "verify request latency by solver backend",
         }, histograms=self.counters.histogram_snapshot())

@@ -1,25 +1,18 @@
-"""Congruence closure over hash-consed terms (the *object* kernel).
+"""Congruence closure over hash-consed terms: the prover's one kernel.
 
 This is the classic union-find + congruence-table algorithm (Nelson-Oppen /
 Downey-Sethi-Tarjan style): ground equalities are merged into equivalence
 classes, and whenever two applications of the same function symbol have
 pairwise-congruent arguments their classes are merged as well.  Together with
-bounded quantifier instantiation (:mod:`repro.smt.ematch`) this decides the
-fragment of proof obligations the Giallar verifier emits.
+bounded quantifier instantiation (:mod:`repro.prover.rulebase`) this decides
+the fragment of proof obligations the Giallar verifier emits.  Every
+:class:`~repro.smt.solver.Context` check runs on this class: one Python
+object per term, dict-based union-find.
 
-Two kernels implement this interface:
-
-* this module — one Python object per term, dict-based union-find; the
-  reference implementation and the differential oracle;
-* :mod:`repro.smt.arena` — the production kernel: terms interned into a
-  slot arena and the same algorithm run over integer ids and flat arrays.
-
-Both kernels are **deterministic**: every container that influences
-iteration order is insertion-ordered (dicts, never sets), so two runs —
-and the two kernels — visit terms, uses-lists, and signature collisions in
-exactly the same order.  That is what makes the arena/object differential
-harness able to demand byte-identical check results, not just equal
-verdicts.
+The kernel is **deterministic**: every container that influences iteration
+order is insertion-ordered (dicts, never sets), so two runs visit terms,
+uses-lists, and signature collisions in exactly the same order and produce
+byte-identical check results, not just equal verdicts.
 
 Term registration is iterative (an explicit worklist): proof obligations
 over deep canonical subgoals produce argument chains far past Python's

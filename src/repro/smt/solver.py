@@ -8,24 +8,24 @@ bounded instantiation of universally quantified rewrite rules.  When a goal
 cannot be proven the result carries the offending atom, which the verifier
 turns into a concrete counterexample circuit.
 
-Instantiation runs through the operator-indexed
-:class:`~repro.prover.rulebase.RuleBase` by default; ``indexed=False``
-selects the reference linear scan (:func:`repro.smt.ematch.instantiate_rules`)
-— semantically identical, kept for the solver benchmark and the parity
-tests.  The fact-loading and atom-proving halves are module-level functions
-(:func:`load_fact`, :func:`prove_atom`) so alternative solver backends
-(:mod:`repro.prover`) share one definition of what an assumption or a goal
-atom *means*.
+Every check runs one procedure: a fresh
+:class:`~repro.smt.congruence.CongruenceClosure` is loaded with the
+assumptions and instantiated through the operator-indexed
+:class:`~repro.prover.rulebase.RuleBase`; the reference linear scan
+(:func:`repro.smt.ematch.instantiate_rules`) is the rulebase's test oracle
+and micro-bench baseline.  The fact-loading and atom-proving halves are
+module-level functions (:func:`load_fact`, :func:`prove_atom`) so
+alternative solver backends (:mod:`repro.prover`) share one definition of
+what an assumption or a goal atom *means*.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import SolverError
 from repro.smt.congruence import CongruenceClosure
-from repro.smt.ematch import instantiate_rules
 from repro.smt.terms import Rule, Term, eq
 
 
@@ -38,12 +38,8 @@ class CheckResult:
     reason: str = ""
     instantiations: int = 0
     failed_atom: Optional[Term] = None
-    #: Names of the rules that actually fired during instantiation (only
-    #: populated on the indexed path; the reference scan does not track it).
+    #: Names of the rules that actually fired during instantiation.
     rules_fired: Tuple[str, ...] = ()
-    #: Which proving tier produced this result (set by the portfolio
-    #: backend; ``None`` means "whatever backend ran the check").
-    via: Optional[str] = None
 
     def __bool__(self) -> bool:
         return self.proved
@@ -92,25 +88,11 @@ def goal_atoms(goal: Term) -> List[Term]:
 class Context:
     """A logical context with assumptions, rewrite rules, and check support."""
 
-    def __init__(self, rules: Sequence[Rule] = (), max_rounds: int = 4,
-                 indexed: bool = True, kernel: str = "arena") -> None:
-        if kernel not in ("arena", "object"):
-            raise SolverError(f"unknown proving kernel {kernel!r} "
-                              f"(expected 'arena' or 'object')")
+    def __init__(self, rules: Sequence[Rule] = (), max_rounds: int = 4) -> None:
         self._assumptions: List[Term] = []
         self._rules: List[Rule] = list(rules)
         self._max_rounds = max_rounds
-        self._indexed = indexed
-        self._kernel = kernel
         self._frames: List[int] = []
-
-    def _new_closure(self) -> CongruenceClosure:
-        if self._kernel == "arena":
-            # Imported lazily so the object kernel has no arena dependency.
-            from repro.smt.arena import ArenaCongruenceClosure
-
-            return ArenaCongruenceClosure()
-        return CongruenceClosure()
 
     # ------------------------------------------------------------------ #
     # Assumption management
@@ -157,7 +139,11 @@ class Context:
         verifier treats as a potential bug and investigates by concretising a
         counterexample.
         """
-        closure = self._new_closure()
+        # Imported lazily: the prover layer builds on the smt substrate, and
+        # this is the one place the dependency points back up.
+        from repro.prover.rulebase import RuleBase
+
+        closure = CongruenceClosure()
         for fact in self._assumptions:
             load_fact(closure, fact)
         # Make sure the goal's terms participate in instantiation.  One
@@ -167,41 +153,24 @@ class Context:
         for atom in atoms:
             closure.add_term(atom)
         rules = list(self._rules) + list(extra_rules)
-        fired: Tuple[str, ...] = ()
-        try:
-            if self._indexed:
-                # Imported lazily: the prover layer builds on the smt
-                # substrate, and this is the one place the dependency
-                # points back up.
-                from repro.prover.rulebase import RuleBase
-
-                instantiations, fired = RuleBase(rules).instantiate(
-                    closure, max_rounds=self._max_rounds)
-            else:
-                instantiations = instantiate_rules(
-                    rules, closure, max_rounds=self._max_rounds)
-            if closure.inconsistent():
-                return CheckResult(True, goal,
-                                   reason="assumptions are contradictory",
-                                   instantiations=instantiations,
-                                   rules_fired=fired)
-            for atom in atoms:
-                if not prove_atom(closure, atom):
-                    return CheckResult(
-                        False,
-                        goal,
-                        reason=f"could not derive {atom!r}",
-                        instantiations=instantiations,
-                        failed_atom=atom,
-                        rules_fired=fired,
-                    )
+        instantiations, fired = RuleBase(rules).instantiate(
+            closure, max_rounds=self._max_rounds)
+        if closure.inconsistent():
             return CheckResult(True, goal,
-                               reason="derived by congruence closure",
+                               reason="assumptions are contradictory",
                                instantiations=instantiations,
                                rules_fired=fired)
-        finally:
-            # Arena closures accumulate union/find counts; fold them into
-            # the process-global kernel counters the telemetry layer reads.
-            fold = getattr(closure, "fold_counters", None)
-            if fold is not None:
-                fold()
+        for atom in atoms:
+            if not prove_atom(closure, atom):
+                return CheckResult(
+                    False,
+                    goal,
+                    reason=f"could not derive {atom!r}",
+                    instantiations=instantiations,
+                    failed_atom=atom,
+                    rules_fired=fired,
+                )
+        return CheckResult(True, goal,
+                           reason="derived by congruence closure",
+                           instantiations=instantiations,
+                           rules_fired=fired)

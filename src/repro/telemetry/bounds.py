@@ -23,7 +23,6 @@ from typing import Optional
 
 __all__ = [
     "DEFAULT_MIN_SPEEDUP",
-    "DEFAULT_MIN_KERNEL_SPEEDUP",
     "DEFAULT_MAX_OVERHEAD_PCT",
     "DEFAULT_NOISE_PCT",
     "DEFAULT_MIN_SECONDS",
@@ -36,12 +35,6 @@ __all__ = [
 #: loaded runner; an order-of-magnitude cushion still catches the indexed
 #: path degenerating into the linear scan.
 DEFAULT_MIN_SPEEDUP = 2.0
-
-#: The arena kernel must beat the object kernel by at least this factor on
-#: the deep-congruence stressor (the acceptance bar for the slot-arena
-#: rewrite).  The stressor is CPU-bound and warm, so the figure transfers
-#: across machines far better than wall seconds do.
-DEFAULT_MIN_KERNEL_SPEEDUP = 2.0
 
 #: Tracing overhead on a warm suite is a microsecond-scale effect measured
 #: against a millisecond-scale wall; the recorded baseline documents the

@@ -143,8 +143,6 @@ class StatsRecorder:
         self._subgoal_proved: set = set()
         self._certs_stored: set = set()
         self._io: Dict[str, Dict[str, float]] = {}
-        self._kernel: Dict[str, int] = {}
-        self._portfolio: Dict[str, int] = {}
         self._wasted = 0
         self._finalized = False
 
@@ -186,34 +184,6 @@ class StatsRecorder:
             row["hits" if hit else "misses"] += 1
             row["seconds"] += seconds
             row["bytes"] += nbytes
-
-    def note_kernel(self, counters: Dict) -> None:
-        """Fold proving-kernel counters (interned nodes, union/find ops).
-
-        Local, not canonical: the counts depend on which process ran which
-        unit, so they vary with the worker count by construction.
-        """
-        if not isinstance(counters, dict):
-            return
-        with self._lock:
-            for field, value in counters.items():
-                try:
-                    self._kernel[field] = self._kernel.get(field, 0) \
-                        + int(value)
-                except (TypeError, ValueError):
-                    continue
-
-    def note_portfolio(self, escalations: Dict) -> None:
-        """Fold per-tier portfolio escalation outcomes (local section)."""
-        if not isinstance(escalations, dict):
-            return
-        with self._lock:
-            for field, value in escalations.items():
-                try:
-                    self._portfolio[field] = self._portfolio.get(field, 0) \
-                        + int(value)
-                except (TypeError, ValueError):
-                    continue
 
     def merge_io(self, tier: str, counters: Dict) -> None:
         """Fold a worker-shipped per-tier counter delta into this run."""
@@ -320,15 +290,9 @@ class StatsRecorder:
     def local(self) -> Dict:
         with self._lock:
             io = {tier: dict(row) for tier, row in sorted(self._io.items())}
-            kernel = dict(sorted(self._kernel.items()))
-            portfolio = dict(sorted(self._portfolio.items()))
         for row in io.values():
             row["seconds"] = round(row["seconds"], 6)
         payload: Dict = {"io": io, "written_at": round(time.time(), 3)}
-        if kernel:
-            payload["kernel"] = kernel
-        if portfolio:
-            payload["portfolio"] = portfolio
         if self.backend is not None:
             payload["backend"] = self.backend
         if self.workers is not None:
@@ -420,17 +384,4 @@ def render_stats_table(payload: Dict, top: int = 10) -> List[str]:
                          f"({row.get('hits', 0)} hit), "
                          f"{row.get('seconds', 0.0):.4f}s, "
                          f"{row.get('bytes', 0)} bytes")
-        kernel = local.get("kernel") or {}
-        if kernel:
-            lines.append(
-                f"  kernel: {kernel.get('interned_nodes', 0)} interned nodes "
-                f"({kernel.get('intern_hits', 0)} hits), "
-                f"{kernel.get('find_ops', 0)} finds, "
-                f"{kernel.get('union_ops', 0)} unions, "
-                f"{kernel.get('closures', 0)} closures")
-        portfolio = local.get("portfolio") or {}
-        if portfolio:
-            outcomes = ", ".join(f"{field}: {count}"
-                                 for field, count in portfolio.items())
-            lines.append(f"  portfolio: {outcomes}")
     return lines

@@ -79,12 +79,7 @@ class Discharger:
             from repro.engine.fingerprint import canonical_rule_names
 
             fired = canonical_rule_names(subgoal, fired)
-        solver_backend = None
-        if backend_used:
-            # The portfolio sets solver_via to the tier that decided the
-            # goal; certificates record that tier so replay resolves the
-            # exact prover that produced the verdict.
-            solver_backend = result.solver_via or self.backend.name
+        solver_backend = self.backend.name if backend_used else None
         result.certificate = ProofCertificate(
             proved=result.proved,
             method=result.method,

@@ -1,16 +1,19 @@
 """Fingerprint stability and invalidation semantics."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
 import textwrap
+import types
 
 from repro.engine.fingerprint import (
     pass_fingerprint,
     rule_set_fingerprint,
     subgoal_fingerprint,
     toolchain_fingerprint,
+    toolchain_modules,
 )
 from repro.passes import CXCancellation, RemoveBarriers
 from repro.verify.session import Subgoal
@@ -172,3 +175,69 @@ def test_rule_set_fingerprint_changes_with_rules(monkeypatch):
     assert before != after
     # And the toolchain (hence every cache key) moves with it.
     assert toolchain_fingerprint() != before
+
+
+def test_toolchain_entries_are_modules():
+    """A package attribute that shadows a submodule (``repro.verify``
+    re-exports the ``discharge`` function) must not stand in for it."""
+    entries = toolchain_modules()
+    assert all(isinstance(entry, types.ModuleType) for entry in entries)
+    assert "repro.verify.discharge" in {entry.__name__ for entry in entries}
+
+
+_PROVER_MODULES_AFTER_COLD_VERIFY = textwrap.dedent(
+    """
+    import contextlib
+    import io
+    import json
+    import sys
+
+    import repro.cli
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = repro.cli.main(["verify", "--all", "--cache-dir", sys.argv[1]])
+
+    from repro.engine.fingerprint import toolchain_modules
+    from repro.incremental.deps import toolchain_dependency_paths
+    from repro.incremental.detect import normalize_path
+
+    loaded = sorted(
+        name for name, module in list(sys.modules.items())
+        if (name.startswith(("repro.smt.", "repro.prover."))
+            and not hasattr(module, "__path__"))
+        or name == "repro.verify.discharge"
+    )
+    hashed = {module.__name__ for module in toolchain_modules()}
+    paths = set(toolchain_dependency_paths())
+    print(json.dumps({
+        "code": code,
+        "loaded": loaded,
+        "unhashed": [name for name in loaded if name not in hashed],
+        "untracked": [
+            name for name in loaded
+            if normalize_path(sys.modules[name].__file__) not in paths
+        ],
+    }))
+    """
+)
+
+
+def test_toolchain_covers_every_prover_module_a_verification_loads(tmp_path):
+    """Editing any module the prover runs must move every cache key, and
+    the dependency index must watch its file; otherwise a warm store serves
+    verdicts the edited prover would no longer reach."""
+    env = dict(os.environ)
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-c", _PROVER_MODULES_AFTER_COLD_VERIFY,
+         str(tmp_path / "cache")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    outcome = json.loads(completed.stdout)
+    assert outcome["code"] == 0
+    assert {"repro.smt.congruence", "repro.smt.terms",
+            "repro.prover.builtin", "repro.verify.discharge"} <= set(outcome["loaded"])
+    assert outcome["unhashed"] == []
+    assert outcome["untracked"] == []

@@ -1,9 +1,11 @@
 """Term interning: observability, bounded reset, reload regression."""
 
+import pickle
 import sys
 import textwrap
 
 from repro.smt.terms import (
+    QUBIT,
     Term,
     app,
     interning_stats,
@@ -38,6 +40,11 @@ def test_reset_interning_clears_the_table_and_keeps_ids_monotonic():
     fresh = app("reset_probe", var("x"))
     assert fresh is not old
     assert fresh.term_id > old_id
+
+
+def test_unpickling_reinterns_to_the_same_object():
+    term = app("f", var("x", QUBIT), lit(1, QUBIT), sort=QUBIT)
+    assert pickle.loads(pickle.dumps(term)) is term
 
 
 def test_reset_hooks_run_and_clear_solver_memos():

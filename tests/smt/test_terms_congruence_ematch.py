@@ -1,5 +1,8 @@
 """The mini-SMT substrate: terms, congruence closure, E-matching, contexts."""
 
+import pickle
+import sys
+
 import pytest
 
 from repro.smt.congruence import CongruenceClosure
@@ -106,6 +109,33 @@ def test_classes_partition_the_term_bank():
     classes = closure.classes()
     sizes = sorted(len(members) for members in classes.values())
     assert sizes == [1, 2]
+
+
+def test_deep_chain_beyond_the_recursion_limit():
+    """Registration and the merge cascade are iterative."""
+    depth = sys.getrecursionlimit() + 500
+    x = var("x", QUBIT)
+    term = x
+    for _ in range(depth):
+        term = app("f", term, sort=QUBIT)
+    closure = CongruenceClosure()
+    closure.add_term(term)
+    closure.merge(x, app("f", x, sort=QUBIT))
+    assert closure.equal(x, term)
+
+
+def test_closure_equalities_survive_worker_style_pickling():
+    """Rules/terms ship to workers by pickle; a closure rebuilt from the
+    pickled terms must reach the same conclusions."""
+    x, y = var("x", QUBIT), var("y", QUBIT)
+    fx, fy = app("f", x, sort=QUBIT), app("f", y, sort=QUBIT)
+    shipped = pickle.loads(pickle.dumps((x, y, fx, fy)))
+    closure = CongruenceClosure()
+    closure.add_term(shipped[2])
+    closure.add_term(shipped[3])
+    closure.merge(shipped[0], shipped[1])
+    assert closure.equal(shipped[2], shipped[3])  # congruence fired
+    assert closure.equal(fx, fy)  # the originals are the same objects
 
 
 # --------------------------------------------------------------------------- #

@@ -44,7 +44,6 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro.telemetry.bounds import (  # noqa: E402
     DEFAULT_MAX_OVERHEAD_PCT,
-    DEFAULT_MIN_KERNEL_SPEEDUP,
     DEFAULT_MIN_SPEEDUP,
     exceeds_ratio,
 )
@@ -89,54 +88,6 @@ def check_solver(fresh: Dict, recorded: Dict, *,
                 errors.append(
                     f"solver: {solver} {key} drifted from the recorded "
                     f"baseline ({run.get(key)!r} != {baseline.get(key)!r})")
-    return errors
-
-
-def check_kernel(fresh: Dict, recorded: Dict, *,
-                 min_speedup: float,
-                 max_overhead_pct: float) -> List[str]:
-    errors = []
-    # Structural: the two kernels are two layouts of one algorithm — the
-    # stressor must collapse on both, verdicts and per-method discharge
-    # histograms must be identical, on any machine.
-    if fresh.get("verdicts_identical") is not True:
-        errors.append("kernel: arena and object kernels disagreed "
-                      "(verdicts or stressor collapse)")
-    stressor = fresh.get("stressor") or {}
-    if stressor.get("both_collapse_chain") is not True:
-        errors.append("kernel: deep-congruence stressor did not collapse "
-                      "the chain on both kernels")
-    suite = fresh.get("suite") or {}
-    recorded_suite = recorded.get("suite") or {}
-    if fresh.get("passes") != recorded.get("passes"):
-        errors.append(
-            f"kernel: suite size {fresh.get('passes')} != recorded "
-            f"{recorded.get('passes')}")
-    fresh_runs = suite.get("runs") or {}
-    for kernel, baseline in (recorded_suite.get("runs") or {}).items():
-        run = fresh_runs.get(kernel) or {}
-        for key in ("methods", "subgoals"):
-            if run.get(key) != baseline.get(key):
-                errors.append(
-                    f"kernel: suite/{kernel} {key} drifted from the "
-                    f"recorded baseline ({run.get(key)!r} != "
-                    f"{baseline.get(key)!r})")
-    # Ratio: the arena must stay >= min_speedup on the stressor and must
-    # not be slower than the object kernel on the suite beyond noise.
-    speedup = float(stressor.get("speedup", 0.0))
-    if speedup < min_speedup:
-        errors.append(
-            f"kernel: arena speedup {speedup}x on the stressor is below "
-            f"the {min_speedup}x floor (recorded: "
-            f"{(recorded.get('stressor') or {}).get('speedup')}x)")
-    runs = fresh_runs
-    arena_wall = float((runs.get("arena") or {}).get("wall_seconds", 0.0))
-    object_wall = float((runs.get("object") or {}).get("wall_seconds", 0.0))
-    if exceeds_ratio(arena_wall, object_wall, max_pct=max_overhead_pct):
-        errors.append(
-            f"kernel: arena suite wall {arena_wall}s exceeds the object "
-            f"kernel's {object_wall}s by more than {max_overhead_pct}% "
-            f"(recorded ratio: {recorded.get('suite_ratio')!r})")
     return errors
 
 
@@ -196,7 +147,7 @@ def check_stats(fresh: Dict, recorded: Dict, *,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--kind", required=True,
-                        choices=("solver", "kernel", "telemetry", "stats"),
+                        choices=("solver", "telemetry", "stats"),
                         help="which bench the fresh JSON came from")
     parser.add_argument("--fresh", required=True, metavar="PATH",
                         help="JSON written by `repro bench <kind> --record`")
@@ -204,8 +155,7 @@ def main(argv=None) -> int:
                         help="baseline JSON (default: "
                              "benchmarks/recorded/bench-<kind>.json)")
     parser.add_argument("--min-speedup", type=float, default=None,
-                        help="solver: e-matching speedup floor; kernel: "
-                             "arena-vs-object stressor speedup floor")
+                        help="solver: e-matching speedup floor")
     parser.add_argument("--max-overhead-pct", type=float,
                         default=DEFAULT_MAX_OVERHEAD_PCT,
                         help="telemetry/stats: overhead ceiling (%%)")
@@ -220,11 +170,6 @@ def main(argv=None) -> int:
         min_speedup = args.min_speedup if args.min_speedup is not None \
             else DEFAULT_MIN_SPEEDUP
         errors = check_solver(fresh, recorded, min_speedup=min_speedup)
-    elif args.kind == "kernel":
-        min_speedup = args.min_speedup if args.min_speedup is not None \
-            else DEFAULT_MIN_KERNEL_SPEEDUP
-        errors = check_kernel(fresh, recorded, min_speedup=min_speedup,
-                              max_overhead_pct=args.max_overhead_pct)
     elif args.kind == "stats":
         errors = check_stats(fresh, recorded,
                              max_overhead_pct=args.max_overhead_pct)
