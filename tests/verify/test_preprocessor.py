@@ -1,17 +1,23 @@
 """The static pass analyser (the preprocessor of Section 4)."""
 
+import ast
+import inspect
+
 import pytest
 
+from repro.engine.fingerprint import pass_fingerprint
 from repro.errors import UnsupportedPassError
 from repro.passes import (
     ALL_VERIFIED_PASSES,
     BasicSwap,
     CommutativeCancellation,
     CXCancellation,
+    EXTENSION_PASS_CATEGORY,
     Optimize1qGates,
     RemoveDiagonalGatesBeforeMeasure,
     UNSUPPORTED_PASSES,
     Width,
+    buggy,
 )
 from repro.passes.unsupported import (
     BIPMapping,
@@ -19,7 +25,19 @@ from repro.passes.unsupported import (
     StochasticSwap,
     UnitarySynthesis,
 )
-from repro.verify import GeneralPass, analyze_pass
+from repro.verify import GeneralPass, analyze_pass, preprocessor
+from repro.verify.preprocessor import pass_source
+from repro.verify.templates import iterate_all_gates
+
+#: Every pass class the package ships: the suite, the unsupported passes,
+#: the extension passes and the deliberately wrong ones.
+SHIPPED_PASSES = [
+    *ALL_VERIFIED_PASSES,
+    *UNSUPPORTED_PASSES,
+    *(cls for classes in EXTENSION_PASS_CATEGORY.values() for cls in classes),
+    *(cls for _, cls in inspect.getmembers(buggy, inspect.isclass)
+      if cls.__module__ == buggy.__name__),
+]
 
 
 def test_loc_counts_are_positive_and_small():
@@ -101,3 +119,50 @@ def test_class_without_run_or_reason_is_an_error():
 
     with pytest.raises(UnsupportedPassError):
         analyze_pass(NotAPass)
+
+
+def test_a_name_bound_twice_is_analysed_as_the_binding_python_keeps():
+    class Redefined(GeneralPass):
+        def run(self, circuit):
+            return circuit
+
+    class Redefined(GeneralPass):  # noqa: F811 - the class Python binds
+        def run(self, circuit):
+            def body(output, gate):
+                if gate.is_cx_gate():
+                    output.append(gate)
+
+            return iterate_all_gates(circuit, body)
+
+    analysis = analyze_pass(Redefined)
+    assert analysis.templates_used == ("iterate_all_gates",)
+    assert analysis.branch_count == 1
+
+
+def test_analysis_parses_the_class_body_not_its_module(monkeypatch):
+    pass_fingerprint(CXCancellation)  # extracts every class in the module
+    parsed = []
+    real_parse = ast.parse
+
+    def recording_parse(source, *args, **kwargs):
+        parsed.append(len(source))
+        return real_parse(source, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", recording_parse)
+    analyze_pass(CXCancellation)
+    monkeypatch.undo()
+    assert parsed == [len(pass_source(CXCancellation))]
+    assert parsed[0] < len(inspect.getsource(inspect.getmodule(CXCancellation)))
+
+
+@pytest.mark.parametrize("pass_class", SHIPPED_PASSES,
+                         ids=[p.__name__ for p in SHIPPED_PASSES])
+def test_analysis_equals_the_inspect_getsource_oracle(pass_class, monkeypatch):
+    """Reading the fingerprint's class source changes no analysis.
+
+    The oracle is the same analysis over ``inspect.getsource``'s text (its
+    line count, templates and utilities reach reports and cached payloads).
+    """
+    analysis = analyze_pass(pass_class)
+    monkeypatch.setattr(preprocessor, "pass_source", inspect.getsource)
+    assert analysis == analyze_pass(pass_class)
