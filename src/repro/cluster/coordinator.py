@@ -70,7 +70,6 @@ from repro.engine.driver import (
     finalize_stats,
     merge_shard_payloads,
     payload_to_result,
-    record_deferred_deps,
     resolve_pending,
     result_to_payload,
     store_certificates,
@@ -698,13 +697,10 @@ def _distributed_with_cache(
         except Exception:
             recorder = None
 
-    # Dependency recording (import-graph walks) is deferred off the
-    # critical path: the coordinator records it while the workers prove.
-    deferred_deps: List[Tuple] = [] if record_deps else None
     results, pending = resolve_pending(
         pass_classes, stats, cache, kwargs_fn,
         changed_paths=changed_paths, record_deps=record_deps,
-        deferred_deps=deferred_deps, solver=solver, recorder=recorder,
+        solver=solver, recorder=recorder,
     )
 
     cluster_info: Dict[str, object] = {
@@ -714,8 +710,6 @@ def _distributed_with_cache(
     }
     stats.cluster = cluster_info
     if not pending:
-        if deferred_deps:
-            record_deferred_deps(cache, deferred_deps)
         if recorder is not None:
             try:
                 recorder.finalize_and_save()
@@ -794,10 +788,6 @@ def _distributed_with_cache(
                 processes = _spawn_local_workers(
                     listener.address, coordinator.token, worker_count)
             coordinator.serve(listener)
-            if deferred_deps:
-                record_deferred_deps(cache, deferred_deps,
-                                     lock=coordinator._store_lock)
-                deferred_deps = []
             _await_completion(scheduler, coordinator, processes,
                               local_mode=local_mode, worker_wait=worker_wait,
                               run_timeout=run_timeout)
@@ -824,9 +814,6 @@ def _distributed_with_cache(
                            failures=len(scheduler.failures),
                            stolen=scheduler.stolen, retried=scheduler.retried)
         board.finish()
-
-    if deferred_deps:  # the cluster never served (no sockets on this host)
-        record_deferred_deps(cache, deferred_deps)
 
     _merge_run(results, pending, plan, scheduler, coordinator, cache, stats,
                counterexample_search, timings_dir, kwargs_fn,

@@ -186,10 +186,9 @@ def run_worker(address: str, token: str, *,
     """
     # Warm the prover before asking for work: the first unit should pay
     # for proof search, not for importing and fingerprinting the toolchain.
-    from repro.engine.fingerprint import rule_set_fingerprint, toolchain_fingerprint
+    from repro.engine.fingerprint import toolchain_fingerprint
 
     registry = registry or pass_registry()
-    rule_set_fingerprint()
     toolchain = toolchain_fingerprint()
 
     connection = connect(address, timeout=timeout)

@@ -34,7 +34,6 @@ from repro.engine.fingerprint import (
     ENGINE_VERSION,
     data_dependency_digest,
     pass_fingerprint,
-    rule_set_fingerprint,
     subgoal_fingerprint,
     toolchain_fingerprint,
     unit_fingerprint,
@@ -64,7 +63,6 @@ __all__ = [
     "payload_to_result",
     "resolve_pending",
     "result_to_payload",
-    "rule_set_fingerprint",
     "subgoal_fingerprint",
     "toolchain_fingerprint",
     "unit_fingerprint",

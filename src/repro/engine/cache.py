@@ -3,7 +3,7 @@
 The cache is an append-only JSON-lines file (one entry per line) holding two
 kinds of records: whole-pass verification results and individual subgoal
 discharge results.  Keys are the SHA-256 fingerprints computed by
-:mod:`repro.engine.fingerprint`, which embed the active rule-set/toolchain
+:mod:`repro.engine.fingerprint`, which embed the active toolchain
 hash — so entries written against an older prover are *structurally* stale:
 they can never be hit, are counted as invalidated on load, and are dropped
 the next time the file is compacted.
@@ -13,10 +13,11 @@ results to the driver), so no cross-process locking is needed.
 
 Next to the proof file lives a schema-versioned *dependency sidecar*
 (``deps.jsonl``): one record per verified configuration mapping its identity
-key to the fingerprint it last verified to and the source files that
-fingerprint depends on (see :mod:`repro.incremental.deps`).  Records written
-under another sidecar schema are ignored on load and rewritten on the next
-verification — never misread.
+key to the fingerprint it last verified to and its module, plus the module
+rows its source files are derived from (see :mod:`repro.incremental.deps`),
+read first because the toolchain hash is computed from them.  Records
+written under another sidecar schema are ignored on load and rewritten on
+the next verification — never misread.
 
 A second sidecar (``certs.jsonl``) holds the *subgoal certificate tier*:
 one :class:`~repro.prover.certificate.ProofCertificate` payload per
@@ -96,7 +97,7 @@ def default_cache_dir() -> Path:
 
 
 def _read_deps_file(path) -> Tuple[Dict[str, dict], int, int]:
-    """Parse one ``deps.jsonl``: (index, dead lines, corrupt lines).
+    """Parse one ``deps.jsonl``: (entries and rows, dead lines, corrupt lines).
 
     Last write wins; records written under another sidecar schema are
     dropped rather than misread (the next verification rewrites them).
@@ -116,6 +117,8 @@ def _read_deps_file(path) -> Tuple[Dict[str, dict], int, int]:
                 record = json.loads(line)
                 key, value = record["key"], record["value"]
                 schema = value["schema"]
+                if not isinstance(key, str):
+                    raise TypeError(key)  # module rows are told apart by key
             except (json.JSONDecodeError, KeyError, TypeError):
                 corrupt += 1
                 dead += 1
@@ -134,10 +137,27 @@ def read_deps_sidecar(directory: os.PathLike) -> Dict[str, dict]:
 
     Pollers (``repro watch``, ``PassManager.mark_stale``) need only the
     sidecar; parsing the whole ``proofs.jsonl`` per poll would be pure
-    waste.
+    waste.  The sidecar's module rows join the module graph on the way.
     """
-    deps, _, _ = _read_deps_file(Path(directory) / _DEPS_FILE_NAME)
-    return deps
+    from repro.incremental.deps import split_module_rows
+
+    records, _, _ = _read_deps_file(Path(directory) / _DEPS_FILE_NAME)
+    return split_module_rows(records)
+
+
+def load_dep_index(directory, backend: str = "jsonl") -> Dict[str, Dict]:
+    """Read the persisted dependency index without loading the proof tier.
+
+    The sqlite store is cheap to open (rows load on demand); the JSONL tier
+    would load every proof just to reach the sidecar, so that backend reads
+    ``deps.jsonl`` directly.
+    """
+    if backend == "sqlite":
+        from repro.service.store import SqliteProofCache
+
+        with SqliteProofCache(directory) as store:
+            return store.deps_snapshot()
+    return read_deps_sidecar(directory)
 
 
 class ProofCache:
@@ -154,7 +174,6 @@ class ProofCache:
         from repro.engine.fingerprint import toolchain_fingerprint
 
         self.directory = Path(directory) if directory is not None else None
-        self.active_fingerprint = active_fingerprint or toolchain_fingerprint()
         self.stats = CacheStats()
         #: Optional :class:`repro.telemetry.stats.StatsRecorder`; the driver
         #: attaches one per run.  Every hook site guards on ``None`` so the
@@ -183,8 +202,8 @@ class ProofCache:
         #: use — rewriting the whole file on every warm run (and clobbering
         #: concurrent appenders) would be far too heavy.
         self._touched: Dict[Tuple[str, str], None] = {}
-        #: Dependency sidecar: identity key -> dep entry (see
-        #: repro.incremental.deps).  Schema-gated on load, last-write-wins.
+        #: Dependency sidecar: identity key -> dep entry, plus the module
+        #: rows (see repro.incremental.deps).  Schema-gated, last-write-wins.
         self._deps: Dict[str, dict] = {}
         self._deps_handle = None
         self._deps_dead = 0
@@ -198,8 +217,12 @@ class ProofCache:
         self._certs_dead = 0
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-            self._load()
+            # Module rows first: the toolchain digest that gates every
+            # proof and certificate record is computed from them.
             self._load_deps()
+        self.active_fingerprint = active_fingerprint or toolchain_fingerprint()
+        if self.directory is not None:
+            self._load()
             self._load_certs()
             self._handle = open(self.path, "a", encoding="utf-8")
             self._deps_handle = open(self.deps_path, "a", encoding="utf-8")
@@ -276,8 +299,11 @@ class ProofCache:
                     self._hits_written[(kind, key)] = hits
 
     def _load_deps(self) -> None:
+        from repro.incremental.deps import split_module_rows
+
         self._deps, self._deps_dead, corrupt = _read_deps_file(self.deps_path)
         self.stats.corrupt_lines += corrupt
+        split_module_rows(self._deps)
 
     def _load_certs(self) -> None:
         if not self.certs_path.exists():
@@ -638,32 +664,46 @@ class ProofCache:
 
         Writing an entry identical to the stored one is a no-op — warm runs
         re-record their deps every time, and must not grow the sidecar.
+        The module rows it reaches go first: a stored entry finds its closure.
         """
         if self._deps.get(key) == value:
             return
+        from repro.incremental.deps import module_row_records
+
+        records = {row: record for row, record in module_row_records([value]).items()
+                   if row not in self._deps}
+        records[key] = value
         if key in self._deps:
             self._deps_dead += 1
-        self._deps[key] = value
+        self._deps.update(records)
         if self._deps_handle is not None:
-            record = {"key": key, "value": value}
-            self._deps_handle.write(json.dumps(record, sort_keys=True) + "\n")
+            self._deps_handle.write("".join(
+                json.dumps({"key": row, "value": record}, sort_keys=True) + "\n"
+                for row, record in records.items()))
             self._deps_handle.flush()
 
     def deps_snapshot(self) -> Dict[str, dict]:
         """A plain-dict copy of the dependency index."""
-        return dict(self._deps)
+        from repro.incremental.deps import split_module_rows
+
+        return split_module_rows(self._deps)
 
     def gc_deps(self, live_keys) -> int:
         """Drop dependency entries whose identity key is not in ``live_keys``.
 
         ``repro cache gc`` passes the identity keys of every configuration
         in the known suites; entries for configurations that no longer
-        exist (renamed passes, abandoned couplings) are reclaimed.
-        Removing a dep entry is always sound — the configuration, if ever
-        requested again, is conservatively treated as stale and re-records
-        itself on verification.  Returns the number of entries removed.
+        exist (renamed passes, abandoned couplings) are reclaimed, with the
+        module rows no surviving entry reaches.  Removing either is always
+        sound — the configuration, if ever requested again, is treated as
+        stale and re-records itself on verification.  Returns the number of
+        entries removed.
         """
+        from repro.incremental.deps import MODULE_ROW_PREFIX, module_row_records
+
         live = set(live_keys)
+        live.update(module_row_records(
+            value for key, value in self.deps_snapshot().items() if key in live))
         doomed = [key for key in self._deps if key not in live]
         for key in doomed:
             self.stats.dep_bytes_reclaimed += \
@@ -672,8 +712,9 @@ class ProofCache:
             self._deps_dead += 1
         if doomed and self._deps_handle is not None:
             self._compact_deps()
-        self.stats.deps_reclaimed += len(doomed)
-        return len(doomed)
+        removed = sum(not key.startswith(MODULE_ROW_PREFIX) for key in doomed)
+        self.stats.deps_reclaimed += removed
+        return removed
 
     def _compact_deps(self) -> None:
         if self.directory is None:

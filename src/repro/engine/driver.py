@@ -40,6 +40,7 @@ from repro.engine.cache import (
 )
 from repro.engine.fingerprint import (
     DEFAULT_SOLVER,
+    canonical_rule_names,
     pass_fingerprint,
     subgoal_fingerprint,
 )
@@ -269,6 +270,10 @@ def _make_caching_discharge(subgoal_table: Dict[str, dict],
                 handle.attrs["proved"] = result.proved
         else:
             result = discharger(subgoal)
+        # Rule names embed raw session uids; stored and reported under the
+        # subgoal's canonical renaming (as certificates record them), a
+        # result does not depend on which process proved it.
+        result.rules_used = canonical_rule_names(subgoal, result.rules_used)
         record = {
             "proved": result.proved,
             "method": result.method,
@@ -784,7 +789,7 @@ def verify_passes(
 
 def resolve_pending(
     pass_classes, stats, cache, kwargs_fn,
-    changed_paths=None, record_deps=True, deferred_deps=None,
+    changed_paths=None, record_deps=True,
     solver: str = DEFAULT_SOLVER, recorder=None,
 ) -> Tuple[List[Optional[VerificationResult]], List[Tuple[int, Type, Optional[Dict], Optional[str]]]]:
     """Phase 1 of a batch run: serve what the cache can, collect the rest.
@@ -796,14 +801,6 @@ def resolve_pending(
     ``pass_classes`` holding the cached results (``None`` where work
     remains) and ``pending`` lists ``(index, pass_class, pass_kwargs,
     key)`` for everything that must actually be proved.
-
-    ``deferred_deps`` (a caller-supplied list) postpones dependency
-    *recording*: instead of walking the import graph inline — the dominant
-    cold-resolution cost — the ``(identity, pass_class, pass_kwargs, key,
-    solver)`` tuples that need a fresh entry are appended for the caller to
-    record later with :func:`record_deferred_deps`.  The cluster
-    coordinator uses this to overlap dependency recording with worker
-    proof time.
 
     ``recorder`` (a :class:`~repro.telemetry.stats.StatsRecorder`) receives
     the canonical pass-tier outcome for every requested key: ``hit``
@@ -835,7 +832,11 @@ def resolve_pending(
     dep_index: Dict[str, dict] = {}
     changed: set = set()
     if incremental or track_deps:
-        from repro.incremental.deps import build_dep_entry, identity_key
+        from repro.incremental.deps import (
+            build_dep_entry,
+            entry_watch_paths,
+            identity_key,
+        )
     if incremental:
         from repro.incremental.detect import normalize_path
 
@@ -862,7 +863,7 @@ def resolve_pending(
             # run a different backend's verdict payload.
             if dep_entry is not None and \
                     dep_entry.get("solver", DEFAULT_SOLVER) == solver and \
-                    not any(path in changed for path in dep_entry.get("paths", ())):
+                    changed.isdisjoint(entry_watch_paths(dep_entry)):
                 probed_key = dep_entry.get("fingerprint")
                 cached = cache.get_pass(probed_key)
                 if cached is not None:
@@ -885,18 +886,13 @@ def resolve_pending(
         key = pass_fingerprint(pass_class, pass_kwargs, solver=solver)
         if track_deps and key is not None:
             recorded = dep_index.get(ident)
-            # An unchanged fingerprint cannot have acquired new key-relevant
-            # files, so the recorded entry is still sound; only (re)walk the
-            # import graph when the key moved or nothing was recorded.
+            # An entry names its module, not its files, so it only needs
+            # rewriting when the key moved or nothing was recorded.
             if recorded is None or recorded.get("fingerprint") != key:
-                if deferred_deps is not None:
-                    deferred_deps.append((ident, pass_class, pass_kwargs, key,
-                                          solver))
-                else:
-                    new_entry = build_dep_entry(pass_class, pass_kwargs, key,
-                                                solver=solver)
-                    cache.put_deps(ident, new_entry)
-                    dep_index[ident] = new_entry
+                new_entry = build_dep_entry(pass_class, pass_kwargs, key,
+                                            solver=solver)
+                cache.put_deps(ident, new_entry)
+                dep_index[ident] = new_entry
         # An unchanged-deps pass whose proof was evicted re-derives the key
         # just probed; asking the cache again would double-count the miss.
         if key is not None and key == probed_key:
@@ -920,29 +916,6 @@ def resolve_pending(
                 tracer.event("pass.cache", kind="cache", outcome="miss",
                              target=pass_class.__name__)
     return results, pending
-
-
-def record_deferred_deps(cache, deferred, lock=None) -> int:
-    """Record dependency entries postponed by ``resolve_pending``.
-
-    ``lock`` (when given) guards each individual store write — the cluster
-    coordinator records while its connection threads serve store
-    operations on the same cache.  Returns the number of entries written.
-    """
-    if cache is None:
-        return 0
-    from repro.incremental.deps import build_dep_entry
-
-    written = 0
-    for ident, pass_class, pass_kwargs, key, solver in deferred:
-        entry = build_dep_entry(pass_class, pass_kwargs, key, solver=solver)
-        if lock is not None:
-            with lock:
-                cache.put_deps(ident, entry)
-        else:
-            cache.put_deps(ident, entry)
-        written += 1
-    return written
 
 
 def store_certificates(cache, certificates: Dict[str, dict]) -> None:

@@ -1,20 +1,22 @@
-"""Content-addressed fingerprints for passes, subgoals, and the rule set.
+"""Content-addressed fingerprints for passes, subgoals, and the toolchain.
 
 The verification engine memoizes proofs: a proof obligation is re-used from
 the cache only when *everything* it depends on is unchanged.  This module
 computes the stable SHA-256 keys that make this sound:
 
 * :func:`pass_fingerprint` — hashes the pass's source code, its constructor
-  arguments, and the active rule set.  Editing the pass (or the rules it is
-  verified against) changes the key, so stale proofs are never hit.
+  arguments, its module's imports, and the toolchain.  Editing the pass (or
+  anything it or the verifier imports) changes the key, so stale proofs are
+  never hit.
 * :func:`subgoal_fingerprint` — hashes one proof obligation (lhs/rhs element
   sequences plus the path facts) after *canonicalising the symbolic uids*.
   Fresh symbolic values draw uids from a process-global counter, so the same
   pass verified twice (or in two worker processes) produces different raw
   uids; renaming them in order of first appearance makes the key stable.
-* :func:`rule_set_fingerprint` / :func:`toolchain_fingerprint` — hash the
-  shipped rewrite rules, the commutation semantics, and the discharge/solver
-  implementation, so changing the prover invalidates every cached proof.
+* :func:`toolchain_fingerprint` — the content digest of every module the
+  verifier and this module statically import (rule set, commutation
+  semantics, templates, gate library, prover), so changing any of them
+  invalidates every cached proof.
 
 Key-derivation invariants (what ``docs/caching.md`` documents and the
 incremental layer relies on):
@@ -22,15 +24,19 @@ incremental layer relies on):
 1. **Everything a verdict depends on is hashed.**  A pass key covers exactly
    ``(ENGINE_VERSION, toolchain_fingerprint(), solver backend, module,
    qualname, class source, canonicalised constructor kwargs, declared
-   data-file digests)`` — nothing else.  Constructor kwargs are rendered *structurally* (a
-   coupling map hashes as its edge set, however it was built), and a pass
-   that reads non-Python inputs can declare them via a
-   ``data_dependencies`` class attribute whose file contents are folded
-   into the key (:func:`data_dependency_digest`).  The file set that can
-   change a pass key is therefore the pass's own module plus the
-   toolchain/rule modules listed by :func:`toolchain_modules`, plus any
-   declared or kwarg-carried data files; this is the contract
-   :mod:`repro.incremental.deps` builds its dependency index on.
+   data-file digests, the content digest of every other module the pass's
+   module or the verifier imports, the pass module's text outside its
+   other pass classes)`` — nothing else.
+   Constructor kwargs are rendered *structurally* (a coupling map hashes
+   as its edge set, however it was built), and a pass that reads
+   non-Python inputs can declare them via a ``data_dependencies`` class
+   attribute whose file contents are folded into the key
+   (:func:`data_dependency_digest`).  Both the toolchain and the closure
+   digests come from one module graph, :mod:`repro.incremental.deps`, whose
+   :func:`~repro.incremental.deps.entry_watch_paths` maps the same modules
+   to the files the dependency index watches: the files that can change a
+   pass key are exactly the watched ones, plus any declared or
+   kwarg-carried data files.
 2. **Keys are deterministic across processes.**  Symbolic uids are renamed
    in order of first appearance before hashing, so the same obligation
    produced in two worker processes (with different raw uid counters) maps
@@ -52,8 +58,6 @@ incremental layer relies on):
 from __future__ import annotations
 
 import hashlib
-import importlib
-import inspect
 import os
 import re
 from typing import Dict, Iterable, Optional, Tuple
@@ -200,7 +204,7 @@ def normalize_subgoal(subgoal: Subgoal, renamer: Optional[_UidRenamer] = None) -
 
     ``renamer`` (normally fresh) lets callers observe the raw→canonical uid
     mapping the traversal builds; :func:`subgoal_uid_map` uses it to rename
-    uids embedded elsewhere (certificate rule names) consistently.
+    uids embedded elsewhere (rule names) consistently.
     """
     renamer = renamer if renamer is not None else _UidRenamer()
     lhs = tuple(_freeze_element(e, renamer) for e in subgoal.lhs)
@@ -232,26 +236,32 @@ def normalize_subgoal(subgoal: Subgoal, renamer: Optional[_UidRenamer] = None) -
     )
 
 
+def _normal_form(subgoal: Subgoal) -> Tuple[Tuple, Dict[str, str]]:
+    """:func:`normalize_subgoal` of ``subgoal`` and the uid map it built.
+
+    One traversal serves both the key and the certificate renaming, and is
+    memoised on the subgoal: it is immutable once enriched by the session,
+    and recording and replaying certificates ask for the map again.
+    """
+    memo = getattr(subgoal, "_normal_form_memo", None)
+    if memo is None:
+        renamer = _UidRenamer()
+        memo = (normalize_subgoal(subgoal, renamer), dict(renamer._map))
+        subgoal._normal_form_memo = memo
+    return memo
+
+
 def subgoal_uid_map(subgoal: Subgoal) -> Dict[str, str]:
     """The raw→canonical uid mapping :func:`normalize_subgoal` applies.
 
     The mapping is a function of the subgoal's *shape*: the same obligation
     emitted in two sessions (different raw uid counters) maps each side's
-    raw uids to identical canonical names.  Proof certificates use this to
-    record fired-rule names (which embed raw uids) in session-independent
-    form, so a certificate written today can restrict a replay tomorrow.
+    raw uids to identical canonical names.  Proof certificates and reported
+    ``rules_used`` use this to record rule names (which embed raw uids) in
+    session-independent form, so a certificate written today can restrict
+    a replay tomorrow and a report does not depend on the worker count.
     """
-    # Memoised per subgoal object: certificate recording and replay
-    # restriction both need the map, and the subgoal is immutable once
-    # enriched by the session — no point re-walking it per use.
-    cached = getattr(subgoal, "_uid_map_memo", None)
-    if cached is not None:
-        return cached
-    renamer = _UidRenamer()
-    normalize_subgoal(subgoal, renamer)
-    mapping = dict(renamer._map)
-    subgoal._uid_map_memo = mapping
-    return mapping
+    return _normal_form(subgoal)[1]
 
 
 def rename_rule_uids(name: str, mapping: Dict[str, str]) -> str:
@@ -281,7 +291,7 @@ def subgoal_fingerprint(subgoal: Subgoal, solver: str = DEFAULT_SOLVER) -> str:
     """
     return _sha256(
         _canon((ENGINE_VERSION, toolchain_fingerprint(), solver,
-                normalize_subgoal(subgoal)))
+                _normal_form(subgoal)[0]))
     )
 
 
@@ -303,146 +313,44 @@ def unit_fingerprint(pass_key: str, shard_index: int, shard_count: int) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# Rule set / toolchain
+# Toolchain
 # --------------------------------------------------------------------------- #
-_rule_set_memo: Optional[str] = None
 _toolchain_memo: Optional[str] = None
-
-
-def _render_circuit_rules() -> str:
-    from repro.symbolic.rules import default_circuit_rules
-
-    parts = []
-    for rule in default_circuit_rules():
-        parts.append(_canon((
-            rule.name,
-            rule.kind,
-            tuple(_freeze_gate(g) for g in rule.lhs),
-            tuple(_freeze_gate(g) for g in rule.rhs),
-            rule.num_qubits,
-        )))
-    return "\n".join(parts)
-
-
-def rule_set_fingerprint() -> str:
-    """Hash of the active rewrite-rule set and the commutation semantics."""
-    global _rule_set_memo
-    if _rule_set_memo is None:
-        from repro.symbolic import commutation
-
-        _rule_set_memo = _sha256(
-            _render_circuit_rules() + "\n" + inspect.getsource(commutation)
-        )
-    return _rule_set_memo
-
-
-def toolchain_modules() -> Tuple:
-    """The modules whose source text feeds :func:`toolchain_fingerprint`.
-
-    Covers both halves of the pipeline: the *front end* that generates the
-    obligations (preprocessor, symbolic executor, loop templates, utility
-    specifications, the base-pass obligations, the top-level verifier) and
-    the *back end* that discharges them (rule set, discharge engine,
-    sequence-equivalence engine, mini-SMT solver).  The rule-set modules
-    (:mod:`repro.symbolic.rules`, :mod:`repro.symbolic.commutation`) hash
-    separately through :func:`rule_set_fingerprint` but are included here so
-    callers asking "which files can change a cache key?" (the incremental
-    dependency index) get the complete answer.
-
-    Every entry is a module object.  ``repro.verify.discharge`` is imported
-    by name because the ``repro.verify`` package re-exports the
-    :func:`~repro.verify.discharge.discharge` function under the same name,
-    so ``from repro.verify import discharge`` would hash that function's
-    source rather than the module holding the discharge pipeline.
-    """
-    from repro.prover import (
-        backend,
-        boundedbackend,
-        builtin,
-        certificate,
-        rulebase,
-        z3backend,
-    )
-    from repro.prover import methods
-    from repro.prover.methods import (
-        congruence as method_congruence,
-        sequence as method_sequence,
-        structural as method_structural,
-        syntactic as method_syntactic,
-    )
-    from repro.smt import congruence, ematch, solver, terms
-    from repro.symbolic import commutation, equivalence, rules
-    from repro.utility import (
-        analysis_ops,
-        circuit_ops,
-        coupling_ops,
-        layout_selection,
-        merge,
-        transforms,
-    )
-    from repro.verify import (
-        counterexample,
-        facts,
-        passes,
-        preprocessor,
-        session,
-        symvalues,
-        templates,
-        verifier,
-    )
-
-    discharge = importlib.import_module("repro.verify.discharge")
-    return (
-        # obligation generation
-        verifier, preprocessor, session, symvalues, templates, facts,
-        passes, analysis_ops, circuit_ops, coupling_ops,
-        layout_selection, merge, transforms,
-        # obligation discharge (the pluggable prover core)
-        discharge, equivalence, solver, congruence, ematch, terms,
-        backend, builtin, boundedbackend, z3backend, rulebase, certificate,
-        methods, method_syntactic, method_structural, method_sequence,
-        method_congruence,
-        # counterexample confirmation (cached alongside the verdict)
-        counterexample,
-        # the rule set (hashed separately via rule_set_fingerprint)
-        rules, commutation,
-    )
 
 
 def toolchain_fingerprint() -> str:
     """Hash of everything a cached verdict depends on besides the pass.
 
-    Editing any module in :func:`toolchain_modules` changes this hash and
-    therefore every cache key, so a fixed template or a strengthened
-    obligation can never be masked by a stale cached verdict.
+    The content digest of the toolchain closure: every module the verifier
+    or this module statically imports
+    (:func:`repro.incremental.deps.covered_modules`).  Editing any of them
+    — a template, the rule set, a gate definition, the prover — changes
+    this hash and therefore every cache key, so a stale cached verdict can
+    never mask the edit.
     """
     global _toolchain_memo
     if _toolchain_memo is None:
-        from repro.symbolic import commutation, rules
+        from repro.incremental.deps import closure_digest
 
-        excluded = {rules, commutation}
-        sources = "\n".join(
-            inspect.getsource(module)
-            for module in toolchain_modules() if module not in excluded
-        )
         _toolchain_memo = _sha256(
-            f"engine-v{ENGINE_VERSION}\n{rule_set_fingerprint()}\n{sources}"
-        )
+            f"engine-v{ENGINE_VERSION}\n{closure_digest(None)}")
     return _toolchain_memo
 
 
 def reset_memos() -> None:
-    """Forget every memoised fingerprint and source extraction.
+    """Forget every memoised fingerprint, file digest and source extraction.
 
     Long-lived processes (``repro watch``, the daemon's background watcher)
-    call this after reloading an edited module: the rule-set and toolchain
-    hashes are memoised per process, so without a reset a re-fingerprinted
-    pass would be keyed against the *old* prover and stale proofs could be
-    served for a live edit.
+    call this once source files change: the toolchain hash and the module
+    graph's digests are memoised per process, so without a reset a
+    re-fingerprinted pass would be keyed against the *old* prover and
+    stale proofs could be served for a live edit.
     """
-    global _rule_set_memo, _toolchain_memo
-    _rule_set_memo = None
+    global _toolchain_memo
+    from repro.incremental.deps import reset_memos as reset_graph_memos
+
     _toolchain_memo = None
+    reset_graph_memos()
     preprocessor._module_class_sources.cache_clear()
 
 
@@ -498,11 +406,17 @@ def pass_fingerprint(pass_class, pass_kwargs: Optional[dict] = None,
 
     ``solver`` joins the key: a verdict is only reusable for the backend
     that produced it (per-subgoal methods and certificates differ across
-    backends even where the verdicts are required to agree).
+    backends even where the verdicts are required to agree).  Besides the
+    class source, the key covers the pass module's other imports (by
+    content digest) and the module's text outside its other pass classes,
+    so module-level helpers and constants move the key while an edit
+    inside a sibling pass does not.
     """
     source = preprocessor.pass_source(pass_class)
     if source is None:
         return None
+    from repro.incremental.deps import closure_digest
+
     kwargs = {
         str(key): _canon_kwarg(value)
         for key, value in (pass_kwargs or {}).items()
@@ -516,4 +430,6 @@ def pass_fingerprint(pass_class, pass_kwargs: Optional[dict] = None,
         source,
         kwargs,
         data_dependency_digest(pass_class),
+        closure_digest(pass_class.__module__),
+        _sha256(preprocessor.pass_module_text(pass_class)),
     )))

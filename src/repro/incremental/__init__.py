@@ -6,10 +6,11 @@ tier (PR 2) made many processes share that cache.  Both are still
 the whole suite, even when nothing changed.  This package makes verification
 *edit-driven*:
 
-* :mod:`repro.incremental.deps` maps each verified configuration to the set
-  of source files its cache key can possibly depend on (the pass's module,
-  its transitive intra-package imports, the toolchain and rule modules),
-  persisted as a schema-versioned sidecar next to the proof cache;
+* :mod:`repro.incremental.deps` is the module graph: the static import
+  closure the cache keys are computed over, and the set of source files
+  each verified configuration's key can depend on (its pass module's
+  closure plus the toolchain's), persisted as a schema-versioned sidecar
+  next to the proof cache;
 * :mod:`repro.incremental.detect` turns a set of changed paths — found by
   stdlib mtime/size/sha polling, no third-party watcher — into the minimal
   set of stale configurations;
@@ -28,8 +29,6 @@ from repro.incremental.deps import (
     class_data_paths,
     identity_key,
     kwarg_data_paths,
-    pass_dependency_paths,
-    toolchain_dependency_paths,
 )
 from repro.incremental.detect import (
     ChangeDetector,
@@ -57,9 +56,7 @@ __all__ = [
     "kwarg_data_paths",
     "normalize_path",
     "partition_changes",
-    "pass_dependency_paths",
     "refresh_classes",
     "refresh_source_state",
     "stale_identities",
-    "toolchain_dependency_paths",
 ]

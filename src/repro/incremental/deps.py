@@ -1,20 +1,24 @@
-"""The dependency index: which files can change which cache keys.
+"""The module graph: which source files can change which cache keys.
 
-A pass fingerprint (:func:`repro.engine.fingerprint.pass_fingerprint`)
-hashes the pass's class source, its canonicalised constructor kwargs, and
-the toolchain/rule-set hash.  The set of files whose edit can change that
-key is therefore *statically known*: the pass's own module, every
-intra-package module it transitively imports (conservative — an import can
-only widen the set, never miss the module the class source lives in), and
-the toolchain modules listed by
-:func:`repro.engine.fingerprint.toolchain_modules`.
+One static import graph, read with :mod:`ast` (nothing is imported or
+executed), answers "what can change a verdict?" for the keys and for the
+incremental index alike.  The toolchain hash is the content digest of the
+import closure of :data:`TOOLCHAIN_ROOTS`; a pass key adds its own
+module's closure (:func:`closure_digest`); and a dependency entry's watch
+set (:func:`entry_watch_paths`) is the same modules' files plus the
+entry's data files, so a key covers exactly what the index watches.
 
-This module computes that file set by walking the import graph with
-:mod:`ast` (stdlib only, no module execution), and defines the *dependency
-entry* the proof-cache backends persist as a schema-versioned sidecar:
+Each scan result is a row of the *module table*: sha256 of a file's text →
+the import names in it, relative ones as written.  A row never goes stale,
+so the stores persist the rows their entries reach (``module:<sha256>``
+sidecar records) and hand them back on open: a warm run hashes the closure
+files and parses none, an edit parses the edited file.  Names resolve to
+files on every run, so a submodule created later is still found.
 
-``identity key`` → ``{"schema": ..., "fingerprint": ..., "module": ...,
-"qualname": ..., "paths": [...]}``
+A *dependency entry* is what the stores persist per verified configuration:
+
+``identity key`` → ``{"schema": ..., "fingerprint": ..., "solver": ...,
+"module": ..., "qualname": ..., "data_paths": [...]}``
 
 where the identity key names a *configuration* (class + constructor kwargs)
 independently of its source text.  The identity key is the stable handle an
@@ -26,29 +30,41 @@ verification time; :mod:`repro.incremental.detect` consumes them.
 from __future__ import annotations
 
 import ast
+import hashlib
 import importlib.machinery
 import os
 import sys
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
+                    Optional, Set, Tuple)
 
-from repro.engine.fingerprint import (
-    _canon,
-    _canon_kwarg,
-    _sha256,
-    toolchain_modules,
-)
+from repro.engine.fingerprint import _canon, _canon_kwarg, _sha256
 from repro.incremental.detect import normalize_path as _normalize
 
 #: Bump when the dependency-entry layout changes incompatibly; sidecar
 #: records written under another schema are ignored (and rewritten on the
-#: next verification) rather than misread.
-DEPS_SCHEMA_VERSION = 1
+#: next verification) rather than misread.  v2: module rows, no paths.
+DEPS_SCHEMA_VERSION = 2
 
 #: Only modules under this package participate in the import walk; the
 #: stdlib and third-party dependencies are part of the interpreter
 #: environment, not of the watched source tree.
 _PACKAGE_ROOT = "repro"
+
+#: The toolchain is what these modules statically import: the verifier
+#: (obligation generation and discharge) and the key derivation itself.
+TOOLCHAIN_ROOTS = ("repro.verify.verifier", "repro.engine.fingerprint")
+
+#: Sidecar keys of module-table rows; identity keys are bare hex digests.
+MODULE_ROW_PREFIX = "module:"
+
+#: The module table.  Keyed by content, so it serves every store and
+#: checkout, and :func:`reset_memos` keeps it.
+_module_table: Dict[str, Tuple[str, ...]] = {}
+
+
+def _in_package(name: str) -> bool:
+    return name == _PACKAGE_ROOT or name.startswith(_PACKAGE_ROOT + ".")
 
 
 @lru_cache(maxsize=None)
@@ -102,56 +118,36 @@ def _submodule_search_path(package_name: str) -> Optional[Tuple[str, ...]]:
     return tuple(path) if path is not None else None
 
 
-def _stamp(path: str) -> Optional[Tuple[str, int, int]]:
-    try:
-        status = os.stat(path)
-    except OSError:
-        return None
-    return (path, status.st_mtime_ns, status.st_size)
+# --------------------------------------------------------------------------- #
+# Scanning one module
+# --------------------------------------------------------------------------- #
+def _scan_imports(source: bytes) -> Tuple[str, ...]:
+    """The module names ``source``'s import statements mention.
 
-
-@lru_cache(maxsize=None)
-def _module_imports(module_name: str, stamp: Tuple) -> Tuple[str, ...]:
-    """Package-internal module names imported by ``module_name``'s source.
-
-    Parsed with :mod:`ast` — nothing is executed.  ``from package import
-    name`` is ambiguous between a submodule and an attribute; both readings
-    are resolved and whichever names an importable module survives, so
-    ``from repro.utility import circuit_ops`` contributes
+    Parsed with :mod:`ast` — nothing is executed.  Absolute names outside
+    the package are dropped; relative ones keep their leading dots until
+    :func:`_resolve` anchors them at the importing module.  ``from package
+    import name`` is ambiguous between a submodule and an attribute, so
+    both readings are kept and resolution keeps whichever names a file:
+    ``from repro.utility import circuit_ops`` yields
     ``repro.utility.circuit_ops`` while ``from repro.verify.passes import
-    AnalysisPass`` contributes only ``repro.verify.passes``.  ``stamp``
-    (path, mtime, size) keys the memo so an edited file is re-parsed.
+    AnalysisPass`` yields only ``repro.verify.passes``.
     """
-    path = stamp[0]
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            tree = ast.parse(handle.read())
-    except (OSError, SyntaxError, ValueError):
+        tree = ast.parse(source)
+    except (SyntaxError, ValueError):
         return ()
     found: Set[str] = set()
-
-    def note(name: Optional[str]) -> None:
-        if name and (name == _PACKAGE_ROOT or name.startswith(_PACKAGE_ROOT + ".")):
-            found.add(name)
-
     for node in _import_nodes(tree):
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                note(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                base = _package_of(module_name, path, node.level, base)
-            note(base)
-            for alias in node.names:
-                if base:
-                    note(f"{base}.{alias.name}")
-    # Keep only names that actually resolve to source files (drops the
-    # attribute reading of `from module import attribute`).
-    resolved = tuple(sorted(
-        name for name in found if module_source_path(name) is not None
-    ))
-    return resolved
+            found.update(alias.name for alias in node.names)
+        else:
+            base = "." * node.level + (node.module or "")
+            separator = "." if node.module else ""
+            found.add(base)
+            found.update(base + separator + alias.name for alias in node.names)
+    return tuple(sorted(name for name in found
+                        if name.startswith(".") or _in_package(name)))
 
 
 #: The nodes a statement block holds: statements, handlers, match cases.
@@ -198,87 +194,157 @@ def _package_of(module_name: str, path: str, level: int, base: str) -> str:
     return f"{prefix}.{base}" if base else prefix
 
 
-def import_closure(module_name: str) -> Set[str]:
-    """Transitive intra-package import closure of ``module_name`` (inclusive)."""
-    seen: Set[str] = set()
-    queue = [module_name]
-    while queue:
-        name = queue.pop()
-        if name in seen:
-            continue
-        path = module_source_path(name)
-        if path is None:
-            continue
-        seen.add(name)
-        stamp = _stamp(path)
-        if stamp is None:
-            continue
-        for imported in _module_imports(name, stamp):
-            if imported not in seen:
-                queue.append(imported)
-    return seen
+def _resolve(module_name: str, path: str, names: Iterable[str]) -> Tuple[str, ...]:
+    """The scanned ``names`` that name a package module with a source file."""
+    resolved: Set[str] = set()
+    for name in names:
+        if name.startswith("."):
+            base = name.lstrip(".")
+            name = _package_of(module_name, path, len(name) - len(base), base)
+        if _in_package(name) and module_source_path(name) is not None:
+            resolved.add(name)
+    return tuple(sorted(resolved))
 
 
-_toolchain_paths_memo: Optional[Tuple[str, ...]] = None
+# --------------------------------------------------------------------------- #
+# The graph
+# --------------------------------------------------------------------------- #
+@lru_cache(maxsize=None)
+def module_digest(module_name: str) -> Optional[str]:
+    """The sha256 of ``module_name``'s source file; ``None`` if it has none.
 
-
-def toolchain_dependency_paths() -> Tuple[str, ...]:
-    """Source files of every module the toolchain fingerprint hashes.
-
-    Includes ``engine/fingerprint.py`` itself: ``ENGINE_VERSION`` and the
-    canonicalisation rules live there, so editing it can change every key.
+    A digest the module table does not know yet is scanned here, once.
+    Memoised per process and dropped by :func:`reset_memos`, which
+    long-lived processes call once files change.
     """
-    global _toolchain_paths_memo
-    if _toolchain_paths_memo is None:
-        from repro.engine import fingerprint
-
-        paths = {_normalize(fingerprint.__file__)}
-        for module in toolchain_modules():
-            path = getattr(module, "__file__", None)
-            if path is not None:
-                paths.add(_normalize(path))
-        _toolchain_paths_memo = tuple(sorted(paths))
-    return _toolchain_paths_memo
-
-
-def reset_memos() -> None:
-    """Forget memoised import walks and toolchain paths (after reloads)."""
-    global _toolchain_paths_memo
-    _toolchain_paths_memo = None
-    _module_imports.cache_clear()
-    module_source_path.cache_clear()
-    _submodule_search_path.cache_clear()
-    _module_dependency_paths.cache_clear()
+    path = module_source_path(module_name)
+    if path is None:
+        return None
+    try:
+        with open(path, "rb") as handle:
+            source = handle.read()
+    except OSError:
+        return None
+    digest = hashlib.sha256(source).hexdigest()
+    if digest not in _module_table:
+        _module_table[digest] = _scan_imports(source)
+    return digest
 
 
 @lru_cache(maxsize=None)
-def _module_dependency_paths(module_name: str) -> Tuple[str, ...]:
-    """The dependency file set shared by every pass in ``module_name``.
+def module_imports(module_name: str) -> Tuple[str, ...]:
+    """Package modules ``module_name`` imports, each backed by a source file."""
+    digest = module_digest(module_name)
+    if digest is None:
+        return ()
+    return _resolve(module_name, module_source_path(module_name),
+                    _module_table[digest])
 
-    Memoised per module: a suite's passes cluster into a handful of
-    modules, and re-walking the import closure once per *pass* dominated
-    cold resolution.  Dropped by :func:`reset_memos` after reloads.
+
+@lru_cache(maxsize=None)
+def import_closure(*roots: str, known: FrozenSet[str] = frozenset()) -> FrozenSet[str]:
+    """Transitive intra-package import closure of ``roots`` (inclusive).
+
+    ``known``, a closure already walked, joins the result unvisited.
     """
-    paths: Set[str] = set(toolchain_dependency_paths())
-    for name in import_closure(module_name):
-        path = module_source_path(name)
-        if path is not None:
-            paths.add(path)
-    return tuple(sorted(paths))
+    seen: Set[str] = set(known)
+    queue = list(roots)
+    while queue:
+        name = queue.pop()
+        if name in seen or module_digest(name) is None:
+            continue
+        seen.add(name)
+        queue.extend(module_imports(name))
+    return frozenset(seen)
 
 
-def pass_dependency_paths(pass_class) -> Tuple[str, ...]:
-    """Every file whose edit can change ``pass_class``'s cache key.
+def covered_modules(module_name: Optional[str]) -> FrozenSet[str]:
+    """Every module the key of a pass defined in ``module_name`` covers.
 
-    The union of the pass module's transitive intra-package import closure
-    and the toolchain paths.  Deliberately conservative: a file in this set
-    that does not actually feed the fingerprint costs one redundant
-    fingerprint check on edit (which then hits the cache); a file missing
-    from this set would let a stale verdict survive an edit.
+    The toolchain closure, through the toolchain digest, plus the pass
+    module's own closure; ``None`` gives the toolchain closure alone.
     """
-    return _module_dependency_paths(pass_class.__module__)
+    toolchain = import_closure(*TOOLCHAIN_ROOTS)
+    return import_closure(module_name, known=toolchain) if module_name else toolchain
 
 
+@lru_cache(maxsize=None)
+def closure_digest(module_name: Optional[str]) -> str:
+    """Content digest of the modules a key covers, ``module_name`` left out.
+
+    ``None`` digests the toolchain closure, which the toolchain hash wraps.
+    A pass key folds in the digest for its module; the module's own text
+    enters the key split by class instead, so that a sibling pass's edit
+    does not move it.
+    """
+    names = sorted(covered_modules(module_name) - {module_name})
+    return _sha256("".join(f"{name} {module_digest(name)}\n" for name in names))
+
+
+def entry_watch_paths(entry: Mapping) -> FrozenSet[str]:
+    """Every file whose edit can move ``entry``'s fingerprint: its watch set.
+
+    The files of the modules its key covers (:func:`covered_modules` of
+    the entry's module) plus its data files.  The incremental run, stale
+    detection, the watcher and the daemon all ask this one function.
+    """
+    paths = map(module_source_path, covered_modules(entry.get("module")))
+    return frozenset(paths).union(entry.get("data_paths") or ())
+
+
+def dep_index_paths(dep_index: Dict[str, Dict]) -> List[str]:
+    """The union of every recorded entry's watch set (the watchable surface)."""
+    paths: Set[str] = set()
+    for entry in dep_index.values():
+        paths |= entry_watch_paths(entry)
+    return sorted(paths)
+
+
+def module_row_records(entries: Iterable[Mapping]) -> Dict[str, dict]:
+    """The sidecar records of the module rows ``entries`` reach.
+
+    A store writes these beside its entries (before them), so the next
+    process rebuilds the same closures without parsing; ``repro cache gc``
+    keeps exactly the ones its surviving entries reach.
+    """
+    records: Dict[str, dict] = {}
+    for module_name in {entry.get("module") for entry in entries}:
+        for name in covered_modules(module_name):
+            digest = module_digest(name)
+            records[MODULE_ROW_PREFIX + digest] = {
+                "schema": DEPS_SCHEMA_VERSION, "imports": list(_module_table[digest])}
+    return records
+
+
+def split_module_rows(records: Mapping[str, Mapping]) -> Dict[str, Mapping]:
+    """Add the module rows among a store's sidecar records to the table.
+
+    Returns the other records: the dependency entries.
+    """
+    entries = {}
+    for key, value in records.items():
+        if not key.startswith(MODULE_ROW_PREFIX):
+            entries[key] = value
+        elif isinstance(value, dict) and isinstance(value.get("imports"), list):
+            _module_table.setdefault(key[len(MODULE_ROW_PREFIX):],
+                                     tuple(value["imports"]))
+    return entries
+
+
+def reset_memos() -> None:
+    """Forget memoised paths, digests and closures (after edits or reloads).
+
+    The module table stays: a row is keyed by content, so it still holds
+    for whichever file hashes to it.
+    """
+    for memo in (module_source_path, _submodule_search_path, module_digest,
+                 module_imports, import_closure, closure_digest):
+        memo.cache_clear()
+
+
+# --------------------------------------------------------------------------- #
+# Dependency entries
+# --------------------------------------------------------------------------- #
 def kwarg_data_paths(pass_kwargs: Optional[Dict]) -> Tuple[str, ...]:
     """Data files the constructor arguments were loaded from.
 
@@ -342,48 +408,22 @@ def build_dep_entry(pass_class, pass_kwargs: Optional[Dict],
                     fingerprint: str, solver: str = "builtin") -> Dict[str, object]:
     """The persisted dependency record for one verified configuration.
 
-    ``paths`` is the union of the Python-source surface
-    (:func:`pass_dependency_paths`) and the configuration's *data* files —
-    device maps the kwargs were loaded from, suites the pass declares —
-    so editing a data file invalidates the right passes exactly like
+    The Python-source surface is the module graph's answer for the pass's
+    module (see :func:`entry_watch_paths`); ``data_paths`` adds the data
+    files — device maps the kwargs were loaded from, suites the pass
+    declares — so editing one invalidates the right passes exactly like
     editing source does.  ``solver`` names the backend the recorded
     fingerprint was derived under; a run with a different ``--solver``
     must not be served through this entry (its fingerprint points at the
     other backend's cache keys), so the engine checks it on probe.
     """
-    paths: Set[str] = set(pass_dependency_paths(pass_class))
-    paths.update(kwarg_data_paths(pass_kwargs))
-    paths.update(class_data_paths(pass_class))
+    data = set(kwarg_data_paths(pass_kwargs)) | set(class_data_paths(pass_class))
     return {
         "schema": DEPS_SCHEMA_VERSION,
         "fingerprint": fingerprint,
         "solver": solver,
         "module": pass_class.__module__,
         "qualname": pass_class.__qualname__,
-        "paths": sorted(paths),
+        "data_paths": sorted(data),
     }
 
-
-def load_dep_index(directory, backend: str = "jsonl") -> Dict[str, Dict]:
-    """Read the persisted dependency index without loading the proof tier.
-
-    The sqlite store is cheap to open (rows load on demand); the JSONL tier
-    would load every proof just to reach the sidecar, so that backend reads
-    ``deps.jsonl`` directly.
-    """
-    if backend == "sqlite":
-        from repro.service.store import SqliteProofCache
-
-        with SqliteProofCache(directory) as store:
-            return store.deps_snapshot()
-    from repro.engine.cache import read_deps_sidecar
-
-    return read_deps_sidecar(directory)
-
-
-def dep_index_paths(dep_index: Dict[str, Dict]) -> List[str]:
-    """The union of every recorded entry's file set (the watchable surface)."""
-    paths: Set[str] = set()
-    for entry in dep_index.values():
-        paths.update(entry.get("paths", ()))
-    return sorted(paths)

@@ -8,7 +8,7 @@ checkout of an identical file) does not invalidate anything.
 
 :func:`stale_identities` intersects a change set with the persisted
 dependency index (:mod:`repro.incremental.deps`): a configuration is stale
-exactly when at least one of its recorded dependency files changed.
+exactly when at least one file of its watch set changed.
 Everything else is provably unaffected — its fingerprint cannot have moved
 — and is served without even being re-fingerprinted.
 """
@@ -135,18 +135,16 @@ class ChangeDetector:
 
 def stale_identities(dep_index: Mapping[str, Mapping],
                      changed_paths: Iterable[os.PathLike]) -> Set[str]:
-    """Identity keys whose recorded file set intersects the change set.
+    """Identity keys whose watch set intersects the change set.
 
     This is the *minimal* stale set under the dependency index's contract:
-    an entry whose files are untouched cannot have a different fingerprint,
-    so re-checking it could only reproduce the cached verdict.
+    an entry whose watched files are untouched cannot have a different
+    fingerprint, so re-checking it could only reproduce the cached verdict.
     """
+    from repro.incremental.deps import entry_watch_paths
+
     changed = {normalize_path(path) for path in changed_paths}
     if not changed:
         return set()
-    stale: Set[str] = set()
-    for ident, entry in dep_index.items():
-        paths = entry.get("paths", ())
-        if any(path in changed for path in paths):
-            stale.add(ident)
-    return stale
+    return {ident for ident, entry in dep_index.items()
+            if not changed.isdisjoint(entry_watch_paths(entry))}

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Set, Tuple, Type
 
-from repro.incremental.deps import dep_index_paths, reset_memos as reset_dep_memos
+from repro.incremental.deps import dep_index_paths
 from repro.incremental.detect import ChangeDetector, normalize_path
 from repro.telemetry import trace as _trace
 
@@ -74,10 +74,10 @@ def refresh_source_state(changed_paths) -> List[str]:
     reloaded in name order — for sibling edits with an import between them
     the importing module re-executes its imports anyway, because ``reload``
     updates the existing module object in place and ``from m import f``
-    re-binds from the updated module.  The fingerprint memos (rule set,
-    toolchain, per-module source extraction) and the dependency-walk memos
-    are dropped whenever anything was reloaded: both hash *source text*,
-    which just changed.
+    re-binds from the updated module.  The fingerprint memos (toolchain,
+    file digests, import closures, class sources) are dropped whenever a
+    Python source changed, reloaded or not: keys hash the files on disk,
+    including closure modules a verification never imports.
 
     Non-Python paths (edited *data* files — device maps, recorded suites)
     have no module to reload; they still invalidate passes through the
@@ -108,12 +108,12 @@ def refresh_source_state(changed_paths) -> List[str]:
             # A half-saved file that does not parse: keep the old module,
             # the next cycle (after the save completes) will retry.
             continue
+    from repro.engine.fingerprint import reset_memos
+
+    reset_memos()
     if reloaded:
-        from repro.engine.fingerprint import reset_memos
         from repro.smt.terms import reset_interning
 
-        reset_memos()
-        reset_dep_memos()
         # The hash-cons table is process-global and unbounded; without
         # this, every reload leaks the previous version's terms (and the
         # solver memos that reference them) for the watcher's lifetime.
@@ -285,8 +285,7 @@ class Watcher:
         new paths are baselined silently, already-watched paths keep their
         snapshots.
         """
-        from repro.engine.cache import default_cache_dir
-        from repro.incremental.deps import load_dep_index
+        from repro.engine.cache import default_cache_dir, load_dep_index
 
         try:
             dep_index = load_dep_index(self.cache_dir or default_cache_dir(),

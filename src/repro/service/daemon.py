@@ -67,10 +67,7 @@ def absorb_source_changes(service: "VerificationService", changed) -> None:
     from repro.incremental.watch import refresh_classes, refresh_source_state
 
     refresh_source_state(changed)
-    toolchain = toolchain_fingerprint()
-    if toolchain != service.toolchain:
-        service.toolchain = toolchain
-        service.cache.active_fingerprint = toolchain
+    service.cache.active_fingerprint = toolchain_fingerprint()
     # The registry is the wire-facing resolution table; it must always
     # point at the reloaded classes or a request arriving right after the
     # absorb would still verify the pre-edit code.
@@ -97,14 +94,10 @@ class VerificationService:
         self.counters = CounterRegistry()
         self._counter_lock = threading.Lock()
         self._verify_lock = threading.Lock()
-        # Warm-up: hashing the toolchain imports and fingerprints the whole
-        # prover; building the registry imports every pass.  After this,
-        # requests pay only for actual proof work (or cache lookups).
-        from repro.engine.fingerprint import rule_set_fingerprint, toolchain_fingerprint
-
+        # Warm-up: building the registry imports every pass; opening the
+        # store hashes the toolchain closure (from its module rows).  After
+        # this, requests pay only for actual proof work (or cache lookups).
         self.registry = pass_registry()
-        rule_set_fingerprint()
-        self.toolchain = toolchain_fingerprint()
         self.cache = open_proof_cache(self.cache_dir, backend)
         #: Set by :func:`serve` when the opt-in background file watcher is
         #: running (``repro serve --watch``).
@@ -262,7 +255,7 @@ class VerificationService:
 
     def status(self) -> Dict[str, object]:
         payload = self.identity()
-        payload["toolchain_fingerprint"] = self.toolchain
+        payload["toolchain_fingerprint"] = self.cache.active_fingerprint
         payload["known_passes"] = len(self.registry)
         watcher = self.watcher
         payload["watcher"] = None if watcher is None else {

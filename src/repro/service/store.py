@@ -20,9 +20,9 @@ concurrent clients:
 entry's recorded fingerprint.
 
 A ``deps`` table carries the incremental layer's dependency index (identity
-key → fingerprint + file set, see :mod:`repro.incremental.deps`), gated by
-its own per-row schema number — the sidecar analogue of the JSONL tier's
-``deps.jsonl``.
+key → fingerprint + module, and ``module:<sha256>`` → import names, see
+:mod:`repro.incremental.deps`), gated by its own per-row schema number —
+the sidecar analogue of the JSONL tier's ``deps.jsonl``.
 """
 
 from __future__ import annotations
@@ -116,9 +116,9 @@ class SqliteProofCache:
                  max_entries: Optional[int] = None,
                  timeout: float = 30.0) -> None:
         from repro.engine.fingerprint import toolchain_fingerprint
+        from repro.incremental.deps import split_module_rows
 
         self.directory = Path(directory) if directory is not None else None
-        self.active_fingerprint = active_fingerprint or toolchain_fingerprint()
         self.max_entries = max_entries
         self.stats = CacheStats()
         #: Optional :class:`repro.telemetry.stats.StatsRecorder`; attached
@@ -156,6 +156,12 @@ class SqliteProofCache:
             self.stats.corrupt_lines += 1
             self._conn = self._connect(target)
             self._configure()
+        # Module rows first: the toolchain digest that gates every proof
+        # and certificate row is computed from them.  Their keys are kept
+        # so put_deps writes each row once.
+        records = self._dep_records()
+        self._module_rows = set(records).difference(split_module_rows(records))
+        self.active_fingerprint = active_fingerprint or toolchain_fingerprint()
 
     def _connect(self, target: str) -> sqlite3.Connection:
         return sqlite3.connect(
@@ -438,25 +444,34 @@ class SqliteProofCache:
             return None
 
     def put_deps(self, key: str, value: dict) -> None:
-        """Record (or refresh) one dependency entry."""
-        from repro.incremental.deps import DEPS_SCHEMA_VERSION
+        """Record (or refresh) one dependency entry.
 
+        The module rows the entry reaches go in first, so an entry is never
+        visible without its closure.
+        """
+        from repro.incremental.deps import DEPS_SCHEMA_VERSION, module_row_records
+
+        records = {row: record for row, record in module_row_records([value]).items()
+                   if row not in self._module_rows}
+        records[key] = value
+        now = time.time()
         with self._lock:
-            self._conn.execute(
+            self._conn.executemany(
                 "INSERT INTO deps (key, schema, value, updated_at) "
                 "VALUES (?, ?, ?, ?) "
                 "ON CONFLICT (key) DO UPDATE SET "
                 "schema = excluded.schema, value = excluded.value, "
                 "updated_at = excluded.updated_at",
-                (key, DEPS_SCHEMA_VERSION, json.dumps(value, sort_keys=True),
-                 time.time()),
+                [(row, DEPS_SCHEMA_VERSION, json.dumps(record, sort_keys=True), now)
+                 for row, record in records.items()],
             )
+            self._module_rows.update(row for row in records if row != key)
 
-    def deps_snapshot(self) -> Dict[str, dict]:
-        """A plain-dict copy of the (current-schema) dependency index."""
+    def _dep_records(self) -> Dict[str, dict]:
+        """Every current-schema row of the deps table: entries and module rows."""
         from repro.incremental.deps import DEPS_SCHEMA_VERSION
 
-        snapshot: Dict[str, dict] = {}
+        records: Dict[str, dict] = {}
         with self._lock:
             rows = self._conn.execute(
                 "SELECT key, value FROM deps WHERE schema = ?",
@@ -464,19 +479,30 @@ class SqliteProofCache:
             ).fetchall()
         for key, value in rows:
             try:
-                snapshot[key] = json.loads(value)
+                records[key] = json.loads(value)
             except json.JSONDecodeError:
                 self.stats.corrupt_lines += 1
-        return snapshot
+        return records
+
+    def deps_snapshot(self) -> Dict[str, dict]:
+        """A plain-dict copy of the (current-schema) dependency index."""
+        from repro.incremental.deps import split_module_rows
+
+        return split_module_rows(self._dep_records())
 
     def gc_deps(self, live_keys) -> int:
         """Drop dependency rows whose identity key is not in ``live_keys``.
 
         Same contract as :meth:`ProofCache.gc_deps <repro.engine.cache.ProofCache.gc_deps>`:
         removing a row is always sound (the configuration re-records itself
-        if ever verified again).  Returns the number of rows removed.
+        if ever verified again), and module rows no surviving entry reaches
+        go with them.  Returns the number of entries removed.
         """
+        from repro.incremental.deps import MODULE_ROW_PREFIX, module_row_records
+
         live = set(live_keys)
+        live.update(module_row_records(
+            value for key, value in self.deps_snapshot().items() if key in live))
         with self._lock:
             rows = self._conn.execute(
                 "SELECT key, LENGTH(value) FROM deps").fetchall()
@@ -486,9 +512,11 @@ class SqliteProofCache:
                     "DELETE FROM deps WHERE key = ?",
                     [(key,) for key, _ in doomed],
                 )
-        self.stats.deps_reclaimed += len(doomed)
+        self._module_rows.difference_update(key for key, _ in doomed)
+        removed = sum(not key.startswith(MODULE_ROW_PREFIX) for key, _ in doomed)
+        self.stats.deps_reclaimed += removed
         self.stats.dep_bytes_reclaimed += sum(size or 0 for _, size in doomed)
-        return len(doomed)
+        return removed
 
     # ------------------------------------------------------------------ #
     # Eviction / maintenance

@@ -204,7 +204,7 @@ class PassManager:
         conservatively forgotten too.  Returns how many were dropped.
 
         The edited state is refreshed, not just forgotten: the changed
-        modules are reloaded and the memoised rule-set/toolchain hashes
+        modules are reloaded and the memoised toolchain and file hashes
         dropped (otherwise re-verification would key against the *old*
         prover and re-trust the very verdicts the edit invalidated), and
         the pipeline's pass instances are re-pointed at their reloaded
@@ -214,7 +214,8 @@ class PassManager:
         if not self._verified_classes:
             return 0
         from repro.engine import default_cache_dir
-        from repro.incremental.deps import identity_key, load_dep_index
+        from repro.engine.cache import load_dep_index
+        from repro.incremental.deps import identity_key
         from repro.incremental.detect import stale_identities
         from repro.incremental.watch import refresh_classes, refresh_source_state
 

@@ -30,7 +30,10 @@ from __future__ import annotations
 import time
 from typing import Optional, Sequence, Union
 
-from repro.prover.backend import SolverBackend, resolve_solver
+# Through the package: importing it registers the shipped backends that
+# resolve_solver hands out, so the import graph (and every cache key
+# derived from it) reaches their code.
+from repro.prover import SolverBackend, resolve_solver
 from repro.prover.certificate import ProofCertificate
 from repro.telemetry import trace as _trace
 from repro.prover.methods import (

@@ -127,8 +127,8 @@ def _call_name(node: ast.Call) -> Optional[str]:
 
 
 @lru_cache(maxsize=None)
-def _module_class_sources(module_name: str, stamp: Tuple) -> Dict[str, str]:
-    """Source text of every class in a module, extracted with one parse.
+def _module_class_sources(module_name: str, stamp: Tuple) -> Tuple[str, Dict[str, str]]:
+    """A module's source, and the text of every class in it, from one parse.
 
     ``inspect.getsource`` re-tokenises the whole module per class, which
     dominated warm-cache runs; parsing the module AST once and slicing out
@@ -163,7 +163,7 @@ def _module_class_sources(module_name: str, stamp: Tuple) -> Dict[str, str]:
                 walk(child, f"{prefix}{child.name}.<locals>.")
 
     walk(tree, "")
-    return segments
+    return source, segments
 
 
 def _module_stamp(module_name: str) -> Optional[Tuple]:
@@ -178,6 +178,17 @@ def _module_stamp(module_name: str) -> Optional[Tuple]:
     return (path, status.st_mtime_ns, status.st_size)
 
 
+def _module_sources(module_name: str) -> Tuple[str, Dict[str, str]]:
+    """:func:`_module_class_sources` of an imported module; empty if unreadable."""
+    stamp = _module_stamp(module_name)
+    if stamp is not None:
+        try:
+            return _module_class_sources(module_name, stamp)
+        except (OSError, TypeError, SyntaxError):
+            pass
+    return "", {}
+
+
 def pass_source(pass_class) -> Optional[str]:
     """The pass's source text, or ``None`` when it cannot be recovered.
 
@@ -185,19 +196,32 @@ def pass_source(pass_class) -> Optional[str]:
     Dynamically created classes (``exec``/REPL) have no retrievable source;
     the engine treats them as uncacheable rather than risking a collision.
     """
-    stamp = _module_stamp(pass_class.__module__)
-    if stamp is not None:
-        try:
-            segments = _module_class_sources(pass_class.__module__, stamp)
-        except (OSError, TypeError, SyntaxError):
-            segments = {}
-        source = segments.get(pass_class.__qualname__)
-        if source is not None:
-            return source
+    source = _module_sources(pass_class.__module__)[1].get(pass_class.__qualname__)
+    if source is not None:
+        return source
     try:
         return inspect.getsource(pass_class)
     except (OSError, TypeError):
         return None
+
+
+def pass_module_text(pass_class) -> str:
+    """The pass module's text outside the definitions of its other passes.
+
+    The pass key hashes this beside :func:`pass_source`: module-level
+    helpers and constants the pass reads are covered, while an edit inside
+    a sibling pass class moves only that sibling's key.
+    """
+    from repro.verify.passes import BasePass
+
+    text, classes = _module_sources(pass_class.__module__)
+    module = sys.modules.get(pass_class.__module__)
+    for qualname, source in classes.items():
+        value = getattr(module, qualname, None)
+        if qualname != pass_class.__qualname__ and isinstance(value, type) \
+                and issubclass(value, BasePass):
+            text = text.replace(source, "", 1)
+    return text
 
 
 def analyze_pass(pass_class: Type) -> PassAnalysis:

@@ -135,7 +135,7 @@ def test_remote_store_against_live_cache(tmp_path):
         snapshot = store.subgoal_snapshot()
         assert set(snapshot) == {"sg1", "sg2"}
         store.touch_subgoals(["sg1"])
-        store.put_deps("ident", {"schema": 1, "fingerprint": "f", "paths": []})
+        store.put_deps("ident", {"schema": 2, "fingerprint": "f"})
         assert store.get_deps("ident")["fingerprint"] == "f"
         assert "ident" in store.deps_snapshot()
         assert store.stats.pass_hits == 1 and store.stats.pass_misses == 2

@@ -6,6 +6,7 @@ import pytest
 
 from repro.engine import ProofCache, WorkerPool, parallel_map, verify_passes
 from repro.engine.driver import payload_to_result, result_to_payload
+from repro.engine.fingerprint import canonical_rule_names
 from repro.passes import (
     BuggyOptimize1qGates,
     CXCancellation,
@@ -48,10 +49,16 @@ def test_cached_results_match_direct_verification(tmp_path):
     for pass_class, cached in zip(SMALL_SUITE, warm.results):
         direct = verify_pass(pass_class)
         assert _summary(cached) == _summary(direct)
-        # Rule names embed per-run symbolic uids; the *shape* of the rule
-        # usage (count and families) must survive the cache round trip.
-        strip = lambda name: name.rstrip("0123456789_g")  # noqa: E731
-        assert sorted(map(strip, cached.rules_used)) == sorted(map(strip, direct.rules_used))
+        # Rule names embed per-run symbolic uids; the engine reports them
+        # under each subgoal's canonical renaming, which must survive the
+        # cache round trip exactly.
+        canonical = {
+            name
+            for outcome in direct.subgoals
+            for name in canonical_rule_names(outcome.subgoal,
+                                             outcome.result.rules_used)
+        }
+        assert list(cached.rules_used) == sorted(canonical)
         if direct.analysis is not None:
             assert cached.analysis.lines_of_code == direct.analysis.lines_of_code
             assert cached.analysis.templates_used == direct.analysis.templates_used
@@ -160,3 +167,38 @@ def test_jobs_one_never_spawns_processes():
     pool = WorkerPool(jobs=1)
     assert pool.map(_square, [3, 4]) == [9, 16]
     assert pool.used_processes is False
+
+
+def _cold_json_report(tmp_path, name, jobs):
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro", "verify", "--all", "--format", "json",
+         "--jobs", str(jobs), "--cache-dir", str(tmp_path / name)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    report = json.loads(completed.stdout)
+    # What may differ between runs of equal work: times, and the engine
+    # block, which describes the scheduling (worker count, and subgoal hits
+    # that depend on which worker proved what first).
+    del report["engine"]
+    report["summary"].pop("total_seconds")
+    for row in report["results"]:
+        row.pop("time_seconds")
+    return report
+
+
+def test_json_report_does_not_depend_on_the_worker_count(tmp_path):
+    """Rule names embed per-process uids; reported under each subgoal's
+    canonical renaming, a cold report is the same at any worker count."""
+    sequential = _cold_json_report(tmp_path, "j1", 1)
+    assert any(row["rules_used"] for row in sequential["results"])
+    for name in ("j2a", "j2b"):
+        assert _cold_json_report(tmp_path, name, 2) == sequential, name

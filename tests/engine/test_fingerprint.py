@@ -3,21 +3,24 @@
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
-import types
+from pathlib import Path
+
+import pytest
 
 from repro.engine.fingerprint import (
     pass_fingerprint,
-    rule_set_fingerprint,
     subgoal_fingerprint,
     toolchain_fingerprint,
-    toolchain_modules,
 )
 from repro.passes import CXCancellation, RemoveBarriers
 from repro.verify.session import Subgoal
 from repro.verify.verifier import verify_pass
+
+REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _collect_subgoals(pass_class, pass_kwargs=None):
@@ -149,8 +152,7 @@ def test_fingerprints_stable_across_processes():
         """
     )
     env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
     output = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     ).stdout.split()
@@ -158,31 +160,99 @@ def test_fingerprints_stable_across_processes():
     assert output[1] == pass_fingerprint(CXCancellation)
 
 
-def test_rule_set_fingerprint_changes_with_rules(monkeypatch):
-    before = rule_set_fingerprint()
-    import repro.engine.fingerprint as fp
-    import repro.symbolic.rules as rules_module
+_SUITE_KEYS = textwrap.dedent(
+    """
+    import json
 
-    original = rules_module.default_circuit_rules
+    from repro.cli import _known_passes, pass_kwargs_for
+    from repro.engine.fingerprint import pass_fingerprint, toolchain_fingerprint
 
-    def smaller_rule_set():
-        return original()[:-1]
+    print(json.dumps({
+        "toolchain": toolchain_fingerprint(),
+        "passes": {name: pass_fingerprint(cls, pass_kwargs_for(cls))
+                   for name, cls in _known_passes().items()},
+    }))
+    """
+)
 
-    monkeypatch.setattr(rules_module, "default_circuit_rules", smaller_rule_set)
-    monkeypatch.setattr(fp, "_rule_set_memo", None)
-    monkeypatch.setattr(fp, "_toolchain_memo", None)
-    after = rule_set_fingerprint()
-    assert before != after
-    # And the toolchain (hence every cache key) moves with it.
-    assert toolchain_fingerprint() != before
+#: The nine passes defined in ``passes/optimization.py``.
+OPTIMISATION_PASSES = {
+    "CXCancellation", "CommutationAnalysis", "CommutativeCancellation",
+    "Optimize1qGates", "Optimize1qGatesDecomposition", "Collect2qBlocks",
+    "ConsolidateBlocks", "RemoveDiagonalGatesBeforeMeasure",
+    "RemoveResetInZeroState",
+}
 
 
-def test_toolchain_entries_are_modules():
-    """A package attribute that shadows a submodule (``repro.verify``
-    re-exports the ``discharge`` function) must not stand in for it."""
-    entries = toolchain_modules()
-    assert all(isinstance(entry, types.ModuleType) for entry in entries)
-    assert "repro.verify.discharge" in {entry.__name__ for entry in entries}
+class _SourceCopy:
+    """A copy of the package whose files a test may edit, keyed in a fresh
+    interpreter (so the edit is read as a new process would read it)."""
+
+    def __init__(self, root: Path) -> None:
+        self.src = root / "src"
+        shutil.copytree(REPO_SRC / "repro", self.src / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+    def keys(self) -> dict:
+        env = dict(os.environ, PYTHONPATH=str(self.src), PYTHONDONTWRITEBYTECODE="1")
+        completed = subprocess.run([sys.executable, "-c", _SUITE_KEYS],
+                                   capture_output=True, text=True, env=env,
+                                   timeout=300)
+        assert completed.returncode == 0, completed.stderr
+        return json.loads(completed.stdout)
+
+    def edited_keys(self, relative: str, old: str, new: str) -> dict:
+        """Keys with one replacement applied to one file, then undone."""
+        path = self.src / "repro" / relative
+        original = path.read_text(encoding="utf-8")
+        assert original.count(old) == 1, (relative, old)
+        path.write_text(original.replace(old, new), encoding="utf-8")
+        try:
+            return self.keys()
+        finally:
+            path.write_text(original, encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def source_copy(tmp_path_factory):
+    copy = _SourceCopy(tmp_path_factory.mktemp("keyscope"))
+    copy.baseline = copy.keys()
+    assert len(copy.baseline["passes"]) == 47
+    return copy
+
+
+def _moved(before: dict, after: dict) -> set:
+    return {name for name, key in after["passes"].items()
+            if key != before["passes"][name]}
+
+
+def test_comment_in_one_pass_class_moves_only_its_key(source_copy):
+    # What perfbench's edit workload does: one comment line at the top of
+    # one optimisation pass's class body.
+    after = source_copy.edited_keys(
+        "passes/optimization.py",
+        "class ConsolidateBlocks(GeneralPass):\n",
+        "class ConsolidateBlocks(GeneralPass):\n    # an edit\n")
+    assert after["toolchain"] == source_copy.baseline["toolchain"]
+    assert _moved(source_copy.baseline, after) == {"ConsolidateBlocks"}
+
+
+def test_module_level_constant_moves_the_keys_of_its_module_passes(source_copy):
+    after = source_copy.edited_keys(
+        "passes/optimization.py",
+        '_RUN_NAMES_U = ("u1", "u2", "u3")',
+        '_RUN_NAMES_U = ("u3", "u2", "u1")')
+    assert after["toolchain"] == source_copy.baseline["toolchain"]
+    assert _moved(source_copy.baseline, after) == OPTIMISATION_PASSES
+
+
+def test_editing_the_rule_set_moves_the_toolchain_digest(source_copy):
+    after = source_copy.edited_keys(
+        "symbolic/rules.py", "def default_circuit_rules(",
+        "# an edit\ndef default_circuit_rules(")
+    assert after["toolchain"] != source_copy.baseline["toolchain"]
+    # ... and with it every pass key.
+    assert _moved(source_copy.baseline, after) == set(after["passes"])
 
 
 _PROVER_MODULES_AFTER_COLD_VERIFY = textwrap.dedent(
@@ -197,8 +267,8 @@ _PROVER_MODULES_AFTER_COLD_VERIFY = textwrap.dedent(
     with contextlib.redirect_stdout(io.StringIO()):
         code = repro.cli.main(["verify", "--all", "--cache-dir", sys.argv[1]])
 
-    from repro.engine.fingerprint import toolchain_modules
-    from repro.incremental.deps import toolchain_dependency_paths
+    from repro.engine.cache import load_dep_index
+    from repro.incremental.deps import covered_modules, entry_watch_paths
     from repro.incremental.detect import normalize_path
 
     loaded = sorted(
@@ -207,16 +277,18 @@ _PROVER_MODULES_AFTER_COLD_VERIFY = textwrap.dedent(
             and not hasattr(module, "__path__"))
         or name == "repro.verify.discharge"
     )
-    hashed = {module.__name__ for module in toolchain_modules()}
-    paths = set(toolchain_dependency_paths())
+    toolchain = covered_modules(None)
+    entries = load_dep_index(sys.argv[1]).values()
     print(json.dumps({
         "code": code,
+        "entries": len(entries),
         "loaded": loaded,
-        "unhashed": [name for name in loaded if name not in hashed],
-        "untracked": [
-            name for name in loaded
-            if normalize_path(sys.modules[name].__file__) not in paths
-        ],
+        "unhashed": [name for name in loaded if name not in toolchain],
+        "unwatched": sorted(
+            name for name in loaded for entry in entries
+            if normalize_path(sys.modules[name].__file__)
+            not in entry_watch_paths(entry)
+        ),
     }))
     """
 )
@@ -224,11 +296,10 @@ _PROVER_MODULES_AFTER_COLD_VERIFY = textwrap.dedent(
 
 def test_toolchain_covers_every_prover_module_a_verification_loads(tmp_path):
     """Editing any module the prover runs must move every cache key, and
-    the dependency index must watch its file; otherwise a warm store serves
-    verdicts the edited prover would no longer reach."""
+    every dependency entry must watch its file; otherwise a warm store
+    serves verdicts the edited prover would no longer reach."""
     env = dict(os.environ)
-    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
     completed = subprocess.run(
         [sys.executable, "-c", _PROVER_MODULES_AFTER_COLD_VERIFY,
          str(tmp_path / "cache")],
@@ -237,7 +308,28 @@ def test_toolchain_covers_every_prover_module_a_verification_loads(tmp_path):
     assert completed.returncode == 0, completed.stderr
     outcome = json.loads(completed.stdout)
     assert outcome["code"] == 0
-    assert {"repro.smt.congruence", "repro.smt.terms",
-            "repro.prover.builtin", "repro.verify.discharge"} <= set(outcome["loaded"])
+    assert outcome["entries"] == 47
+    assert {"repro.smt.congruence", "repro.smt.terms", "repro.prover.builtin",
+            "repro.verify.discharge"} <= set(outcome["loaded"])
     assert outcome["unhashed"] == []
-    assert outcome["untracked"] == []
+    assert outcome["unwatched"] == []
+
+
+def test_a_cold_run_normalises_each_subgoal_once(tmp_path, monkeypatch):
+    import repro.engine.fingerprint as fingerprint
+    from repro.cli import _known_passes, pass_kwargs_for
+    from repro.engine import verify_passes
+
+    calls = []
+    original = fingerprint.normalize_subgoal
+
+    def counting(subgoal, renamer=None):
+        calls.append(subgoal)
+        return original(subgoal, renamer)
+
+    monkeypatch.setattr(fingerprint, "normalize_subgoal", counting)
+    report = verify_passes(list(_known_passes().values()), cache_dir=tmp_path,
+                           pass_kwargs_fn=pass_kwargs_for)
+    assert report.stats.cache_misses == 47
+    assert sum(result.num_subgoals for result in report.results) == 223
+    assert len(calls) == 223

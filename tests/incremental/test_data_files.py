@@ -10,6 +10,7 @@ from repro.engine.fingerprint import data_dependency_digest, pass_fingerprint
 from repro.incremental.deps import (
     build_dep_entry,
     class_data_paths,
+    entry_watch_paths,
     identity_key,
     kwarg_data_paths,
 )
@@ -64,9 +65,11 @@ def test_dep_entry_includes_device_file(tmp_path):
     cls = _coupling_pass()
     kwargs = {"coupling": load_device_map(path)}
     entry = build_dep_entry(cls, kwargs, "fp")
-    assert normalize_path(path) in entry["paths"]
-    # Source files are still there too.
-    assert any(p.endswith(".py") for p in entry["paths"])
+    assert entry["data_paths"] == [normalize_path(path)]
+    watched = entry_watch_paths(entry)
+    assert normalize_path(path) in watched
+    # Source files are watched too.
+    assert any(p.endswith(".py") for p in watched)
 
 
 def test_editing_the_device_file_invalidates_exactly_its_config(tmp_path):

@@ -11,19 +11,21 @@ from pathlib import Path
 import pytest
 
 from repro.engine.cache import ProofCache
-from repro.engine.fingerprint import pass_fingerprint
+from repro.engine.fingerprint import pass_fingerprint, reset_memos
+from repro.incremental import deps
 from repro.incremental.deps import (
     DEPS_SCHEMA_VERSION,
     _import_nodes,
-    _module_imports,
     _package_of,
-    _stamp,
+    _resolve,
+    _scan_imports,
     build_dep_entry,
+    covered_modules,
+    entry_watch_paths,
     identity_key,
     import_closure,
+    module_row_records,
     module_source_path,
-    pass_dependency_paths,
-    toolchain_dependency_paths,
 )
 from repro.passes import CommutationAnalysis, CXCancellation, Depth
 from repro.service.store import SqliteProofCache
@@ -35,24 +37,49 @@ REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 # Dependency computation
 # --------------------------------------------------------------------------- #
 def test_pass_dependencies_cover_fingerprint_inputs():
-    paths = pass_dependency_paths(CXCancellation)
+    paths = entry_watch_paths(build_dep_entry(CXCancellation, None, "fp"))
     endings = {
         "passes/optimization.py",   # the pass's own module
         "verify/passes.py",         # its base class
         "symbolic/rules.py",        # the rule set
         "symbolic/commutation.py",
         "verify/discharge.py",      # the prover
+        "prover/builtin.py",        # the default solver backend
+        "circuit/gates.py",         # the gate library the executor reads
         "engine/fingerprint.py",    # ENGINE_VERSION / canonicalisation
+        "incremental/deps.py",      # what the keys cover
     }
     for ending in endings:
         assert any(p.endswith(ending) for p in paths), ending
-    assert list(paths) == sorted(paths)
 
 
 def test_toolchain_paths_are_a_subset_of_every_pass():
-    toolchain = set(toolchain_dependency_paths())
-    assert toolchain <= set(pass_dependency_paths(Depth))
-    assert toolchain <= set(pass_dependency_paths(CommutationAnalysis))
+    toolchain = {module_source_path(name) for name in covered_modules(None)}
+    assert toolchain <= entry_watch_paths(build_dep_entry(Depth, None, "fp"))
+    assert toolchain <= entry_watch_paths(
+        build_dep_entry(CommutationAnalysis, None, "fp"))
+
+
+def test_a_pass_key_covers_exactly_its_watch_set(monkeypatch):
+    """The modules whose digests a pass key reads are the ones its entry
+    watches: a file outside the watch set cannot move the key, and every
+    watched file does."""
+    real = deps.module_digest
+    for pass_class in (CXCancellation, Depth):
+        reset_memos()
+        hashed = set()
+
+        def recording(name):
+            hashed.add(name)
+            return real(name)
+
+        monkeypatch.setattr(deps, "module_digest", recording)
+        key = pass_fingerprint(pass_class)
+        monkeypatch.undo()
+        files = {module_source_path(name) for name in hashed
+                 if real(name) is not None}
+        assert files == entry_watch_paths(build_dep_entry(pass_class, None, key))
+    reset_memos()
 
 
 def test_import_closure_is_transitive():
@@ -80,11 +107,14 @@ def test_identity_key_stable_under_source_edits_but_kwarg_sensitive():
 def test_build_dep_entry_shape():
     key = pass_fingerprint(Depth)
     entry = build_dep_entry(Depth, None, key)
+    # The closure is not copied into the entry: it is the module graph's.
+    assert set(entry) == {"schema", "fingerprint", "solver", "module",
+                          "qualname", "data_paths"}
     assert entry["schema"] == DEPS_SCHEMA_VERSION
     assert entry["fingerprint"] == key
     assert entry["module"] == "repro.passes.analysis"
     assert entry["qualname"] == "Depth"
-    assert entry["paths"] == list(pass_dependency_paths(Depth))
+    assert entry["data_paths"] == []
     json.dumps(entry)  # must be wire/sidecar serialisable
 
 
@@ -108,7 +138,11 @@ def test_relative_imports_reach_the_dependency_set(tmp_path):
     source = package / "user_pass.py"
     source.write_text("from .routing import BasicSwap\n"
                       "from ..verify import passes\n")
-    imports = _module_imports("repro.passes.user_pass", _stamp(str(source)))
+    scanned = _scan_imports(source.read_bytes())
+    # The module table keeps relative names as written ...
+    assert {".routing", "..verify", "..verify.passes"} <= set(scanned)
+    # ... and they resolve against the importing module on every run.
+    imports = _resolve("repro.passes.user_pass", str(source), scanned)
     assert {"repro.passes.routing", "repro.verify", "repro.verify.passes"} <= set(imports)
 
 
@@ -263,11 +297,17 @@ _SUITE_DEP_ENTRIES = """
         import repro.bench, repro.dag, repro.qasm  # noqa: E401,F401
 
     from repro.cli import _known_passes, pass_kwargs_for
-    from repro.incremental.deps import build_dep_entry
+    from repro.engine.fingerprint import pass_fingerprint
+    from repro.incremental.deps import build_dep_entry, entry_watch_paths
 
-    print(json.dumps({
-        name: build_dep_entry(cls, pass_kwargs_for(cls), "fingerprint")
+    entries = {
+        name: build_dep_entry(cls, pass_kwargs_for(cls),
+                              pass_fingerprint(cls, pass_kwargs_for(cls)))
         for name, cls in _known_passes().items()
+    }
+    print(json.dumps({
+        name: dict(entry, watched=sorted(entry_watch_paths(entry)))
+        for name, entry in entries.items()
     }))
 """
 
@@ -279,7 +319,7 @@ def test_dep_entries_do_not_depend_on_what_is_imported():
     assert lazy == eager
     # The walk did reach the modules the lazy process never imported.
     assert any(path.endswith(os.path.join("repro", "dag", "converters.py"))
-               for path in lazy["CXCancellation"]["paths"])
+               for path in lazy["CXCancellation"]["watched"])
 
 
 # --------------------------------------------------------------------------- #
@@ -360,9 +400,10 @@ def test_jsonl_corrupt_dep_lines_are_skipped(tmp_path):
     with open(tmp_path / "deps.jsonl", "a", encoding="utf-8") as handle:
         handle.write("not json at all\n")
         handle.write('{"key": "half"}\n')
+        handle.write(json.dumps({"key": 7, "value": entry}) + "\n")
     with ProofCache(tmp_path) as cache:
         assert cache.deps_snapshot() == {"ok": entry}
-        assert cache.stats.corrupt_lines == 2
+        assert cache.stats.corrupt_lines == 3
 
 
 def test_jsonl_identical_put_does_not_grow_sidecar(tmp_path):
@@ -374,3 +415,75 @@ def test_jsonl_identical_put_does_not_grow_sidecar(tmp_path):
         with ProofCache(tmp_path) as cache:
             cache.put_deps("ok", dict(entry))
     assert (tmp_path / "deps.jsonl").stat().st_size == size_after_first
+
+
+def _stored_rows(directory, backend):
+    """The module-row keys a store holds on disk."""
+    if backend == "jsonl":
+        with open(Path(directory) / "deps.jsonl", encoding="utf-8") as handle:
+            keys = [json.loads(line)["key"] for line in handle]
+    else:
+        with SqliteProofCache(directory) as store:
+            keys = [key for (key,) in store._conn.execute("SELECT key FROM deps")]
+    return {key for key in keys if key.startswith("module:")}
+
+
+@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+def test_module_rows_are_stored_once_beside_the_entries(tmp_path, backend):
+    def open_cache():
+        if backend == "jsonl":
+            return ProofCache(tmp_path)
+        return SqliteProofCache(tmp_path)
+
+    entries = {cls.__name__: build_dep_entry(cls, None, pass_fingerprint(cls))
+               for cls in (CXCancellation, CommutationAnalysis, Depth)}
+    with open_cache() as cache:
+        for name, entry in entries.items():
+            cache.put_deps(name, entry)
+    reachable = set(module_row_records(entries.values()))
+    assert len(reachable) == len(covered_modules("repro.passes.optimization")
+                                 | covered_modules("repro.passes.analysis"))
+    assert _stored_rows(tmp_path, backend) == reachable
+    if backend == "jsonl":
+        # One row per digest, however many entries reach it.
+        lines = (tmp_path / "deps.jsonl").read_text().splitlines()
+        assert len(lines) == len(reachable) + len(entries)
+    with open_cache() as cache:
+        assert cache.deps_snapshot() == entries
+
+
+_OPEN_STORE_COUNTING_PARSES = """
+    import ast
+    import json
+    import sys
+    import types
+
+    import repro.incremental.deps as deps
+
+    parses = []
+    counting = types.ModuleType("ast")
+    counting.__dict__.update(vars(ast))
+    counting.parse = lambda *args, **kwargs: parses.append(1) or ast.parse(*args, **kwargs)
+    deps.ast = counting
+
+    from repro.engine.cache import open_proof_cache
+
+    with open_proof_cache(sys.argv[1], sys.argv[2]) as cache:
+        watched = deps.dep_index_paths(cache.deps_snapshot())
+        print(json.dumps({"parses": len(parses), "watched": watched,
+                          "toolchain": cache.active_fingerprint}))
+"""
+
+
+@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+def test_a_store_hands_its_module_rows_to_the_next_process(tmp_path, backend):
+    from repro.engine.cache import open_proof_cache
+    from repro.engine.fingerprint import toolchain_fingerprint
+
+    entry = build_dep_entry(CXCancellation, None, pass_fingerprint(CXCancellation))
+    with open_proof_cache(tmp_path, backend) as cache:
+        cache.put_deps("ident", entry)
+    found = _fresh_python(_OPEN_STORE_COUNTING_PARSES, str(tmp_path), backend)
+    assert found["parses"] == 0
+    assert found["toolchain"] == toolchain_fingerprint()
+    assert set(found["watched"]) == entry_watch_paths(entry)

@@ -58,13 +58,18 @@ def test_poll_extends_watch_set_without_reporting_new_paths(tmp_path):
     assert detector.poll() == {normalize_path(b)}
 
 
-def test_stale_identities_is_minimal(tmp_path):
-    a = normalize_path(tmp_path / "a.py")
-    b = normalize_path(tmp_path / "b.py")
-    shared = normalize_path(tmp_path / "toolchain.py")
+def test_stale_identities_is_minimal(tmp_path, monkeypatch):
+    # Each entry watches its own pass module and one shared data file.
+    name = f"stale_probe_{tmp_path.name}".replace("-", "_")
+    for suffix in ("a", "b"):
+        _write(tmp_path / f"{name}_{suffix}.py", "VALUE = 1\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    a = normalize_path(tmp_path / f"{name}_a.py")
+    b = normalize_path(tmp_path / f"{name}_b.py")
+    shared = normalize_path(tmp_path / "shared.json")
     dep_index = {
-        "pass-a": {"fingerprint": "fa", "paths": [a, shared]},
-        "pass-b": {"fingerprint": "fb", "paths": [b, shared]},
+        "pass-a": {"fingerprint": "fa", "module": f"{name}_a", "data_paths": [shared]},
+        "pass-b": {"fingerprint": "fb", "module": f"{name}_b", "data_paths": [shared]},
     }
     assert stale_identities(dep_index, []) == set()
     assert stale_identities(dep_index, [a]) == {"pass-a"}
