@@ -4,10 +4,10 @@ Invoked as ``python -m repro <command>``.  Commands:
 
 ``verify``
     Verify one, several, or all compiler passes and print a report
-    (text, Markdown, or JSON).  ``--workers N`` distributes the batch over
-    N local worker processes (unix socket); ``--cluster HOSTFILE`` listens
-    for remote ``repro work`` peers instead; ``--changed PATH`` scopes the
-    run incrementally to what those edits can have invalidated.
+    (text, Markdown, or JSON).  ``--jobs N`` (alias ``--workers N``) runs
+    the batch on N local processes; ``--cluster HOSTFILE`` listens for
+    ``repro work`` peers instead; ``--changed PATH`` scopes the run
+    incrementally to what those edits can have invalidated.
 
 ``work``
     Join a verification cluster as a worker: lease units from a
@@ -47,8 +47,8 @@ Invoked as ``python -m repro <command>``.  Commands:
     runs), ``prune``.
 
 ``top``
-    Live per-worker health of a running ``--workers``/``--cluster``
-    verification: inflight unit, throughput, prove vs transport seconds,
+    Live per-worker health of a running ``--cluster`` verification:
+    inflight unit, throughput, prove vs transport seconds,
     rss — from the coordinator's ``run-status.json`` (``--once`` for CI;
     ``--once --fail-unhealthy`` exits 1 on stale/oversized workers).
 
@@ -123,10 +123,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # --jobs 0 means "auto" (one worker per CPU, capped); the engine applies
     # the convention, so 0 passes through unchanged.
     jobs = args.jobs
-    cluster_mode = args.workers is not None or args.cluster is not None
-    if cluster_mode and (args.daemon or (args.workers is not None and args.cluster)):
-        print("--workers/--cluster are mutually exclusive with each other "
-              "and with --daemon", file=sys.stderr)
+    cluster_mode = args.cluster is not None
+    if cluster_mode and args.daemon:
+        print("--cluster and --daemon are mutually exclusive", file=sys.stderr)
+        return 2
+    if not cluster_mode and (args.shard_threshold is not None
+                             or args.shard_count is not None):
+        print("--shard-threshold/--shard-count split units for --cluster "
+              "peers; they need --cluster HOSTFILE", file=sys.stderr)
         return 2
     from repro.prover import SolverUnavailable, available_solvers
 
@@ -200,7 +204,6 @@ def _run_verify(args, selected, jobs, cluster_mode, tracer) -> int:
 
             report = verify_passes_distributed(
                 selected,
-                workers=args.workers if args.workers is not None else 0,
                 hostfile=args.cluster,
                 cache_dir=args.cache_dir,
                 use_cache=not args.no_cache,
@@ -224,6 +227,15 @@ def _run_verify(args, selected, jobs, cluster_mode, tracer) -> int:
                 changed_paths=args.changed,
                 solver=args.solver,
             )
+            if report.stats.daemon is None and not args.no_cache:
+                # stdout is the same report either way; stderr names the
+                # daemon.json that was searched.
+                from repro.engine import default_cache_dir
+                from repro.service.protocol import state_path
+
+                directory = args.cache_dir or default_cache_dir()
+                print(f"no daemon answered via {state_path(directory)}; "
+                      f"verified in-process", file=sys.stderr)
         else:
             report = verify_passes(
                 selected,
@@ -885,7 +897,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
         if status is None:
             print(f"no run status at {run_status_path(directory)} "
                   f"(a cluster run writes one: "
-                  f"`repro verify --all --workers N`)", file=sys.stderr)
+                  f"`repro verify --all --cluster HOSTFILE`)", file=sys.stderr)
             return 1
         for line in _render_top(status):
             print(line)
@@ -976,13 +988,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         from repro.bench.figure11 import main as figure11_main
 
         return figure11_main(["--small"] if args.small else [])
-    if args.target == "cluster":
-        from repro.bench.cluster import main as cluster_main
-
-        argv = ["--workers", str(args.workers)]
-        if args.record:
-            argv += ["--record", args.record]
-        return cluster_main(argv)
     if args.target == "solver":
         from repro.bench.solver import main as solver_main
 
@@ -1093,11 +1098,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             print(f"  {entry['pass']} [{entry['case_id']}] {entry['kind']}: "
                   f"{gates}-gate reproducer ({minimal})")
             print(f"    {entry['description']}")
-        for failure in result.unit_failures:
-            print(f"  UNIT FAILED: {failure}")
         if result.corpus_file:
             print(f"corpus         : {result.corpus_file}")
-    return 1 if (result.entries or result.unit_failures) else 0
+    return 0 if result.ok else 1
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -1136,11 +1139,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("passes", nargs="*", help="pass class names (e.g. CXCancellation)")
     verify.add_argument("--all", action="store_true", help="verify every known pass")
     verify.add_argument("--format", choices=("text", "markdown", "json"), default="text")
-    verify.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                        help="worker processes; 0 auto-detects the CPU count "
-                             "(capped at 8) — the same 0-means-auto convention "
-                             "applies everywhere a jobs count is taken "
-                             "(default 1, in-process)")
+    verify.add_argument("--jobs", "-j", "--workers", type=int, default=1,
+                        metavar="N",
+                        help="worker processes (--workers is an alias); 0 "
+                             "auto-detects the CPU count (capped at 8) — the "
+                             "same 0-means-auto convention applies everywhere "
+                             "a jobs count is taken (default 1, in-process)")
     verify.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="proof-cache directory (default ~/.cache/repro)")
     verify.add_argument("--no-cache", action="store_true",
@@ -1159,25 +1163,22 @@ def build_parser() -> argparse.ArgumentParser:
                              "joins every cache key")
     verify.add_argument("--daemon", action="store_true",
                         help="send the batch to a running `repro serve` daemon "
-                             "(falls back to in-process verification if none)")
-    verify.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="distribute the batch over N local worker "
-                             "processes leased over a unix socket "
-                             "(0 = auto); verdicts are identical to "
-                             "in-process runs at any worker count")
+                             "(falls back to in-process verification, with a "
+                             "note on stderr, if none answers)")
     verify.add_argument("--cluster", default=None, metavar="HOSTFILE",
                         help="listen for remote `repro work` peers on the "
                              "hostfile's address (token-authenticated TCP) "
                              "and distribute the batch across them")
     verify.add_argument("--shard-threshold", type=float, default=None,
                         metavar="SECONDS",
-                        help="split passes whose recorded wall time is at "
-                             "least SECONDS into subgoal shards "
-                             "(default 1.0; <= 0 splits every pending pass)")
+                        help="with --cluster: split passes whose recorded "
+                             "wall time is at least SECONDS into subgoal "
+                             "shards (default 1.0; <= 0 splits every "
+                             "pending pass)")
     verify.add_argument("--shard-count", type=int, default=None, metavar="N",
-                        help="number of subgoal shards per split pass "
-                             "(default: auto-tuned from each pass's recorded "
-                             "wall time vs the threshold, 2-8)")
+                        help="with --cluster: number of subgoal shards per "
+                             "split pass (default: auto-tuned from each "
+                             "pass's recorded wall time vs the threshold, 2-8)")
     verify.add_argument("--trace", default=None, metavar="DIR",
                         help="write a structured execution trace "
                              "(trace-*.jsonl) into DIR; inspect it with "
@@ -1439,13 +1440,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run one of the paper's evaluation drivers")
     bench.add_argument("target",
-                       choices=("table2", "figure11", "case-studies", "cluster",
+                       choices=("table2", "figure11", "case-studies",
                                 "solver", "telemetry", "stats"))
     bench.add_argument("--small", action="store_true", help="figure11: use the trimmed suite")
     bench.add_argument("--new-passes-only", action="store_true",
                        help="table2: only the passes new in Qiskit 0.32")
-    bench.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="cluster: worker processes for the distributed side")
     bench.add_argument("--solver", action="append", default=None, metavar="NAME",
                        help="solver: additionally measure this prover backend "
                             "(repeatable)")
@@ -1453,7 +1452,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="telemetry/stats: warm off/on measurement pairs "
                             "(default 20)")
     bench.add_argument("--record", default=None, metavar="PATH",
-                       help="cluster/solver/telemetry/stats: write "
+                       help="solver/telemetry/stats: write "
                             "the measured comparison as JSON")
     bench.set_defaults(handler=_cmd_bench)
 
@@ -1475,8 +1474,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--corpus", default=".repro-fuzz", metavar="DIR",
                       help="corpus directory (JSONL + metadata)")
     fuzz.add_argument("--workers", type=int, default=0,
-                      help="fork N local workers and distribute seed-range "
-                           "units over the cluster coordinator")
+                      help="run seed-range batches on N local worker "
+                           "processes (default 0, in-process)")
     fuzz.add_argument("--device", default="linear",
                       help="device topology for generated cases")
     fuzz.add_argument("--max-qubits", type=int, default=None,

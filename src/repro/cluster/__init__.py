@@ -5,10 +5,12 @@ tier (PR 2) let every process on a host share one warm proof store; the
 incremental layer (PR 3) bounded re-verification by what actually changed.
 This package is the fleet step: verification work — whole passes by
 default, individual subgoal shards for recorded-slow passes — is leased to
-worker processes on this host (``repro verify --workers N``, unix socket)
-or other hosts (``repro verify --cluster HOSTFILE`` + ``repro work
---connect``, token-authenticated TCP), all sharing the coordinator's proof
-store through a networked store tier.
+``repro work`` peers (``repro verify --cluster HOSTFILE``), over
+token-authenticated TCP or, for peers on the same host, a unix socket.
+Every peer shares the coordinator's proof store through a networked
+store tier.  Parallelism on one host is the engine's job, not this
+package's: ``repro verify --jobs N`` (alias ``--workers N``) runs on
+:class:`repro.engine.scheduler.WorkerPool`.
 
 * :mod:`repro.cluster.plan` — decompose pending work into deterministic,
   mergeable units; record per-pass timings that drive subgoal splitting;

@@ -3,14 +3,16 @@
 :func:`verify_passes_distributed` is the cluster analogue of
 :func:`repro.engine.verify_passes` — same arguments, same
 :class:`~repro.engine.driver.EngineReport` out, identical verdicts — with
-the pending work fanned out over worker processes (``workers=N`` spawns
-them locally over a unix socket) or worker hosts (``hostfile=...`` listens
-on token-authenticated TCP for ``repro work --connect`` peers).
+the pending work fanned out over ``repro work`` peers: it listens on the
+hostfile's address (token-authenticated TCP, or a ``unix:/path`` socket
+for peers on the same host) and serves whichever peers connect.  Local
+parallelism is not this module's job: ``repro verify --jobs N`` (alias
+``--workers N``) runs on :class:`repro.engine.scheduler.WorkerPool`.
 
 The run is structured exactly like the in-process driver:
 
 1. :func:`~repro.engine.driver.resolve_pending` serves everything the
-   shared store can (so a warm cluster run never spawns a worker at all);
+   shared store can (so a warm cluster run never opens a listener at all);
 2. :func:`~repro.cluster.plan.plan_units` decomposes the misses into
    whole-pass units and, for recorded-slow passes, subgoal shards;
 3. a :class:`UnitScheduler` leases units to whichever worker asks,
@@ -29,12 +31,9 @@ The run is structured exactly like the in-process driver:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import secrets
-import shutil
 import socket
-import tempfile
 import threading
 import time
 from collections import deque
@@ -60,7 +59,7 @@ from repro.cluster.transport import (
     server_handshake,
     write_cluster_state,
 )
-from repro.cluster.worker import execute_unit, worker_process_entry
+from repro.cluster.worker import execute_unit
 from repro.engine.cache import default_cache_dir, open_proof_cache
 from repro.engine.driver import (
     EngineReport,
@@ -74,7 +73,6 @@ from repro.engine.driver import (
     result_to_payload,
     store_certificates,
 )
-from repro.engine.scheduler import default_jobs
 from repro.incremental.deps import identity_key
 from repro.service.protocol import pass_registry
 from repro.telemetry import stats as store_stats
@@ -573,38 +571,12 @@ class ClusterCoordinator:
 
 
 # --------------------------------------------------------------------------- #
-# Local worker processes
-# --------------------------------------------------------------------------- #
-def _spawn_local_workers(address: str, token: str, count: int) -> List:
-    """Start ``count`` worker processes against ``address``.
-
-    Prefers ``fork`` (the children inherit the warmed prover, so spawning
-    costs milliseconds, not an interpreter+import each); degrades to the
-    platform default, and to an empty list when process creation is not
-    available at all (the caller then verifies in-process).
-    """
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if "fork" in methods else None)
-    processes = []
-    for _ in range(count):
-        try:
-            process = context.Process(
-                target=worker_process_entry, args=(address, token), daemon=True)
-            process.start()
-        except (OSError, ValueError, ImportError):
-            break
-        processes.append(process)
-    return processes
-
-
-# --------------------------------------------------------------------------- #
 # The distributed batch API
 # --------------------------------------------------------------------------- #
 def verify_passes_distributed(
     pass_classes: Sequence[Type],
     *,
-    workers: int = 0,
-    hostfile: Optional[os.PathLike] = None,
+    hostfile: os.PathLike,
     cache=None,
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
@@ -623,11 +595,8 @@ def verify_passes_distributed(
 ) -> EngineReport:
     """Verify a batch across a worker cluster; in-process for what remains.
 
-    ``workers=N`` (``0`` = one per CPU, capped like ``--jobs 0``) spawns N
-    local worker processes over a private unix socket; ``hostfile=PATH``
-    instead listens on the file's ``listen`` address and serves whichever
-    authenticated ``repro work`` peers connect (``workers`` and
-    ``hostfile`` are mutually exclusive).  All other parameters match
+    Listens on ``hostfile``'s ``listen`` address and serves whichever
+    authenticated ``repro work`` peers connect.  All other parameters match
     :func:`repro.engine.verify_passes`, including ``changed_paths`` for
     dependency-scoped incremental cluster runs and ``solver`` for the
     prover backend (shipped inside every unit; workers refuse units whose
@@ -647,12 +616,7 @@ def verify_passes_distributed(
     _check_changed_paths(changed_paths)
     solver_name = resolve_solver(solver).name
     kwargs_fn = pass_kwargs_fn or default_pass_kwargs
-    if hostfile is not None and workers:
-        raise ValueError("workers=N and hostfile=... are mutually exclusive")
-    local_mode = hostfile is None
-    worker_count = default_jobs() if int(workers) <= 0 else int(workers)
-    stats = EngineStats(jobs=worker_count if local_mode else 1,
-                        passes_total=len(pass_classes), solver=solver_name)
+    stats = EngineStats(passes_total=len(pass_classes), solver=solver_name)
 
     own_cache = False
     if cache is None and use_cache:
@@ -664,7 +628,6 @@ def verify_passes_distributed(
             pass_classes, stats, cache, kwargs_fn, started, base_invalidated,
             counterexample_search=counterexample_search,
             changed_paths=changed_paths, record_deps=record_deps,
-            local_mode=local_mode, worker_count=worker_count,
             hostfile=hostfile, shard_threshold=shard_threshold,
             shard_count=shard_count, worker_wait=worker_wait,
             run_timeout=run_timeout, steal_after=steal_after,
@@ -677,9 +640,9 @@ def verify_passes_distributed(
 
 def _distributed_with_cache(
     pass_classes, stats, cache, kwargs_fn, started, base_invalidated, *,
-    counterexample_search, changed_paths, record_deps, local_mode,
-    worker_count, hostfile, shard_threshold, shard_count, worker_wait,
-    run_timeout, steal_after, solver, self_lease,
+    counterexample_search, changed_paths, record_deps, hostfile,
+    shard_threshold, shard_count, worker_wait, run_timeout, steal_after,
+    solver, self_lease,
 ) -> EngineReport:
     base_hits = cache.stats.pass_hits if cache is not None else 0
     base_misses = cache.stats.pass_misses if cache is not None else 0
@@ -691,8 +654,7 @@ def _distributed_with_cache(
     if cache is not None and store_stats.enabled():
         try:
             recorder = store_stats.StatsRecorder(
-                cache.directory, backend=getattr(cache, "backend", None),
-                workers=worker_count if local_mode else None)
+                cache.directory, backend=getattr(cache, "backend", None))
             cache.recorder = recorder
         except Exception:
             recorder = None
@@ -756,40 +718,20 @@ def _distributed_with_cache(
         board=board, recorder=recorder)
 
     listener = None
-    processes: List = []
-    scratch_dir = None
     state_dir = None
     try:
         if plan.units:
-            try:
-                if local_mode:
-                    scratch_dir = tempfile.mkdtemp(prefix="repro-cluster-")
-                    listener = Listener(f"unix:{scratch_dir}/coordinator.sock")
-                else:
-                    config = parse_hostfile(hostfile)
-                    listener = Listener(config.listen)
-                    advertise = config.advertise or listener.address
-                    state_dir = (cache.directory if cache is not None and
-                                 cache.directory is not None else default_cache_dir())
-                    write_cluster_state(state_dir, ClusterEndpoint(
-                        address=advertise, token=coordinator.token,
-                        pid=os.getpid()))
-            except (TransportError, OSError, ValueError) as exc:
-                if not local_mode:
-                    raise  # an unusable hostfile is an error, not a fallback
-                listener = None  # no sockets on this host: verify locally
-
-        if listener is not None:
-            # Fork the local workers before any coordinator thread starts:
-            # forking a process with live threads risks inheriting a held
-            # lock mid-operation.  The listener is already bound, so early
-            # connections simply queue in the backlog.
-            if local_mode:
-                processes = _spawn_local_workers(
-                    listener.address, coordinator.token, worker_count)
+            # An unusable hostfile or listen address is an error, not a
+            # fallback: it raises before any unit is proved.
+            config = parse_hostfile(hostfile)
+            listener = Listener(config.listen)
+            advertise = config.advertise or listener.address
+            state_dir = (cache.directory if cache is not None and
+                         cache.directory is not None else default_cache_dir())
+            write_cluster_state(state_dir, ClusterEndpoint(
+                address=advertise, token=coordinator.token, pid=os.getpid()))
             coordinator.serve(listener)
-            _await_completion(scheduler, coordinator, processes,
-                              local_mode=local_mode, worker_wait=worker_wait,
+            _await_completion(scheduler, coordinator, worker_wait=worker_wait,
                               run_timeout=run_timeout)
     finally:
         # Stop before closing the listener: the accept loop polls the stop
@@ -798,15 +740,8 @@ def _distributed_with_cache(
         coordinator.stop()
         if listener is not None:
             listener.close()
-        for process in processes:
-            process.join(timeout=2.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=2.0)
         if state_dir is not None:
             remove_cluster_state(state_dir, coordinator.token)
-        if scratch_dir is not None:
-            shutil.rmtree(scratch_dir, ignore_errors=True)
         # The board file deliberately outlives the run (marked done):
         # `repro top --once` racing the end of a short run still has a
         # completed table to report; the next run overwrites it.
@@ -841,8 +776,8 @@ def _distributed_with_cache(
     return EngineReport(results=list(results), stats=stats)
 
 
-def _await_completion(scheduler, coordinator, processes, *, local_mode,
-                      worker_wait, run_timeout) -> None:
+def _await_completion(scheduler, coordinator, *, worker_wait,
+                      run_timeout) -> None:
     """Drive the units to completion — proving some on the coordinator.
 
     Instead of idling between polls, the coordinator leases units to
@@ -850,11 +785,10 @@ def _await_completion(scheduler, coordinator, processes, *, local_mode,
     is enabled): with a healthy fleet it merely adds one more prover, and
     with a dead or absent fleet it drains the whole plan through the same
     unit pipeline.  It still bails out early (leaving the remainder to the
-    in-process fallback) when nothing is progressing: every local worker
-    process dead, no worker at all within ``worker_wait``, or every
-    previously connected worker gone for ``worker_wait`` without a
-    replacement — a crashed fleet must not stall the run until
-    ``run_timeout``.
+    in-process fallback) when nothing is progressing: no worker at all
+    within ``worker_wait``, or every previously connected worker gone for
+    ``worker_wait`` without a replacement — a crashed fleet must not stall
+    the run until ``run_timeout``.
     """
     deadline = time.monotonic() + run_timeout
     first_worker_deadline = time.monotonic() + worker_wait
@@ -871,9 +805,6 @@ def _await_completion(scheduler, coordinator, processes, *, local_mode,
                 and coordinator.run_one_locally():
             continue  # progressed; re-check done before any bail-out
         if coordinator.workers_connected == 0:
-            if local_mode and processes and \
-                    not any(process.is_alive() for process in processes):
-                return
             if coordinator.workers_seen == 0 and now >= first_worker_deadline:
                 return
             if coordinator.workers_seen > 0:

@@ -218,41 +218,6 @@ def plan_units(
 
 
 # --------------------------------------------------------------------------- #
-# Fuzz campaigns
-# --------------------------------------------------------------------------- #
-def plan_fuzz_units(seed: int, num_cases: int, passes: Sequence[str],
-                    config: Dict, workers: int) -> List[WorkUnit]:
-    """Cut a fuzz campaign's case range into ``kind="fuzz"`` work units.
-
-    Fuzz units reuse the lease/steal/retry pipeline but none of the
-    proof-store machinery: the spec carries the seed and a contiguous
-    batch of case indices (each case's outcome is a pure function of
-    ``(seed, index, config)``, so chunking never affects results), and
-    ``key`` is ``None`` — there is no pass fingerprint to skew-check and
-    nothing to write to the shared store.  Batches aim at two units per
-    worker so work stealing has something to steal.
-    """
-    size = max(1, math.ceil(num_cases / max(1, workers * 2)))
-    units: List[WorkUnit] = []
-    for batch_index, lo in enumerate(range(0, num_cases, size)):
-        indices = list(range(lo, min(lo + size, num_cases)))
-        units.append(WorkUnit(
-            unit_id=f"fuzz:{int(seed)}:{indices[0]}:{indices[-1] + 1}",
-            index=batch_index,
-            kind="fuzz",
-            spec={
-                "name": f"fuzz[{indices[0]}:{indices[-1] + 1}]",
-                "seed": int(seed),
-                "indices": indices,
-                "passes": list(passes),
-                "config": dict(config),
-            },
-            key=None,
-        ))
-    return units
-
-
-# --------------------------------------------------------------------------- #
 # Recorded timings
 # --------------------------------------------------------------------------- #
 def timings_path(cache_dir: os.PathLike) -> Path:

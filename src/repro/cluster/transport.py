@@ -8,9 +8,10 @@ many small messages.  This module generalises the *same payload formats*
 payloads from :func:`repro.engine.driver.result_to_payload`, stats from
 ``EngineStats.to_dict``) onto two stream transports:
 
-* ``unix:/path/to.sock`` — for co-located workers (``repro verify
-  --workers N``); the socket file is created ``0700``-dir-private, so the
-  filesystem is the credential exactly like the cache directory itself;
+* ``unix:/path/to.sock`` — for ``repro work`` peers on the coordinator's
+  host (a ``listen unix:/path`` hostfile line); the socket file is created
+  mode ``0600``, so the filesystem is the credential exactly like the
+  cache directory itself;
 * ``host:port`` — token-authenticated TCP for workers on other hosts
   (``repro work --connect HOST:PORT``); the coordinator mints a fresh
   token per run and every connection must present it in its ``hello``

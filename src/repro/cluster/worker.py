@@ -1,11 +1,11 @@
 """The cluster worker: lease, verify, stream results back.
 
-``repro work --connect HOST:PORT`` (or ``--cache-dir DIR`` for unix-socket
-discovery) runs :func:`run_worker`: connect to the coordinator,
-authenticate, warm the local prover, bulk-fetch the shared subgoal
-snapshot through the networked store tier, then loop — lease one unit,
-verify it with the existing engine, send the result (plus every newly
-proved subgoal and the cache-feedback counters) back.
+``repro work --connect HOST:PORT`` (or ``--cache-dir DIR`` to discover the
+coordinator through its ``cluster.json``) runs :func:`run_worker`: connect
+to the coordinator, authenticate, warm the local prover, bulk-fetch the
+shared subgoal snapshot through the networked store tier, then loop —
+lease one unit, verify it with the existing engine, send the result (plus
+every newly proved subgoal and the cache-feedback counters) back.
 
 A worker never decides what to verify and never writes the proof store
 directly: the coordinator owns scheduling and the store, the worker owns
@@ -102,22 +102,6 @@ def _execute_unit(unit: Dict, registry: Dict[str, type],
                   subgoal_table: Dict[str, dict], store=None) -> Dict:
     started = time.perf_counter()
     try:
-        if unit.get("kind") == "fuzz":
-            # Fuzz units carry a seed-range spec, not a pass spec: no
-            # registry resolution, no fingerprint skew check (the payload
-            # is a pure function of the spec, never keyed into the proof
-            # store), no subgoal accounting.
-            from repro.fuzz.campaign import execute_fuzz_unit
-
-            return {
-                "op": "result",
-                "unit_id": unit["unit_id"],
-                "ok": True,
-                "kind": "fuzz",
-                "payload": execute_fuzz_unit(unit["spec"]),
-                "wall_seconds": time.perf_counter() - started,
-            }
-
         from repro.verify.discharge import Discharger
 
         pass_class, pass_kwargs = resolve_pass_spec(unit["spec"], registry)
@@ -261,19 +245,3 @@ def run_worker(address: str, token: str, *,
         return completed
     finally:
         connection.close()
-
-
-def worker_process_entry(address: str, token: str) -> None:
-    """Top-level entry point for coordinator-spawned local workers.
-
-    Module-level (picklable) so it works under every multiprocessing start
-    method; swallows transport errors — a worker dying because the
-    coordinator finished first is normal shutdown, not a crash worth a
-    traceback on the user's terminal.
-    """
-    try:
-        run_worker(address, token)
-    except TransportError:
-        pass
-    except KeyboardInterrupt:
-        pass

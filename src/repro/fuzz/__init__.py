@@ -9,9 +9,9 @@ shrinks each failure delta-debugging-style to a locally minimal
 reproducer (:mod:`repro.fuzz.shrink`), and persists the minimised,
 certificate-carrying witnesses in a schema-versioned JSONL corpus
 (:mod:`repro.fuzz.corpus`) that replays as deterministic regression
-units.  Campaigns decompose into independent seed-range work units, so
-``repro fuzz --workers N`` rides the existing cluster coordinator
-(:mod:`repro.fuzz.campaign`).
+units.  Campaigns decompose into independent seed-range batches, so
+``repro fuzz --workers N`` runs them on the engine's ``--jobs`` process
+pool (:mod:`repro.fuzz.campaign`).
 """
 
 from repro.fuzz.campaign import (

@@ -9,25 +9,23 @@ replayable corpus (:mod:`repro.fuzz.corpus`).  Failing passes also get a
 subgoals' proof certificates, computed once per pass coordinator-side —
 a fuzzing hit travels with its symbolic diagnosis.
 
-Campaigns decompose into independent seed-range work units, so
-``--workers N`` rides the existing cluster coordinator
-(:mod:`repro.cluster.coordinator`): fuzz units carry ``kind="fuzz"`` and
-a JSON spec of case indices; the worker executes them with
-:func:`execute_fuzz_unit` — the same pure function the inline path uses,
-which is why a case's outcome (and therefore the corpus bytes) cannot
-depend on the worker count or on how the seed range was chunked.
-Everything a unit returns is a pure function of ``(seed, index,
-config)``; the merge sorts entries into canonical order and the corpus
-writer records nothing run-dependent.
+Campaigns decompose into independent seed-range batches, so
+``--workers N`` maps :func:`execute_fuzz_unit` over contiguous case
+batches on the engine's process pool
+(:class:`repro.engine.scheduler.WorkerPool`, the ``--jobs`` executor).
+Each batch is a JSON spec of case indices, and :func:`execute_fuzz_unit`
+computes cases exactly as the inline path does, which is why a case's
+outcome (and therefore the corpus bytes) cannot depend on the worker
+count or on how the seed range was chunked.  Everything a batch returns
+is a pure function of ``(seed, index, config)``; the merge sorts entries
+into canonical order and the corpus writer records nothing run-dependent.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
-import secrets
-import shutil
-import tempfile
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -47,18 +45,13 @@ from repro.fuzz.shrink import shrink_failure
 from repro.telemetry import trace as _trace
 from repro.telemetry.metrics import CounterRegistry, render_prometheus
 
-#: How long a local fuzz cluster may run before the coordinator bails out
-#: and finishes the remaining units in-process.
-_RUN_TIMEOUT = 600.0
-_WORKER_WAIT = 10.0
-
 _METRICS_NAME = "metrics.prom"
 
 
 def fuzz_registry(include_buggy: bool = True) -> Dict[str, type]:
     """Every pass a fuzz campaign can target, by name.
 
-    The verified + extension registry the cluster protocol already uses,
+    The verified + extension registry the service protocol already uses,
     plus (by default) the known-buggy variants from
     :mod:`repro.passes.buggy` — those are the campaign's ground truth and
     must resolve on workers and during replay.
@@ -131,10 +124,9 @@ def _run_case(case: FuzzCase, targets: Sequence[Tuple[str, type]],
 def execute_fuzz_unit(spec: Dict) -> Dict:
     """Execute one fuzz work unit (a contiguous batch of case indices).
 
-    ``spec`` is JSON-shaped: ``{"name", "seed", "indices", "passes",
-    "config"}``.  The return payload is likewise JSON-shaped so it rides
-    the cluster result message unchanged.  Pure: the payload depends only
-    on the spec.
+    ``spec`` is JSON-shaped: ``{"seed", "indices", "passes", "config"}``,
+    and so is the returned payload.  Pure: the payload depends only on
+    the spec.
     """
     config = normalize_config(spec.get("config"))
     registry = fuzz_registry(include_buggy=True)
@@ -261,6 +253,8 @@ class CampaignResult:
     counters: Dict[str, int] = field(default_factory=dict)
     corpus_dir: Optional[str] = None
     corpus_file: Optional[str] = None
+    #: Always empty: a failing batch raises, inline or on the pool.  Kept
+    #: so the JSON report keeps its ``unit_failures`` key.
     unit_failures: List[str] = field(default_factory=list)
 
     @property
@@ -272,71 +266,19 @@ class CampaignResult:
         return not self.entries and not self.unit_failures
 
 
-def _run_units_distributed(units, workers: int,
-                           unit_failures: List[str]) -> List[Dict]:
-    """Drive fuzz units through the cluster coordinator; return payloads.
+def _batch_specs(seed: int, num_cases: int, config: Dict,
+                 workers: int) -> List[Dict]:
+    """Cut the case range into contiguous batches, two per worker.
 
-    Follows ``engine`` cluster-run wiring: unix-socket listener in a
-    scratch directory, forked local workers, coordinator self-leasing,
-    and any unit the fleet failed to resolve is executed in-process —
-    coverage never depends on worker health.
+    Two batches per worker let a fast worker take a slow one's share; the
+    split never affects results, because each case is generated from
+    ``(seed, index, config)`` alone.
     """
-    from repro.cluster.coordinator import (
-        ClusterCoordinator,
-        UnitScheduler,
-        _await_completion,
-        _spawn_local_workers,
-    )
-    from repro.cluster.transport import Listener, TransportError
-    from repro.cluster.worker import execute_unit
-
-    scheduler = UnitScheduler(units, steal_after=5.0, tracer=_trace.current())
-    # cache=None (fuzz writes no proofs); registry={} enables self-leasing
-    # (fuzz units never resolve a pass spec, so an empty registry is fine).
-    coordinator = ClusterCoordinator(
-        None, scheduler, secrets.token_hex(16),
-        counterexample_search=False, solver="builtin",
-        registry={}, board=None)
-    scratch_dir = tempfile.mkdtemp(prefix="repro-fuzz-")
-    listener = None
-    processes: List = []
-    try:
-        try:
-            listener = Listener(f"unix:{scratch_dir}/coordinator.sock")
-        except (TransportError, OSError, ValueError):
-            listener = None  # no sockets on this host: run in-process below
-        if listener is not None:
-            processes = _spawn_local_workers(
-                listener.address, coordinator.token, workers)
-            coordinator.serve(listener)
-            _await_completion(scheduler, coordinator, processes,
-                              local_mode=True, worker_wait=_WORKER_WAIT,
-                              run_timeout=_RUN_TIMEOUT)
-    finally:
-        coordinator.stop()
-        if listener is not None:
-            listener.close()
-        for process in processes:
-            process.join(timeout=2.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=2.0)
-        shutil.rmtree(scratch_dir, ignore_errors=True)
-
-    payloads: List[Dict] = []
-    for unit in units:
-        message = scheduler.results.get(unit.unit_id)
-        if message is not None:
-            payloads.append(message.get("payload") or {})
-            continue
-        # Failed or never-leased: finish the unit here, same pure function.
-        reply = execute_unit(unit.to_wire(False), {}, {})
-        if reply.get("ok"):
-            payloads.append(reply.get("payload") or {})
-        else:
-            unit_failures.append(
-                f"{unit.unit_id}: {reply.get('error', 'unit failed')}")
-    return payloads
+    size = max(1, math.ceil(num_cases / (workers * 2)))
+    return [{"seed": seed,
+             "indices": list(range(lo, min(lo + size, num_cases))),
+             "passes": config["passes"], "config": config}
+            for lo in range(0, num_cases, size)]
 
 
 def resolve_targets(passes: Optional[Sequence[str]],
@@ -401,14 +343,13 @@ def run_campaign(
 
     Fully deterministic for a given ``(seed, num_cases, passes, config)``:
     the corpus bytes are identical across runs and across worker counts.
-    ``workers=0`` runs inline; ``workers>=1`` forks that many local worker
-    processes and drives seed-range units through the cluster coordinator.
+    ``workers=0`` runs inline; ``workers>=1`` maps seed-range batches over
+    a :class:`~repro.engine.scheduler.WorkerPool` of that many processes.
     """
     config = normalize_config(config)
     targets = resolve_targets(passes, include_buggy)
     config["passes"] = [name for name, _ in targets]
     counters = CounterRegistry()
-    unit_failures: List[str] = []
     tracer = _trace.current()
     scope = nullcontext() if tracer is None else tracer.span(
         "fuzz.campaign", kind="fuzz", seed=int(seed),
@@ -422,14 +363,12 @@ def run_campaign(
                 for case, target in _hint_cases(targets, config):
                     entries.extend(_run_case(case, [target], config, counters))
         if num_cases > 0 and workers > 0:
-            from repro.cluster.plan import plan_fuzz_units
+            from repro.engine.scheduler import WorkerPool
 
-            units = plan_fuzz_units(seed, num_cases, config["passes"],
-                                    config, workers)
-            for payload in _run_units_distributed(units, workers,
-                                                  unit_failures):
-                entries.extend(payload.get("entries") or [])
-                counters.merge(payload.get("counters") or {})
+            specs = _batch_specs(seed, num_cases, config, workers)
+            for payload in WorkerPool(workers).map(execute_fuzz_unit, specs):
+                entries.extend(payload["entries"])
+                counters.merge(payload["counters"])
         else:
             for index in range(num_cases):
                 case = generate_case(seed, index, config)
@@ -444,7 +383,6 @@ def run_campaign(
         entries=entries,
         counters=counters.snapshot(),
         corpus_dir=corpus_dir,
-        unit_failures=unit_failures,
     )
     if corpus_dir is not None:
         meta = {

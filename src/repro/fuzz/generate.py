@@ -5,7 +5,7 @@ the same triple yields byte-identical circuits in every process, which is
 what makes campaign results independent of how the seed range was cut
 into work units (``--workers 1`` and ``--workers 2`` must write the same
 corpus bytes).  The config is a plain JSON-shaped dict so it can travel
-inside a cluster work unit verbatim.
+inside a batch spec to a worker process verbatim.
 """
 
 from __future__ import annotations

@@ -112,6 +112,39 @@ def test_verify_jobs_help_documents_auto():
     assert "auto-detects the CPU count" in jobs_actions[0].help
 
 
+def test_verify_workers_is_an_alias_of_jobs(tmp_path, capsys):
+    """--workers N runs on the --jobs pool: the same JSON report apart from
+    wall times, with jobs == N and no cluster block."""
+    import shutil
+
+    cache_dir = tmp_path / "cache"
+    reports = []
+    for flag in ("--jobs", "--workers"):
+        shutil.rmtree(cache_dir, ignore_errors=True)  # both runs cold
+        assert main(["verify", "CXCancellation", "Width", "Depth", flag, "2",
+                     "--cache-dir", str(cache_dir), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["summary"]["total_seconds"], report["engine"]["wall_seconds"]
+        for result in report["results"]:
+            del result["time_seconds"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[1]["engine"]["jobs"] == 2
+    assert reports[1]["engine"]["cluster"] is None
+
+
+def test_verify_daemon_fallback_names_the_searched_state_file(tmp_path, capsys):
+    """--daemon with no daemon verifies in-process, and says so on stderr."""
+    cache_dir = tmp_path / "cache"
+    assert main(["verify", "Width", "--daemon", "--cache-dir", str(cache_dir),
+                 "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"no daemon answered via {cache_dir / 'daemon.json'}; "
+        f"verified in-process"]
+    assert json.loads(captured.out)["engine"]["daemon"] is None
+
+
 def test_verify_sqlite_backend(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
     assert main(["verify", "CXCancellation", "--backend", "sqlite",

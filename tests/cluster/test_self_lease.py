@@ -21,16 +21,15 @@ SUBSET = list(ALL_VERIFIED_PASSES)[:6]
 # --------------------------------------------------------------------------- #
 # Self-leasing
 # --------------------------------------------------------------------------- #
-def test_coordinator_proves_units_itself_when_no_worker_comes(tmp_path, monkeypatch):
+def test_coordinator_proves_units_itself_when_no_worker_comes(
+        tmp_path, cluster_peers):
     """With no workers at all, the coordinator drains the plan by
     self-leasing; the proved units appear in EngineStats.cluster."""
-    import repro.cluster.coordinator as coordinator_module
-
-    monkeypatch.setattr(coordinator_module, "_spawn_local_workers",
-                        lambda *args, **kwargs: [])
     single = verify_passes(SUBSET, jobs=1, cache_dir=str(tmp_path / "a"))
-    report = verify_passes_distributed(
-        SUBSET, workers=2, cache_dir=str(tmp_path / "b"), worker_wait=2.0)
+    with cluster_peers(tmp_path / "b", count=0) as hostfile:
+        report = verify_passes_distributed(
+            SUBSET, hostfile=hostfile, cache_dir=str(tmp_path / "b"),
+            worker_wait=2.0)
     cluster = report.stats.cluster
     assert cluster["coordinator_units"] == len(SUBSET)
     assert cluster["remote_units"] == 0
@@ -43,14 +42,11 @@ def test_coordinator_proves_units_itself_when_no_worker_comes(tmp_path, monkeypa
     assert warm.stats.cache_hits == len(SUBSET)
 
 
-def test_self_leasing_can_be_disabled(tmp_path, monkeypatch):
-    import repro.cluster.coordinator as coordinator_module
-
-    monkeypatch.setattr(coordinator_module, "_spawn_local_workers",
-                        lambda *args, **kwargs: [])
-    report = verify_passes_distributed(
-        SUBSET, workers=2, cache_dir=str(tmp_path), worker_wait=0.3,
-        self_lease=False)
+def test_self_leasing_can_be_disabled(tmp_path, cluster_peers):
+    with cluster_peers(tmp_path, count=0) as hostfile:
+        report = verify_passes_distributed(
+            SUBSET, hostfile=hostfile, cache_dir=str(tmp_path),
+            worker_wait=0.3, self_lease=False)
     cluster = report.stats.cluster
     assert cluster["coordinator_units"] == 0
     assert cluster["local_units"] == len(SUBSET)  # the in-process fallback
@@ -126,7 +122,8 @@ def test_worker_skips_reproving_via_the_warm_certificate_store(tmp_path):
     cache.close()
 
 
-def test_stateless_cluster_run_survives_mid_unit_probes(tmp_path):
+def test_stateless_cluster_run_survives_mid_unit_probes(tmp_path,
+                                                       cluster_peers):
     """--no-cache cluster runs have no store to serve: mid-unit probes get
     a graceful error reply (workers re-prove locally), never a dead
     handler thread."""
@@ -134,7 +131,10 @@ def test_stateless_cluster_run_survives_mid_unit_probes(tmp_path):
 
     reply = serve_store_op(None, {"op": "store.get_subgoal", "args": ["k"]})
     assert "no proof store" in reply["error"]
-    report = verify_passes_distributed(SUBSET[:3], workers=2, use_cache=False)
+    # A cacheless coordinator advertises itself in the default cache dir.
+    with cluster_peers() as hostfile:
+        report = verify_passes_distributed(SUBSET[:3], hostfile=hostfile,
+                                           use_cache=False)
     assert all(result.verified for result in report.results)
     assert report.stats.cache_dir is None
 

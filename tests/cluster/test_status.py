@@ -106,10 +106,14 @@ def test_board_file_is_private(tmp_path):
 # Wiring: a real distributed run feeds the board
 # --------------------------------------------------------------------- #
 
-def test_distributed_run_leaves_a_completed_board(tmp_path):
+def test_distributed_run_leaves_a_completed_board(tmp_path, cluster_peers):
     cache_dir = tmp_path / "cache"
-    report = verify_passes_distributed(SUBSET, workers=2,
-                                       cache_dir=str(cache_dir))
+    # No self-leasing: the coordinator would otherwise race the peers for
+    # the six units and could prove them all before a peer connects.
+    with cluster_peers(cache_dir) as hostfile:
+        report = verify_passes_distributed(SUBSET, hostfile=hostfile,
+                                           cache_dir=str(cache_dir),
+                                           self_lease=False)
     assert all(result.verified for result in report.results)
     status = read_run_status(cache_dir)
     assert status is not None and status["done"] is True
@@ -126,12 +130,14 @@ def test_distributed_run_leaves_a_completed_board(tmp_path):
     assert any(row["last_seen"] > 0 for row in workers.values())
 
 
-def test_cacheless_distributed_run_still_verifies(tmp_path, monkeypatch):
+def test_cacheless_distributed_run_still_verifies(tmp_path, monkeypatch,
+                                                  cluster_peers):
     # use_cache=False -> no shared directory to meet a reader in, so the
     # board stays in memory; nothing lands in the default cache location,
     # and the run is unaffected.
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default-cache"))
-    report = verify_passes_distributed(SUBSET[:3], workers=2,
-                                       use_cache=False)
+    with cluster_peers() as hostfile:
+        report = verify_passes_distributed(SUBSET[:3], hostfile=hostfile,
+                                           use_cache=False)
     assert all(result.verified for result in report.results)
     assert read_run_status(tmp_path / "default-cache") is None

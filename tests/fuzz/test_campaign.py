@@ -146,11 +146,39 @@ def test_corpus_bytes_identical_across_runs(buggy_campaign, tmp_path):
 
 def test_corpus_bytes_identical_across_worker_counts(buggy_campaign, tmp_path):
     _, corpus_dir = buggy_campaign
-    workers_dir = str(tmp_path / "workers2")
-    result = run_campaign(CATCH_SEED, CATCH_CASES, corpus_dir=workers_dir,
-                          passes=BUGGY_NAMES, workers=2)
-    assert result.unit_failures == []
-    assert _corpus_bytes(workers_dir) == _corpus_bytes(corpus_dir)
+    for workers in (1, 2, 3):
+        workers_dir = str(tmp_path / f"workers{workers}")
+        result = run_campaign(CATCH_SEED, CATCH_CASES, corpus_dir=workers_dir,
+                              passes=BUGGY_NAMES, workers=workers)
+        assert result.unit_failures == []
+        assert _corpus_bytes(workers_dir) == _corpus_bytes(corpus_dir), workers
+
+
+def test_worker_campaign_runs_without_the_cluster_package(tmp_path):
+    """--workers runs on the engine's process pool; a campaign never
+    imports repro.cluster (checked in a fresh interpreter)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    script = (
+        "import sys\n"
+        "from repro.fuzz.campaign import run_campaign\n"
+        "run_campaign(3, 4, passes=['BuggyOptimize1qGates'], workers=2,\n"
+        "             use_hints=False)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.cluster')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(repro.__file__).resolve().parents[1]),
+        env.get("PYTHONPATH")]))
+    completed = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, timeout=300)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"
 
 
 def test_meta_records_the_campaign_configuration(buggy_campaign):

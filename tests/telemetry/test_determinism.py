@@ -74,11 +74,13 @@ def _flatten(tree):
 # Cluster coverage
 # --------------------------------------------------------------------- #
 
-def test_cold_cluster_trace_covers_every_unit_exactly_once(tmp_path):
+def test_cold_cluster_trace_covers_every_unit_exactly_once(tmp_path,
+                                                          cluster_peers):
     _trace.configure(str(tmp_path / "trace"), node="main")
     try:
-        report = verify_passes_distributed(
-            SUBSET, workers=2, cache_dir=str(tmp_path / "cache"))
+        with cluster_peers(tmp_path / "cache") as hostfile:
+            report = verify_passes_distributed(
+                SUBSET, hostfile=hostfile, cache_dir=str(tmp_path / "cache"))
     finally:
         _trace.shutdown()
     assert report.stats.cluster["units_total"] == len(SUBSET)
@@ -90,12 +92,14 @@ def test_cold_cluster_trace_covers_every_unit_exactly_once(tmp_path):
         == len(SUBSET)
 
 
-def test_sharded_cluster_trace_covers_every_unit_exactly_once(tmp_path):
+def test_sharded_cluster_trace_covers_every_unit_exactly_once(tmp_path,
+                                                             cluster_peers):
     _trace.configure(str(tmp_path / "trace"), node="main")
     try:
-        report = verify_passes_distributed(
-            SUBSET[:3], workers=2, cache_dir=str(tmp_path / "cache"),
-            shard_threshold=0)
+        with cluster_peers(tmp_path / "cache") as hostfile:
+            report = verify_passes_distributed(
+                SUBSET[:3], hostfile=hostfile,
+                cache_dir=str(tmp_path / "cache"), shard_threshold=0)
     finally:
         _trace.shutdown()
     assert report.stats.cluster["split_passes"] >= 1

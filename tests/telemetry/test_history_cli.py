@@ -156,10 +156,11 @@ def test_top_once_renders_worker_rows(tmp_path, capsys):
     assert "64MiB" in out
 
 
-def test_top_once_after_a_real_workers_run(tmp_path, capsys):
+def test_top_once_after_a_real_workers_run(tmp_path, capsys, cluster_peers):
     cache = tmp_path / "cache"
-    assert main(["verify", "ApplyLayout", "CXCancellation", "BasicSwap",
-                 "--workers", "2", "--cache-dir", str(cache)]) == 0
+    with cluster_peers(cache) as hostfile:
+        assert main(["verify", "ApplyLayout", "CXCancellation", "BasicSwap",
+                     "--cluster", hostfile, "--cache-dir", str(cache)]) == 0
     capsys.readouterr()
     # The board outlives the run exactly so this cannot race a short run.
     assert main(["top", "--once", "--cache-dir", str(cache)]) == 0

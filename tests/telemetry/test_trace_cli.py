@@ -79,12 +79,13 @@ def test_trace_check_coverage_requires_a_cluster_plan(tmp_path, capsys):
     assert "no cluster plan" in capsys.readouterr().err
 
 
-def test_cluster_trace_passes_coverage_check(tmp_path, capsys):
+def test_cluster_trace_passes_coverage_check(tmp_path, capsys, cluster_peers):
     trace_dir = tmp_path / "trace"
-    assert main(["verify", "ApplyLayout", "CXCancellation", "BasicSwap",
-                 "--workers", "2",
-                 "--cache-dir", str(tmp_path / "cache"),
-                 "--trace", str(trace_dir)]) == 0
+    with cluster_peers(tmp_path / "cache") as hostfile:
+        assert main(["verify", "ApplyLayout", "CXCancellation", "BasicSwap",
+                     "--cluster", hostfile,
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--trace", str(trace_dir)]) == 0
     capsys.readouterr()
     assert main(["trace", "summary", str(trace_dir),
                  "--check-coverage"]) == 0
