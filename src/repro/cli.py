@@ -24,14 +24,15 @@ Invoked as ``python -m repro <command>``.  Commands:
     (``--daemon`` routes the re-proof through a running daemon).
 
 ``serve`` / ``status``
-    Run the resident verification daemon over a shared sqlite proof store,
-    and query a running daemon (plus the store's own statistics).
+    Run the resident verification daemon over the proof store, and query a
+    running daemon (or, without one, the store's own statistics).
     ``serve --watch`` additionally pre-warms invalidated entries on edit.
 
 ``cache``
     Maintain the proof cache: ``prune`` (LRU eviction to a bound),
-    ``migrate`` (one-shot JSONL → sqlite import), and ``gc`` (drop
-    dependency-index entries for configurations no longer in any suite).
+    ``migrate`` (read-only import of a ``proofs.sqlite`` left by the retired
+    sqlite tier), and ``gc`` (drop dependency-index entries for
+    configurations no longer in any suite).
 
 ``trace``
     Inspect a structured execution trace written by ``verify --trace DIR``:
@@ -80,7 +81,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import sqlite3
 import sys
 from typing import Dict, List, Optional, Sequence, Type
 
@@ -166,7 +166,7 @@ def _record_history(args: argparse.Namespace) -> None:
     stdout is the verification report and is parsed byte-for-byte.
     """
     try:
-        from repro.engine import default_cache_dir
+        from repro.engine import ProofCache, default_cache_dir
         from repro.engine.fingerprint import toolchain_fingerprint
         from repro.telemetry.analyze import load_trace, summarize_trace
         from repro.telemetry.history import TelemetryHistory, git_describe
@@ -177,7 +177,7 @@ def _record_history(args: argparse.Namespace) -> None:
         with TelemetryHistory(directory) as history:
             run_id = history.record_run(
                 summary,
-                stats={"backend": args.backend},
+                stats={"backend": ProofCache.backend},
                 # The run just wrote its canonical store aggregate beside
                 # the cache; fold it into the same history row so tier hit
                 # ratios trend alongside wall time.
@@ -207,7 +207,6 @@ def _run_verify(args, selected, jobs, cluster_mode, tracer) -> int:
                 hostfile=args.cluster,
                 cache_dir=args.cache_dir,
                 use_cache=not args.no_cache,
-                backend=args.backend,
                 pass_kwargs_fn=pass_kwargs_for,
                 changed_paths=args.changed,
                 shard_threshold=args.shard_threshold,
@@ -220,7 +219,6 @@ def _run_verify(args, selected, jobs, cluster_mode, tracer) -> int:
             report = verify_with_fallback(
                 selected,
                 cache_dir=args.cache_dir,
-                backend=args.backend,
                 jobs=jobs,
                 use_cache=not args.no_cache,
                 pass_kwargs_fn=pass_kwargs_for,
@@ -242,7 +240,6 @@ def _run_verify(args, selected, jobs, cluster_mode, tracer) -> int:
                 jobs=jobs,
                 cache_dir=args.cache_dir,
                 use_cache=not args.no_cache,
-                backend=args.backend,
                 pass_kwargs_fn=pass_kwargs_for,
                 changed_paths=args.changed,
                 solver=args.solver,
@@ -252,7 +249,7 @@ def _run_verify(args, selected, jobs, cluster_mode, tracer) -> int:
         installed = ", ".join(name for name, ok in available_solvers() if ok)
         print(f"available solver backends here: {installed}", file=sys.stderr)
         return 2
-    except (OSError, sqlite3.Error) as exc:
+    except OSError as exc:
         print(f"cannot open proof cache: {exc}", file=sys.stderr)
         print("use --cache-dir DIR with a writable directory, or --no-cache",
               file=sys.stderr)
@@ -303,7 +300,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     watcher = Watcher(
         selected,
         cache_dir=args.cache_dir,
-        backend=args.backend,
         jobs=args.jobs,
         use_daemon=args.daemon,
         pass_kwargs_fn=pass_kwargs_for,
@@ -311,7 +307,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     )
     try:
         last = watcher.watch(interval=args.interval, cycles=args.cycles)
-    except (OSError, sqlite3.Error) as exc:
+    except OSError as exc:
         print(f"cannot open proof cache: {exc}", file=sys.stderr)
         return 2
     if last is None:
@@ -472,11 +468,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print("--watch-interval must be > 0", file=sys.stderr)
             return 2
     try:
-        serve(cache_dir=cache_dir, backend=args.backend, host=args.host,
+        serve(cache_dir=cache_dir, host=args.host,
               port=args.port, jobs=args.jobs, verbose=args.verbose,
               watch_interval=watch_interval,
               ready_callback=announce)
-    except (OSError, sqlite3.Error) as exc:
+    except OSError as exc:
         print(f"cannot start daemon: {exc}", file=sys.stderr)
         return 2
     return 0
@@ -485,22 +481,43 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _payload_bytes_suffix(nbytes) -> str:
     """``, N KiB payload`` when the store measured it, else nothing.
 
-    JSONL stores (and daemons predating the field) report no payload
-    size; the line simply stays in its old shape for them.
+    Daemons predating the field report no payload size; the line simply
+    stays in its old shape for them.
     """
     if not isinstance(nbytes, (int, float)) or nbytes <= 0:
         return ""
     return f", {nbytes / 1024:.1f} KiB payload"
 
 
+def _print_store(store: Dict, cache_dir: str, file=None) -> None:
+    """The proof-store lines of ``repro status``, daemon or not.
+
+    ``damaged`` appears only when the load dropped unreadable lines;
+    ``migrate`` only while a ``proofs.sqlite`` from the retired sqlite tier
+    sits in the directory.
+    """
+    if store:
+        print(f"store       : {store.get('entries_live', '?')} live entries "
+              f"({store.get('entries_stale', '?')} stale), "
+              f"{store.get('accumulated_hits', '?')} accumulated hits"
+              + _payload_bytes_suffix(store.get("payload_bytes")), file=file)
+        print(f"certificates: {store.get('cert_entries', '?')} entries, "
+              f"{store.get('cert_accumulated_hits', '?')} accumulated hits"
+              + _payload_bytes_suffix(store.get("cert_payload_bytes")), file=file)
+    if store.get("corrupt_lines"):
+        print(f"damaged     : {store['corrupt_lines']} unreadable lines "
+              f"dropped on load", file=file)
+    legacy = os.path.join(cache_dir, "proofs.sqlite")
+    if os.path.exists(legacy):
+        print(f"migrate     : {legacy} predates the JSONL store; import it "
+              f"with `repro cache migrate --cache-dir {cache_dir}`", file=file)
+
+
 def _cmd_status(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from repro.engine import default_cache_dir
-    from repro.service.client import connect
-    from repro.service.store import SqliteProofCache, sqlite_cache_path
-
-    from repro.service.client import DaemonUnavailable
+    from repro.engine import ProofCache, default_cache_dir
+    from repro.service.client import DaemonUnavailable, connect
     from repro.service.protocol import ProtocolError
 
     cache_dir = args.cache_dir or str(default_cache_dir())
@@ -549,53 +566,47 @@ def _cmd_status(args: argparse.Namespace) -> int:
             print(f"watcher     : polling every {watcher['interval_seconds']}s, "
                   f"{watcher['cycles']} cycles, "
                   f"{watcher['prewarmed']} entries pre-warmed")
-        store = payload.get("store", {})
-        print(f"store       : {store.get('entries_live', '?')} live entries, "
-              f"{store.get('accumulated_hits', '?')} accumulated hits"
-              + _payload_bytes_suffix(store.get("payload_bytes")))
-        if store.get("cert_entries") is not None:
-            print(f"certificates: {store['cert_entries']} entries, "
-                  f"{store.get('cert_accumulated_hits', 0)} accumulated hits"
-                  + _payload_bytes_suffix(store.get("cert_payload_bytes")))
+        _print_store(payload.get("store", {}), cache_dir)
         return 0
-    # No daemon: report on the shared store itself, if one exists.
-    if sqlite_cache_path(cache_dir).exists():
-        with SqliteProofCache(cache_dir) as store:
-            summary = store.summary()
-        if args.format == "json":
-            print(json_module.dumps({"daemon": None, "store": summary},
-                                    indent=2, sort_keys=True))
-        else:
-            print(f"no daemon running for cache {cache_dir}")
-            print(f"store       : {summary['entries_live']} live entries "
-                  f"({summary['entries_stale']} stale), "
-                  f"{summary['accumulated_hits']} accumulated hits"
-                  + _payload_bytes_suffix(summary.get("payload_bytes")))
-            print(f"certificates: {summary.get('cert_entries', 0)} entries, "
-                  f"{summary.get('cert_accumulated_hits', 0)} accumulated hits"
-                  + _payload_bytes_suffix(summary.get("cert_payload_bytes")))
-            print("start one with: repro serve")
+    # No daemon: summarise the store itself, if one exists.
+    if not os.path.exists(os.path.join(cache_dir, "proofs.jsonl")):
+        print(f"no daemon running for cache {cache_dir} (and no proof store yet)",
+              file=sys.stderr)
+        _print_store({}, cache_dir, file=sys.stderr)
+        print("start one with: repro serve", file=sys.stderr)
         return 1
-    print(f"no daemon running for cache {cache_dir} (and no sqlite store yet)",
-          file=sys.stderr)
-    print("start one with: repro serve", file=sys.stderr)
+    try:
+        with ProofCache(cache_dir) as store:
+            summary = store.summary()
+    except OSError as exc:
+        print(f"cannot open proof cache: {exc}", file=sys.stderr)
+        return 2
+    if args.format == "json":
+        print(json_module.dumps({"daemon": None, "store": summary},
+                                indent=2, sort_keys=True))
+    else:
+        print(f"no daemon running for cache {cache_dir}")
+        _print_store(summary, cache_dir)
+        print("start one with: repro serve")
     return 1
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.engine import default_cache_dir, open_proof_cache
+    from repro.engine import ProofCache, default_cache_dir
 
     cache_dir = args.cache_dir or str(default_cache_dir())
     if args.cache_command == "migrate":
-        from repro.service.store import migrate_jsonl
+        import sqlite3
+
+        from repro.engine.cache import migrate_sqlite
 
         try:
-            migrated = migrate_jsonl(cache_dir)
+            migrated = migrate_sqlite(cache_dir)
         except (OSError, sqlite3.Error) as exc:
             print(f"cannot open proof cache: {exc}", file=sys.stderr)
             return 2
-        print(f"migrated {migrated} entries from {cache_dir}/proofs.jsonl "
-              f"to {cache_dir}/proofs.sqlite")
+        print(f"migrated {migrated} entries from {cache_dir}/proofs.sqlite "
+              f"to {cache_dir}/proofs.jsonl")
         return 0
     if args.cache_command == "gc":
         from repro.incremental.deps import identity_key
@@ -605,14 +616,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             for pass_class in _known_passes().values()
         }
         try:
-            with open_proof_cache(cache_dir, args.backend) as cache:
+            with ProofCache(cache_dir) as cache:
                 before = len(cache.deps_snapshot())
                 removed = cache.gc_deps(live)
                 dep_bytes = cache.stats.dep_bytes_reclaimed
-        except (OSError, sqlite3.Error) as exc:
+        except OSError as exc:
             print(f"cannot open proof cache: {exc}", file=sys.stderr)
             return 2
-        print(f"gc'd {args.backend} dependency index at {cache_dir}: "
+        print(f"gc'd dependency index at {cache_dir}: "
               f"{before} -> {before - removed} entries "
               f"({removed} reclaimed for configurations no longer in any "
               f"suite, {dep_bytes} bytes)")
@@ -622,7 +633,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print("--max-entries must be >= 0", file=sys.stderr)
         return 2
     try:
-        with open_proof_cache(cache_dir, args.backend) as cache:
+        with ProofCache(cache_dir) as cache:
             before = len(cache)
             evicted = cache.prune(args.max_entries)
             after = len(cache)
@@ -631,10 +642,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             reclaimed = (cache.stats.proof_bytes_reclaimed,
                          cache.stats.cert_bytes_reclaimed,
                          cache.stats.dep_bytes_reclaimed)
-    except (OSError, sqlite3.Error) as exc:
+    except OSError as exc:
         print(f"cannot open proof cache: {exc}", file=sys.stderr)
         return 2
-    print(f"pruned {args.backend} cache at {cache_dir}: "
+    print(f"pruned cache at {cache_dir}: "
           f"{before} -> {after} entries ({evicted} evicted, "
           f"{certs_evicted} orphaned certificates dropped, "
           f"{deps_reclaimed} dep rows reclaimed)")
@@ -735,6 +746,7 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- #
 def _cmd_history(args: argparse.Namespace) -> int:
     import json as json_module
+    import sqlite3
     import time as time_module
 
     from repro.engine import default_cache_dir
@@ -1149,9 +1161,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="proof-cache directory (default ~/.cache/repro)")
     verify.add_argument("--no-cache", action="store_true",
                         help="re-prove everything; do not read or write the proof cache")
-    verify.add_argument("--backend", choices=("jsonl", "sqlite"), default="jsonl",
-                        help="proof-cache tier: jsonl (single-writer file) or "
-                             "sqlite (shared store, safe for concurrent clients)")
     verify.add_argument("--solver",
                         choices=("auto", "builtin", "z3", "bounded"),
                         default="auto",
@@ -1235,8 +1244,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for re-proofs (0 = auto)")
     watch.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="proof-cache directory (default ~/.cache/repro)")
-    watch.add_argument("--backend", choices=("jsonl", "sqlite"), default="jsonl",
-                       help="proof-cache tier (default jsonl)")
     watch.add_argument("--daemon", action="store_true",
                        help="route re-verification through a running "
                             "`repro serve` daemon (falls back in-process)")
@@ -1250,9 +1257,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="proof-store directory shared with clients "
                             "(default ~/.cache/repro)")
-    serve.add_argument("--backend", choices=("sqlite", "jsonl"), default="sqlite",
-                       help="proof-store tier (default sqlite: safe for "
-                            "many concurrent clients)")
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port (0 = pick a free port)")
@@ -1279,16 +1283,15 @@ def build_parser() -> argparse.ArgumentParser:
     prune = cache_sub.add_parser("prune", help="evict least-recently-used entries")
     prune.add_argument("--max-entries", type=int, required=True, metavar="N",
                        help="keep at most N entries (LRU across passes and subgoals)")
-    prune.add_argument("--backend", choices=("jsonl", "sqlite"), default="jsonl")
     prune.add_argument("--cache-dir", default=None, metavar="DIR")
     prune.set_defaults(handler=_cmd_cache)
-    migrate = cache_sub.add_parser("migrate",
-                                   help="import a JSONL cache into the sqlite store")
+    migrate = cache_sub.add_parser(
+        "migrate", help="import a proofs.sqlite left by the retired sqlite "
+                        "tier into the JSONL store (read-only)")
     migrate.add_argument("--cache-dir", default=None, metavar="DIR")
     migrate.set_defaults(handler=_cmd_cache)
     gc = cache_sub.add_parser(
         "gc", help="drop dependency entries for configurations not in any suite")
-    gc.add_argument("--backend", choices=("jsonl", "sqlite"), default="jsonl")
     gc.add_argument("--cache-dir", default=None, metavar="DIR")
     gc.set_defaults(handler=_cmd_cache)
 

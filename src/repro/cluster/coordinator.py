@@ -60,7 +60,7 @@ from repro.cluster.transport import (
     write_cluster_state,
 )
 from repro.cluster.worker import execute_unit
-from repro.engine.cache import default_cache_dir, open_proof_cache
+from repro.engine.cache import ProofCache, default_cache_dir
 from repro.engine.driver import (
     EngineReport,
     EngineStats,
@@ -580,7 +580,6 @@ def verify_passes_distributed(
     cache=None,
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
-    backend: str = "jsonl",
     pass_kwargs_fn=None,
     counterexample_search: bool = True,
     changed_paths=None,
@@ -620,7 +619,7 @@ def verify_passes_distributed(
 
     own_cache = False
     if cache is None and use_cache:
-        cache = open_proof_cache(cache_dir or default_cache_dir(), backend)
+        cache = ProofCache(cache_dir or default_cache_dir())
         own_cache = True
     base_invalidated = 0 if own_cache or cache is None else cache.stats.invalidated
     try:

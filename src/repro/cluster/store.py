@@ -1,12 +1,11 @@
 """The networked proof-store tier: a remote client for the shared cache.
 
-PR 2's :class:`~repro.service.store.SqliteProofCache` let every process *on
-one host* share a warm proof store.  This module extends that tier across
-the network: the coordinator owns the real store (sqlite or JSONL) and
-serves store operations over its cluster connections;
-:class:`RemoteProofStore` implements the same interface as the local
-backends on the worker side, so a worker on another host hits the one warm
-cache tier the whole fleet shares.
+Processes on one host share a warm proof store through its files.  This
+module extends that across the network: the coordinator owns the real
+store (the JSONL :class:`~repro.engine.cache.ProofCache`) and serves store
+operations over its cluster connections; :class:`RemoteProofStore`
+implements the same interface on the worker side, so a worker on another
+host hits the one warm cache the whole fleet shares.
 
 The operation set mirrors the cache interface method-for-method
 (``get_pass``/``put_pass``/``get_subgoal``/``has_subgoal``/``put_subgoal``/
@@ -108,9 +107,8 @@ def serve_store_op(cache, message: Dict, allow_writes: bool = True) -> Dict:
 class RemoteProofStore:
     """Proof-cache interface served by a coordinator over one connection.
 
-    Interface-compatible with :class:`~repro.engine.cache.ProofCache` and
-    :class:`~repro.service.store.SqliteProofCache` for everything the
-    engine driver touches.  Not thread-safe: one connection, one caller —
+    Interface-compatible with :class:`~repro.engine.cache.ProofCache` for
+    everything the engine driver touches.  Not thread-safe: one connection, one caller —
     exactly the worker loop's shape.  Note that the cluster coordinator
     serves workers *read-only*; the put methods raise
     :class:`~repro.cluster.transport.TransportError` against it (newly

@@ -12,7 +12,6 @@ from repro.engine.cache import (
     CacheStats,
     ProofCache,
     default_cache_dir,
-    open_proof_cache,
 )
 from repro.engine.driver import (
     EngineReport,
@@ -57,7 +56,6 @@ __all__ = [
     "default_pass_kwargs",
     "finalize_stats",
     "merge_shard_payloads",
-    "open_proof_cache",
     "parallel_map",
     "pass_fingerprint",
     "payload_to_result",

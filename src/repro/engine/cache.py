@@ -8,8 +8,17 @@ hash — so entries written against an older prover are *structurally* stale:
 they can never be hit, are counted as invalidated on load, and are dropped
 the next time the file is compacted.
 
-The cache is written only by the coordinating process (workers return their
-results to the driver), so no cross-process locking is needed.
+Within one run the cache is written only by the coordinating process
+(workers return their results to the driver).  Separate processes on one
+directory — CLI runs, ``repro serve``, ``repro watch``, a cluster
+coordinator — share the files without locks: each appends whole lines, and
+every record is keyed by its content fingerprint and gated by the toolchain
+digest, so a race can cost warmth but never a verdict.  Hit totals are
+absolute and the last writer wins; a long-lived process does not see other
+processes' appends until it reopens; one process's compaction can drop
+another's concurrent appends.  A writer that dies mid-append leaves a torn
+last line: the next session ends it before appending, counts it as an
+unreadable line, and compacts the file on close.
 
 Next to the proof file lives a schema-versioned *dependency sidecar*
 (``deps.jsonl``): one record per verified configuration mapping its identity
@@ -33,11 +42,13 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 _FILE_NAME = "proofs.jsonl"
 _DEPS_FILE_NAME = "deps.jsonl"
 _CERTS_FILE_NAME = "certs.jsonl"
+#: The retired sqlite tier's file, read only by :func:`migrate_sqlite`.
+_SQLITE_FILE_NAME = "proofs.sqlite"
 
 
 @dataclass
@@ -66,26 +77,6 @@ class CacheStats:
     certs_evicted: int = 0    # certificates dropped when their subgoal died
 
 
-def open_proof_cache(directory: Optional[os.PathLike] = None,
-                     backend: str = "jsonl",
-                     active_fingerprint: Optional[str] = None):
-    """Open a proof cache of the requested backend over ``directory``.
-
-    ``"jsonl"`` is the single-writer append-only file cache below;
-    ``"sqlite"`` is the shared multi-client store from
-    :mod:`repro.service.store` (imported lazily so the engine has no hard
-    dependency on the service tier).
-    """
-    if backend == "jsonl":
-        return ProofCache(directory, active_fingerprint=active_fingerprint)
-    if backend == "sqlite":
-        from repro.service.store import SqliteProofCache
-
-        return SqliteProofCache(directory, active_fingerprint=active_fingerprint)
-    raise ValueError(f"unknown proof-cache backend {backend!r} "
-                     f"(expected 'jsonl' or 'sqlite')")
-
-
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR``, else ``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``."""
     override = os.environ.get("REPRO_CACHE_DIR")
@@ -94,6 +85,22 @@ def default_cache_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
     return base / "repro"
+
+
+def _open_append(path):
+    """An append handle on ``path`` whose first record starts a fresh line.
+
+    A writer that dies mid-append leaves the file without its final
+    newline; the newline written here ends that fragment (it rides the
+    first flush), so the fragment cannot swallow the next record.
+    """
+    handle = open(path, "a", encoding="utf-8")
+    if handle.tell():
+        with open(path, "rb") as tail:
+            tail.seek(-1, os.SEEK_END)
+            if tail.read(1) != b"\n":
+                handle.write("\n")
+    return handle
 
 
 def _read_deps_file(path) -> Tuple[Dict[str, dict], int, int]:
@@ -145,21 +152,6 @@ def read_deps_sidecar(directory: os.PathLike) -> Dict[str, dict]:
     return split_module_rows(records)
 
 
-def load_dep_index(directory, backend: str = "jsonl") -> Dict[str, Dict]:
-    """Read the persisted dependency index without loading the proof tier.
-
-    The sqlite store is cheap to open (rows load on demand); the JSONL tier
-    would load every proof just to reach the sidecar, so that backend reads
-    ``deps.jsonl`` directly.
-    """
-    if backend == "sqlite":
-        from repro.service.store import SqliteProofCache
-
-        with SqliteProofCache(directory) as store:
-            return store.deps_snapshot()
-    return read_deps_sidecar(directory)
-
-
 class ProofCache:
     """Persistent map from proof fingerprints to verification outcomes.
 
@@ -181,9 +173,7 @@ class ProofCache:
         self.recorder = None
         self._passes: Dict[str, dict] = {}
         self._subgoals: Dict[str, dict] = {}
-        #: Accumulated per-key hit counters, persisted across sessions (the
-        #: sqlite tier has had these since the shared store landed; without
-        #: them the default backend under-reports every key as cold).
+        #: Accumulated per-key hit counters, persisted across sessions.
         self._hits: Dict[Tuple[str, str], int] = {}
         #: Totals already durable in the file (loaded, or appended this
         #: session); close() re-appends only the keys that advanced.
@@ -215,6 +205,8 @@ class ProofCache:
         self._certs_lru: Dict[str, None] = {}
         self._certs_handle = None
         self._certs_dead = 0
+        #: Files whose load dropped an unreadable line; close() compacts them.
+        self._damaged: Set[Path] = set()
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
             # Module rows first: the toolchain digest that gates every
@@ -224,9 +216,9 @@ class ProofCache:
         if self.directory is not None:
             self._load()
             self._load_certs()
-            self._handle = open(self.path, "a", encoding="utf-8")
-            self._deps_handle = open(self.deps_path, "a", encoding="utf-8")
-            self._certs_handle = open(self.certs_path, "a", encoding="utf-8")
+            self._handle = _open_append(self.path)
+            self._deps_handle = _open_append(self.deps_path)
+            self._certs_handle = _open_append(self.certs_path)
 
     # ------------------------------------------------------------------ #
     # Persistence
@@ -280,6 +272,8 @@ class ProofCache:
                     value = entry["value"]
                 except (json.JSONDecodeError, KeyError, TypeError):
                     self.stats.corrupt_lines += 1
+                    self._damaged.add(self.path)
+                    self._dead_lines += 1
                     continue
                 if fingerprint != self.active_fingerprint:
                     self.stats.invalidated += 1
@@ -303,6 +297,8 @@ class ProofCache:
 
         self._deps, self._deps_dead, corrupt = _read_deps_file(self.deps_path)
         self.stats.corrupt_lines += corrupt
+        if corrupt:
+            self._damaged.add(self.deps_path)
         split_module_rows(self._deps)
 
     def _load_certs(self) -> None:
@@ -319,6 +315,7 @@ class ProofCache:
                     value = record["value"]
                 except (json.JSONDecodeError, KeyError, TypeError):
                     self.stats.corrupt_lines += 1
+                    self._damaged.add(self.certs_path)
                     self._certs_dead += 1
                     continue
                 if fingerprint != self.active_fingerprint:
@@ -344,28 +341,31 @@ class ProofCache:
             self._handle.flush()
 
     def close(self) -> None:
-        """Flush and release the file handle, compacting if mostly dead.
+        """Flush and release the file handles, compacting if mostly dead.
 
         Recency is already durable: reuse appended ``touch`` records at hit
         time (the loader replays them in file order), and those count as
-        dead lines, so the mostly-dead threshold bounds file growth.
+        dead lines, so the mostly-dead threshold bounds file growth.  A
+        file whose load dropped an unreadable line is compacted regardless,
+        so one session heals it.
         """
         if self._handle is None:
             return
         self._flush_hit_counters()
         live = len(self._passes) + len(self._subgoals)
-        if self._dead_lines > max(64, live):
+        if self._dead_lines > max(64, live) or self.path in self._damaged:
             self.compact()
         self._handle.close()
         self._handle = None
         if self._deps_handle is not None:
-            if self._deps_dead > max(16, len(self._deps)):
+            if self._deps_dead > max(16, len(self._deps)) \
+                    or self.deps_path in self._damaged:
                 self._compact_deps()
             self._deps_handle.close()
             self._deps_handle = None
         if self._certs_handle is not None:
             if self._certs_dead > max(16, len(self._certs)) \
-                    or self._cert_hits_dirty:
+                    or self._cert_hits_dirty or self.certs_path in self._damaged:
                 self._compact_certs()
             self._certs_handle.close()
             self._certs_handle = None
@@ -414,6 +414,7 @@ class ProofCache:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
         os.replace(tmp_path, self.path)
         self._dead_lines = 0
+        self._damaged.discard(self.path)
         self._touched.clear()   # recency is now encoded in the file order
         self._hits = {pair: count for pair, count in self._hits.items()
                       if pair in self._lru}
@@ -649,6 +650,7 @@ class ProofCache:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
         os.replace(tmp_path, self.certs_path)
         self._certs_dead = 0
+        self._damaged.discard(self.certs_path)
         self._cert_hits_dirty = False
         self._certs_handle = open(self.certs_path, "a", encoding="utf-8")
 
@@ -728,6 +730,7 @@ class ProofCache:
                                         sort_keys=True) + "\n")
         os.replace(tmp_path, self.deps_path)
         self._deps_dead = 0
+        self._damaged.discard(self.deps_path)
         self._deps_handle = open(self.deps_path, "a", encoding="utf-8")
 
     # ------------------------------------------------------------------ #
@@ -744,3 +747,96 @@ class ProofCache:
             yield "pass", key, value
         for key, value in self._subgoals.items():
             yield "subgoal", key, value
+
+    def summary(self) -> Dict[str, object]:
+        """Whole-store statistics for ``repro status`` and ``/metrics``.
+
+        Read from the in-memory tables (a daemon's status thread calls this
+        mid-request, so each table is copied first).  ``invalidated`` and
+        ``corrupt_lines`` count what the load dropped: records proved under
+        another toolchain, and unreadable lines.
+        """
+        passes = list(self._passes.values())
+        subgoals = list(self._subgoals.values())
+        certs = list(self._certs.values())
+
+        def payload_bytes(values) -> int:
+            return sum(len(json.dumps(value, sort_keys=True)) for value in values)
+
+        live = len(passes) + len(subgoals)
+        return {
+            "backend": self.backend,
+            "path": str(self.path) if self.path is not None else None,
+            "entries_total": live + self.stats.invalidated,
+            "entries_live": live,
+            "entries_stale": self.stats.invalidated,
+            "pass_entries": len(passes),
+            "subgoal_entries": len(subgoals),
+            "accumulated_hits": self.accumulated_hits(),
+            "cert_entries": len(certs),
+            "cert_accumulated_hits": sum(self._cert_hits.values()),
+            "payload_bytes": payload_bytes(passes + subgoals),
+            "cert_payload_bytes": payload_bytes(certs),
+            "corrupt_lines": self.stats.corrupt_lines,
+            "invalidated": self.stats.invalidated,
+        }
+
+
+def migrate_sqlite(directory: os.PathLike) -> int:
+    """Import the ``proofs.sqlite`` of the retired sqlite tier, read-only.
+
+    Live-toolchain proofs and certificates join the store as its most
+    recently used entries, in ``last_used_at`` order (so LRU order
+    survives) and with their hit totals; current-schema ``deps`` rows come
+    along.  Keys are the same in both tiers, so the imported entries are
+    served warm.  Entries the JSONL store already holds win.  Returns the
+    number of proof entries imported (0 without a ``proofs.sqlite``); the
+    sqlite file is left untouched.
+    """
+    source = Path(directory) / _SQLITE_FILE_NAME
+    if not source.exists():
+        return 0
+    import sqlite3
+
+    from repro.incremental.deps import DEPS_SCHEMA_VERSION
+
+    # A cleanly closed store is one file: open it immutable, so no -shm/-wal
+    # side files appear.  A -wal left by a crash holds rows too: read it.
+    flags = "mode=ro" if Path(f"{source}-wal").exists() else "immutable=1"
+    connection = sqlite3.connect(f"{source.resolve().as_uri()}?{flags}", uri=True)
+    try:
+        layout = connection.execute(
+            "SELECT value FROM meta WHERE key = 'schema_version'").fetchone()
+        if layout != ("3",):
+            return 0        # the sqlite tier rebuilt other layouts on open
+        migrated = 0
+        with ProofCache(directory) as cache:
+            fingerprint = cache.active_fingerprint
+            for kind, key, value, hits in connection.execute(
+                    "SELECT kind, key, value, hits FROM proofs WHERE fp = ? "
+                    "ORDER BY last_used_at, kind, key", (fingerprint,)):
+                table = cache._passes if kind == "pass" else cache._subgoals
+                if key not in table:
+                    table[key] = json.loads(value)
+                    cache._touch(kind, key)
+                    if hits:
+                        cache._hits[(kind, key)] = hits
+                    migrated += 1
+            for key, value, hits in connection.execute(
+                    "SELECT key, value, hits FROM certs WHERE fp = ? "
+                    "ORDER BY last_used_at, key", (fingerprint,)):
+                if key not in cache._certs:
+                    cache._certs[key] = json.loads(value)
+                    cache._touch_cert(key)
+                    if hits:
+                        cache._cert_hits[key] = hits
+            for key, value in connection.execute(
+                    "SELECT key, value FROM deps WHERE schema = ?",
+                    (DEPS_SCHEMA_VERSION,)):
+                cache._deps.setdefault(key, json.loads(value))
+            cache.compact()
+            cache._compact_certs()
+            cache._compact_deps()
+        return migrated
+    finally:
+        connection.close()

@@ -36,7 +36,6 @@ from repro.engine.cache import (
     CacheStats,
     ProofCache,
     default_cache_dir,
-    open_proof_cache,
 )
 from repro.engine.fingerprint import (
     DEFAULT_SOLVER,
@@ -520,8 +519,8 @@ class EngineStats:
     invalidated: int = 0
     wall_seconds: float = 0.0
     cache_dir: Optional[str] = None
-    #: Which proof-cache tier served this run: ``jsonl``, ``sqlite``, or
-    #: ``None`` for stateless (``--no-cache``) runs.
+    #: The ``backend`` name of the proof store that served this run
+    #: (``jsonl``), or ``None`` for stateless (``--no-cache``) runs.
     backend: Optional[str] = None
     #: Which solver backend discharged this run's subgoals (resolved name:
     #: ``builtin``, ``bounded``, ``z3``).
@@ -713,7 +712,6 @@ def verify_passes(
     cache: Optional[ProofCache] = None,
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
-    backend: str = "jsonl",
     pass_kwargs_fn: Optional[Callable[[Type], Optional[Dict]]] = None,
     counterexample_search: bool = True,
     share_subgoals: bool = True,
@@ -724,12 +722,10 @@ def verify_passes(
     """Verify a batch of passes in parallel, reusing cached proofs.
 
     ``cache`` takes precedence over ``cache_dir``; with ``use_cache=False``
-    the run is fully stateless (no reads, no writes).  ``backend`` selects
-    the proof-cache tier when the engine opens its own cache: ``"jsonl"``
-    (single-writer file) or ``"sqlite"`` (shared, safe for concurrent
-    clients).  Verdicts are independent of ``jobs``: scheduling only changes
-    wall time.  ``jobs=0`` means "auto": one worker per CPU (capped at 8),
-    the same convention the CLI's ``--jobs 0`` exposes.
+    the run is fully stateless (no reads, no writes).  Verdicts are
+    independent of ``jobs``: scheduling only changes wall time.
+    ``jobs=0`` means "auto": one worker per CPU (capped at 8), the same
+    convention the CLI's ``--jobs 0`` exposes.
 
     ``solver`` selects the :mod:`repro.prover` backend that discharges
     subgoals (``auto`` resolves to the builtin congruence-closure prover).
@@ -769,7 +765,7 @@ def verify_passes(
 
     own_cache = False
     if cache is None and use_cache:
-        cache = open_proof_cache(cache_dir or default_cache_dir(), backend)
+        cache = ProofCache(cache_dir or default_cache_dir())
         own_cache = True
     # An own cache just counted its load-time invalidations and they belong
     # to this run; a caller-provided (possibly long-lived) cache carries

@@ -185,7 +185,6 @@ class Watcher:
 
     def __init__(self, pass_classes: Sequence[Type], *,
                  cache_dir: Optional[str] = None,
-                 backend: str = "jsonl",
                  jobs: int = 1,
                  use_daemon: bool = False,
                  counterexample_search: bool = True,
@@ -195,15 +194,6 @@ class Watcher:
 
         self.pass_classes = list(pass_classes)
         self.cache_dir = cache_dir
-        if use_daemon:
-            # The dep index must be read from the tier the daemon records
-            # into (serve defaults to sqlite while this side defaults to
-            # jsonl) — otherwise the watcher would poll an empty sidecar
-            # and never see an edit.
-            from repro.service.client import _fallback_backend
-
-            backend = _fallback_backend(cache_dir, backend)
-        self.backend = backend
         self.jobs = jobs
         self.use_daemon = use_daemon
         self.counterexample_search = counterexample_search
@@ -261,7 +251,6 @@ class Watcher:
                 return verify_with_fallback(
                     self.pass_classes,
                     cache_dir=self.cache_dir,
-                    backend=self.backend,
                     jobs=self.jobs,
                     pass_kwargs_fn=self.kwargs_fn,
                     counterexample_search=self.counterexample_search,
@@ -272,7 +261,6 @@ class Watcher:
             self.pass_classes,
             jobs=self.jobs,
             cache_dir=self.cache_dir,
-            backend=self.backend,
             pass_kwargs_fn=self.kwargs_fn,
             counterexample_search=self.counterexample_search,
             changed_paths=changed_paths,
@@ -281,15 +269,14 @@ class Watcher:
     def _refresh_watched_paths(self) -> None:
         """Watch the union of the dependency index's file sets.
 
-        Reads only the dependency sidecar/table (never the proof entries);
-        new paths are baselined silently, already-watched paths keep their
+        Reads only the dependency sidecar (never the proof entries); new
+        paths are baselined silently, already-watched paths keep their
         snapshots.
         """
-        from repro.engine.cache import default_cache_dir, load_dep_index
+        from repro.engine.cache import default_cache_dir, read_deps_sidecar
 
         try:
-            dep_index = load_dep_index(self.cache_dir or default_cache_dir(),
-                                       self.backend)
+            dep_index = read_deps_sidecar(self.cache_dir or default_cache_dir())
         except Exception:
             dep_index = {}
         self.detector.add_paths(dep_index_paths(dep_index))

@@ -1,11 +1,14 @@
-"""The verification service tier: a shared proof store and a resident daemon.
+"""The verification service tier: a resident daemon over the proof store.
 
-PR 1's engine made one process fast; this package makes *many* processes
-share that speed.  Three layers:
+The engine makes one process fast; this package makes *many* processes
+share that speed.  The daemon serves the same JSONL
+:class:`~repro.engine.cache.ProofCache` direct runs read and write, so a
+direct ``repro verify`` on the daemon's cache directory is warm after a
+daemon run (a daemon reads other processes' records when it starts).
+Three layers:
 
-* :mod:`repro.service.store` — a sqlite-backed proof cache (WAL mode, safe
-  for concurrent readers and writers) with the same interface as the JSONL
-  :class:`~repro.engine.cache.ProofCache`, plus a one-shot JSONL migration;
+* :mod:`repro.service.protocol` — the JSON wire format, pass specs, and the
+  ``daemon.json`` discovery file;
 * :mod:`repro.service.daemon` — a long-lived localhost server that keeps the
   rule set, the toolchain fingerprint, and the proof store warm across
   requests, dispatching jobs through the engine scheduler;
@@ -32,12 +35,6 @@ from repro.service.protocol import (
     read_state,
     write_state,
 )
-from repro.service.store import (
-    SCHEMA_VERSION,
-    SqliteProofCache,
-    migrate_jsonl,
-    sqlite_cache_path,
-)
 
 __all__ = [
     "DaemonClient",
@@ -46,15 +43,11 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProofDaemon",
     "ProtocolError",
-    "SCHEMA_VERSION",
-    "SqliteProofCache",
     "VerificationService",
     "connect",
-    "migrate_jsonl",
     "pass_registry",
     "read_state",
     "serve",
-    "sqlite_cache_path",
     "verify_with_fallback",
     "write_state",
 ]

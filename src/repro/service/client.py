@@ -14,7 +14,6 @@ import http.client
 import json
 import os
 import socket
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.engine.cache import default_cache_dir
@@ -200,7 +199,6 @@ def verify_with_fallback(
     pass_classes: Sequence[Type],
     *,
     cache_dir: Optional[str] = None,
-    backend: str = "jsonl",
     jobs: int = 1,
     use_cache: bool = True,
     pass_kwargs_fn=None,
@@ -243,35 +241,14 @@ def verify_with_fallback(
             return EngineReport(results=results, stats=stats)
         except (DaemonUnavailable, ProtocolError):
             pass  # fall through to the in-process engine
-    if use_cache:
-        backend = _fallback_backend(cache_dir, backend)
     return verify_passes(
         list(pass_classes),
         jobs=jobs,
         cache_dir=cache_dir,
         use_cache=use_cache,
-        backend=backend,
         pass_kwargs_fn=kwargs_fn,
         counterexample_search=counterexample_search,
         changed_paths=changed_paths,
         solver=solver,
     )
 
-
-def _fallback_backend(cache_dir: Optional[os.PathLike], requested: str) -> str:
-    """The proof-cache tier the in-process fallback should use.
-
-    A dead daemon's clients must keep the warmth it banked: prefer the
-    backend recorded in a (possibly stale) state file, then an existing
-    sqlite store in the cache directory — falling back to the jsonl tier
-    would silently re-prove everything the daemon already cached.
-    """
-    directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    state = read_state(directory)
-    if state is not None:
-        return state.backend
-    from repro.service.store import sqlite_cache_path
-
-    if sqlite_cache_path(directory).exists():
-        return "sqlite"
-    return requested

@@ -11,10 +11,12 @@ client's proofs.
 
 The server is a stdlib :class:`~http.server.ThreadingHTTPServer` bound to
 localhost.  Status queries are served concurrently; verification requests
-serialise on one lock (the store itself is multi-process safe, but
-per-request statistics are deltas over shared counters, and forking worker
-pools from concurrent threads is exactly the kind of subtle hazard a cache
-daemon does not need).  Verdicts for queued clients are identical either
+serialise on one lock (per-request statistics are deltas over shared
+counters, and forking worker pools from concurrent threads is exactly the
+kind of subtle hazard a cache daemon does not need).  The store is the same
+JSONL :class:`~repro.engine.cache.ProofCache` direct ``repro verify`` runs
+use, so a direct run is warm after a daemon run; the daemon itself sees
+records other processes append only after a restart.  Verdicts for queued clients are identical either
 way — only latency differs.
 """
 
@@ -30,7 +32,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.cache import default_cache_dir, open_proof_cache
+from repro.engine.cache import ProofCache, default_cache_dir
 from repro.engine.driver import (
     EngineStats,
     batch_distinct_configs,
@@ -82,9 +84,8 @@ class VerificationService:
     """The daemon's verification core, independent of the HTTP layer."""
 
     def __init__(self, cache_dir: Optional[os.PathLike] = None,
-                 backend: str = "sqlite", jobs: int = 1) -> None:
+                 jobs: int = 1) -> None:
         self.cache_dir = Path(cache_dir or default_cache_dir())
-        self.backend = backend
         self.jobs = jobs
         self.started_at = time.time()
         self.requests_served = 0
@@ -98,7 +99,7 @@ class VerificationService:
         # store hashes the toolchain closure (from its module rows).  After
         # this, requests pay only for actual proof work (or cache lookups).
         self.registry = pass_registry()
-        self.cache = open_proof_cache(self.cache_dir, backend)
+        self.cache = ProofCache(self.cache_dir)
         #: Set by :func:`serve` when the opt-in background file watcher is
         #: running (``repro serve --watch``).
         self.watcher: Optional["DaemonWatcher"] = None
@@ -245,7 +246,7 @@ class VerificationService:
         with self._counter_lock:
             return {
                 "pid": os.getpid(),
-                "backend": self.backend,
+                "backend": self.cache.backend,
                 "cache_dir": str(self.cache_dir),
                 "uptime_seconds": round(time.time() - self.started_at, 3),
                 "requests_served": self.requests_served,
@@ -263,12 +264,7 @@ class VerificationService:
             "cycles": watcher.cycles,
             "prewarmed": watcher.prewarmed,
         }
-        summary = getattr(self.cache, "summary", None)
-        if summary is not None:
-            payload["store"] = summary()
-        else:
-            payload["store"] = {"backend": getattr(self.cache, "backend", None),
-                                "entries_live": len(self.cache)}
+        payload["store"] = self.cache.summary()
         payload["counters"] = self.counters.snapshot()
         return payload
 
@@ -303,24 +299,20 @@ class VerificationService:
         rss = read_rss()
         if rss is not None:
             values["repro_rss_bytes"] = rss
-        summary = getattr(self.cache, "summary", None)
-        if callable(summary):
-            store = summary()
-            for key in ("entries_total", "entries_live", "pass_entries",
-                        "subgoal_entries", "cert_entries"):
-                if store.get(key) is not None:
-                    values[f"repro_store_{key}"] = int(store[key])
-            for metric, key in (("repro_store_hits_total", "accumulated_hits"),
-                                ("repro_store_cert_hits_total",
-                                 "cert_accumulated_hits")):
-                if store.get(key) is not None:
-                    values[metric] = int(store[key])
+        store = self.cache.summary()
+        for key in ("entries_total", "entries_live", "pass_entries",
+                    "subgoal_entries", "cert_entries", "corrupt_lines"):
+            values[f"repro_store_{key}"] = store[key]
+        values["repro_store_hits_total"] = store["accumulated_hits"]
+        values["repro_store_cert_hits_total"] = store["cert_accumulated_hits"]
         return render_prometheus(values, help_text={
             "repro_requests_total": "verify requests served",
             "repro_passes_served_total": "pass verdicts served",
             "repro_uptime_seconds": "seconds since the daemon started",
             "repro_inflight_requests": "verify requests currently executing",
             "repro_rss_bytes": "daemon resident set size",
+            "repro_store_corrupt_lines":
+                "unreadable store lines dropped when the daemon loaded it",
             "repro_verify_latency_seconds":
                 "verify request latency by solver backend",
         }, histograms=self.counters.histogram_snapshot())
@@ -536,7 +528,7 @@ class ProofDaemon(ThreadingHTTPServer):
             port=self.server_address[1],
             token=self.token,
             pid=os.getpid(),
-            backend=service.backend,
+            backend=service.cache.backend,
             cache_dir=str(service.cache_dir),
         )
         write_state(service.cache_dir, self.endpoint)
@@ -560,7 +552,7 @@ class ProofDaemon(ThreadingHTTPServer):
         self.close()
 
 
-def serve(cache_dir: Optional[os.PathLike] = None, backend: str = "sqlite",
+def serve(cache_dir: Optional[os.PathLike] = None,
           host: str = "127.0.0.1", port: int = 0, jobs: int = 1,
           verbose: bool = False,
           watch_interval: Optional[float] = None,
@@ -579,7 +571,7 @@ def serve(cache_dir: Optional[os.PathLike] = None, backend: str = "sqlite",
     """
     import signal
 
-    service = VerificationService(cache_dir=cache_dir, backend=backend, jobs=jobs)
+    service = VerificationService(cache_dir=cache_dir, jobs=jobs)
     with ProofDaemon(service, host=host, port=port, verbose=verbose) as server:
         watcher = None
         if watch_interval is not None:

@@ -147,7 +147,7 @@ def read_state(cache_dir: os.PathLike) -> Optional[DaemonEndpoint]:
             port=int(payload["port"]),
             token=payload["token"],
             pid=int(payload["pid"]),
-            backend=payload.get("backend", "sqlite"),
+            backend=payload.get("backend", "jsonl"),
             cache_dir=payload.get("cache_dir", str(cache_dir)),
         )
     except (OSError, ValueError, KeyError, TypeError):

@@ -58,7 +58,6 @@ class PassManager:
 
     def __init__(self, passes: Sequence = (), *, verify_first: bool = False,
                  verify_jobs: int = 1, verify_cache_dir: Optional[str] = None,
-                 verify_backend: str = "jsonl",
                  verify_daemon: bool = False) -> None:
         self._passes: List = list(passes)
         self.property_set = PropertySet()
@@ -66,8 +65,6 @@ class PassManager:
         self.verify_first = verify_first
         self.verify_jobs = verify_jobs
         self.verify_cache_dir = verify_cache_dir
-        #: Proof-cache tier for verify-before-run: "jsonl" or "sqlite".
-        self.verify_backend = verify_backend
         #: Route verification through a running ``repro serve`` daemon when
         #: one is found (falling back to in-process verification silently).
         self.verify_daemon = verify_daemon
@@ -130,7 +127,7 @@ class PassManager:
         """
         from contextlib import ExitStack
 
-        from repro.engine import default_cache_dir, open_proof_cache, verify_passes
+        from repro.engine import ProofCache, default_cache_dir, verify_passes
         from repro.engine.driver import batch_distinct_configs
 
         targets = [
@@ -149,9 +146,7 @@ class PassManager:
         with ExitStack() as stack:
             cache = None
             if client is None:
-                cache = stack.enter_context(
-                    open_proof_cache(directory, self.verify_backend)
-                )
+                cache = stack.enter_context(ProofCache(directory))
             # One batch per distinct configuration of a class; in the common
             # case (each class once) this is a single call.
             pairs = [(cls, kwargs) for cls, kwargs, _ in targets]
@@ -163,7 +158,6 @@ class PassManager:
                     report = verify_with_fallback(
                         [cls for _, cls, _ in batch],
                         cache_dir=str(directory),
-                        backend=self.verify_backend,
                         jobs=self.verify_jobs,
                         pass_kwargs_fn=batch_kwargs.get,
                         counterexample_search=False,
@@ -214,14 +208,14 @@ class PassManager:
         if not self._verified_classes:
             return 0
         from repro.engine import default_cache_dir
-        from repro.engine.cache import load_dep_index
+        from repro.engine.cache import read_deps_sidecar
         from repro.incremental.deps import identity_key
         from repro.incremental.detect import stale_identities
         from repro.incremental.watch import refresh_classes, refresh_source_state
 
         directory = self.verify_cache_dir or default_cache_dir()
         try:
-            dep_index = load_dep_index(directory, self.verify_backend)
+            dep_index = read_deps_sidecar(directory)
         except Exception:
             dep_index = {}
         stale = stale_identities(dep_index, changed_paths)

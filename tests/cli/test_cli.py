@@ -145,18 +145,13 @@ def test_verify_daemon_fallback_names_the_searched_state_file(tmp_path, capsys):
     assert json.loads(captured.out)["engine"]["daemon"] is None
 
 
-def test_verify_sqlite_backend(tmp_path, capsys):
-    cache_dir = str(tmp_path / "cache")
-    assert main(["verify", "CXCancellation", "--backend", "sqlite",
-                 "--cache-dir", cache_dir, "--format", "json"]) == 0
-    cold = json.loads(capsys.readouterr().out)
-    assert cold["engine"]["backend"] == "sqlite"
-    assert cold["engine"]["cache_misses"] == 1
-    assert (tmp_path / "cache" / "proofs.sqlite").exists()
-    assert main(["verify", "CXCancellation", "--backend", "sqlite",
-                 "--cache-dir", cache_dir, "--format", "json"]) == 0
-    warm = json.loads(capsys.readouterr().out)
-    assert warm["engine"]["cache_hits"] == 1
+def test_no_subcommand_takes_a_backend_option(capsys):
+    """One proof store: no subcommand selects a cache tier."""
+    for argv in (["verify", "--all"], ["watch"], ["serve"],
+                 ["cache", "prune", "--max-entries", "1"], ["cache", "gc"]):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--backend", "jsonl"])
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------- #
@@ -174,35 +169,56 @@ def test_cache_prune_jsonl(tmp_path, capsys):
     assert "-> 1 entries" in out
 
 
-def test_cache_prune_sqlite(tmp_path, capsys):
-    cache_dir = str(tmp_path / "cache")
-    assert main(["verify", "CXCancellation", "--backend", "sqlite",
-                 "--cache-dir", cache_dir, "--format", "json"]) == 0
-    capsys.readouterr()
-    assert main(["cache", "prune", "--max-entries", "0", "--backend", "sqlite",
-                 "--cache-dir", cache_dir]) == 0
-    assert "-> 0 entries" in capsys.readouterr().out
-
-
 def test_cache_prune_rejects_negative(tmp_path, capsys):
     assert main(["cache", "prune", "--max-entries", "-1",
                  "--cache-dir", str(tmp_path)]) == 2
     assert "must be >= 0" in capsys.readouterr().err
 
 
-def test_cache_migrate_then_sqlite_warm(tmp_path, capsys):
-    cache_dir = str(tmp_path / "cache")
-    # Populate the JSONL tier, migrate, then hit warm through sqlite.
-    assert main(["verify", "CXCancellation", "--cache-dir", cache_dir,
+def test_cache_migrate_from_sqlite_then_warm(tmp_path, capsys,
+                                             write_legacy_sqlite):
+    """A store the retired sqlite tier held serves the next run warm, with
+    its LRU order and hit totals carried over."""
+    from repro.engine import ProofCache
+
+    cache_dir = tmp_path / "cache"
+    assert main(["verify", "--all", "--cache-dir", str(cache_dir),
                  "--format", "json"]) == 0
     capsys.readouterr()
-    assert main(["cache", "migrate", "--cache-dir", cache_dir]) == 0
-    assert "migrated" in capsys.readouterr().out
-    assert main(["verify", "CXCancellation", "--backend", "sqlite",
-                 "--cache-dir", cache_dir, "--format", "json"]) == 0
+    # Rebuild the cold run's store as a schema-v3 proofs.sqlite, in an
+    # order and with hit totals of its own, then drop the JSONL files.
+    with ProofCache(cache_dir) as cache:
+        order = sorted(cache.entries(), key=lambda entry: entry[1])
+        proofs = [(kind, key, cache.active_fingerprint, value, index % 3)
+                  for index, (kind, key, value) in enumerate(order)]
+        certs = [(key, cache.active_fingerprint, value, 1)
+                 for key, value in cache.certificate_snapshot().items()]
+    deps = [(record["key"], record["value"]["schema"], record["value"])
+            for record in map(json.loads,
+                              (cache_dir / "deps.jsonl").read_text().splitlines())]
+    write_legacy_sqlite(cache_dir, proofs, certs, deps)
+    for name in ("proofs.jsonl", "certs.jsonl", "deps.jsonl"):
+        (cache_dir / name).unlink()
+
+    assert main(["cache", "migrate", "--cache-dir", str(cache_dir)]) == 0
+    assert capsys.readouterr().out.strip() == (
+        f"migrated {len(proofs)} entries from {cache_dir}/proofs.sqlite "
+        f"to {cache_dir}/proofs.jsonl")
+    # The migrated file lists its entries least recently used first.
+    records = [json.loads(line) for line in
+               (cache_dir / "proofs.jsonl").read_text().splitlines()]
+    assert [(r["kind"], r["key"], r.get("hits", 0)) for r in records] == [
+        (kind, key, hits) for kind, key, _, _, hits in proofs]
+    assert main(["verify", "--all", "--cache-dir", str(cache_dir),
+                 "--format", "json"]) == 0
     warm = json.loads(capsys.readouterr().out)
-    assert warm["engine"]["cache_hits"] == 1
-    assert warm["engine"]["cache_misses"] == 0
+    assert warm["summary"]["verified"] == warm["summary"]["total"] == 47
+    assert (warm["engine"]["cache_hits"], warm["engine"]["cache_misses"]) == (47, 0)
+
+
+def test_cache_migrate_without_sqlite_store(tmp_path, capsys):
+    assert main(["cache", "migrate", "--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("migrated 0 entries from ")
 
 
 def test_cache_migrate_unopenable_store_is_a_clean_error(tmp_path, capsys):
@@ -219,13 +235,44 @@ def test_status_without_daemon_or_store(tmp_path, capsys):
 
 def test_status_reports_offline_store(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
-    assert main(["verify", "Width", "--backend", "sqlite",
-                 "--cache-dir", cache_dir, "--format", "json"]) == 0
+    assert main(["verify", "Width", "--cache-dir", cache_dir,
+                 "--format", "json"]) == 0
     capsys.readouterr()
     assert main(["status", "--cache-dir", cache_dir]) == 1
     out = capsys.readouterr().out
     assert "no daemon running" in out
     assert "live entries" in out
+    assert "damaged" not in out and "migrate" not in out
+
+
+def test_status_reports_store_damage_once(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    assert main(["verify", "Width", "--cache-dir", str(cache_dir),
+                 "--format", "json"]) == 0
+    capsys.readouterr()
+    with open(cache_dir / "proofs.jsonl", "a", encoding="utf-8") as handle:
+        handle.write('{"kind": "pass", "key": "torn\n')
+    assert main(["status", "--cache-dir", str(cache_dir)]) == 1
+    damaged = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("damaged")]
+    assert damaged == ["damaged     : 1 unreadable lines dropped on load"]
+    # Opening the store healed it.
+    assert main(["status", "--cache-dir", str(cache_dir)]) == 1
+    assert "damaged" not in capsys.readouterr().out
+
+
+def test_status_names_cache_migrate_beside_a_sqlite_store(tmp_path, capsys):
+    (tmp_path / "proofs.sqlite").write_bytes(b"")
+    assert main(["status", "--cache-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"repro cache migrate --cache-dir {tmp_path}" in err
+    assert main(["verify", "Width", "--cache-dir", str(tmp_path),
+                 "--format", "json"]) == 0
+    capsys.readouterr()
+    assert main(["status", "--cache-dir", str(tmp_path)]) == 1
+    migrate = [line for line in capsys.readouterr().out.splitlines()
+               if "repro cache migrate" in line]
+    assert len(migrate) == 1
 
 
 # --------------------------------------------------------------------------- #

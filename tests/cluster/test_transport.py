@@ -18,7 +18,7 @@ from repro.cluster.transport import (
     token_path,
     write_cluster_state,
 )
-from repro.service.store import SqliteProofCache
+from repro.engine.cache import ProofCache
 
 
 def test_parse_address_forms():
@@ -106,7 +106,7 @@ def test_cluster_state_round_trip(tmp_path):
 
 def test_remote_store_against_live_cache(tmp_path):
     """The networked store tier round-trips every operation it advertises."""
-    cache = SqliteProofCache(tmp_path)
+    cache = ProofCache(tmp_path)
     cache.put_subgoal("sg1", {"proved": True, "method": "m", "reason": "",
                               "rules_used": []})
     with Listener(f"unix:{tmp_path}/store.sock") as listener:
@@ -148,7 +148,7 @@ def test_remote_store_against_live_cache(tmp_path):
 
 
 def test_serve_store_op_reports_errors_without_dying(tmp_path):
-    cache = SqliteProofCache(tmp_path)
+    cache = ProofCache(tmp_path)
     reply = serve_store_op(cache, {"op": "store.get_pass", "args": []})  # missing arg
     assert reply["op"] == "store.reply"
     assert "error" in reply
@@ -157,7 +157,7 @@ def test_serve_store_op_reports_errors_without_dying(tmp_path):
 
 def test_read_only_store_rejects_writes_but_serves_reads(tmp_path):
     """The coordinator-facing mode: content writes rejected, reads fine."""
-    cache = SqliteProofCache(tmp_path)
+    cache = ProofCache(tmp_path)
     cache.put_pass("p", {"pass": "X"})
     denied = serve_store_op(
         cache, {"op": "store.put_pass", "args": ["q", {"pass": "Y"}]},
@@ -178,7 +178,7 @@ def test_remote_store_io_counters_reset_per_unit(tmp_path):
     """Workers reset the per-tier io counters before each unit and ship
     the non-empty delta on the result message; the tier names and reset
     semantics here are what the coordinator's merge relies on."""
-    cache = SqliteProofCache(tmp_path)
+    cache = ProofCache(tmp_path)
     cache.put_pass("warm", {"verified": True})
     with Listener(f"unix:{tmp_path}/store.sock") as listener:
         def server():

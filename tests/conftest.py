@@ -61,6 +61,58 @@ def cluster_peers(tmp_path):
     return start
 
 
+#: The table layout of the retired sqlite proof tier (schema v3).
+_LEGACY_SQLITE_SCHEMA = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE proofs (
+    kind TEXT NOT NULL, key TEXT NOT NULL, fp TEXT NOT NULL,
+    value TEXT NOT NULL, created_at REAL NOT NULL,
+    last_used_at REAL NOT NULL, hits INTEGER NOT NULL DEFAULT 0,
+    PRIMARY KEY (kind, key));
+CREATE TABLE deps (
+    key TEXT PRIMARY KEY, schema INTEGER NOT NULL, value TEXT NOT NULL,
+    updated_at REAL NOT NULL);
+CREATE TABLE certs (
+    key TEXT NOT NULL PRIMARY KEY, fp TEXT NOT NULL, value TEXT NOT NULL,
+    updated_at REAL NOT NULL, last_used_at REAL NOT NULL DEFAULT 0,
+    hits INTEGER NOT NULL DEFAULT 0);
+INSERT INTO meta VALUES ('schema_version', '3');
+"""
+
+
+@pytest.fixture
+def write_legacy_sqlite():
+    """Write ``proofs.sqlite`` the way the retired sqlite tier laid it out.
+
+    ``write(directory, proofs, certs=(), deps=())`` takes proof rows
+    ``(kind, key, fp, value, hits)`` and certificate rows
+    ``(key, fp, value, hits)``, each least recently used first, and deps
+    rows ``(key, schema, value)``.
+    """
+    import json
+    import sqlite3
+
+    def write(directory, proofs, certs=(), deps=()):
+        connection = sqlite3.connect(Path(directory) / "proofs.sqlite")
+        connection.executescript(_LEGACY_SQLITE_SCHEMA)
+        connection.executemany(
+            "INSERT INTO proofs VALUES (?, ?, ?, ?, 0, ?, ?)",
+            [(kind, key, fp, json.dumps(value, sort_keys=True), used, hits)
+             for used, (kind, key, fp, value, hits) in enumerate(proofs)])
+        connection.executemany(
+            "INSERT INTO certs VALUES (?, ?, ?, 0, ?, ?)",
+            [(key, fp, json.dumps(value, sort_keys=True), used, hits)
+             for used, (key, fp, value, hits) in enumerate(certs)])
+        connection.executemany(
+            "INSERT INTO deps VALUES (?, ?, ?, 0)",
+            [(key, schema, json.dumps(value, sort_keys=True))
+             for key, schema, value in deps])
+        connection.commit()
+        connection.close()
+
+    return write
+
+
 @pytest.fixture
 def bell_circuit() -> QCircuit:
     circuit = QCircuit(2, name="bell")

@@ -1,11 +1,16 @@
-"""Proof-cache persistence, hit/miss accounting, invalidation, and eviction."""
+"""Proof-cache persistence, hit/miss accounting, invalidation, eviction,
+torn-write healing, and the import of the retired sqlite tier."""
 
 import json
+import random
 
 import pytest
 
-from repro.engine.cache import ProofCache, default_cache_dir, open_proof_cache
+from repro.engine.cache import ProofCache, default_cache_dir, migrate_sqlite
 from repro.engine.fingerprint import toolchain_fingerprint
+from repro.incremental.deps import DEPS_SCHEMA_VERSION
+
+FP = "a" * 64  # explicit fingerprint: store tests never need the real prover
 
 
 def test_in_memory_cache_round_trip():
@@ -26,7 +31,10 @@ def test_persistence_across_instances(tmp_path):
     reopened = ProofCache(tmp_path)
     assert reopened.get_pass("pk") == {"verified": True}
     assert reopened.get_subgoal("sk")["proved"] is True
+    assert reopened.has_subgoal("sk")
     assert len(reopened) == 2
+    assert "pk" in reopened
+    assert sorted(kind for kind, _, _ in reopened.entries()) == ["pass", "subgoal"]
     reopened.close()
 
 
@@ -139,6 +147,7 @@ def test_touch_subgoals_refreshes_snapshot_served_entries(tmp_path):
         cache.put_pass("p1", {"verified": True})
         cache.put_pass("p2", {"verified": True})
         cache.touch_subgoals(["hot", "unknown-key"])    # unknown keys ignored
+        assert cache.hit_count("subgoal", "hot") == 1
         assert cache.prune(1) == 2
         assert cache.has_subgoal("hot")
 
@@ -161,19 +170,6 @@ def test_prune_in_memory_cache(tmp_path):
     cache.put_pass("b", {})
     assert cache.prune(1) == 1
     assert cache.get_pass("b") is not None
-
-
-def test_open_proof_cache_backends(tmp_path):
-    from repro.service.store import SqliteProofCache
-
-    with open_proof_cache(tmp_path / "j", "jsonl") as cache:
-        assert isinstance(cache, ProofCache)
-        assert cache.backend == "jsonl"
-    with open_proof_cache(tmp_path / "s", "sqlite") as cache:
-        assert isinstance(cache, SqliteProofCache)
-        assert cache.backend == "sqlite"
-    with pytest.raises(ValueError):
-        open_proof_cache(tmp_path, "redis")
 
 
 def test_invalidated_is_per_run_not_cumulative(tmp_path):
@@ -257,3 +253,222 @@ def test_gc_deps_reports_reclaimed_bytes(tmp_path):
         removed = cache.gc_deps({"cfg-live"})
         assert removed == 1
         assert cache.stats.dep_bytes_reclaimed > 0
+
+
+def _subgoal(n=0):
+    return {"proved": True, "method": "identical", "reason": "", "rules_used": [f"r{n}"]}
+
+
+def test_subgoal_snapshot_only_live_entries(tmp_path):
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
+        cache.put_subgoal("s1", _subgoal(1))
+        cache.put_subgoal("s2", _subgoal(2))
+    with ProofCache(tmp_path, active_fingerprint="b" * 64) as stale:
+        stale.put_subgoal("s3", _subgoal(3))
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
+        assert sorted(cache.subgoal_snapshot()) == ["s1", "s2"]
+
+
+def test_reproving_under_new_toolchain_resets_hits(tmp_path):
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
+        cache.put_pass("pk", {"verified": True})
+        cache.get_pass("pk")
+        cache.get_pass("pk")
+        assert cache.hit_count("pass", "pk") == 2
+        cache.put_pass("pk", {"verified": True})      # same fp: tally survives
+        assert cache.hit_count("pass", "pk") == 2
+    with ProofCache(tmp_path, active_fingerprint="b" * 64) as newer:
+        newer.put_pass("pk", {"verified": True})      # new fp: tally resets
+        assert newer.hit_count("pass", "pk") == 0
+
+
+def test_prune_reaps_stale_fingerprints_first(tmp_path):
+    with ProofCache(tmp_path, active_fingerprint="b" * 64) as old:
+        old.put_pass("old", {"verified": True})
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
+        cache.put_pass("new", {"verified": True})
+        assert cache.prune(10) == 0       # a stale record was never live
+        assert cache.get_pass("new") is not None
+    records = [json.loads(line) for line in
+               (tmp_path / "proofs.jsonl").read_text().splitlines()]
+    assert {record["key"] for record in records} == {"new"}   # compacted away
+
+
+def test_summary_counts(tmp_path):
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
+        cache.put_pass("pk", {"verified": True})
+        cache.put_subgoal("sk", _subgoal())
+        cache.get_pass("pk")
+        summary = cache.summary()
+    assert summary["backend"] == "jsonl"
+    assert summary["path"] == str(tmp_path / "proofs.jsonl")
+    assert summary["entries_live"] == 2
+    assert summary["pass_entries"] == 1
+    assert summary["subgoal_entries"] == 1
+    assert summary["accumulated_hits"] == 1
+    assert summary["corrupt_lines"] == summary["invalidated"] == 0
+
+
+def test_summary_measures_payload_bytes(tmp_path):
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
+        cache.put_pass("pk", {"payload": "x" * 100})
+        cache.put_certificate("ck", {"cert": "y" * 50})
+        summary = cache.summary()
+        assert summary["payload_bytes"] > 100
+        assert summary["cert_payload_bytes"] > 50
+        assert summary["cert_entries"] == 1
+
+
+def test_summary_counts_what_the_load_dropped(tmp_path):
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
+        cache.put_pass("good", {"verified": True})
+    stale = {"kind": "pass", "key": "old", "fp": "0" * 64, "value": {}}
+    with open(tmp_path / "proofs.jsonl", "a", encoding="utf-8") as handle:
+        handle.write("not json\n" + json.dumps(stale) + "\n")
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
+        summary = cache.summary()
+    assert summary["corrupt_lines"] == 1
+    assert summary["invalidated"] == summary["entries_stale"] == 1
+    assert summary["entries_total"] == 2
+    # The session that saw the damage compacted it away.
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
+        assert cache.summary()["corrupt_lines"] == 0
+
+
+# --------------------------------------------------------------------------- #
+# Torn writes: a writer killed mid-append
+# --------------------------------------------------------------------------- #
+TEAR_SEEDS = (1, 7, 23, 101, 4242)
+_STORE_FILES = ("proofs.jsonl", "certs.jsonl", "deps.jsonl")
+
+
+def _tear_last_record(path, seed):
+    """Cut ``path`` inside its last record, leaving no final newline."""
+    data = path.read_bytes()
+    start = data.rstrip(b"\n").rfind(b"\n") + 1
+    path.write_bytes(data[:random.Random(seed).randrange(start + 1, len(data))])
+
+
+def _unreadable_lines(directory):
+    bad = 0
+    for name in _STORE_FILES:
+        for line in (directory / name).read_text().splitlines():
+            try:
+                json.loads(line)
+            except json.JSONDecodeError:
+                bad += 1
+    return bad
+
+
+@pytest.mark.parametrize("seed", TEAR_SEEDS)
+def test_a_torn_last_line_does_not_swallow_the_next_record(tmp_path, seed):
+    def deps(n):
+        return {"schema": DEPS_SCHEMA_VERSION, "module": "repro.errors",
+                "fingerprint": f"f{n}"}
+
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
+        for n in range(2):
+            cache.put_pass(f"p{n}", {"n": n})
+            cache.put_certificate(f"c{n}", {"n": n})
+            cache.put_deps(f"d{n}", deps(n))
+    for name in _STORE_FILES:
+        _tear_last_record(tmp_path / name, seed)
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
+        cache.put_pass("after", {"n": 2})
+        cache.put_certificate("after", {"n": 2})
+        cache.put_deps("after", deps(2))
+    assert _unreadable_lines(tmp_path) == 0
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
+        assert cache.get_pass("after") == {"n": 2}
+        assert cache.get_certificate("after") == {"n": 2}
+        assert cache.get_deps("after") == deps(2)
+        assert cache.get_pass("p0") == {"n": 0}
+        assert cache.stats.corrupt_lines == 0
+
+
+@pytest.mark.parametrize("seed", TEAR_SEEDS[:2])
+def test_a_run_after_a_torn_write_matches_a_clean_run(tmp_path, seed):
+    from repro.engine import verify_passes
+    from repro.passes import CXCancellation, RemoveBarriers, Width
+
+    classes = [CXCancellation, RemoveBarriers, Width]
+
+    def verdicts(report):
+        return [(r.pass_name, r.verified, len(r.subgoals)) for r in report.results]
+
+    clean = verify_passes(classes, cache_dir=str(tmp_path / "clean"))
+    store = tmp_path / "torn"
+    verify_passes(classes, cache_dir=str(store))
+    for name in _STORE_FILES:
+        _tear_last_record(store / name, seed)
+    assert verdicts(verify_passes(classes, cache_dir=str(store))) == verdicts(clean)
+    assert _unreadable_lines(store) == 0
+    warm = verify_passes(classes, cache_dir=str(store))
+    assert verdicts(warm) == verdicts(clean)
+    assert (warm.stats.cache_hits, warm.stats.cache_misses) == (len(classes), 0)
+
+
+# --------------------------------------------------------------------------- #
+# Import of the retired sqlite tier
+# --------------------------------------------------------------------------- #
+def test_migrate_carries_hit_counters_over(tmp_path, write_legacy_sqlite):
+    """Hit totals and LRU order survive the import, and nothing proved
+    under another toolchain comes across."""
+    live = toolchain_fingerprint()
+    write_legacy_sqlite(tmp_path, [
+        ("pass", "hot", live, {"n": 0}, 5),
+        ("pass", "stale", "b" * 64, {"n": 1}, 9),
+        ("subgoal", "cold", live, _subgoal(), 0),
+        ("pass", "recent", live, {"n": 2}, 0),
+    ], certs=[("cold", live, {"cert": 1}, 3)],
+        deps=[("ident", DEPS_SCHEMA_VERSION, {"schema": DEPS_SCHEMA_VERSION}),
+              ("old", DEPS_SCHEMA_VERSION - 1, {"schema": 0})])
+    before = (tmp_path / "proofs.sqlite").read_bytes()
+    assert migrate_sqlite(tmp_path) == 3
+    assert (tmp_path / "proofs.sqlite").read_bytes() == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "certs.jsonl", "deps.jsonl", "proofs.jsonl", "proofs.sqlite"]
+    with ProofCache(tmp_path) as cache:
+        assert cache.hit_count("pass", "hot") == 5
+        assert cache.cert_hit_count("cold") == 3
+        assert cache.get_pass("stale") is None
+        assert "ident" in cache.deps_snapshot()
+        assert "old" not in cache.deps_snapshot()
+        assert cache.prune(2) == 1          # least recently used in sqlite
+        assert cache.get_pass("hot") is None
+        assert cache.has_subgoal("cold") and "recent" in cache
+
+
+def test_existing_jsonl_entries_win_over_migrated(tmp_path, write_legacy_sqlite):
+    with ProofCache(tmp_path) as cache:
+        cache.put_pass("pk", {"source": "jsonl"})
+        live = cache.active_fingerprint
+    write_legacy_sqlite(tmp_path, [("pass", "pk", live, {"source": "sqlite"}, 0)])
+    assert migrate_sqlite(tmp_path) == 0
+    with ProofCache(tmp_path) as cache:
+        assert cache.get_pass("pk") == {"source": "jsonl"}
+
+
+def test_migrate_reads_rows_still_in_the_wal(tmp_path, write_legacy_sqlite):
+    """A store whose writer died keeps rows in ``proofs.sqlite-wal``."""
+    import sqlite3
+
+    live = toolchain_fingerprint()
+    write_legacy_sqlite(tmp_path, [("pass", "checkpointed", live, {"n": 0}, 0)])
+    writer = sqlite3.connect(tmp_path / "proofs.sqlite")
+    writer.execute("PRAGMA journal_mode=WAL")
+    writer.execute("INSERT INTO proofs VALUES "
+                   "('pass', 'in-wal', ?, '{\"n\": 1}', 0, 1, 0)", (live,))
+    writer.commit()                   # committed to the WAL, not checkpointed
+    try:
+        assert (tmp_path / "proofs.sqlite-wal").stat().st_size > 0
+        assert migrate_sqlite(tmp_path) == 2
+    finally:
+        writer.close()
+    with ProofCache(tmp_path) as cache:
+        assert cache.get_pass("in-wal") == {"n": 1}
+
+
+def test_migrate_without_a_sqlite_store(tmp_path):
+    assert migrate_sqlite(tmp_path) == 0
+    assert list(tmp_path.iterdir()) == []

@@ -267,7 +267,7 @@ _PROVER_MODULES_AFTER_COLD_VERIFY = textwrap.dedent(
     with contextlib.redirect_stdout(io.StringIO()):
         code = repro.cli.main(["verify", "--all", "--cache-dir", sys.argv[1]])
 
-    from repro.engine.cache import load_dep_index
+    from repro.engine.cache import read_deps_sidecar
     from repro.incremental.deps import covered_modules, entry_watch_paths
     from repro.incremental.detect import normalize_path
 
@@ -278,7 +278,7 @@ _PROVER_MODULES_AFTER_COLD_VERIFY = textwrap.dedent(
         or name == "repro.verify.discharge"
     )
     toolchain = covered_modules(None)
-    entries = load_dep_index(sys.argv[1]).values()
+    entries = read_deps_sidecar(sys.argv[1]).values()
     print(json.dumps({
         "code": code,
         "entries": len(entries),

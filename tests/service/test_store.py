@@ -1,16 +1,8 @@
-"""The sqlite proof-cache tier: persistence, invalidation, eviction, migration."""
-
-import json
-import sqlite3
+"""The store the daemon serves is the JSONL proof cache direct runs use:
+persistence, invalidation and eviction under an explicit fingerprint."""
 
 from repro.engine.cache import ProofCache
 from repro.engine.fingerprint import toolchain_fingerprint
-from repro.service.store import (
-    SCHEMA_VERSION,
-    SqliteProofCache,
-    migrate_jsonl,
-    sqlite_cache_path,
-)
 
 FP = "a" * 64  # explicit fingerprint: store tests never need the real prover
 
@@ -20,7 +12,7 @@ def _subgoal(n=0):
 
 
 def test_in_memory_round_trip():
-    cache = SqliteProofCache(None, active_fingerprint=FP)
+    cache = ProofCache(None, active_fingerprint=FP)
     assert cache.get_pass("k") is None
     cache.put_pass("k", {"verified": True})
     assert cache.get_pass("k") == {"verified": True}
@@ -31,10 +23,10 @@ def test_in_memory_round_trip():
 
 
 def test_persistence_across_instances(tmp_path):
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
         cache.put_pass("pk", {"verified": True})
         cache.put_subgoal("sk", _subgoal())
-    reopened = SqliteProofCache(tmp_path, active_fingerprint=FP)
+    reopened = ProofCache(tmp_path, active_fingerprint=FP)
     assert reopened.get_pass("pk") == {"verified": True}
     assert reopened.get_subgoal("sk")["proved"] is True
     assert reopened.has_subgoal("sk")
@@ -45,18 +37,18 @@ def test_persistence_across_instances(tmp_path):
 
 
 def test_last_write_wins(tmp_path):
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
         for round_number in range(5):
             cache.put_pass("pk", {"round": round_number})
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
         assert cache.get_pass("pk") == {"round": 4}
         assert len(cache) == 1
 
 
 def test_entries_from_other_toolchains_are_invisible(tmp_path):
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
         cache.put_pass("pk", {"verified": True})
-    other = SqliteProofCache(tmp_path, active_fingerprint="b" * 64)
+    other = ProofCache(tmp_path, active_fingerprint="b" * 64)
     assert other.get_pass("pk") is None
     assert other.stats.invalidated == 1
     assert other.stats.pass_misses == 1
@@ -66,47 +58,12 @@ def test_entries_from_other_toolchains_are_invisible(tmp_path):
 
 
 def test_default_fingerprint_is_the_toolchain(tmp_path):
-    with SqliteProofCache(tmp_path) as cache:
+    with ProofCache(tmp_path) as cache:
         assert cache.active_fingerprint == toolchain_fingerprint()
 
 
-def test_subgoal_snapshot_only_live_entries(tmp_path):
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
-        cache.put_subgoal("s1", _subgoal(1))
-        cache.put_subgoal("s2", _subgoal(2))
-    with SqliteProofCache(tmp_path, active_fingerprint="b" * 64) as stale:
-        stale.put_subgoal("s3", _subgoal(3))
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
-        snapshot = cache.subgoal_snapshot()
-    assert sorted(snapshot) == ["s1", "s2"]
-
-
-def test_hit_counts_accumulate_in_the_database(tmp_path):
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
-        cache.put_pass("pk", {"verified": True})
-        cache.get_pass("pk")
-        cache.get_pass("pk")
-    # A second client's hits land on the same counter.
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
-        cache.get_pass("pk")
-        assert cache.hit_count("pass", "pk") == 3
-
-
-def test_reproving_under_new_toolchain_resets_hits(tmp_path):
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
-        cache.put_pass("pk", {"verified": True})
-        cache.get_pass("pk")
-        cache.get_pass("pk")
-        assert cache.hit_count("pass", "pk") == 2
-        cache.put_pass("pk", {"verified": True})      # same fp: tally survives
-        assert cache.hit_count("pass", "pk") == 2
-    with SqliteProofCache(tmp_path, active_fingerprint="b" * 64) as newer:
-        newer.put_pass("pk", {"verified": True})      # new fp: tally resets
-        assert newer.hit_count("pass", "pk") == 0
-
-
 def test_touch_subgoals_refreshes_recency_and_hits(tmp_path):
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
         cache.put_subgoal("hot", _subgoal())
         cache.put_pass("p1", {"verified": True})
         cache.put_pass("p2", {"verified": True})
@@ -117,7 +74,7 @@ def test_touch_subgoals_refreshes_recency_and_hits(tmp_path):
 
 
 def test_prune_is_least_recently_used(tmp_path):
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
         for index in range(5):
             cache.put_pass(f"p{index}", {"index": index})
         # Refresh p0 so p1 becomes the eviction victim.
@@ -131,143 +88,10 @@ def test_prune_is_least_recently_used(tmp_path):
         assert cache.get_pass("p2") is None
 
 
-def test_prune_reaps_stale_fingerprints_first(tmp_path):
-    with SqliteProofCache(tmp_path, active_fingerprint="b" * 64) as old:
-        old.put_pass("old", {"verified": True})
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
-        cache.put_pass("new", {"verified": True})
-        assert cache.prune(10) == 1       # only the stale row goes
-        assert cache.get_pass("new") is not None
-
-
-def test_max_entries_prunes_on_close(tmp_path):
-    with SqliteProofCache(tmp_path, active_fingerprint=FP, max_entries=2) as cache:
-        for index in range(6):
-            cache.put_pass(f"p{index}", {"index": index})
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
-        assert len(cache) == 2
-
-
-def test_transient_errors_do_not_trigger_rebuild():
-    from repro.service.store import _looks_corrupt
-
-    assert _looks_corrupt(sqlite3.DatabaseError("file is not a database"))
-    assert _looks_corrupt(sqlite3.OperationalError("file is not a database"))
-    assert _looks_corrupt(sqlite3.DatabaseError("database disk image is malformed"))
-    assert not _looks_corrupt(sqlite3.OperationalError("database is locked"))
-    assert not _looks_corrupt(sqlite3.OperationalError("unable to open database file"))
-
-
-def test_corrupt_database_file_is_rebuilt(tmp_path):
-    sqlite_cache_path(tmp_path).parent.mkdir(parents=True, exist_ok=True)
-    sqlite_cache_path(tmp_path).write_text("this is not a database")
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
-        assert cache.stats.corrupt_lines == 1
-        cache.put_pass("pk", {"verified": True})
-        assert cache.get_pass("pk") == {"verified": True}
-
-
-def test_incompatible_schema_is_rebuilt(tmp_path):
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
-        cache.put_pass("pk", {"verified": True})
-    connection = sqlite3.connect(sqlite_cache_path(tmp_path))
-    connection.execute("UPDATE meta SET value = '999' WHERE key = 'schema_version'")
-    connection.commit()
-    connection.close()
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
-        assert len(cache) == 0            # rebuilt, not misread
-        assert cache.summary()["schema_version"] == SCHEMA_VERSION
-
-
-def test_summary_counts(tmp_path):
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
-        cache.put_pass("pk", {"verified": True})
-        cache.put_subgoal("sk", _subgoal())
-        cache.get_pass("pk")
-        summary = cache.summary()
-    assert summary["backend"] == "sqlite"
-    assert summary["entries_live"] == 2
-    assert summary["pass_entries"] == 1
-    assert summary["subgoal_entries"] == 1
-    assert summary["accumulated_hits"] == 1
-
-
-# --------------------------------------------------------------------------- #
-# JSONL migration
-# --------------------------------------------------------------------------- #
-def test_migrate_jsonl_one_shot(tmp_path):
-    with ProofCache(tmp_path, active_fingerprint=FP) as jsonl:
-        jsonl.put_pass("pk", {"verified": True})
-        jsonl.put_subgoal("sk", _subgoal())
-    assert migrate_jsonl(tmp_path) == 2
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as store:
-        assert store.get_pass("pk") == {"verified": True}
-        assert store.get_subgoal("sk")["proved"] is True
-    # The JSONL file survives (migration does not destroy the old tier).
-    assert (tmp_path / "proofs.jsonl").exists()
-    # Re-running migrates nothing new.
-    assert migrate_jsonl(tmp_path) == 0
-
-
-def test_migrate_jsonl_last_write_wins(tmp_path):
-    with ProofCache(tmp_path, active_fingerprint=FP) as jsonl:
-        jsonl.put_pass("pk", {"round": 1})
-        jsonl.put_pass("pk", {"round": 2})
-    assert migrate_jsonl(tmp_path) == 1
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as store:
-        assert store.get_pass("pk") == {"round": 2}
-
-
-def test_migrate_jsonl_preserves_recorded_fingerprints(tmp_path):
-    stale = {"kind": "pass", "key": "old", "fp": "0" * 64, "value": {"verified": False}}
-    (tmp_path / "proofs.jsonl").write_text(json.dumps(stale) + "\n")
-    assert migrate_jsonl(tmp_path) == 1
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as store:
-        assert store.get_pass("old") is None          # stale stays stale
-        assert store.summary()["entries_stale"] == 1
-
-
-def test_migrate_jsonl_replays_touch_records(tmp_path):
-    """A warm session's touch records carry recency into the sqlite store —
-    they are order metadata, not corruption."""
-    with ProofCache(tmp_path, active_fingerprint=FP) as jsonl:
-        jsonl.put_pass("a", {"n": 0})
-        jsonl.put_pass("b", {"n": 1})
-    with ProofCache(tmp_path, active_fingerprint=FP) as jsonl:
-        jsonl.get_pass("a")               # appends a touch record for "a"
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as store:
-        assert migrate_jsonl(tmp_path, store=store) == 2
-        assert store.stats.corrupt_lines == 0     # touches are not corruption
-        assert store.prune(1) == 1
-        assert store.get_pass("a") is not None    # the hot entry survived
-        assert store.get_pass("b") is None
-
-
-def test_migrate_jsonl_skips_corrupt_lines(tmp_path):
-    with ProofCache(tmp_path, active_fingerprint=FP) as jsonl:
-        jsonl.put_pass("good", {"verified": True})
-    with open(tmp_path / "proofs.jsonl", "a", encoding="utf-8") as handle:
-        handle.write("not json\n")
-    assert migrate_jsonl(tmp_path) == 1
-
-
-def test_migrate_jsonl_without_file(tmp_path):
-    assert migrate_jsonl(tmp_path) == 0
-
-
-def test_existing_sqlite_rows_win_over_migrated(tmp_path):
-    with ProofCache(tmp_path, active_fingerprint=FP) as jsonl:
-        jsonl.put_pass("pk", {"source": "jsonl"})
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as store:
-        store.put_pass("pk", {"source": "sqlite"})
-        assert migrate_jsonl(tmp_path, store=store) == 0
-        assert store.get_pass("pk") == {"source": "sqlite"}
-
-
 def test_prune_reports_reclaimed_bytes_per_tier(tmp_path):
     from repro.telemetry.stats import load_evictions
 
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
         for index in range(4):
             cache.put_pass(f"p{index}", {"payload": "x" * 50, "i": index})
         evicted = cache.prune(2)
@@ -275,29 +99,3 @@ def test_prune_reports_reclaimed_bytes_per_tier(tmp_path):
         assert cache.stats.proof_bytes_reclaimed > 100
         journaled = load_evictions(tmp_path)
         assert {entry["key"] for entry in journaled} == {"p0", "p1"}
-
-
-def test_summary_measures_payload_bytes(tmp_path):
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
-        cache.put_pass("pk", {"payload": "x" * 100})
-        cache.put_certificate("ck", {"cert": "y" * 50})
-        summary = cache.summary()
-        assert summary["payload_bytes"] > 100
-        assert summary["cert_payload_bytes"] > 50
-
-
-def test_migrate_carries_hit_counters_over(tmp_path):
-    """The JSONL tier's accumulated hit counts must survive the one-shot
-    import — LRU decisions after a migration would otherwise treat every
-    hot key as never used."""
-    with ProofCache(tmp_path) as cache:
-        cache.put_pass("hot", {"verified": True})
-        cache.put_pass("cold", {"verified": True})
-    with ProofCache(tmp_path) as cache:
-        cache.get_pass("hot")
-        cache.get_pass("hot")
-    migrated = migrate_jsonl(tmp_path)
-    assert migrated == 2
-    with SqliteProofCache(tmp_path) as store:
-        assert store.hit_count("pass", "hot") == 2
-        assert store.hit_count("pass", "cold") == 0

@@ -148,7 +148,7 @@ def test_render_histogram_follows_the_prometheus_convention():
 
 @pytest.fixture
 def daemon(tmp_path):
-    service = VerificationService(cache_dir=tmp_path, backend="sqlite")
+    service = VerificationService(cache_dir=tmp_path)
     server = ProofDaemon(service)
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.05}, daemon=True)
@@ -198,6 +198,23 @@ def test_status_payload_carries_counters(daemon, tmp_path):
     status = client.status()
     assert status["counters"]["repro_requests_total"] == 1
     assert status["counters"]["repro_passes_served_total"] == 2
+
+
+def test_metrics_export_store_damage(tmp_path):
+    """Unreadable lines the daemon's load dropped show on /metrics."""
+    from repro.engine import ProofCache
+
+    with ProofCache(tmp_path) as cache:
+        cache.put_pass("pk", {"verified": True})
+    with open(tmp_path / "proofs.jsonl", "a", encoding="utf-8") as handle:
+        handle.write("torn{\n")
+    service = VerificationService(cache_dir=tmp_path)
+    try:
+        metrics = parse_prometheus(service.metrics())
+    finally:
+        service.close()
+    assert metrics["repro_store_corrupt_lines"] == 1.0
+    assert metrics["repro_store_entries_live"] == 1.0
 
 
 def test_protocol_errors_are_counted(daemon, tmp_path):

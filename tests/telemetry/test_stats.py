@@ -144,7 +144,7 @@ def test_merge_io_folds_worker_deltas():
 
 
 def test_render_table_mentions_every_surface(tmp_path):
-    recorder = StatsRecorder(tmp_path, backend="sqlite", workers=None)
+    recorder = StatsRecorder(tmp_path, backend="jsonl", workers=None)
     recorder.note_pass("p", "stale")
     recorder.note_unit(["s"], [])
     recorder.note_io("subgoal", hit=True, nbytes=10)

@@ -4,7 +4,7 @@
 JSON, and the acceptance bar is *byte* identity: the same suite against
 the same (fresh) cache must produce the same bytes whether it ran
 in-process, on a worker pool, or distributed over ``repro work`` peers of
-a loopback ``--cluster`` coordinator — and on either cache backend.
+a loopback ``--cluster`` coordinator.
 Queue-time attribution rides the same traces: every unit span carries a
 ``queue_wait`` attribute exactly once.
 """
@@ -25,35 +25,27 @@ from repro.telemetry.stats import canonical_bytes, load_store_stats
 SUBSET = list(ALL_VERIFIED_PASSES)[:6]
 
 
-def _run(cache_dir, *, mode, backend, peers=None):
+def _run(cache_dir, *, mode, peers=None):
     if mode == "seq":
-        report = verify_passes(SUBSET, jobs=1, cache_dir=str(cache_dir),
-                               backend=backend)
+        report = verify_passes(SUBSET, jobs=1, cache_dir=str(cache_dir))
     elif mode == "pool":
-        report = verify_passes(SUBSET, jobs=2, cache_dir=str(cache_dir),
-                               backend=backend)
+        report = verify_passes(SUBSET, jobs=2, cache_dir=str(cache_dir))
     else:
         with peers(cache_dir) as hostfile:
             report = verify_passes_distributed(
-                SUBSET, hostfile=hostfile, cache_dir=str(cache_dir),
-                backend=backend)
+                SUBSET, hostfile=hostfile, cache_dir=str(cache_dir))
     payload = load_store_stats(cache_dir)
-    assert payload is not None, f"{mode}/{backend} wrote no store-stats.json"
+    assert payload is not None, f"{mode} wrote no store-stats.json"
     verdicts = [(r.pass_name, r.verified) for r in report.results]
     return canonical_bytes(payload), verdicts
 
 
-def test_cold_aggregate_byte_identical_across_modes_and_backends(
-        tmp_path, cluster_peers):
-    """The acceptance criterion itself: six cold runs (three execution
-    modes x two backends), one set of canonical bytes."""
+def test_cold_aggregate_byte_identical_across_modes(tmp_path, cluster_peers):
+    """The acceptance criterion itself: three cold runs (one per execution
+    mode), one set of canonical bytes."""
     seen = {}
-    for backend in ("jsonl", "sqlite"):
-        for mode in ("seq", "pool", "cluster"):
-            directory = tmp_path / f"{mode}-{backend}"
-            seen[(mode, backend)] = _run(directory, mode=mode,
-                                         backend=backend,
-                                         peers=cluster_peers)
+    for mode in ("seq", "pool", "cluster"):
+        seen[mode] = _run(tmp_path / mode, mode=mode, peers=cluster_peers)
     blobs = {blob for blob, _ in seen.values()}
     verdict_sets = {tuple(verdicts) for _, verdicts in seen.values()}
     assert len(blobs) == 1, "canonical aggregates diverged across modes"
@@ -65,9 +57,8 @@ def test_warm_aggregate_byte_identical_at_any_worker_count(tmp_path,
     """Warm runs read everything from the store; hit accounting must agree
     between an in-process and a distributed pass over the same cache."""
     verify_passes(SUBSET, jobs=1, cache_dir=str(tmp_path))   # populate
-    warm_seq, _ = _run(tmp_path, mode="seq", backend="jsonl")
-    warm_cluster, _ = _run(tmp_path, mode="cluster", backend="jsonl",
-                           peers=cluster_peers)
+    warm_seq, _ = _run(tmp_path, mode="seq")
+    warm_cluster, _ = _run(tmp_path, mode="cluster", peers=cluster_peers)
     assert warm_seq == warm_cluster
 
 
@@ -104,16 +95,14 @@ def test_sharded_requeue_paths_still_account_once(tmp_path, cluster_peers):
     identical to the unsharded in-process run over the same suite."""
     with cluster_peers(tmp_path / "shard") as hostfile:
         sharded, verdicts_sharded = _run_sharded(tmp_path / "shard", hostfile)
-    plain, verdicts_plain = _run(tmp_path / "plain", mode="seq",
-                                 backend="jsonl")
+    plain, verdicts_plain = _run(tmp_path / "plain", mode="seq")
     assert sharded == plain
     assert verdicts_sharded == verdicts_plain
 
 
 def _run_sharded(cache_dir, hostfile):
     report = verify_passes_distributed(
-        SUBSET, hostfile=hostfile, cache_dir=str(cache_dir), backend="jsonl",
-        shard_threshold=0)
+        SUBSET, hostfile=hostfile, cache_dir=str(cache_dir), shard_threshold=0)
     payload = load_store_stats(cache_dir)
     assert payload is not None
     return canonical_bytes(payload), [(r.pass_name, r.verified)

@@ -151,19 +151,17 @@ def test_bench_telemetry_smoke(tmp_path, capsys, monkeypatch):
 
 def test_cache_prune_reports_cert_accounting(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
-    main(["verify", "ApplyLayout", "--cache-dir", str(cache_dir),
-          "--backend", "sqlite"])
+    main(["verify", "ApplyLayout", "--cache-dir", str(cache_dir)])
     capsys.readouterr()
     assert main(["cache", "prune", "--max-entries", "1",
-                 "--cache-dir", str(cache_dir), "--backend", "sqlite"]) == 0
+                 "--cache-dir", str(cache_dir)]) == 0
     out = capsys.readouterr().out
     assert "orphaned certificates dropped" in out
 
 
 def test_status_reports_certificate_tier(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
-    main(["verify", "ApplyLayout", "--cache-dir", str(cache_dir),
-          "--backend", "sqlite"])
+    main(["verify", "ApplyLayout", "--cache-dir", str(cache_dir)])
     capsys.readouterr()
     # Exit 1: no daemon is running — but the store block still renders.
     assert main(["status", "--cache-dir", str(cache_dir)]) == 1
