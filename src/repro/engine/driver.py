@@ -1044,6 +1044,14 @@ def _verify_passes_with_cache(
     if tracer is not None and backend_stats is not None:
         tracer.event("prover.stats", kind="prover",
                      solver=discharger.solver_name, **backend_stats)
+    # The import scans since the last run, by path (a whole-file scan is
+    # a fallback from the import skeleton); taken traced or not, so each
+    # run reports its own.
+    from repro.incremental.deps import take_scan_counts
+
+    scans = take_scan_counts()
+    if tracer is not None:
+        tracer.event("deps.scan", kind="deps", **scans)
     if recorder is not None:
         try:
             recorder.finalize_and_save()

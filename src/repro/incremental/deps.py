@@ -2,17 +2,23 @@
 
 One static import graph, read with :mod:`ast` (nothing is imported or
 executed), answers "what can change a verdict?" for the keys and for the
-incremental index alike.  The toolchain hash is the content digest of the
-import closure of :data:`TOOLCHAIN_ROOTS`; a pass key adds its own
-module's closure (:func:`closure_digest`); and a dependency entry's watch
-set (:func:`entry_watch_paths`) is the same modules' files plus the
-entry's data files, so a key covers exactly what the index watches.
+incremental index alike.  A module's imports are read from its import
+skeleton, the logical lines that hold its import statements, which one
+lexer pass cuts out and :mod:`ast` parses far faster than the whole file;
+where the skeleton cannot be trusted the whole file is parsed instead, so
+both give the same names (:func:`_scan_imports`).
+
+The toolchain hash is the content digest of the import closure of
+:data:`TOOLCHAIN_ROOTS`; a pass key adds its own module's closure
+(:func:`closure_digest`); and a dependency entry's watch set
+(:func:`entry_watch_paths`) is the same modules' files plus the entry's
+data files, so a key covers exactly what the index watches.
 
 Each scan result is a row of the *module table*: sha256 of a file's text →
 the import names in it, relative ones as written.  A row never goes stale,
 so the stores persist the rows their entries reach (``module:<sha256>``
 sidecar records) and hand them back on open: a warm run hashes the closure
-files and parses none, an edit parses the edited file.  Names resolve to
+files and scans none, an edit scans the edited file.  Names resolve to
 files on every run, so a submodule created later is still found.
 
 A *dependency entry* is what the stores persist per verified configuration:
@@ -33,6 +39,7 @@ import ast
 import hashlib
 import importlib.machinery
 import os
+import re
 import sys
 from functools import lru_cache
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
@@ -121,22 +128,69 @@ def _submodule_search_path(package_name: str) -> Optional[Tuple[str, ...]]:
 # --------------------------------------------------------------------------- #
 # Scanning one module
 # --------------------------------------------------------------------------- #
+#: Scans made since :func:`take_scan_counts` last ran, by path: the
+#: import-only skeleton, or the whole-file parse it falls back to.
+_scan_counts: Dict[str, int] = {"skeleton": 0, "whole_file": 0}
+
+
+def take_scan_counts() -> Dict[str, int]:
+    """The scans made since the last call, by path; starts a new count."""
+    counts = dict(_scan_counts)
+    for path in _scan_counts:
+        _scan_counts[path] = 0
+    return counts
+
+
 def _scan_imports(source: bytes) -> Tuple[str, ...]:
     """The module names ``source``'s import statements mention.
 
-    Parsed with :mod:`ast` — nothing is executed.  Absolute names outside
-    the package are dropped; relative ones keep their leading dots until
-    :func:`_resolve` anchors them at the importing module.  ``from package
-    import name`` is ambiguous between a submodule and an attribute, so
-    both readings are kept and resolution keeps whichever names a file:
-    ``from repro.utility import circuit_ops`` yields
-    ``repro.utility.circuit_ops`` while ``from repro.verify.passes import
-    AnalysisPass`` yields only ``repro.verify.passes``.
+    Parsed with :mod:`ast` — nothing is executed — from the file's import
+    skeleton (:func:`_skeleton`), or from the whole file when the skeleton
+    cannot be trusted; both give the same names.  A file :mod:`ast`
+    rejects scans as no names, unless its skeleton parses: then its
+    import statements count, which can only add modules to a closure.
+
+    Absolute names outside the package are dropped; relative ones keep
+    their leading dots until :func:`_resolve` anchors them at the
+    importing module.  ``from package import name`` is ambiguous between
+    a submodule and an attribute, so both readings are kept and
+    resolution keeps whichever names a file: ``from repro.utility import
+    circuit_ops`` yields ``repro.utility.circuit_ops`` while ``from
+    repro.verify.passes import AnalysisPass`` yields only
+    ``repro.verify.passes``.
     """
+    found = _skeleton_names(source)
+    if found is None:
+        _scan_counts["whole_file"] += 1
+        found = _whole_file_names(source)
+    else:
+        _scan_counts["skeleton"] += 1
+    return tuple(sorted(name for name in found
+                        if name.startswith(".") or _in_package(name)))
+
+
+def _skeleton_names(source: bytes) -> Optional[Set[str]]:
+    """Every name the import skeleton mentions; ``None`` to fall back."""
+    skeleton = _skeleton(source)
+    if skeleton is None:
+        return None
     try:
-        tree = ast.parse(source)
+        return _import_names(ast.parse(skeleton))
     except (SyntaxError, ValueError):
-        return ()
+        return None
+
+
+def _whole_file_names(source: bytes) -> Set[str]:
+    """Every name the file's import statements mention, read from a parse
+    of the whole file; none if :mod:`ast` rejects it."""
+    try:
+        return _import_names(ast.parse(source))
+    except (SyntaxError, ValueError):
+        return set()
+
+
+def _import_names(tree: ast.Module) -> Set[str]:
+    """Every name ``tree``'s import statements mention, before the filter."""
     found: Set[str] = set()
     for node in _import_nodes(tree):
         if isinstance(node, ast.Import):
@@ -146,8 +200,113 @@ def _scan_imports(source: bytes) -> Tuple[str, ...]:
             separator = "." if node.module else ""
             found.add(base)
             found.update(base + separator + alias.name for alias in node.names)
-    return tuple(sorted(name for name in found
-                        if name.startswith(".") or _in_package(name)))
+    return found
+
+
+def _skeleton(source: bytes) -> Optional[str]:
+    """The logical lines of ``source`` that hold an import statement.
+
+    One pass of the lexer (:func:`_patterns`) finds the comments, string
+    literals and ``import`` keywords.  Outside strings and comments each
+    ``import`` is a hard keyword of exactly one ``Import``/``ImportFrom``
+    statement; its logical line is copied from its start (any statement
+    prefix, such as ``if flag:`` or ``a = 1;``, and lines joined by a
+    backslash) through the statement's name list, parenthesised or
+    backslash-continued.  The copies are dedented, so the skeleton holds
+    the file's import nodes and parses with :mod:`ast` a good deal faster
+    than the file.
+
+    ``None`` when the copies could mean something the file does not: the
+    file is not UTF-8, a copied line starts inside a string, or, where
+    f-strings nest (Python 3.12+, PEP 701), the file holds an f-string
+    literal.  A copied line that starts inside brackets carries an
+    unmatched closer, and a prefix cut from its block (``try: import
+    x``) is incomplete, so neither skeleton parses.
+    """
+    try:
+        text = source.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lexer, kinds, tail, coding = _patterns()
+    head_end = text.find("\n", text.find("\n") + 1)
+    cookie = coding.search(text, 0, head_end if head_end >= 0 else len(text))
+    if cookie is not None:
+        encoding = cookie.group(1).lower().replace("_", "-")
+        if encoding not in ("utf-8", "utf8") and not encoding.startswith("utf-8-"):
+            return None  # ast would decode the file another way
+    spans: List[List[int]] = []
+    string_start = string_end = comment_end = -1
+    for token in lexer.finditer(text):
+        kind = kinds.get(token.lastindex)
+        if kind is None:  # a string literal on one line
+            continue
+        if kind == "comment":
+            comment_end = token.end()
+        elif kind == "lines":  # a string literal that may span lines
+            start, end = token.span()
+            if text.find("\n", start, end) >= 0:
+                string_start, string_end = start, end
+        elif kind == "import":
+            start = text.rfind("\n", 0, token.start()) + 1
+            while True:
+                # Only the last multi-line string before the keyword can
+                # hold a line start the walk reaches: crossing an earlier
+                # one would mean landing inside the last one first.
+                if string_start < start < string_end:
+                    return None
+                # The previous line joins this one unless its backslash
+                # ends a comment; a comment there would be the last one.
+                if start < 2 or text[start - 2] != "\\" or comment_end == start - 1:
+                    break
+                start = text.rfind("\n", 0, start - 1) + 1
+            end = tail.match(text, token.end()).end()
+            if spans and start < spans[-1][1]:
+                spans[-1][1] = end  # another statement of the same line
+            else:
+                spans.append([start, end])
+        else:  # an f-string whose replacement fields may nest quotes
+            return None
+    return "".join(text[start:end].lstrip(" \t\f") + "\n" for start, end in spans)
+
+
+@lru_cache(maxsize=None)
+def _patterns():
+    """The skeleton's lexer and its token kinds, and the import-tail and
+    coding-cookie patterns.
+
+    Compiled on the first scan, so a warm run, which scans nothing, does
+    not pay for them.  String prefixes are not matched: raw, bytes and (up
+    to Python 3.11) formatted literals end where a plain one does.
+    """
+    def quoted(pattern: str) -> List[str]:
+        return [pattern.replace("Q", quote) for quote in "'\""]
+
+    # Every alternative opens with a literal character, which lets the
+    # engine skip to the next candidate in C.  An empty group after that
+    # character tags the token's kind; a one-line string, the commonest
+    # token, is untagged.  Multi-line strings are tried after one-line
+    # ones, so a string spanning lines is found by its ``lines`` tag.
+    alternatives = [("comment", "#()[^\n]*"), ("import", r"i()(?<!\wi)mport\b")]
+    alternatives += [(None, pattern) for pattern in
+                     quoted(r"Q(?!QQ)[^Q\\\n]*(?:\\[^\n][^Q\\\n]*)*Q")]
+    alternatives += [("lines", pattern) for pattern in
+                     quoted(r"Q()QQ[^Q\\]*(?:(?:\\.|Q(?!QQ))[^Q\\]*)*QQQ")
+                     + quoted(r"Q()[^Q\\\n]*(?:\\.[^Q\\\n]*)*Q")]
+    if sys.version_info >= (3, 12):
+        alternatives += [("fstring", rf"{c}()(?<!\w{c})[rR]?['\"]") for c in "fFtT"]
+        alternatives += [("fstring", rf"{c}()(?<!\w{c})[fFtT]['\"]") for c in "rR"]
+    tagged = [kind for kind, _ in alternatives if kind is not None]
+    kinds = dict(enumerate(tagged, start=1))
+    lexer = "|".join(pattern for _, pattern in alternatives)
+    # After ``import``: a parenthesised name list, whose comments may hold
+    # a ``)``, or names up to the end of the statement.  A backslash is
+    # tried as a line continuation first.
+    tail = r"(?:[ \t\f]|\\\n)*(?:\((?:[^#)]|#[^\n]*\n)*\)|(?:\\\n|[^\n;#\\])*)"
+    coding = r"^[ \t\f]*#.*?coding[:=][ \t]*([-\w.]+)"
+    return (re.compile(lexer, re.DOTALL), kinds, re.compile(tail),
+            re.compile(coding, re.MULTILINE))
 
 
 #: The nodes a statement block holds: statements, handlers, match cases.

@@ -30,10 +30,12 @@ __all__ = [
 ]
 
 #: Attribute keys that carry timing or environment noise; stripped by
-#: :func:`canonical_tree` so identical runs compare equal.
+#: :func:`canonical_tree` so identical runs compare equal.  Import scan
+#: counts depend on the module rows the process already holds.
 _VOLATILE_ATTRS = frozenset({
     "wall", "wall_seconds", "queue_wait", "prove_seconds",
     "transport_seconds", "created_at", "pid", "worker", "uptime",
+    "skeleton", "whole_file",
 })
 
 
@@ -147,6 +149,12 @@ def summarize_trace(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         outcome = event.get("attrs", {}).get("outcome", "?")
         cache[f"{event.get('name', '?')}.{outcome}"] += 1
 
+    # Module import scans, by path; each event counts its run's own.
+    scans = {"skeleton": 0, "whole_file": 0}
+    for event in _events(records, "deps"):
+        for path in scans:
+            scans[path] += int(event.get("attrs", {}).get(path) or 0)
+
     workers: Dict[str, Dict[str, Any]] = {}
     for span in unit_spans:
         attrs = span.get("attrs", {})
@@ -208,6 +216,7 @@ def summarize_trace(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         "methods": dict(sorted(methods.items())),
         "solvers": dict(sorted(solvers.items())),
         "cache": dict(sorted(cache.items())),
+        "scans": scans,
         "workers": dict(sorted(workers.items())),
         "queue_seconds": round(queue_seconds, 6),
         "merge_seconds": round(merge_seconds, 6),
@@ -274,6 +283,12 @@ def render_summary(summary: Dict[str, Any], top: int = 10) -> List[str]:
         lines.append("cache outcomes:")
         for name, count in summary["cache"].items():
             lines.append(f"  {name:32s} {count:6d}")
+
+    scans = summary.get("scans") or {}
+    if any(scans.values()):
+        lines.append("")
+        lines.append(f"import scans: {scans['skeleton']} skeleton, "
+                     f"{scans['whole_file']} whole-file")
 
     if summary["workers"]:
         lines.append("")

@@ -422,7 +422,8 @@ _OPEN_STORE_COUNTING_PARSES = """
     with ProofCache(sys.argv[1]) as cache:
         watched = deps.dep_index_paths(cache.deps_snapshot())
         print(json.dumps({"parses": len(parses), "watched": watched,
-                          "toolchain": cache.active_fingerprint}))
+                          "toolchain": cache.active_fingerprint,
+                          "lexers": deps._patterns.cache_info().currsize}))
 """
 
 
@@ -434,5 +435,6 @@ def test_a_store_hands_its_module_rows_to_the_next_process(tmp_path):
         cache.put_deps("ident", entry)
     found = _fresh_python(_OPEN_STORE_COUNTING_PARSES, str(tmp_path))
     assert found["parses"] == 0
+    assert found["lexers"] == 0  # the skeleton lexer compiles on a first scan
     assert found["toolchain"] == toolchain_fingerprint()
     assert set(found["watched"]) == entry_watch_paths(entry)

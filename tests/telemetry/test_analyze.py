@@ -139,12 +139,17 @@ def test_render_summary_and_tree_are_textual(tmp_path):
         with tracer.span("ApplyLayout", kind="pass", solver="auto"):
             tracer.event("pass.cache", kind="cache", outcome="miss",
                          target="ApplyLayout")
+        # Two runs' import scans: each event counts its own.
+        tracer.event("deps.scan", kind="deps", skeleton=3, whole_file=1)
+        tracer.event("deps.scan", kind="deps", skeleton=2, whole_file=0)
 
     records = load_trace(_trace_dir_with(tmp_path, build))
     summary = summarize_trace(records)
+    assert summary["scans"] == {"skeleton": 5, "whole_file": 1}
     text = "\n".join(render_summary(summary))
     assert "ApplyLayout" in text
     assert "pass.cache.miss" in text
+    assert "import scans: 5 skeleton, 1 whole-file" in text
     tree = "\n".join(render_tree(records))
     assert "ApplyLayout" in tree
 
