@@ -104,8 +104,6 @@ def _known_passes() -> Dict[str, Type]:
 # verify
 # --------------------------------------------------------------------------- #
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.engine import verify_passes
-
     registry = _known_passes()
     if args.all:
         selected = list(registry.values())
@@ -132,7 +130,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("--shard-threshold/--shard-count split units for --cluster "
               "peers; they need --cluster HOSTFILE", file=sys.stderr)
         return 2
-    from repro.prover import SolverUnavailable, available_solvers
 
     tracer = None
     if args.trace is not None or args.profile:
@@ -196,7 +193,7 @@ def _record_history(args: argparse.Namespace) -> None:
 
 def _run_verify(args, selected, jobs, cluster_mode, tracer) -> int:
     from repro.engine import verify_passes
-    from repro.prover import SolverUnavailable, available_solvers
+    from repro.errors import SolverUnavailable
 
     try:
         if cluster_mode:
@@ -245,6 +242,8 @@ def _run_verify(args, selected, jobs, cluster_mode, tracer) -> int:
                 solver=args.solver,
             )
     except SolverUnavailable as exc:
+        from repro.prover.backend import available_solvers
+
         print(f"{exc}", file=sys.stderr)
         installed = ", ".join(name for name, ok in available_solvers() if ok)
         print(f"available solver backends here: {installed}", file=sys.stderr)

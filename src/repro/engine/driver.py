@@ -43,14 +43,20 @@ from repro.engine.fingerprint import (
     pass_fingerprint,
     subgoal_fingerprint,
 )
-from repro.engine.scheduler import WorkerPool, default_jobs
 from repro.telemetry import stats as store_stats
 from repro.telemetry import trace as _trace
-from repro.verify.counterexample import CounterExample
-from repro.verify.discharge import DischargeResult, Discharger, discharge
 from repro.verify.preprocessor import PassAnalysis
+from repro.verify.results import (
+    CounterExample,
+    DischargeResult,
+    SubgoalOutcome,
+    VerificationResult,
+)
 from repro.verify.session import Subgoal
-from repro.verify.verifier import SubgoalOutcome, VerificationResult, verify_pass
+
+# The verifier, the discharge pipeline and the worker pool are imported
+# where they are called: a run the proof store serves whole never loads
+# them, and a watcher that reloaded one of them calls the reloaded code.
 
 #: Passes that need a coupling map to be instantiated (Table 2 suite).
 COUPLING_PASSES = {
@@ -297,6 +303,9 @@ def _verify_one(pass_class, pass_kwargs, counterexample_search,
     to the persistent cache so LRU recency reflects snapshot-served reuse,
     and its certificate payloads feed the certificate tier.
     """
+    from repro.verify.discharge import discharge
+    from repro.verify.verifier import verify_pass
+
     discharger = discharger or discharge
     solver = getattr(discharger, "solver_name", DEFAULT_SOLVER)
     acct = SubgoalAccounting()
@@ -335,6 +344,9 @@ def verify_pass_shard(pass_class, pass_kwargs, shard_index: int, shard_count: in
     of a pass through :func:`merge_shard_payloads` reproduces the unsplit
     :func:`verify_pass` result exactly.
     """
+    from repro.verify.discharge import discharge
+    from repro.verify.verifier import verify_pass
+
     discharger = discharger or discharge
     solver = getattr(discharger, "solver_name", DEFAULT_SOLVER)
     acct = SubgoalAccounting()
@@ -460,6 +472,8 @@ def _install_worker_subgoal_table(table: Dict[str, dict]) -> None:
 
 def _verify_task(task: dict) -> dict:
     """Worker entry point: verify one pass from a picklable task description."""
+    from repro.verify.discharge import Discharger
+
     pass_class = _resolve_class(task["module"], task["qualname"])
 
     def _run() -> Tuple[VerificationResult, SubgoalAccounting]:
@@ -733,7 +747,7 @@ def verify_passes(
     under different solvers never share cache entries — verdicts are
     required to agree across backends (the solver-matrix CI job holds them
     to it), but methods, certificates, and failure behaviour may not.
-    Raises :class:`~repro.prover.backend.SolverUnavailable` when the
+    Raises :class:`~repro.errors.SolverUnavailable` when the
     requested backend cannot run here (e.g. ``z3`` without z3 installed).
 
     ``share_subgoals=False`` gives every pass a private copy of the subgoal
@@ -756,12 +770,17 @@ def verify_passes(
     _check_changed_paths(changed_paths)
     from repro.prover.backend import resolve_solver
 
-    solver_backend = resolve_solver(solver)
-    discharger = Discharger(solver_backend)
+    # Resolved before the store opens, so an unavailable backend fails
+    # without creating the cache directory.
+    backend = resolve_solver(solver)
     kwargs_fn = pass_kwargs_fn or default_pass_kwargs
-    jobs = default_jobs() if int(jobs) <= 0 else int(jobs)
+    jobs = int(jobs)
+    if jobs <= 0:
+        from repro.engine.scheduler import default_jobs
+
+        jobs = default_jobs()
     stats = EngineStats(jobs=jobs, passes_total=len(pass_classes),
-                        solver=discharger.solver_name)
+                        solver=backend.name)
 
     own_cache = False
     if cache is None and use_cache:
@@ -776,7 +795,7 @@ def verify_passes(
             pass_classes, stats, cache, kwargs_fn, counterexample_search,
             share_subgoals, started, base_invalidated,
             changed_paths=changed_paths, record_deps=record_deps,
-            discharger=discharger,
+            backend=backend,
         )
     finally:
         if own_cache:
@@ -927,14 +946,13 @@ def store_certificates(cache, certificates: Dict[str, dict]) -> None:
 
 def _verify_passes_with_cache(
     pass_classes, stats, cache, kwargs_fn, counterexample_search,
-    share_subgoals, started, base_invalidated=0, changed_paths=None,
-    record_deps=True, discharger=None,
+    share_subgoals, started, base_invalidated, changed_paths,
+    record_deps, backend,
 ) -> EngineReport:
     # Caller-provided caches may carry counters from earlier runs; report
     # only what this run contributed.
     base_hits = cache.stats.pass_hits if cache is not None else 0
     base_misses = cache.stats.pass_misses if cache is not None else 0
-    discharger = discharger or Discharger(DEFAULT_SOLVER)
 
     # Store analytics ride along on every cached run: the recorder collects
     # the canonical per-key facts (plus backend io via the cache hook) and
@@ -953,13 +971,21 @@ def _verify_passes_with_cache(
     results, pending = resolve_pending(
         pass_classes, stats, cache, kwargs_fn,
         changed_paths=changed_paths, record_deps=record_deps,
-        solver=discharger.solver_name, recorder=recorder,
+        solver=backend.name, recorder=recorder,
     )
 
     tracer = _trace.current()
     if pending:
+        # The first miss loads the prover and the verifier, here in the
+        # parent and before any fork, so pool workers inherit both.
+        import repro.verify.verifier  # noqa: F401
+        from repro.verify.discharge import Discharger
+
+        discharger = Discharger(backend)
         subgoal_table = cache.subgoal_snapshot() if cache is not None else {}
         if stats.jobs > 1 and len(pending) > 1:
+            from repro.engine.scheduler import WorkerPool
+
             pool = WorkerPool(stats.jobs, initializer=_install_worker_subgoal_table,
                               initargs=(subgoal_table,))
             tasks = [
@@ -1035,7 +1061,7 @@ def _verify_passes_with_cache(
                     cache.touch_subgoals(acct.hit_keys)
 
     backend_stats = None
-    stats_fn = getattr(discharger.backend, "stats", None)
+    stats_fn = getattr(backend, "stats", None)
     if callable(stats_fn):
         try:
             backend_stats = stats_fn()
@@ -1043,7 +1069,7 @@ def _verify_passes_with_cache(
             backend_stats = None
     if tracer is not None and backend_stats is not None:
         tracer.event("prover.stats", kind="prover",
-                     solver=discharger.solver_name, **backend_stats)
+                     solver=backend.name, **backend_stats)
     # The import scans since the last run, by path (a whole-file scan is
     # a fallback from the import skeleton); taken traced or not, so each
     # run reports its own.

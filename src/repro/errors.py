@@ -29,11 +29,20 @@ class SolverError(ReproError):
     """Raised by the mini-SMT solver."""
 
 
+class SolverUnavailable(RuntimeError):
+    """The requested solver backend exists but cannot run in this environment.
+
+    Raised by :func:`repro.prover.backend.resolve_solver` (``--solver z3``
+    without ``z3-solver`` installed).  It lives here, not beside the
+    registry, so that callers can catch it without importing the prover.
+    """
+
+
 class VerificationError(ReproError):
     """Raised when the verifier cannot process a pass at all.
 
     A pass that is processed but found incorrect does *not* raise; it
-    returns a failed :class:`repro.verify.verifier.VerificationResult`.
+    returns a failed :class:`repro.verify.results.VerificationResult`.
     """
 
 

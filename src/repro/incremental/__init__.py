@@ -22,41 +22,3 @@ the whole suite, even when nothing changed.  This package makes verification
 loop inside the daemon so invalidated entries are re-proved (pre-warmed)
 before the next client asks.
 """
-
-from repro.incremental.deps import (
-    DEPS_SCHEMA_VERSION,
-    build_dep_entry,
-    class_data_paths,
-    identity_key,
-    kwarg_data_paths,
-)
-from repro.incremental.detect import (
-    ChangeDetector,
-    is_python_source,
-    normalize_path,
-    partition_changes,
-    stale_identities,
-)
-from repro.incremental.watch import (
-    WatchCycle,
-    Watcher,
-    refresh_classes,
-    refresh_source_state,
-)
-
-__all__ = [
-    "ChangeDetector",
-    "DEPS_SCHEMA_VERSION",
-    "WatchCycle",
-    "Watcher",
-    "build_dep_entry",
-    "class_data_paths",
-    "identity_key",
-    "is_python_source",
-    "kwarg_data_paths",
-    "normalize_path",
-    "partition_changes",
-    "refresh_classes",
-    "refresh_source_state",
-    "stale_identities",
-]

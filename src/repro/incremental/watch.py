@@ -70,14 +70,18 @@ def _reloadable(module_name: str) -> bool:
 def refresh_source_state(changed_paths) -> List[str]:
     """Reload the modules behind ``changed_paths``; reset fingerprint memos.
 
-    Returns the names of the modules that were reloaded.  Modules are
-    reloaded in name order — for sibling edits with an import between them
-    the importing module re-executes its imports anyway, because ``reload``
-    updates the existing module object in place and ``from m import f``
-    re-binds from the updated module.  The fingerprint memos (toolchain,
-    file digests, import closures, class sources) are dropped whenever a
-    Python source changed, reloaded or not: keys hash the files on disk,
-    including closure modules a verification never imports.
+    Returns the names of the modules that were reloaded, in name order.
+    ``reload`` updates a module object in place, but a ``from m import f``
+    binding is re-read only in modules that are themselves reloaded: every
+    other module keeps calling the pre-edit ``f``.  So the engine, which is
+    never reloaded, imports the verifier and the discharge pipeline where
+    it calls them; an edit to a function that an unedited module
+    from-imported (``session.py`` binds ``gates.is_self_inverse``) still
+    proves with the pre-edit code until the process restarts.  The
+    fingerprint memos (toolchain, file digests, import closures, class
+    sources) are dropped whenever a Python source changed, reloaded or
+    not: keys hash the files on disk, including closure modules a
+    verification never imports.
 
     Non-Python paths (edited *data* files — device maps, recorded suites)
     have no module to reload; they still invalidate passes through the

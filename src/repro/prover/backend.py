@@ -26,18 +26,17 @@ found by different backends never alias in the cache.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
-from repro.smt.solver import CheckResult
-from repro.smt.terms import Rule, Term
+from repro.errors import SolverUnavailable
+
+if TYPE_CHECKING:
+    from repro.smt.solver import CheckResult
+    from repro.smt.terms import Rule, Term
 
 #: The names ``repro verify --solver`` accepts.  ``auto`` resolves to the
 #: builtin backend (the only one guaranteed present).
 SOLVER_CHOICES: Tuple[str, ...] = ("auto", "builtin", "z3", "bounded")
-
-
-class SolverUnavailable(RuntimeError):
-    """The requested backend exists but cannot run in this environment."""
 
 
 class SolverBackend:
@@ -104,6 +103,11 @@ def resolve_solver(name: str = "auto") -> SolverBackend:
             f"(expected one of {', '.join(SOLVER_CHOICES)})")
     backend = _INSTANCES.get(resolved)
     if backend is None:
+        from repro.smt.terms import on_reset_interning
+
+        # Memoised check results hold terms; they must die with the
+        # interning table.
+        on_reset_interning(reset_solver_state)
         backend = factory()
         _INSTANCES[resolved] = backend
     if not backend.available():
@@ -127,17 +131,41 @@ def available_solvers() -> List[Tuple[str, bool]]:
 
 
 def reset_solver_state() -> None:
-    """Drop every live backend's memoised state.
+    """Drop every built backend, with its memoised state.
 
-    Wired into the interning reset (:func:`repro.smt.terms.reset_interning`)
-    and module reloads: memoised check results hold hash-consed terms, and
-    serving them across an interning reset would resurrect stale objects.
+    Wired into the interning reset (:func:`repro.smt.terms.reset_interning`),
+    which module reloads run: memoised check results hold hash-consed
+    terms, and serving them across an interning reset would resurrect stale
+    objects.  The next :func:`resolve_solver` builds a fresh instance from
+    its module as it is now, so an edited backend module that the watcher
+    reloaded is the one that proves.
     """
     for backend in _INSTANCES.values():
         backend.reset()
+    _INSTANCES.clear()
 
 
-# Memoised check results hold terms; they must die with the interning table.
-from repro.smt.terms import on_reset_interning  # noqa: E402
+# The shipped backends, registered by name.  Each factory imports its
+# module when the backend is first built, so resolving one choice loads
+# that backend alone, and the import graph still reaches all three.
+def _builtin() -> SolverBackend:
+    from repro.prover.builtin import BuiltinBackend
 
-on_reset_interning(reset_solver_state)
+    return BuiltinBackend()
+
+
+def _z3() -> SolverBackend:
+    from repro.prover.z3backend import Z3Backend
+
+    return Z3Backend()
+
+
+def _bounded() -> SolverBackend:
+    from repro.prover.boundedbackend import BoundedBackend
+
+    return BoundedBackend()
+
+
+register_backend("builtin", _builtin)
+register_backend("z3", _z3)
+register_backend("bounded", _bounded)

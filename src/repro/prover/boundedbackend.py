@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.prover.backend import SolverBackend, register_backend
+from repro.prover.backend import SolverBackend
 from repro.smt.solver import CheckResult, goal_atoms
 from repro.smt.terms import Rule, Term
 
@@ -192,5 +192,3 @@ class BoundedBackend(SolverBackend):
                 break
         return False, steps, set()
 
-
-register_backend("bounded", BoundedBackend)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-from repro.prover.backend import SolverBackend, register_backend
+from repro.prover.backend import SolverBackend
 from repro.smt.solver import CheckResult, Context
 from repro.smt.terms import Rule, Term
 
@@ -83,5 +83,3 @@ class BuiltinBackend(SolverBackend):
         self._memo[key] = result
         return result
 
-
-register_backend("builtin", BuiltinBackend)

@@ -12,42 +12,17 @@ stage can evolve (and be certified and replayed) independently:
 * :mod:`repro.prover.methods.structural` — termination, coupling,
   routing-structure, and layout library lemmas.
 
-:class:`DischargeResult` is defined here (and re-exported from
-:mod:`repro.verify.discharge`, the stable import path) because every method
-module constructs it.
+:class:`DischargeResult`, which every method module constructs, lives in
+:mod:`repro.verify.results` with the other result records and is
+re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from repro.verify.results import DischargeResult
 
-
-@dataclass
-class DischargeResult:
-    """Outcome of discharging one subgoal."""
-
-    proved: bool
-    method: str
-    reason: str = ""
-    #: The full rule set collected for the goal (reusability accounting
-    #: counts these; the certificate records the *fired* subset).
-    rules_used: Tuple[str, ...] = ()
-    #: Rule instantiations / rewrite steps the solver performed, if any.
-    instantiations: int = 0
-    #: The rules whose instantiation actually contributed (solver stages
-    #: report it; the certificate persists it for replay).
-    rules_fired: Tuple[str, ...] = ()
-    #: Attached by :class:`repro.verify.discharge.Discharger`; absent on
-    #: results reconstructed from cache payloads (certificates live in
-    #: their own cache tier).
-    certificate: Optional[object] = None
-
-    def __bool__(self) -> bool:
-        return self.proved
-
-
-from repro.prover.methods import (  # noqa: E402  (needs DischargeResult)
+# After DischargeResult: each method module imports it from this package.
+from repro.prover.methods import (
     congruence,
     sequence,
     structural,

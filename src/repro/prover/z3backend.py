@@ -5,7 +5,7 @@ backend restores that option when the ``z3-solver`` package is installed.
 Detection is at run time — :meth:`Z3Backend.available` answers without
 raising — so environments without z3 (the common case for this repo's CI
 and the default container) simply resolve ``--solver z3`` to a
-:class:`~repro.prover.backend.SolverUnavailable` error, and the CI
+:class:`~repro.errors.SolverUnavailable` error, and the CI
 solver-matrix job skips the z3 leg.
 
 Encoding: every repro sort becomes an uninterpreted z3 sort, variables and
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.prover.backend import SolverBackend, register_backend
+from repro.prover.backend import SolverBackend
 from repro.smt.solver import CheckResult, goal_atoms
 from repro.smt.terms import Rule, Term
 
@@ -161,5 +161,3 @@ class _Z3Encoder:
         return [self._z3.Distinct(*constants)
                 for constants in by_sort.values() if len(constants) > 1]
 
-
-register_backend("z3", Z3Backend)

@@ -1,45 +1,5 @@
-"""A small SMT-style prover: terms, congruence closure, E-matching, contexts."""
+"""A small SMT-style prover: terms, congruence closure, E-matching, contexts.
 
-from repro.smt.congruence import CongruenceClosure
-from repro.smt.ematch import instantiate_rules, match_pattern
-from repro.smt.solver import CheckResult, Context
-from repro.smt.terms import (
-    BOOL,
-    CIRCUIT,
-    GATE,
-    INT,
-    QUBIT,
-    Rule,
-    Term,
-    app,
-    conj,
-    eq,
-    false,
-    lit,
-    ne,
-    true,
-    var,
-)
-
-__all__ = [
-    "BOOL",
-    "CIRCUIT",
-    "CheckResult",
-    "CongruenceClosure",
-    "Context",
-    "GATE",
-    "INT",
-    "QUBIT",
-    "Rule",
-    "Term",
-    "app",
-    "conj",
-    "eq",
-    "false",
-    "instantiate_rules",
-    "lit",
-    "match_pattern",
-    "ne",
-    "true",
-    "var",
-]
+Import from the modules: :mod:`repro.smt.terms`, :mod:`repro.smt.congruence`,
+:mod:`repro.smt.ematch` and :mod:`repro.smt.solver`.
+"""

@@ -24,32 +24,85 @@ Modules:
   wall deltas attributed pass → subgoal → method.
 * :mod:`repro.telemetry.health` — process-health gauges (rss) shared by
   worker heartbeats and the daemon's ``/metrics``.
+
+The names below are imported on first use, so importing the package loads
+none of these modules (nor ``sqlite3``, which the history store needs).
 """
 
-from repro.telemetry.trace import (  # noqa: F401
-    TRACE_SCHEMA_VERSION,
-    Tracer,
-    TraceWriter,
-    collecting,
-    configure,
-    current,
-    shutdown,
-    tracing,
-)
-from repro.telemetry.metrics import (  # noqa: F401
-    CounterRegistry,
-    parse_prometheus,
-    render_prometheus,
-)
-from repro.telemetry.bounds import (  # noqa: F401
-    DEFAULT_MIN_SECONDS,
-    DEFAULT_NOISE_PCT,
-    is_regression,
-)
-from repro.telemetry.diff import diff_summaries, render_diff  # noqa: F401
-from repro.telemetry.history import (  # noqa: F401
-    HISTORY_SCHEMA_VERSION,
-    TelemetryHistory,
-    git_describe,
-    history_path,
-)
+from typing import TYPE_CHECKING
+
+from repro._exports import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.telemetry.bounds import (
+        DEFAULT_MIN_SECONDS,
+        DEFAULT_NOISE_PCT,
+        is_regression,
+    )
+    from repro.telemetry.diff import diff_summaries, render_diff
+    from repro.telemetry.history import (
+        HISTORY_SCHEMA_VERSION,
+        TelemetryHistory,
+        git_describe,
+        history_path,
+    )
+    from repro.telemetry.metrics import (
+        CounterRegistry,
+        parse_prometheus,
+        render_prometheus,
+    )
+    from repro.telemetry.trace import (
+        TRACE_SCHEMA_VERSION,
+        Tracer,
+        TraceWriter,
+        collecting,
+        configure,
+        current,
+        shutdown,
+        tracing,
+    )
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.telemetry.bounds": ("DEFAULT_MIN_SECONDS", "DEFAULT_NOISE_PCT", "is_regression"),
+    "repro.telemetry.diff": ("diff_summaries", "render_diff"),
+    "repro.telemetry.history": (
+        "HISTORY_SCHEMA_VERSION",
+        "TelemetryHistory",
+        "git_describe",
+        "history_path",
+    ),
+    "repro.telemetry.metrics": ("CounterRegistry", "parse_prometheus", "render_prometheus"),
+    "repro.telemetry.trace": (
+        "TRACE_SCHEMA_VERSION",
+        "Tracer",
+        "TraceWriter",
+        "collecting",
+        "configure",
+        "current",
+        "shutdown",
+        "tracing",
+    ),
+})
+
+__all__ = [
+    "CounterRegistry",
+    "DEFAULT_MIN_SECONDS",
+    "DEFAULT_NOISE_PCT",
+    "HISTORY_SCHEMA_VERSION",
+    "TRACE_SCHEMA_VERSION",
+    "TelemetryHistory",
+    "TraceWriter",
+    "Tracer",
+    "collecting",
+    "configure",
+    "current",
+    "diff_summaries",
+    "git_describe",
+    "history_path",
+    "is_regression",
+    "parse_prometheus",
+    "render_diff",
+    "render_prometheus",
+    "shutdown",
+    "tracing",
+]

@@ -1,35 +1,7 @@
-"""The verified utility library shared by the compiler passes."""
+"""The verified utility library shared by the compiler passes.
 
-from repro.utility.circuit_ops import (
-    circuit_depth,
-    circuit_size,
-    collect_1q_runs,
-    count_ops,
-    final_ops_on_qubits,
-    first_gate_on_qubit,
-    gates_on_qubit,
-    longest_path_length,
-    next_gate,
-    num_tensor_factors,
-)
-from repro.utility.coupling_ops import is_adjacent, shortest_path, swap_path, total_distance
-from repro.utility.merge import MERGEABLE_1Q_NAMES, merge_1q_gates
-
-__all__ = [
-    "MERGEABLE_1Q_NAMES",
-    "circuit_depth",
-    "circuit_size",
-    "collect_1q_runs",
-    "count_ops",
-    "final_ops_on_qubits",
-    "first_gate_on_qubit",
-    "gates_on_qubit",
-    "is_adjacent",
-    "longest_path_length",
-    "merge_1q_gates",
-    "next_gate",
-    "num_tensor_factors",
-    "shortest_path",
-    "swap_path",
-    "total_distance",
-]
+Import from the modules: :mod:`repro.utility.circuit_ops`,
+:mod:`repro.utility.coupling_ops`, :mod:`repro.utility.merge`,
+:mod:`repro.utility.transforms`, :mod:`repro.utility.analysis_ops` and
+:mod:`repro.utility.layout_selection`.
+"""

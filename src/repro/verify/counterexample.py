@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.circuit import QCircuit
@@ -24,27 +23,12 @@ from repro.errors import ReproError, TranspilerError
 from repro.linalg.unitary import circuit_unitary, allclose_up_to_global_phase
 from repro.symbolic.equivalence import strip_final_measurements
 from repro.verify import facts as F
+from repro.verify.results import CounterExample
 from repro.verify.session import Subgoal
 from repro.verify.symvalues import Segment, SymGate
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-@dataclass
-class CounterExample:
-    """A concrete circuit demonstrating that a pass is incorrect."""
-
-    kind: str                       # 'semantics' | 'non_termination' | 'crash'
-    description: str
-    input_circuit: Optional[QCircuit] = None
-    output_circuit: Optional[QCircuit] = None
-    confirmed: bool = False
-    details: Dict[str, object] = field(default_factory=dict)
-
-    def __repr__(self) -> str:
-        status = "confirmed" if self.confirmed else "candidate"
-        return f"CounterExample({self.kind}, {status}: {self.description})"
 
 
 # --------------------------------------------------------------------------- #

@@ -30,9 +30,8 @@ from __future__ import annotations
 import time
 from typing import Optional, Sequence, Union
 
-# Through the package: importing it registers the shipped backends that
-# resolve_solver hands out, so the import graph (and every cache key
-# derived from it) reaches their code.
+# Through the package, which names every shipped backend, so the import
+# graph (and every cache key derived from it) reaches their code.
 from repro.prover import SolverBackend, resolve_solver
 from repro.prover.certificate import ProofCertificate
 from repro.telemetry import trace as _trace

@@ -1,6 +1,6 @@
 """Human-readable and machine-readable reports for verification runs.
 
-The verifier returns :class:`~repro.verify.verifier.VerificationResult`
+The verifier returns :class:`~repro.verify.results.VerificationResult`
 objects; this module renders collections of them as plain-text tables,
 Markdown, or JSON-serialisable dictionaries.  The CLI (``python -m repro``)
 and the benchmark drivers use these helpers, and they are handy in notebooks
@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.verify.verifier import VerificationResult
+from repro.verify.results import VerificationResult
 
 
 @dataclass

@@ -1,72 +1,28 @@
-"""The Giallar verifier driver: ``verify_pass`` and its result type.
+"""The Giallar verifier driver: ``verify_pass``.
 
 ``verify_pass(PassClass)`` is the push-button entry point: it statically
 analyses the pass, symbolically executes its ``run`` method over every path,
 adds the proof obligation fixed by the pass's virtual class, discharges every
 subgoal, and — when something cannot be proven — tries to produce a confirmed
-counterexample circuit.
+counterexample circuit.  Its result records live in
+:mod:`repro.verify.results` and are re-exported here.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, List, Optional, Sequence, Type
 
 from repro.circuit.circuit import QCircuit
 from repro.errors import UnsupportedPassError, VerificationError
 from repro.verify import facts as F
-from repro.verify.counterexample import CounterExample, search_counterexample
-from repro.verify.discharge import DischargeResult, discharge
+from repro.verify.counterexample import search_counterexample
+from repro.verify.discharge import discharge
 from repro.verify.facts import Fact
-from repro.verify.preprocessor import PassAnalysis, analyze_pass
+from repro.verify.preprocessor import analyze_pass
+from repro.verify.results import DischargeResult, SubgoalOutcome, VerificationResult
 from repro.verify.session import PathExplorer, PathRecord, Subgoal, VerificationSession
 from repro.verify.symvalues import SymCircuit
-
-
-@dataclass
-class SubgoalOutcome:
-    """One subgoal together with its discharge result."""
-
-    subgoal: Subgoal
-    result: DischargeResult
-
-
-@dataclass
-class VerificationResult:
-    """The outcome of verifying one compiler pass."""
-
-    pass_name: str
-    verified: bool
-    supported: bool
-    analysis: Optional[PassAnalysis]
-    subgoals: List[SubgoalOutcome] = field(default_factory=list)
-    paths_explored: int = 0
-    time_seconds: float = 0.0
-    counterexample: Optional[CounterExample] = None
-    failure_reasons: List[str] = field(default_factory=list)
-    #: True when this result was reconstructed from the engine's proof cache
-    #: instead of being re-proved in this process.
-    from_cache: bool = False
-
-    @property
-    def num_subgoals(self) -> int:
-        return len(self.subgoals)
-
-    @property
-    def rules_used(self) -> Tuple[str, ...]:
-        used: List[str] = []
-        for outcome in self.subgoals:
-            used.extend(outcome.result.rules_used)
-        return tuple(sorted(set(used)))
-
-    def summary(self) -> str:
-        status = "verified" if self.verified else ("unsupported" if not self.supported else "FAILED")
-        return (
-            f"{self.pass_name}: {status} "
-            f"({self.num_subgoals} subgoals, {self.paths_explored} paths, "
-            f"{self.time_seconds:.2f}s)"
-        )
 
 
 def _make_symbolic_input(session: VerificationSession) -> SymCircuit:

@@ -5,18 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SolverError
-from repro.smt import (
-    CongruenceClosure,
-    Context,
-    Rule,
-    app,
-    eq,
-    instantiate_rules,
-    lit,
-    match_pattern,
-    ne,
-    var,
-)
+from repro.smt.congruence import CongruenceClosure
+from repro.smt.ematch import instantiate_rules, match_pattern
+from repro.smt.solver import Context
+from repro.smt.terms import Rule, app, eq, lit, ne, var
 
 
 # --------------------------------------------------------------------------- #

@@ -9,18 +9,15 @@ from repro.circuit import Gate, QCircuit, random_circuit
 from repro.coupling import Layout, ibm_16q, linear_device
 from repro.errors import CircuitError
 from repro.linalg import circuits_equivalent
-from repro.utility import (
+from repro.utility.circuit_ops import (
     collect_1q_runs,
     final_ops_on_qubits,
     first_gate_on_qubit,
     gates_on_qubit,
-    is_adjacent,
-    merge_1q_gates,
     next_gate,
-    shortest_path,
-    swap_path,
-    total_distance,
 )
+from repro.utility.coupling_ops import is_adjacent, shortest_path, swap_path, total_distance
+from repro.utility.merge import merge_1q_gates
 from repro.utility.analysis_ops import allocate_ancillas, apply_layout, check_gate_direction, check_map
 from repro.utility.layout_selection import (
     layout_2q_distance_score,

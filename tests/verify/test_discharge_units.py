@@ -3,8 +3,9 @@
 import pytest
 
 from repro.circuit import Gate
-from repro.verify import Fact, Subgoal, VerificationSession, discharge
+from repro.verify import Fact, Subgoal, VerificationSession
 from repro.verify import facts as F
+from repro.verify.discharge import discharge
 
 
 @pytest.fixture

@@ -13,12 +13,12 @@ from repro.verify import (
     SymCircuit,
     VerificationSession,
     analyze_pass,
-    discharge,
     iterate_all_gates,
     verify_pass,
     while_gate_remaining,
 )
 from repro.verify import facts as F
+from repro.verify.discharge import discharge
 from repro.verify.symvalues import SymGate
 
 
