@@ -5,14 +5,8 @@ Invoked as ``python -m repro <command>``.  Commands:
 ``verify``
     Verify one, several, or all compiler passes and print a report
     (text, Markdown, or JSON).  ``--jobs N`` (alias ``--workers N``) runs
-    the batch on N local processes; ``--cluster HOSTFILE`` listens for
-    ``repro work`` peers instead; ``--changed PATH`` scopes the run
+    the batch on N local processes; ``--changed PATH`` scopes the run
     incrementally to what those edits can have invalidated.
-
-``work``
-    Join a verification cluster as a worker: lease units from a
-    coordinator (``repro verify --cluster``), verify them with the local
-    engine, stream results back.
 
 ``transpile``
     Compile an OpenQASM 2 file for a named device with either the verified
@@ -20,13 +14,11 @@ Invoked as ``python -m repro <command>``.  Commands:
 
 ``watch``
     Incremental re-verification: poll the watched sources and, on each
-    edit, re-verify only the passes the edit can have invalidated
-    (``--daemon`` routes the re-proof through a running daemon).
+    edit, re-verify only the passes the edit can have invalidated.
 
-``serve`` / ``status``
-    Run the resident verification daemon over the proof store, and query a
-    running daemon (or, without one, the store's own statistics).
-    ``serve --watch`` additionally pre-warms invalidated entries on edit.
+``status``
+    Summarise the proof store: live and stale entries, certificates,
+    damage dropped on load.
 
 ``cache``
     Maintain the proof cache: ``prune`` (LRU eviction to a bound),
@@ -36,22 +28,17 @@ Invoked as ``python -m repro <command>``.  Commands:
 
 ``trace``
     Inspect a structured execution trace written by ``verify --trace DIR``:
-    ``summary`` (slowest passes/subgoals, per-worker attribution, unit
-    coverage), ``show`` (the span tree), ``export`` (Chrome trace JSON),
-    ``diff`` (attribute the wall delta between two traced runs down to
-    pass/subgoal/method with noise-aware regression flags).
+    ``summary`` (slowest passes/subgoals, per-method and per-solver
+    discharge, cache outcomes), ``show`` (the span tree), ``export``
+    (Chrome trace JSON), ``diff`` (attribute the wall delta between two
+    traced runs down to pass/subgoal/method with noise-aware regression
+    flags).
 
 ``history``
     The longitudinal sqlite store of traced-run summaries (recorded
     automatically at the end of every ``verify --trace`` run): ``list``,
     ``show``, ``regressions`` (noise-aware comparison of two recorded
     runs), ``prune``.
-
-``top``
-    Live per-worker health of a running ``--cluster`` verification:
-    inflight unit, throughput, prove vs transport seconds,
-    rss — from the coordinator's ``run-status.json`` (``--once`` for CI;
-    ``--once --fail-unhealthy`` exits 1 on stale/oversized workers).
 
 ``stats``
     The latest run's canonical proof-store analytics (``store-stats.json``
@@ -60,9 +47,9 @@ Invoked as ``python -m repro <command>``.  Commands:
 
 ``dash``
     Render the whole observability stack — history trends, the latest
-    run's queue/prove split, tier hit-ratio evolution, cluster health,
-    fuzz-corpus status — as one self-contained HTML file (inline SVG,
-    no scripts, no network).
+    run's queue/prove split, tier hit-ratio evolution, fuzz-corpus
+    status — as one self-contained HTML file (inline SVG, no scripts, no
+    network).
 
 ``bench``
     Run one of the paper's evaluation drivers (``table2``, ``figure11``,
@@ -82,22 +69,24 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, Optional, Sequence, Type
 
 # Module scope holds only what ``verify`` runs; every other subcommand
 # imports its own dependencies, so a verification process never loads the
 # benchmark drivers, the OpenQASM front end or the DAG transpiler.
 from repro.engine.driver import default_pass_kwargs as pass_kwargs_for
-from repro.passes import ALL_VERIFIED_PASSES, EXTENSION_PASSES, UNSUPPORTED_PASSES
+from repro.passes import (
+    ALL_VERIFIED_PASSES,
+    EXTENSION_PASSES,
+    UNSUPPORTED_PASSES,
+    pass_registry,
+)
 from repro.telemetry.bounds import DEFAULT_MIN_SECONDS, DEFAULT_NOISE_PCT
 from repro.verify.report import to_json, to_markdown, to_text
 
 
 def _known_passes() -> Dict[str, Type]:
-    registry: Dict[str, Type] = {}
-    for pass_class in list(ALL_VERIFIED_PASSES) + list(EXTENSION_PASSES):
-        registry[pass_class.__name__] = pass_class
-    return registry
+    return pass_registry()
 
 
 # --------------------------------------------------------------------------- #
@@ -118,19 +107,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("nothing to verify: give pass names or --all", file=sys.stderr)
         return 2
 
-    # --jobs 0 means "auto" (one worker per CPU, capped); the engine applies
-    # the convention, so 0 passes through unchanged.
-    jobs = args.jobs
-    cluster_mode = args.cluster is not None
-    if cluster_mode and args.daemon:
-        print("--cluster and --daemon are mutually exclusive", file=sys.stderr)
-        return 2
-    if not cluster_mode and (args.shard_threshold is not None
-                             or args.shard_count is not None):
-        print("--shard-threshold/--shard-count split units for --cluster "
-              "peers; they need --cluster HOSTFILE", file=sys.stderr)
-        return 2
-
     tracer = None
     if args.trace is not None or args.profile:
         from repro.telemetry import trace as trace_mod
@@ -140,7 +116,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         tracer = trace_mod.configure(args.trace, node="main",
                                      keep=True if args.profile else None)
     try:
-        return _run_verify(args, selected, jobs, cluster_mode, tracer)
+        return _run_verify(args, selected, tracer)
     finally:
         if tracer is not None:
             from repro.telemetry import trace as trace_mod
@@ -191,56 +167,22 @@ def _record_history(args: argparse.Namespace) -> None:
               file=sys.stderr)
 
 
-def _run_verify(args, selected, jobs, cluster_mode, tracer) -> int:
+def _run_verify(args, selected, tracer) -> int:
     from repro.engine import verify_passes
     from repro.errors import SolverUnavailable
 
     try:
-        if cluster_mode:
-            from repro.cluster import verify_passes_distributed
-
-            report = verify_passes_distributed(
-                selected,
-                hostfile=args.cluster,
-                cache_dir=args.cache_dir,
-                use_cache=not args.no_cache,
-                pass_kwargs_fn=pass_kwargs_for,
-                changed_paths=args.changed,
-                shard_threshold=args.shard_threshold,
-                shard_count=args.shard_count,
-                solver=args.solver,
-            )
-        elif args.daemon:
-            from repro.service.client import verify_with_fallback
-
-            report = verify_with_fallback(
-                selected,
-                cache_dir=args.cache_dir,
-                jobs=jobs,
-                use_cache=not args.no_cache,
-                pass_kwargs_fn=pass_kwargs_for,
-                changed_paths=args.changed,
-                solver=args.solver,
-            )
-            if report.stats.daemon is None and not args.no_cache:
-                # stdout is the same report either way; stderr names the
-                # daemon.json that was searched.
-                from repro.engine import default_cache_dir
-                from repro.service.protocol import state_path
-
-                directory = args.cache_dir or default_cache_dir()
-                print(f"no daemon answered via {state_path(directory)}; "
-                      f"verified in-process", file=sys.stderr)
-        else:
-            report = verify_passes(
-                selected,
-                jobs=jobs,
-                cache_dir=args.cache_dir,
-                use_cache=not args.no_cache,
-                pass_kwargs_fn=pass_kwargs_for,
-                changed_paths=args.changed,
-                solver=args.solver,
-            )
+        # --jobs 0 means "auto" (one worker per CPU, capped); the engine
+        # applies the convention, so 0 passes through unchanged.
+        report = verify_passes(
+            selected,
+            jobs=args.jobs,
+            cache_dir=args.cache_dir,
+            use_cache=not args.no_cache,
+            pass_kwargs_fn=pass_kwargs_for,
+            changed_paths=args.changed,
+            solver=args.solver,
+        )
     except SolverUnavailable as exc:
         from repro.prover.backend import available_solvers
 
@@ -300,7 +242,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         selected,
         cache_dir=args.cache_dir,
         jobs=args.jobs,
-        use_daemon=args.daemon,
         pass_kwargs_fn=pass_kwargs_for,
         extra_paths=args.data or (),
     )
@@ -312,80 +253,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     if last is None:
         return 0
     return 0 if all(r.verified for r in watcher.last_results) else 1
-
-
-# --------------------------------------------------------------------------- #
-# work
-# --------------------------------------------------------------------------- #
-def _cmd_work(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.cluster import TransportError, read_cluster_state, run_worker
-    from repro.engine import default_cache_dir
-
-    address = args.connect
-    token = None
-    if args.token_file:
-        try:
-            with open(args.token_file, "r", encoding="utf-8") as handle:
-                token = handle.read().strip()
-        except OSError as exc:
-            print(f"cannot read token file: {exc}", file=sys.stderr)
-            return 2
-    cache_dir = args.cache_dir or str(default_cache_dir())
-
-    def discover(wait_forever):
-        """Fill whichever of (address, token) the flags left open.
-
-        A persistent (``--loop``) worker waits for the next coordinator
-        indefinitely; a one-shot worker gives up after ``--wait`` seconds.
-        """
-        if address is not None and token is not None:
-            return address, token
-        deadline = None if wait_forever else time.monotonic() + args.wait
-        while True:
-            state = read_cluster_state(cache_dir)
-            if state is not None:
-                return address or state.address, token or state.token
-            if deadline is not None and time.monotonic() >= deadline:
-                return None, None
-            time.sleep(0.2)
-
-    total = 0
-    sessions = 0
-    try:
-        while True:
-            found_address, found_token = discover(
-                wait_forever=args.loop and sessions > 0)
-            if found_address is None:
-                print(f"no coordinator found (checked {cache_dir}/cluster.json "
-                      f"for {args.wait:.0f}s); start one with "
-                      f"`repro verify --cluster HOSTFILE` or pass "
-                      f"--connect/--token-file",
-                      file=sys.stderr)
-                return 1
-            try:
-                completed = run_worker(found_address, found_token,
-                                       max_units=args.max_units)
-            except TransportError as exc:
-                if sessions and args.loop:
-                    # The discovered state was a finished coordinator's
-                    # leftovers, or it died between discovery and connect;
-                    # keep waiting for the next run.
-                    time.sleep(0.5)
-                    continue
-                print(f"worker: {exc}", file=sys.stderr)
-                return 1
-            total += completed
-            sessions += 1
-            if not args.loop:
-                break
-            time.sleep(0.5)  # let the finished coordinator remove its state
-    except KeyboardInterrupt:
-        pass
-    print(f"worker done: {total} units verified"
-          + (f" across {sessions} sessions" if sessions > 1 else ""))
-    return 0
 
 
 # --------------------------------------------------------------------------- #
@@ -445,51 +312,17 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# serve / status / cache
+# status / cache
 # --------------------------------------------------------------------------- #
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.engine import default_cache_dir
-    from repro.service.daemon import serve
-
-    cache_dir = args.cache_dir or str(default_cache_dir())
-
-    def announce(endpoint):
-        print(f"repro daemon listening on {endpoint.address} "
-              f"(backend: {endpoint.backend}, cache: {cache_dir}, "
-              f"pid: {endpoint.pid})")
-        print(f"clients discover it via {cache_dir}/daemon.json; "
-              f"run `repro verify --daemon --cache-dir {cache_dir}`")
-
-    watch_interval = None
-    if args.watch:
-        watch_interval = args.watch_interval
-        if watch_interval <= 0:
-            print("--watch-interval must be > 0", file=sys.stderr)
-            return 2
-    try:
-        serve(cache_dir=cache_dir, host=args.host,
-              port=args.port, jobs=args.jobs, verbose=args.verbose,
-              watch_interval=watch_interval,
-              ready_callback=announce)
-    except OSError as exc:
-        print(f"cannot start daemon: {exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
 def _payload_bytes_suffix(nbytes) -> str:
-    """``, N KiB payload`` when the store measured it, else nothing.
-
-    Daemons predating the field report no payload size; the line simply
-    stays in its old shape for them.
-    """
+    """``, N KiB payload`` when the store measured it, else nothing."""
     if not isinstance(nbytes, (int, float)) or nbytes <= 0:
         return ""
     return f", {nbytes / 1024:.1f} KiB payload"
 
 
 def _print_store(store: Dict, cache_dir: str, file=None) -> None:
-    """The proof-store lines of ``repro status``, daemon or not.
+    """The proof-store lines of ``repro status``.
 
     ``damaged`` appears only when the load dropped unreadable lines;
     ``migrate`` only while a ``proofs.sqlite`` from the retired sqlite tier
@@ -516,63 +349,11 @@ def _cmd_status(args: argparse.Namespace) -> int:
     import json as json_module
 
     from repro.engine import ProofCache, default_cache_dir
-    from repro.service.client import DaemonUnavailable, connect
-    from repro.service.protocol import ProtocolError
 
     cache_dir = args.cache_dir or str(default_cache_dir())
-    # One request serves as both probe and answer; a daemon dying between
-    # a probe and a second query must read as "no daemon", not a crash.
-    client = connect(cache_dir, probe=False)
-    payload = None
-    if client is not None:
-        try:
-            payload = client.status()
-        except (DaemonUnavailable, ProtocolError):
-            payload = None
-    if payload is not None:
-        if args.format == "json":
-            print(json_module.dumps(payload, indent=2, sort_keys=True))
-            return 0
-        print(f"daemon      : {client.endpoint.address} (pid {payload['pid']})")
-        print(f"backend     : {payload['backend']}")
-        print(f"cache dir   : {payload['cache_dir']}")
-        print(f"uptime      : {payload['uptime_seconds']:.0f}s")
-        print(f"protocol    : v{payload.get('protocol_version', '?')}")
-        print(f"requests    : {payload['requests_served']} "
-              f"({payload['passes_served']} passes served)")
-        # The cumulative counters come from the same /metrics surface any
-        # scraper reads; a daemon predating the endpoint (or one whose
-        # endpoint errors) degrades to an explicit "unavailable" line
-        # rather than silently omitting it or failing the whole command.
-        metrics = {}
-        try:
-            from repro.telemetry.metrics import parse_prometheus
-
-            metrics = parse_prometheus(client.metrics())
-        except (DaemonUnavailable, ProtocolError):
-            metrics = {}
-        if metrics:
-            print(f"served      : "
-                  f"{int(metrics.get('repro_cache_hits_total', 0))} cache hits / "
-                  f"{int(metrics.get('repro_cache_misses_total', 0))} misses, "
-                  f"{int(metrics.get('repro_request_errors_total', 0))} errors, "
-                  f"{int(metrics.get('repro_inflight_requests', 0))} in flight")
-        else:
-            print("metrics     : unavailable (daemon predates /metrics "
-                  "or the endpoint errored)")
-        watcher = payload.get("watcher")
-        if watcher:
-            print(f"watcher     : polling every {watcher['interval_seconds']}s, "
-                  f"{watcher['cycles']} cycles, "
-                  f"{watcher['prewarmed']} entries pre-warmed")
-        _print_store(payload.get("store", {}), cache_dir)
-        return 0
-    # No daemon: summarise the store itself, if one exists.
     if not os.path.exists(os.path.join(cache_dir, "proofs.jsonl")):
-        print(f"no daemon running for cache {cache_dir} (and no proof store yet)",
-              file=sys.stderr)
+        print(f"no proof store in {cache_dir} yet", file=sys.stderr)
         _print_store({}, cache_dir, file=sys.stderr)
-        print("start one with: repro serve", file=sys.stderr)
         return 1
     try:
         with ProofCache(cache_dir) as store:
@@ -581,13 +362,12 @@ def _cmd_status(args: argparse.Namespace) -> int:
         print(f"cannot open proof cache: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
+        # ``daemon`` stays a literal null so the JSON shape is unchanged.
         print(json_module.dumps({"daemon": None, "store": summary},
                                 indent=2, sort_keys=True))
     else:
-        print(f"no daemon running for cache {cache_dir}")
         _print_store(summary, cache_dir)
-        print("start one with: repro serve")
-    return 1
+    return 0
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -662,7 +442,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     from repro.telemetry.analyze import (
         TraceNotFound,
-        coverage_problems,
         export_chrome,
         load_trace,
         render_summary,
@@ -685,18 +464,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         summary = summarize_trace(records)
         for line in render_summary(summary, top=args.top):
             print(line)
-        if args.check_coverage:
-            if not summary.get("planned_units"):
-                print("coverage check: trace carries no cluster plan "
-                      "(was this a cluster run with --trace?)", file=sys.stderr)
-                return 1
-            problems = coverage_problems(summary)
-            if problems:
-                for problem in problems:
-                    print(f"coverage: {problem}", file=sys.stderr)
-                return 1
-            print(f"coverage check: all {len(summary['planned_units'])} "
-                  f"planned units traced exactly once")
         return 0
 
     if args.trace_command == "show":
@@ -741,7 +508,7 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# history / top
+# history
 # --------------------------------------------------------------------------- #
 def _cmd_history(args: argparse.Namespace) -> int:
     import json as json_module
@@ -848,98 +615,6 @@ def _cmd_history(args: argparse.Namespace) -> int:
     except (OSError, sqlite3.Error) as exc:
         print(f"cannot open run history: {exc}", file=sys.stderr)
         return 2
-
-
-def _render_top(status: Dict) -> List[str]:
-    state = "done" if status.get("done") else "running"
-    elapsed = max(0.0, float(status.get("updated_at", 0.0))
-                  - float(status.get("started_at", 0.0)))
-    lines = [
-        f"run {state} (pid {status.get('pid', '?')}, "
-        f"node {status.get('node') or '?'}): "
-        f"{status.get('units_done', 0)}/{status.get('units_total', 0)} units, "
-        f"{status.get('failures', 0)} failed, "
-        f"{status.get('stolen', 0)} stolen, "
-        f"{status.get('retried', 0)} retried, "
-        f"{elapsed:.1f}s elapsed"
-    ]
-    workers = status.get("workers") or {}
-    if not workers:
-        lines.append("no worker heartbeats yet")
-        return lines
-    header = (f"{'worker':36s} {'inflight':>14s} {'done':>5s} "
-              f"{'prove(s)':>9s} {'tx(s)':>8s} {'rss':>8s} {'seen':>7s}")
-    lines.append(header)
-    lines.append("-" * len(header))
-    reference = float(status.get("updated_at", 0.0))
-    for owner in sorted(workers):
-        row = workers[owner]
-        rss = row.get("rss_bytes")
-        rss_text = f"{rss / 1048576:.0f}MiB" if rss else "-"
-        seen = max(0.0, reference - float(row.get("last_seen") or reference))
-        inflight = row.get("inflight") or "-"
-        if len(inflight) > 14:
-            inflight = inflight[:11] + "..."
-        lines.append(f"{owner[:36]:36s} {inflight:>14s} "
-                     f"{row.get('units_done', 0):5d} "
-                     f"{row.get('prove_seconds', 0.0):9.3f} "
-                     f"{row.get('transport_seconds', 0.0):8.3f} "
-                     f"{rss_text:>8s} {seen:6.1f}s")
-    return lines
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    import time as time_module
-
-    from repro.cluster.status import (health_problems, read_run_status,
-                                      run_status_path)
-    from repro.engine import default_cache_dir
-
-    directory = args.cache_dir or str(default_cache_dir())
-    if args.interval <= 0:
-        print("--interval must be > 0", file=sys.stderr)
-        return 2
-    if args.fail_unhealthy and not args.once:
-        print("--fail-unhealthy needs --once (it is the CI-able health "
-              "check; live mode keeps rendering instead)", file=sys.stderr)
-        return 2
-    if args.once:
-        status = read_run_status(directory)
-        if status is None:
-            print(f"no run status at {run_status_path(directory)} "
-                  f"(a cluster run writes one: "
-                  f"`repro verify --all --cluster HOSTFILE`)", file=sys.stderr)
-            return 1
-        for line in _render_top(status):
-            print(line)
-        if args.fail_unhealthy:
-            max_rss = None
-            if args.max_rss_mib is not None:
-                max_rss = int(args.max_rss_mib * 1048576)
-            problems = health_problems(status, stale_after=args.stale_after,
-                                       max_rss_bytes=max_rss)
-            if problems:
-                for problem in problems:
-                    print(f"unhealthy: {problem}", file=sys.stderr)
-                return 1
-            print("health: ok")
-        return 0
-    try:
-        while True:
-            status = read_run_status(directory)
-            if sys.stdout.isatty():
-                # Plain-TTY refresh: home the cursor and clear, no curses.
-                print("\x1b[H\x1b[2J", end="")
-            if status is None:
-                print(f"waiting for a run "
-                      f"(watching {run_status_path(directory)}) ...")
-            else:
-                for line in _render_top(status):
-                    print(line)
-            sys.stdout.flush()
-            time_module.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
 
 
 # --------------------------------------------------------------------------- #
@@ -1169,24 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "bounded (bidirectional bounded rewriting). "
                              "Verdicts are backend-independent; the choice "
                              "joins every cache key")
-    verify.add_argument("--daemon", action="store_true",
-                        help="send the batch to a running `repro serve` daemon "
-                             "(falls back to in-process verification, with a "
-                             "note on stderr, if none answers)")
-    verify.add_argument("--cluster", default=None, metavar="HOSTFILE",
-                        help="listen for remote `repro work` peers on the "
-                             "hostfile's address (token-authenticated TCP) "
-                             "and distribute the batch across them")
-    verify.add_argument("--shard-threshold", type=float, default=None,
-                        metavar="SECONDS",
-                        help="with --cluster: split passes whose recorded "
-                             "wall time is at least SECONDS into subgoal "
-                             "shards (default 1.0; <= 0 splits every "
-                             "pending pass)")
-    verify.add_argument("--shard-count", type=int, default=None, metavar="N",
-                        help="with --cluster: number of subgoal shards per "
-                             "split pass (default: auto-tuned from each "
-                             "pass's recorded wall time vs the threshold, 2-8)")
     verify.add_argument("--trace", default=None, metavar="DIR",
                         help="write a structured execution trace "
                              "(trace-*.jsonl) into DIR; inspect it with "
@@ -1202,33 +859,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--changed", action="append", default=None,
                         metavar="PATH",
                         help="run incrementally: re-check only passes whose "
-                             "dependency files include PATH (repeatable; "
-                             "works in-process, --daemon, and cluster modes)")
+                             "dependency files include PATH (repeatable)")
     verify.set_defaults(handler=_cmd_verify)
-
-    work = sub.add_parser(
-        "work", help="join a verification cluster as a worker")
-    work.add_argument("--connect", default=None, metavar="ADDR",
-                      help="coordinator address (host:port or unix:/path); "
-                           "default: discover via the cache directory's "
-                           "cluster.json")
-    work.add_argument("--token-file", default=None, metavar="FILE",
-                      help="file holding the cluster token (written by the "
-                           "coordinator as cluster-token in its cache dir)")
-    work.add_argument("--cache-dir", default=None, metavar="DIR",
-                      help="cache directory to discover the coordinator "
-                           "through (default ~/.cache/repro)")
-    work.add_argument("--wait", type=float, default=30.0, metavar="SECONDS",
-                      help="how long to wait for a coordinator to appear "
-                           "(default 30)")
-    work.add_argument("--max-units", type=int, default=None, metavar="N",
-                      help="exit after verifying N units (default: work "
-                           "until the coordinator finishes)")
-    work.add_argument("--loop", action="store_true",
-                      help="when a run finishes, wait for the next "
-                           "coordinator instead of exiting (persistent "
-                           "fleet worker)")
-    work.set_defaults(handler=_cmd_work)
 
     watch = sub.add_parser(
         "watch", help="re-verify passes incrementally as their sources change")
@@ -1243,37 +875,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for re-proofs (0 = auto)")
     watch.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="proof-cache directory (default ~/.cache/repro)")
-    watch.add_argument("--daemon", action="store_true",
-                       help="route re-verification through a running "
-                            "`repro serve` daemon (falls back in-process)")
     watch.add_argument("--data", action="append", default=None, metavar="PATH",
                        help="additionally watch a data file (device map, "
                             "qasm suite) whose edits should trigger "
                             "re-verification (repeatable)")
     watch.set_defaults(handler=_cmd_watch)
 
-    serve = sub.add_parser("serve", help="run the resident verification daemon")
-    serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="proof-store directory shared with clients "
-                            "(default ~/.cache/repro)")
-    serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve.add_argument("--port", type=int, default=0,
-                       help="TCP port (0 = pick a free port)")
-    serve.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                       help="default worker processes per request (0 = auto)")
-    serve.add_argument("--verbose", action="store_true",
-                       help="log every HTTP request")
-    serve.add_argument("--watch", action="store_true",
-                       help="watch the verified sources and pre-warm "
-                            "invalidated cache entries on edit")
-    serve.add_argument("--watch-interval", type=float, default=2.0,
-                       metavar="SECONDS",
-                       help="poll interval for --watch (default 2.0)")
-    serve.set_defaults(handler=_cmd_serve)
-
-    status = sub.add_parser("status", help="query a running daemon / the shared store")
+    status = sub.add_parser("status", help="summarise the proof store")
     status.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="cache directory the daemon was started with")
+                        help="proof-cache directory (default ~/.cache/repro)")
     status.add_argument("--format", choices=("text", "json"), default="text")
     status.set_defaults(handler=_cmd_status)
 
@@ -1306,14 +916,11 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="inspect a structured trace written by verify --trace")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     trace_summary = trace_sub.add_parser(
-        "summary", help="slowest passes/subgoals, per-solver and per-worker "
-                        "breakdowns, unit coverage")
+        "summary", help="slowest passes/subgoals, per-method and "
+                        "per-solver breakdowns, cache outcomes")
     trace_summary.add_argument("directory", help="directory given to --trace")
     trace_summary.add_argument("--top", type=int, default=10, metavar="N",
                                help="rows per table (default 10)")
-    trace_summary.add_argument("--check-coverage", action="store_true",
-                               help="exit nonzero unless every planned "
-                                    "cluster unit was traced exactly once")
     trace_show = trace_sub.add_parser(
         "show", help="print the span tree, children indented under parents")
     trace_show.add_argument("directory", help="directory given to --trace")
@@ -1388,30 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
     history_prune.add_argument("--cache-dir", default=None, metavar="DIR")
     history.set_defaults(handler=_cmd_history)
 
-    top = sub.add_parser(
-        "top", help="live per-worker health of the current cluster run "
-                    "(reads run-status.json from the cache directory)")
-    top.add_argument("--cache-dir", default=None, metavar="DIR",
-                     help="cache directory the coordinator runs against "
-                          "(default ~/.cache/repro)")
-    top.add_argument("--once", action="store_true",
-                     help="print one snapshot and exit (0 when a board "
-                          "exists, 1 otherwise) — for scripts and CI")
-    top.add_argument("--interval", type=float, default=1.0, metavar="SECONDS",
-                     help="refresh interval in live mode (default 1.0)")
-    top.add_argument("--fail-unhealthy", action="store_true",
-                     help="with --once: exit 1 when any worker is stale "
-                          "(or over --max-rss-mib) or units failed — the "
-                          "runbook health checklist as one CI step")
-    top.add_argument("--stale-after", type=float, default=10.0,
-                     metavar="SECONDS",
-                     help="heartbeat age that marks a worker stale while "
-                          "the run is live (default 10.0)")
-    top.add_argument("--max-rss-mib", type=float, default=None, metavar="MIB",
-                     help="additionally flag any worker whose reported rss "
-                          "exceeds MIB (default: no rss check)")
-    top.set_defaults(handler=_cmd_top)
-
     stats = sub.add_parser(
         "stats", help="the latest run's canonical proof-store analytics "
                       "(tier hit ratios, hot keys, wasted evictions)")
@@ -1426,8 +1009,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats.set_defaults(handler=_cmd_stats)
 
     dash = sub.add_parser(
-        "dash", help="render history, the latest run, tier ratios, cluster "
-                     "health, and the fuzz corpus as one offline HTML page")
+        "dash", help="render history, the latest run, tier ratios and the "
+                     "fuzz corpus as one offline HTML page")
     dash.add_argument("--cache-dir", default=None, metavar="DIR",
                       help="cache directory to report on "
                            "(default ~/.cache/repro)")
@@ -1475,9 +1058,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="include the known-buggy passes (ground truth)")
     fuzz.add_argument("--corpus", default=".repro-fuzz", metavar="DIR",
                       help="corpus directory (JSONL + metadata)")
-    fuzz.add_argument("--workers", type=int, default=0,
+    fuzz.add_argument("--workers", type=int, default=1, metavar="N",
                       help="run seed-range batches on N local worker "
-                           "processes (default 0, in-process)")
+                           "processes; 0 auto-detects the CPU count, as "
+                           "--jobs does (default 1, in-process)")
     fuzz.add_argument("--device", default="linear",
                       help="device topology for generated cases")
     fuzz.add_argument("--max-qubits", type=int, default=None,

@@ -116,8 +116,8 @@ def device(name: str) -> CouplingMap:
 def load_device_map(path) -> CouplingMap:
     """Load a coupling map from a JSON device-map file.
 
-    The format is the wire format of the daemon protocol's coupling specs:
-    ``{"num_qubits": N, "edges": [[a, b], ...]}``.  The returned map
+    The format is ``{"num_qubits": N, "edges": [[a, b], ...]}``, the
+    shape the fuzz corpus records devices in.  The returned map
     remembers its ``source_path``, so verification results produced under
     it record the file in their dependency entries — editing the file then
     invalidates exactly those results (the cache key already covers the

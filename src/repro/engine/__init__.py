@@ -25,12 +25,10 @@ if TYPE_CHECKING:
         batch_distinct_configs,
         default_pass_kwargs,
         finalize_stats,
-        merge_shard_payloads,
         payload_to_result,
         resolve_pending,
         result_to_payload,
         store_certificates,
-        verify_pass_shard,
         verify_passes,
     )
     from repro.engine.fingerprint import (
@@ -40,7 +38,6 @@ if TYPE_CHECKING:
         pass_fingerprint,
         subgoal_fingerprint,
         toolchain_fingerprint,
-        unit_fingerprint,
     )
     from repro.engine.scheduler import WorkerPool, default_jobs, parallel_map
 
@@ -53,12 +50,10 @@ __getattr__ = lazy_exports(__name__, {
         "batch_distinct_configs",
         "default_pass_kwargs",
         "finalize_stats",
-        "merge_shard_payloads",
         "payload_to_result",
         "resolve_pending",
         "result_to_payload",
         "store_certificates",
-        "verify_pass_shard",
         "verify_passes",
     ),
     "repro.engine.fingerprint": (
@@ -68,7 +63,6 @@ __getattr__ = lazy_exports(__name__, {
         "pass_fingerprint",
         "subgoal_fingerprint",
         "toolchain_fingerprint",
-        "unit_fingerprint",
     ),
     "repro.engine.scheduler": ("WorkerPool", "default_jobs", "parallel_map"),
 })
@@ -89,7 +83,6 @@ __all__ = [
     "default_jobs",
     "default_pass_kwargs",
     "finalize_stats",
-    "merge_shard_payloads",
     "parallel_map",
     "pass_fingerprint",
     "payload_to_result",
@@ -97,7 +90,5 @@ __all__ = [
     "result_to_payload",
     "subgoal_fingerprint",
     "toolchain_fingerprint",
-    "unit_fingerprint",
-    "verify_pass_shard",
     "verify_passes",
 ]

@@ -8,17 +8,17 @@ hash — so entries written against an older prover are *structurally* stale:
 they can never be hit, are counted as invalidated on load, and are dropped
 the next time the file is compacted.
 
-Within one run the cache is written only by the coordinating process
-(workers return their results to the driver).  Separate processes on one
-directory — CLI runs, ``repro serve``, ``repro watch``, a cluster
-coordinator — share the files without locks: each appends whole lines, and
-every record is keyed by its content fingerprint and gated by the toolchain
-digest, so a race can cost warmth but never a verdict.  Hit totals are
-absolute and the last writer wins; a long-lived process does not see other
-processes' appends until it reopens; one process's compaction can drop
-another's concurrent appends.  A writer that dies mid-append leaves a torn
-last line: the next session ends it before appending, counts it as an
-unreadable line, and compacts the file on close.
+Within one run the cache is written only by the parent process (pool
+workers return their results to the driver).  Separate processes on one
+directory — CLI runs, ``repro watch``, pass managers — share the files
+without locks: each appends whole lines, and every record is keyed by its
+content fingerprint and gated by the toolchain digest, so a race can cost
+warmth but never a verdict.  Hit totals are absolute and the last writer
+wins; a long-lived process does not see other processes' appends until it
+reopens; one process's compaction can drop another's concurrent appends.
+A writer that dies mid-append leaves a torn last line: the next session
+ends it before appending, counts it as an unreadable line, and compacts
+the file on close.
 
 Next to the proof file lives a schema-versioned *dependency sidecar*
 (``deps.jsonl``): one record per verified configuration mapping its identity
@@ -627,10 +627,6 @@ class ProofCache:
             self._certs_handle.write(json.dumps(record, sort_keys=True) + "\n")
             self._certs_handle.flush()
 
-    def certificate_snapshot(self) -> Dict[str, dict]:
-        """A plain-dict copy of the certificate tier."""
-        return dict(self._certs)
-
     def _compact_certs(self) -> None:
         if self.directory is None:
             return
@@ -749,10 +745,9 @@ class ProofCache:
             yield "subgoal", key, value
 
     def summary(self) -> Dict[str, object]:
-        """Whole-store statistics for ``repro status`` and ``/metrics``.
+        """Whole-store statistics for ``repro status``.
 
-        Read from the in-memory tables (a daemon's status thread calls this
-        mid-request, so each table is copied first).  ``invalidated`` and
+        Read from the in-memory tables.  ``invalidated`` and
         ``corrupt_lines`` count what the load dropped: records proved under
         another toolchain, and unreadable lines.
         """

@@ -211,52 +211,34 @@ def payload_to_result(payload: dict, from_cache: bool = False,
 class SubgoalAccounting:
     """What one pass's discharge run contributed and consumed.
 
-    Bundled (instead of the seed's ever-growing tuple) because it now also
-    carries the certificate tier and the mid-unit remote reads; every layer
-    — driver, daemon, cluster worker, coordinator — hands the same shape
-    around.
+    The in-process path and the pool workers hand the same shape around:
+    new subgoal and certificate records for the store, hit and miss
+    counts, and the hit keys whose recency the store refreshes.
     """
 
     new_subgoals: Dict[str, dict] = field(default_factory=dict)
     new_certificates: Dict[str, dict] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
-    #: Hits served by the ``fallback`` lookup (a networked store reached
-    #: mid-unit) rather than the local snapshot.
-    remote_hits: int = 0
     hit_keys: List[str] = field(default_factory=list)
 
 
 def _make_caching_discharge(subgoal_table: Dict[str, dict],
                             acct: SubgoalAccounting,
-                            discharger, solver: str,
-                            fallback=None):
-    """The discharge function every engine path shares.
-
-    Misses in the local ``subgoal_table`` may be served by ``fallback``
-    (a callable ``key -> entry | None``, e.g. a
-    :class:`~repro.cluster.store.RemoteProofStore` probe) before being
-    proved; fallback-served entries count as hits, join the local table,
-    and are *not* re-reported as new (the far side already has them).
-    """
+                            discharger, solver: str):
+    """The discharge function every engine path shares: serve a subgoal
+    from ``subgoal_table`` when its key is there, else prove it and record
+    the result in the table and in ``acct``."""
 
     def caching_discharge(subgoal: Subgoal) -> DischargeResult:
         tracer = _trace.current()
         key = subgoal_fingerprint(subgoal, solver=solver)
         entry = subgoal_table.get(key)
-        remote = False
-        if entry is None and fallback is not None:
-            entry = fallback(key)
-            if entry is not None:
-                subgoal_table[key] = entry
-                acct.remote_hits += 1
-                remote = True
         if entry is not None:
             acct.hits += 1
             acct.hit_keys.append(key)
             if tracer is not None:
-                tracer.event("subgoal.cache", kind="cache",
-                             outcome="remote-hit" if remote else "hit",
+                tracer.event("subgoal.cache", kind="cache", outcome="hit",
                              key=key[:12])
             return DischargeResult(
                 proved=entry["proved"],
@@ -296,7 +278,7 @@ def _make_caching_discharge(subgoal_table: Dict[str, dict],
 
 def _verify_one(pass_class, pass_kwargs, counterexample_search,
                 subgoal_table: Dict[str, dict],
-                discharger=None, fallback=None) -> Tuple[VerificationResult, SubgoalAccounting]:
+                discharger=None) -> Tuple[VerificationResult, SubgoalAccounting]:
     """Verify one pass, serving subgoals from ``subgoal_table`` when possible.
 
     Returns ``(result, accounting)`` — the accounting's hit keys flow back
@@ -314,142 +296,9 @@ def _verify_one(pass_class, pass_kwargs, counterexample_search,
         pass_kwargs=pass_kwargs,
         counterexample_search=counterexample_search,
         discharge_fn=_make_caching_discharge(subgoal_table, acct, discharger,
-                                             solver, fallback),
+                                             solver),
     )
     return result, acct
-
-
-#: Discharge method recorded for subgoals owned by another shard.  Never
-#: cached or reported: shard payloads carry only the shard's own outcomes.
-_DEFERRED_METHOD = "deferred-to-other-shard"
-
-
-def verify_pass_shard(pass_class, pass_kwargs, shard_index: int, shard_count: int,
-                      subgoal_table: Dict[str, dict],
-                      discharger=None, fallback=None) -> Tuple[dict, SubgoalAccounting]:
-    """Verify one pass but discharge only shard ``shard_index`` of ``shard_count``.
-
-    The symbolic execution (path enumeration) runs in full — it is cheap
-    and deterministic — while the discharge work, which dominates
-    path-explosion-heavy passes, is limited to the subgoals whose global
-    enumeration index lands in this shard (``index % shard_count ==
-    shard_index``).  Subgoals owned by other shards receive a placeholder
-    outcome that is excluded from the returned payload.
-
-    Returns ``(shard_payload, accounting)`` with the same cache-feedback
-    contract as :func:`_verify_one`, including mid-unit ``fallback``
-    reads.  Counterexample search is always disabled here (no single shard
-    can see the full failure set); the coordinator re-proves a failing
-    split pass whole when a counterexample is wanted.  Merging every shard
-    of a pass through :func:`merge_shard_payloads` reproduces the unsplit
-    :func:`verify_pass` result exactly.
-    """
-    from repro.verify.discharge import discharge
-    from repro.verify.verifier import verify_pass
-
-    discharger = discharger or discharge
-    solver = getattr(discharger, "solver_name", DEFAULT_SOLVER)
-    acct = SubgoalAccounting()
-    caching_discharge = _make_caching_discharge(subgoal_table, acct, discharger,
-                                                solver, fallback)
-    position = {"next": 0}
-
-    def sharded_discharge(subgoal: Subgoal) -> DischargeResult:
-        index = position["next"]
-        position["next"] += 1
-        if index % shard_count != shard_index:
-            return DischargeResult(proved=True, method=_DEFERRED_METHOD,
-                                   reason="owned by another shard", rules_used=())
-        return caching_discharge(subgoal)
-
-    result = verify_pass(
-        pass_class,
-        pass_kwargs=pass_kwargs,
-        counterexample_search=False,
-        discharge_fn=sharded_discharge,
-    )
-    base = result_to_payload(result)
-    payload = {
-        "pass": base["pass"],
-        "shard_index": int(shard_index),
-        "shard_count": int(shard_count),
-        "supported": base["supported"],
-        "subgoal_count": len(base["subgoals"]),
-        "paths_explored": base["paths_explored"],
-        "time_seconds": base["time_seconds"],
-        "analysis": base["analysis"],
-        # Unsupported passes emit no subgoals; their failure reasons come
-        # from the analysis, which every shard reproduces identically.
-        "unsupported_reasons": [] if base["supported"] else base["failure_reasons"],
-        "outcomes": [
-            dict(subgoal, index=index)
-            for index, subgoal in enumerate(base["subgoals"])
-            if index % shard_count == shard_index
-        ],
-    }
-    return payload, acct
-
-
-def merge_shard_payloads(shards: Sequence[dict]) -> dict:
-    """Fold every shard of one pass back into an unsplit result payload.
-
-    ``shards`` must hold exactly one payload per shard index of a single
-    pass.  The merged payload is byte-identical to what an unsplit
-    :func:`_verify_one` run would have cached, except ``time_seconds``,
-    which is the *sum* of the shard times (a CPU-time view — the shards
-    ran concurrently) and ``counterexample``, which is always ``None``
-    (shard runs never search; the coordinator re-proves whole when one is
-    wanted).
-    """
-    if not shards:
-        raise ValueError("cannot merge zero shard payloads")
-    ordered = sorted(shards, key=lambda s: s["shard_index"])
-    first = ordered[0]
-    expected = first["shard_count"]
-    if [s["shard_index"] for s in ordered] != list(range(expected)):
-        raise ValueError(
-            f"incomplete shard set for {first['pass']}: "
-            f"{[s['shard_index'] for s in ordered]} of {expected}"
-        )
-    for shard in ordered[1:]:
-        if shard["pass"] != first["pass"] or \
-                shard["subgoal_count"] != first["subgoal_count"] or \
-                shard["paths_explored"] != first["paths_explored"]:
-            raise ValueError(
-                f"inconsistent shard payloads for {first['pass']}: the shards "
-                f"disagree on the pass structure (non-deterministic enumeration?)"
-            )
-    subgoals: List[Optional[dict]] = [None] * first["subgoal_count"]
-    for shard in ordered:
-        for outcome in shard["outcomes"]:
-            entry = dict(outcome)
-            index = entry.pop("index")
-            if subgoals[index] is not None:
-                raise ValueError(
-                    f"subgoal {index} of {first['pass']} covered by two shards")
-            subgoals[index] = entry
-    missing = [i for i, s in enumerate(subgoals) if s is None]
-    if missing:
-        raise ValueError(
-            f"subgoals {missing} of {first['pass']} covered by no shard")
-    if not first["supported"]:
-        failure_reasons = list(first["unsupported_reasons"])
-    else:
-        failure_reasons = [
-            f"{s['kind']}: {s['description']} -- {s['reason']}"
-            for s in subgoals if not s["proved"]
-        ]
-    return {
-        "pass": first["pass"],
-        "verified": bool(first["supported"]) and not failure_reasons,
-        "supported": first["supported"],
-        "paths_explored": first["paths_explored"],
-        "time_seconds": sum(s["time_seconds"] for s in ordered),
-        "failure_reasons": failure_reasons,
-        "analysis": first["analysis"],
-        "subgoals": subgoals,
-        "counterexample": None,
-    }
 
 
 def _resolve_class(module_name: str, qualname: str):
@@ -539,19 +388,17 @@ class EngineStats:
     #: Which solver backend discharged this run's subgoals (resolved name:
     #: ``builtin``, ``bounded``, ``z3``).
     solver: str = "builtin"
-    #: Set when the run was served by a resident daemon rather than
-    #: in-process: endpoint, request count, uptime (see repro.service).
-    daemon: Optional[Dict[str, object]] = None
     #: Incremental runs only (``verify_passes(changed_paths=...)``): how
     #: many passes were actually re-fingerprinted because a dependency file
     #: changed (or no dependency entry existed).  ``None`` on full runs.
     stale_passes: Optional[int] = None
-    #: Set when the run was scheduled by a cluster coordinator: worker
-    #: count, unit counts, split passes, steals/retries (see repro.cluster).
-    cluster: Optional[Dict[str, object]] = None
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON view with a fixed, documented field order."""
+        """JSON view with a fixed, documented field order.
+
+        ``daemon`` and ``cluster`` are always ``null``; the keys stay so
+        the report's shape does not change.
+        """
         return {
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
@@ -565,24 +412,10 @@ class EngineStats:
             "cache_dir": self.cache_dir,
             "backend": self.backend,
             "solver": self.solver,
-            "daemon": self.daemon,
+            "daemon": None,
             "stale_passes": self.stale_passes,
-            "cluster": self.cluster,
+            "cluster": None,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "EngineStats":
-        """Rebuild stats from :meth:`to_dict` output (the wire format)."""
-        stats = cls()
-        for field_name in (
-            "jobs", "used_processes", "passes_total", "cache_hits",
-            "cache_misses", "subgoal_hits", "subgoal_misses", "invalidated",
-            "wall_seconds", "cache_dir", "backend", "solver", "daemon",
-            "stale_passes", "cluster",
-        ):
-            if field_name in payload:
-                setattr(stats, field_name, payload[field_name])
-        return stats
 
     def summary_line(self) -> str:
         cache = "off" if self.cache_dir is None else self.cache_dir
@@ -600,64 +433,6 @@ class EngineStats:
             f"{self.wall_seconds:.3f}s wall [cache: {cache}]{solver}"
         )
 
-    def merge(self, other: "EngineStats") -> "EngineStats":
-        """Fold another run's counters into this one, in place.
-
-        Additive counters (hits, misses, passes, wall time) add; booleans
-        OR; identity fields (cache dir, backend, daemon) keep this run's
-        values.  Used wherever one logical request spans several engine
-        batches (the daemon's per-class batching, the client's HTTP
-        chunking).
-        """
-        for field_name in ("passes_total", "cache_hits", "cache_misses",
-                           "subgoal_hits", "subgoal_misses", "invalidated",
-                           "wall_seconds"):
-            setattr(self, field_name,
-                    getattr(self, field_name) + getattr(other, field_name))
-        # None (non-incremental) is the identity: a merge is incremental as
-        # soon as any constituent run was, and stale counts add.
-        if other.stale_passes is not None:
-            self.stale_passes = (self.stale_passes or 0) + other.stale_passes
-        self.used_processes = self.used_processes or other.used_processes
-        self.jobs = max(self.jobs, other.jobs)
-        return self
-
-    def daemon_line(self) -> Optional[str]:
-        """One-line description of the serving daemon, or ``None``."""
-        if not self.daemon:
-            return None
-        endpoint = self.daemon.get("endpoint", "?")
-        requests = self.daemon.get("requests_served")
-        uptime = self.daemon.get("uptime_seconds")
-        parts = [f"daemon: {endpoint}"]
-        if requests is not None:
-            parts.append(f"{requests} requests served")
-        if uptime is not None:
-            parts.append(f"up {float(uptime):.0f}s")
-        return ", ".join(parts)
-
-    def cluster_line(self) -> Optional[str]:
-        """One-line description of the scheduling cluster, or ``None``."""
-        if not self.cluster:
-            return None
-        info = self.cluster
-        parts = [
-            f"cluster: {info.get('workers', 0)} workers, "
-            f"{info.get('units_total', 0)} units "
-            f"({info.get('split_passes', 0)} passes split)"
-        ]
-        if info.get("stolen"):
-            parts.append(f"{info['stolen']} stolen")
-        if info.get("retried"):
-            parts.append(f"{info['retried']} retried")
-        if info.get("coordinator_units"):
-            parts.append(f"{info['coordinator_units']} self-leased")
-        if info.get("remote_subgoal_hits"):
-            parts.append(f"{info['remote_subgoal_hits']} subgoals fetched mid-unit")
-        if info.get("local_units"):
-            parts.append(f"{info['local_units']} verified locally")
-        return ", ".join(parts)
-
 
 def batch_distinct_configs(pairs: Sequence[Tuple[Type, Optional[Dict]]]):
     """Split (class, kwargs) pairs into rounds where each class appears once.
@@ -666,10 +441,8 @@ def batch_distinct_configs(pairs: Sequence[Tuple[Type, Optional[Dict]]]):
     so a batch may hold each class at most once; repeats — the same class
     requested under two couplings — are deferred to later rounds.  Yields
     lists of ``(original_index, pass_class, kwargs)``; in the common case
-    (each class once) that is a single round.  Every caller that batches
-    configurations (the pass manager, the daemon) shares this rule, so the
-    in-process and daemon paths can never diverge on which configuration
-    gets verified.
+    (each class once) that is a single round.  The pass manager batches
+    its configurations through this rule.
     """
     remaining = list(enumerate(pairs))
     while remaining:
@@ -820,18 +593,14 @@ def resolve_pending(
     ``recorder`` (a :class:`~repro.telemetry.stats.StatsRecorder`) receives
     the canonical pass-tier outcome for every requested key: ``hit``
     (served from the cache), ``stale`` (invalidated incrementally and
-    re-proved), or ``miss`` (cold).  This phase runs on the coordinating
-    process in every mode, so the recorded outcomes are identical at any
-    worker count.
+    re-proved), or ``miss`` (cold).  This phase runs in the parent
+    process whether or not the pending work goes to a worker pool, so the
+    recorded outcomes are identical at any worker count.
 
     ``solver`` is the resolved backend name the run discharges with; it
     joins every derived fingerprint, and dependency entries recorded under
     a *different* solver are conservatively treated as stale (their
     recorded fingerprint can only hit the other solver's cache entries).
-
-    Shared by the in-process scheduler path below and the cluster
-    coordinator (:mod:`repro.cluster.coordinator`), so the two can never
-    disagree about what counts as cached, stale, or pending.
     """
     if cache is not None:
         stats.backend = getattr(cache, "backend", None)
@@ -1091,12 +860,9 @@ def _verify_passes_with_cache(
 
 def finalize_stats(stats, cache, base_hits, base_misses, base_invalidated,
                    pending_count, started) -> None:
-    """Close out one run's counters as deltas over the cache's totals.
-
-    Shared by the in-process path and the cluster coordinator so hit/miss
-    accounting is computed identically however the pending work was
-    scheduled.
-    """
+    """Close out one run's counters as deltas over the cache's totals, so
+    hit/miss accounting is the same however the pending work was
+    scheduled."""
     if cache is not None:
         stats.cache_hits = cache.stats.pass_hits - base_hits
         stats.cache_misses = cache.stats.pass_misses - base_misses

@@ -295,23 +295,6 @@ def subgoal_fingerprint(subgoal: Subgoal, solver: str = DEFAULT_SOLVER) -> str:
     )
 
 
-def unit_fingerprint(pass_key: str, shard_index: int, shard_count: int) -> str:
-    """Deterministic identity key for one cluster work unit.
-
-    A whole-pass unit is identified by the pass fingerprint itself; a
-    subgoal shard derives its key from the pass key plus its position in
-    the shard grid, so two coordinators planning the same pending pass at
-    the same split produce byte-identical unit ids — which is what makes
-    shard results cacheable, mergeable, and safe to serve from whichever
-    worker (original or steal) answers first.
-    """
-    if shard_count <= 1:
-        return pass_key
-    return _sha256(_canon((
-        "unit", ENGINE_VERSION, pass_key, int(shard_index), int(shard_count),
-    )))
-
-
 # --------------------------------------------------------------------------- #
 # Toolchain
 # --------------------------------------------------------------------------- #
@@ -340,11 +323,11 @@ def toolchain_fingerprint() -> str:
 def reset_memos() -> None:
     """Forget every memoised fingerprint, file digest and source extraction.
 
-    Long-lived processes (``repro watch``, the daemon's background watcher)
-    call this once source files change: the toolchain hash and the module
-    graph's digests are memoised per process, so without a reset a
-    re-fingerprinted pass would be keyed against the *old* prover and
-    stale proofs could be served for a live edit.
+    The long-lived watcher (``repro watch``) calls this once source files
+    change: the toolchain hash and the module graph's digests are
+    memoised per process, so without a reset a re-fingerprinted pass
+    would be keyed against the *old* prover and stale proofs could be
+    served for a live edit.
     """
     global _toolchain_memo
     from repro.incremental.deps import reset_memos as reset_graph_memos

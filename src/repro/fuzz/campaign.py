@@ -6,19 +6,20 @@ differential oracle (:mod:`repro.fuzz.oracle`), shrinks each divergence
 (:mod:`repro.fuzz.shrink`) and persists the minimised witnesses in the
 replayable corpus (:mod:`repro.fuzz.corpus`).  Failing passes also get a
 *verifier block*: the symbolic verdict for the same pass with the failing
-subgoals' proof certificates, computed once per pass coordinator-side —
-a fuzzing hit travels with its symbolic diagnosis.
+subgoals' proof certificates, computed once per pass in the campaign's
+own process — a fuzzing hit travels with its symbolic diagnosis.
 
-Campaigns decompose into independent seed-range batches, so
-``--workers N`` maps :func:`execute_fuzz_unit` over contiguous case
+Campaigns decompose into independent seed-range batches, and
+:func:`run_campaign` maps :func:`execute_fuzz_unit` over contiguous case
 batches on the engine's process pool
-(:class:`repro.engine.scheduler.WorkerPool`, the ``--jobs`` executor).
-Each batch is a JSON spec of case indices, and :func:`execute_fuzz_unit`
-computes cases exactly as the inline path does, which is why a case's
-outcome (and therefore the corpus bytes) cannot depend on the worker
-count or on how the seed range was chunked.  Everything a batch returns
-is a pure function of ``(seed, index, config)``; the merge sorts entries
-into canonical order and the corpus writer records nothing run-dependent.
+(:class:`repro.engine.scheduler.WorkerPool`, the ``--jobs`` executor);
+``--workers 1`` runs the batches in-process.  Each batch is a JSON spec of
+case indices, and a case is generated from ``(seed, index, config)``
+alone, which is why a case's outcome (and therefore the corpus bytes)
+cannot depend on the worker count or on how the seed range was chunked.
+Everything a batch returns is a pure function of ``(seed, index,
+config)``; the merge sorts entries into canonical order and the corpus
+writer records nothing run-dependent.
 """
 
 from __future__ import annotations
@@ -51,12 +52,12 @@ _METRICS_NAME = "metrics.prom"
 def fuzz_registry(include_buggy: bool = True) -> Dict[str, type]:
     """Every pass a fuzz campaign can target, by name.
 
-    The verified + extension registry the service protocol already uses,
-    plus (by default) the known-buggy variants from
-    :mod:`repro.passes.buggy` — those are the campaign's ground truth and
-    must resolve on workers and during replay.
+    The verified + extension registry
+    (:func:`repro.passes.pass_registry`), plus (by default) the known-buggy
+    variants from :mod:`repro.passes.buggy` — those are the campaign's
+    ground truth and must resolve on workers and during replay.
     """
-    from repro.service.protocol import pass_registry
+    from repro.passes import pass_registry
 
     registry = pass_registry()
     if include_buggy:
@@ -68,7 +69,7 @@ def fuzz_registry(include_buggy: bool = True) -> Dict[str, type]:
 
 
 # --------------------------------------------------------------------------- #
-# Per-case execution (pure: worker and inline paths share it)
+# Per-case execution (pure: batches and the hint prelude share it)
 # --------------------------------------------------------------------------- #
 def _failure_entry(name: str, pass_class, case: FuzzCase, failure,
                    config: Dict, counters: CounterRegistry) -> Dict:
@@ -186,7 +187,7 @@ def _canonicalize_uids(block: Dict) -> Dict:
 def _verifier_block(pass_class) -> Dict:
     """Symbolic verdict + failing-subgoal certificates for one pass.
 
-    Computed once per failing pass, coordinator-side.  Certificate
+    Computed once per failing pass, in the campaign's process.  Certificate
     payloads are stripped of wall times: the corpus promises byte
     determinism, and proof wall seconds are the one run-dependent field.
     """
@@ -253,7 +254,7 @@ class CampaignResult:
     counters: Dict[str, int] = field(default_factory=dict)
     corpus_dir: Optional[str] = None
     corpus_file: Optional[str] = None
-    #: Always empty: a failing batch raises, inline or on the pool.  Kept
+    #: Always empty: a failing batch raises, in-process or on the pool.  Kept
     #: so the JSON report keeps its ``unit_failures`` key.
     unit_failures: List[str] = field(default_factory=list)
 
@@ -335,7 +336,7 @@ def run_campaign(
     corpus_dir: Optional[str] = None,
     passes: Optional[Sequence[str]] = None,
     include_buggy: bool = False,
-    workers: int = 0,
+    workers: int = 1,
     config: Optional[Dict] = None,
     use_hints: bool = True,
 ) -> CampaignResult:
@@ -343,9 +344,16 @@ def run_campaign(
 
     Fully deterministic for a given ``(seed, num_cases, passes, config)``:
     the corpus bytes are identical across runs and across worker counts.
-    ``workers=0`` runs inline; ``workers>=1`` maps seed-range batches over
-    a :class:`~repro.engine.scheduler.WorkerPool` of that many processes.
+    Seed-range batches map over a
+    :class:`~repro.engine.scheduler.WorkerPool` of ``workers`` processes;
+    ``workers=1`` runs them in-process and ``workers=0`` means one per CPU
+    (:func:`~repro.engine.scheduler.default_jobs`), as ``--jobs 0`` does.
     """
+    from repro.engine.scheduler import WorkerPool, default_jobs
+
+    workers = int(workers)
+    if workers <= 0:
+        workers = default_jobs()
     config = normalize_config(config)
     targets = resolve_targets(passes, include_buggy)
     config["passes"] = [name for name, _ in targets]
@@ -362,17 +370,10 @@ def run_campaign(
             with hint_scope:
                 for case, target in _hint_cases(targets, config):
                     entries.extend(_run_case(case, [target], config, counters))
-        if num_cases > 0 and workers > 0:
-            from repro.engine.scheduler import WorkerPool
-
-            specs = _batch_specs(seed, num_cases, config, workers)
-            for payload in WorkerPool(workers).map(execute_fuzz_unit, specs):
-                entries.extend(payload["entries"])
-                counters.merge(payload["counters"])
-        else:
-            for index in range(num_cases):
-                case = generate_case(seed, index, config)
-                entries.extend(_run_case(case, targets, config, counters))
+        specs = _batch_specs(seed, num_cases, config, workers)
+        for payload in WorkerPool(workers).map(execute_fuzz_unit, specs):
+            entries.extend(payload["entries"])
+            counters.merge(payload["counters"])
         registry = fuzz_registry(include_buggy=True)
         _attach_verifier_blocks(entries, registry, counters)
 

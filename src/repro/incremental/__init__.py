@@ -1,9 +1,9 @@
 """Incremental re-verification: dependency tracking, change detection, watch.
 
-The engine (PR 1) made re-verification cheap by caching proofs; the service
-tier (PR 2) made many processes share that cache.  Both are still
-*invocation-driven*: every ``repro verify`` re-fingerprints and re-schedules
-the whole suite, even when nothing changed.  This package makes verification
+The engine makes re-verification cheap by caching proofs in a store that
+many processes share, but a plain run is still *invocation-driven*: every
+``repro verify`` re-fingerprints and re-schedules the whole suite, even
+when nothing changed.  This package makes verification
 *edit-driven*:
 
 * :mod:`repro.incremental.deps` is the module graph: the static import
@@ -18,7 +18,5 @@ the whole suite, even when nothing changed.  This package makes verification
   route exactly the stale passes back through
   :func:`repro.engine.verify_passes`, and print per-cycle engine statistics.
 
-``repro watch`` is the CLI surface; ``repro serve --watch`` runs the same
-loop inside the daemon so invalidated entries are re-proved (pre-warmed)
-before the next client asks.
+``repro watch`` is the CLI surface.
 """

@@ -445,7 +445,7 @@ def entry_watch_paths(entry: Mapping) -> FrozenSet[str]:
 
     The files of the modules its key covers (:func:`covered_modules` of
     the entry's module) plus its data files.  The incremental run, stale
-    detection, the watcher and the daemon all ask this one function.
+    detection and the watcher all ask this one function.
     """
     paths = map(module_source_path, covered_modules(entry.get("module")))
     return frozenset(paths).union(entry.get("data_paths") or ())

@@ -48,7 +48,6 @@ _UNRELOADABLE_PREFIXES = (
     # about).
     "repro.engine.fingerprint",
     "repro.incremental",
-    "repro.service",
     "repro.cli",
     # The tracer is module-global state threaded through the cycle itself;
     # reloading it mid-run would orphan the active sink.
@@ -179,18 +178,11 @@ class WatchCycle:
 
 
 class Watcher:
-    """Poll, detect, reload, re-verify: the ``repro watch`` engine.
-
-    ``use_daemon=True`` routes each batch through a running ``repro serve``
-    daemon (with the usual silent in-process fallback); the stale-set
-    computation stays local either way, so only invalidated work is ever
-    re-requested.
-    """
+    """Poll, detect, reload, re-verify: the ``repro watch`` engine."""
 
     def __init__(self, pass_classes: Sequence[Type], *,
                  cache_dir: Optional[str] = None,
                  jobs: int = 1,
-                 use_daemon: bool = False,
                  counterexample_search: bool = True,
                  pass_kwargs_fn: Optional[Callable] = None,
                  extra_paths: Sequence[str] = ()) -> None:
@@ -199,68 +191,18 @@ class Watcher:
         self.pass_classes = list(pass_classes)
         self.cache_dir = cache_dir
         self.jobs = jobs
-        self.use_daemon = use_daemon
         self.counterexample_search = counterexample_search
         self.kwargs_fn = pass_kwargs_fn or default_pass_kwargs
         self.extra_paths = [normalize_path(path) for path in extra_paths]
         self.detector = ChangeDetector(self.extra_paths)
         self.cycles_run = 0
         self.last_results: List = []
-        self._warned_unwatched_daemon = False
 
     # ------------------------------------------------------------------ #
-    def _watching_daemon_client(self):
-        """A client for the daemon — but only if that daemon is watching.
-
-        A daemon started without ``--watch`` holds the pass classes it
-        imported at startup; after an edit it would key new fingerprints
-        from the on-disk source while proving the *old* in-memory code,
-        caching a wrong verdict into the shared store.  A ``--watch``
-        daemon catches up before serving, so only that kind may serve
-        watch cycles; anything else falls back to in-process (which
-        reloads locally and stays sound).
-        """
-        from repro.service.client import DaemonUnavailable, connect
-        from repro.service.protocol import ProtocolError
-
-        client = connect(self.cache_dir, probe=False)
-        if client is None:
-            return None
-        try:
-            status = client.status()
-        except (DaemonUnavailable, ProtocolError):
-            return None
-        if status.get("watcher") is None:
-            if not self._warned_unwatched_daemon:
-                self._warned_unwatched_daemon = True
-                print("repro watch: daemon is not running with --watch; "
-                      "verifying in-process instead", file=sys.stderr)
-            return None
-        return client
-
     def _verify(self, changed_paths: Optional[Set[str]]):
         """One engine run: full on the first cycle, incremental after."""
         from repro.engine.driver import verify_passes
 
-        if self.use_daemon:
-            client = self._watching_daemon_client()
-            if client is not None:
-                from repro.service.client import verify_with_fallback
-
-                # Protocol v2 ships changed_paths over the wire, so the
-                # daemon-side run is incremental too: the watching daemon
-                # has already absorbed the edit, and the request then
-                # re-fingerprints only what it invalidated (the report's
-                # stale_passes reflects it) instead of the whole suite.
-                return verify_with_fallback(
-                    self.pass_classes,
-                    cache_dir=self.cache_dir,
-                    jobs=self.jobs,
-                    pass_kwargs_fn=self.kwargs_fn,
-                    counterexample_search=self.counterexample_search,
-                    client=client,
-                    changed_paths=sorted(changed_paths) if changed_paths is not None else None,
-                )
         return verify_passes(
             self.pass_classes,
             jobs=self.jobs,

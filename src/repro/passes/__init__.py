@@ -163,4 +163,12 @@ PASS_CATEGORIES = {
 #: passes verify automatically when written against the same templates.
 EXTENSION_PASS_CATEGORY = {"extension": EXTENSION_PASSES}
 
+
+def pass_registry():
+    """Every pass ``repro verify`` and ``repro fuzz`` resolve by name
+    (verified + extensions), as a fresh name -> class dict."""
+    passes = list(ALL_VERIFIED_PASSES) + list(EXTENSION_PASSES)
+    return {pass_class.__name__: pass_class for pass_class in passes}
+
+
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -6,9 +6,9 @@ identity, sequence engine, solver, library lemma, ...), which solver
 *backend* ran (when one did), which rewrite rules actually fired, how many
 instantiations/rewrite steps it took, and the wall time.  Certificates are
 the per-obligation evidence objects the abstract-diagnosis line of work
-(Comini & Titolo; Falaschi & Olarte) builds on: small enough to ship over
-the cluster wire, persisted as their own tier in both proof-cache backends,
-and *replayable* — :func:`replay_certificate` re-discharges the subgoal
+(Comini & Titolo; Falaschi & Olarte) builds on: small enough to ship back
+from a pool worker, persisted as their own tier of the proof store, and
+*replayable* — :func:`replay_certificate` re-discharges the subgoal
 along the recorded path (same method, same backend, the fired rule subset)
 and checks the verdict matches, which is how the test suite audits a warm
 store without trusting it.

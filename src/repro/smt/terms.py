@@ -160,8 +160,8 @@ def interning_stats() -> Dict[str, int]:
 def reset_interning() -> int:
     """Drop every hash-consed term; returns the number of entries dropped.
 
-    ``Term._interned`` is process-global and unbounded: a watcher or
-    daemon that reloads modules accumulates terms for *every version* of
+    ``Term._interned`` is process-global and unbounded: a watcher that
+    reloads modules accumulates terms for *every version* of
     the code it ever verified, and stale entries can never be hit again
     (their uids embed retired symbolic counters).  Long-lived processes
     call this at module-reload boundaries — next to

@@ -2,18 +2,18 @@
 
 The telemetry layer is deliberately boring: zero third-party dependencies,
 plain-int counters, and a JSONL span sink that is **off by default**.  Every
-subsystem (engine driver, scheduler, prover, cluster coordinator/workers,
-service daemon, incremental watcher) checks :func:`repro.telemetry.trace.current`
-at its hot sites and does nothing when no tracer is configured, so the
-instrumented code paths cost one function call and a ``None`` check per
-event when tracing is disabled.
+subsystem (engine driver, scheduler, prover, incremental watcher, fuzz
+campaign) checks :func:`repro.telemetry.trace.current` at its hot sites and
+does nothing when no tracer is configured, so the instrumented code paths
+cost one function call and a ``None`` check per event when tracing is
+disabled.
 
 Modules:
 
 * :mod:`repro.telemetry.trace` — spans, events, the JSONL sink with
   rotation, and the module-global tracer switch.
-* :mod:`repro.telemetry.metrics` — the counters registry behind the
-  daemon's ``/metrics`` endpoint plus Prometheus text-format render/parse.
+* :mod:`repro.telemetry.metrics` — the counters registry behind the fuzz
+  campaign's ``metrics.prom`` and its Prometheus text-format renderer.
 * :mod:`repro.telemetry.analyze` — trace loading, the ``repro trace``
   summaries, the ``--profile`` self-time report, and Chrome-format export.
 * :mod:`repro.telemetry.bounds` — the shared noise-aware thresholds used
@@ -22,8 +22,6 @@ Modules:
   traced-run summaries behind ``repro history``.
 * :mod:`repro.telemetry.diff` — run differencing (``repro trace diff``):
   wall deltas attributed pass → subgoal → method.
-* :mod:`repro.telemetry.health` — process-health gauges (rss) shared by
-  worker heartbeats and the daemon's ``/metrics``.
 
 The names below are imported on first use, so importing the package loads
 none of these modules (nor ``sqlite3``, which the history store needs).
@@ -46,11 +44,7 @@ if TYPE_CHECKING:
         git_describe,
         history_path,
     )
-    from repro.telemetry.metrics import (
-        CounterRegistry,
-        parse_prometheus,
-        render_prometheus,
-    )
+    from repro.telemetry.metrics import CounterRegistry, render_prometheus
     from repro.telemetry.trace import (
         TRACE_SCHEMA_VERSION,
         Tracer,
@@ -71,7 +65,7 @@ __getattr__ = lazy_exports(__name__, {
         "git_describe",
         "history_path",
     ),
-    "repro.telemetry.metrics": ("CounterRegistry", "parse_prometheus", "render_prometheus"),
+    "repro.telemetry.metrics": ("CounterRegistry", "render_prometheus"),
     "repro.telemetry.trace": (
         "TRACE_SCHEMA_VERSION",
         "Tracer",
@@ -100,7 +94,6 @@ __all__ = [
     "git_describe",
     "history_path",
     "is_regression",
-    "parse_prometheus",
     "render_diff",
     "render_prometheus",
     "shutdown",

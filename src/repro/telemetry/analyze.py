@@ -20,7 +20,6 @@ __all__ = [
     "TraceNotFound",
     "load_trace",
     "summarize_trace",
-    "coverage_problems",
     "render_summary",
     "render_tree",
     "export_chrome",
@@ -33,8 +32,7 @@ __all__ = [
 #: :func:`canonical_tree` so identical runs compare equal.  Import scan
 #: counts depend on the module rows the process already holds.
 _VOLATILE_ATTRS = frozenset({
-    "wall", "wall_seconds", "queue_wait", "prove_seconds",
-    "transport_seconds", "created_at", "pid", "worker", "uptime",
+    "wall", "wall_seconds", "queue_wait", "created_at", "pid",
     "skeleton", "whole_file",
 })
 
@@ -112,7 +110,6 @@ def summarize_trace(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     """Fold a merged trace into the payload behind ``repro trace summary``."""
     pass_spans = _spans(records, "pass")
     subgoal_spans = _spans(records, "subgoal")
-    unit_spans = _spans(records, "unit")
     discharges = _events(records, "method")
     cache_events = _events(records, "cache")
 
@@ -120,7 +117,6 @@ def summarize_trace(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         "name": span.get("name", "?"),
         "seconds": round(float(span.get("dur", 0.0)), 6),
         "subgoals": span.get("attrs", {}).get("subgoals"),
-        "worker": span.get("attrs", {}).get("worker"),
         "solver": span.get("attrs", {}).get("solver"),
     } for span in pass_spans]
     passes.sort(key=lambda item: -item["seconds"])
@@ -129,7 +125,6 @@ def summarize_trace(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         "key": span.get("attrs", {}).get("key", "?"),
         "method": span.get("attrs", {}).get("method"),
         "seconds": round(float(span.get("dur", 0.0)), 6),
-        "worker": span.get("attrs", {}).get("worker"),
     } for span in subgoal_spans]
     subgoals.sort(key=lambda item: -item["seconds"])
 
@@ -155,58 +150,10 @@ def summarize_trace(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         for path in scans:
             scans[path] += int(event.get("attrs", {}).get(path) or 0)
 
-    workers: Dict[str, Dict[str, Any]] = {}
-    for span in unit_spans:
-        attrs = span.get("attrs", {})
-        owner = attrs.get("worker") or span.get("node") or "?"
-        entry = workers.setdefault(owner, {
-            "units": 0, "seconds": 0.0, "transport_seconds": 0.0,
-            "queue_seconds": 0.0})
-        entry["units"] += 1
-        entry["seconds"] = round(
-            entry["seconds"] + float(attrs.get("prove_seconds")
-                                     or span.get("dur", 0.0)), 6)
-        entry["transport_seconds"] = round(
-            entry["transport_seconds"]
-            + float(attrs.get("transport_seconds") or 0.0), 6)
-        entry["queue_seconds"] = round(
-            entry["queue_seconds"]
-            + float(attrs.get("queue_wait") or 0.0), 6)
-    for entry in workers.values():
-        # Utilisation = the share of a worker's attributed time spent
-        # proving, as opposed to its units waiting in queue or in flight.
-        busy = entry["seconds"] + entry["transport_seconds"] \
-            + entry["queue_seconds"]
-        entry["utilisation"] = round(entry["seconds"] / busy, 4) \
-            if busy > 0 else None
-
-    # Queue wait lives on unit spans (cluster runs) and on pass spans (the
-    # in-process pool stamps submission time); no span carries both.
+    # The worker pool stamps each task's submission time, so pooled pass
+    # spans carry how long they waited for a free worker.
     queue_seconds = sum(float(span.get("attrs", {}).get("queue_wait") or 0.0)
-                        for span in unit_spans)
-    queue_seconds += sum(float(span.get("attrs", {}).get("queue_wait") or 0.0)
-                         for span in pass_spans)
-
-    merge_seconds = sum(float(span.get("dur", 0.0))
-                        for span in _spans(records, "merge"))
-    # Units on different workers run concurrently, so the distributed
-    # critical path is approximately the busiest worker plus the serial
-    # merge phase that follows it.
-    critical_path = None
-    if workers:
-        critical_path = round(
-            max(entry["seconds"] + entry["transport_seconds"]
-                for entry in workers.values()) + merge_seconds, 6)
-
-    planned_units: List[str] = []
-    for event in _events(records, "cluster"):
-        if event.get("name") == "cluster.plan":
-            planned_units = list(event.get("attrs", {}).get("units") or [])
-    covered: Dict[str, int] = defaultdict(int)
-    for span in unit_spans:
-        unit_id = span.get("attrs", {}).get("unit")
-        if unit_id:
-            covered[str(unit_id)] += 1
+                        for span in pass_spans)
 
     return {
         "schema": TRACE_SCHEMA_VERSION,
@@ -217,32 +164,8 @@ def summarize_trace(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         "solvers": dict(sorted(solvers.items())),
         "cache": dict(sorted(cache.items())),
         "scans": scans,
-        "workers": dict(sorted(workers.items())),
         "queue_seconds": round(queue_seconds, 6),
-        "merge_seconds": round(merge_seconds, 6),
-        "critical_path_seconds": critical_path,
-        "planned_units": planned_units,
-        "covered_units": dict(sorted(covered.items())),
     }
-
-
-def coverage_problems(summary: Dict[str, Any]) -> List[str]:
-    """Unit-coverage defects in a merged cluster trace: planned units that
-    never produced a span, and units that produced more than one (a lost or
-    duplicated worker batch under steal/requeue)."""
-    planned = summary.get("planned_units") or []
-    covered = summary.get("covered_units") or {}
-    problems = []
-    for unit in planned:
-        count = covered.get(str(unit), 0)
-        if count == 0:
-            problems.append(f"unit {unit} has no merged span (lost)")
-        elif count > 1:
-            problems.append(f"unit {unit} has {count} merged spans (duplicated)")
-    for unit in covered:
-        if planned and unit not in {str(u) for u in planned}:
-            problems.append(f"unit {unit} was traced but never planned")
-    return problems
 
 
 def render_summary(summary: Dict[str, Any], top: int = 10) -> List[str]:
@@ -254,20 +177,18 @@ def render_summary(summary: Dict[str, Any], top: int = 10) -> List[str]:
         lines.append("")
         lines.append(f"slowest passes (top {min(top, len(summary['passes']))}):")
         for item in summary["passes"][:top]:
-            worker = f"  [{item['worker']}]" if item.get("worker") else ""
             subgoals = (f"  {item['subgoals']} subgoals"
                         if item.get("subgoals") is not None else "")
             lines.append(f"  {item['name']:40s} {item['seconds']:9.4f}s"
-                         f"{subgoals}{worker}")
+                         f"{subgoals}")
 
     if summary["subgoals"]:
         lines.append("")
         lines.append(
             f"slowest subgoals (top {min(top, len(summary['subgoals']))}):")
         for item in summary["subgoals"][:top]:
-            worker = f"  [{item['worker']}]" if item.get("worker") else ""
             lines.append(f"  {item['key']:16s} {item['method'] or '?':24s} "
-                         f"{item['seconds']:9.4f}s{worker}")
+                         f"{item['seconds']:9.4f}s")
 
     for title, table in (("per-method discharge", summary["methods"]),
                          ("per-solver discharge", summary["solvers"])):
@@ -290,40 +211,11 @@ def render_summary(summary: Dict[str, Any], top: int = 10) -> List[str]:
         lines.append(f"import scans: {scans['skeleton']} skeleton, "
                      f"{scans['whole_file']} whole-file")
 
-    if summary["workers"]:
-        lines.append("")
-        lines.append("worker attribution:")
-        for owner, entry in summary["workers"].items():
-            queue = entry.get("queue_seconds", 0.0)
-            utilisation = entry.get("utilisation")
-            utilisation_text = (f"  ({utilisation * 100:.0f}% proving)"
-                                if utilisation is not None else "")
-            lines.append(
-                f"  {owner:24s} {entry['units']:4d} units "
-                f"{entry['seconds']:9.4f}s prove "
-                f"{queue:9.4f}s queued "
-                f"{entry['transport_seconds']:9.4f}s transport"
-                f"{utilisation_text}")
-        if summary.get("critical_path_seconds") is not None:
-            lines.append(f"  critical path estimate: "
-                         f"{summary['critical_path_seconds']:.4f}s "
-                         f"(busiest worker + {summary['merge_seconds']:.4f}s merge)")
-
     if summary.get("queue_seconds"):
-        prove = sum(entry["seconds"]
-                    for entry in summary["workers"].values()) \
-            if summary["workers"] else \
-            sum(item["seconds"] for item in summary["passes"])
+        prove = sum(item["seconds"] for item in summary["passes"])
         lines.append("")
         lines.append(f"queue/prove split: {summary['queue_seconds']:.4f}s "
                      f"queued vs {prove:.4f}s proving")
-
-    planned = summary.get("planned_units") or []
-    if planned:
-        covered = summary.get("covered_units") or {}
-        lines.append("")
-        lines.append(f"unit coverage: {len(covered)}/{len(planned)} planned "
-                     f"units traced")
     return lines
 
 
@@ -410,8 +302,8 @@ def export_chrome(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
 def profile_records(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     """Aggregate spans into self-time per function group.
 
-    A *group* is ``kind:name`` for structural spans (``run``, ``scheduler``,
-    ``merge``) and just ``kind`` for the high-cardinality ones (every pass
+    A *group* is ``kind:name`` for structural spans (``scheduler``,
+    ``watch``) and just ``kind`` for the high-cardinality ones (every pass
     and subgoal has its own name); self time is a span's duration minus the
     duration of its direct children, so the report answers "where did the
     wall clock actually go" rather than double-counting nested regions.
@@ -427,7 +319,7 @@ def profile_records(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     groups: Dict[str, Dict[str, float]] = {}
     for span in spans:
         kind = span.get("kind", "span")
-        if kind in ("pass", "subgoal", "unit"):
+        if kind in ("pass", "subgoal"):
             group = kind
         else:
             group = f"{kind}:{span.get('name', '?')}"

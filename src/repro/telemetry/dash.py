@@ -1,24 +1,22 @@
 """``repro dash``: the whole observability stack on one offline page.
 
-Everything this repo records — history rows, store analytics, the live
-cluster board, the fuzz corpus — already lives in files next to the
-proof cache.  This module folds them into a single self-contained HTML
-report: inline CSS, inline SVG charts, **no JavaScript and no external
-references**, so the file renders identically from a laptop, a CI
-artifact tab, or an air-gapped triage box.
+Everything this repo records — history rows, store analytics, the fuzz
+corpus — already lives in files next to the proof cache.  This module
+folds them into a single self-contained HTML report: inline CSS, inline
+SVG charts, **no JavaScript and no external references**, so the file
+renders identically from a laptop, a CI artifact tab, or an air-gapped
+triage box.
 
 Every section renders unconditionally.  Missing inputs (no history yet,
-no traced run, no board, no corpus) degrade to an explicit "no data"
+no traced run, no corpus) degrade to an explicit "no data"
 placeholder rather than a vanishing section, so the report's shape is
 stable and CI can assert on section ids:
 
 * ``history-trends`` — wall seconds and pass counts across recorded runs;
-* ``latest-run`` — the newest run's slowest passes, worker table, and
-  queue/prove split with the approximate critical path;
+* ``latest-run`` — the newest run's slowest passes and its queue/prove
+  split;
 * ``tier-ratios`` — pass/subgoal hit-ratio evolution from the
   ``store_stats`` history table, plus the latest canonical aggregate;
-* ``cluster-health`` — the last ``run-status.json`` board through
-  :func:`repro.cluster.status.health_problems`;
 * ``fuzz-corpus`` — corpus size and failure-kind breakdown.
 
 All chart geometry is computed with plain arithmetic and emitted as SVG
@@ -44,7 +42,6 @@ DASH_SECTIONS = (
     "history-trends",
     "latest-run",
     "tier-ratios",
-    "cluster-health",
     "fuzz-corpus",
 )
 
@@ -63,8 +60,6 @@ th, td { text-align: left; padding: .15rem .8rem .15rem 0;
 th { border-bottom: 1px solid #c9c9d4; }
 td.num, th.num { text-align: right; }
 .placeholder { color: #8a8a99; font-style: italic; }
-.problem { color: #a03030; }
-.ok { color: #2f7d4f; }
 .meta { color: #6a6a7a; font-size: .8rem; }
 svg { background: #ffffff; border: 1px solid #e3e3ec; margin: .4rem 0; }
 svg text { font-size: 9px; fill: #6a6a7a; }
@@ -208,41 +203,13 @@ def _latest_run(runs: List[Dict]) -> str:
     else:
         body.append(_placeholder("no pass spans in the recorded summary"))
 
-    workers = summary.get("workers") or {}
-    if workers:
-        body.append("<table><tr><th>worker</th><th class=num>units</th>"
-                    "<th class=num>prove s</th><th class=num>queued s</th>"
-                    "<th class=num>transport s</th>"
-                    "<th class=num>utilisation</th></tr>")
-        for owner, entry in sorted(workers.items()):
-            util = entry.get("utilisation")
-            body.append(
-                f"<tr><td>{_esc(owner)}</td>"
-                f"<td class=num>{int(entry.get('units') or 0)}</td>"
-                f"<td class=num>{float(entry.get('seconds') or 0.0):.4f}</td>"
-                f"<td class=num>"
-                f"{float(entry.get('queue_seconds') or 0.0):.4f}</td>"
-                f"<td class=num>"
-                f"{float(entry.get('transport_seconds') or 0.0):.4f}</td>"
-                f"<td class=num>"
-                f"{'-' if util is None else format(util, '.0%')}</td></tr>")
-        body.append("</table>")
-
     queued = float(summary.get("queue_seconds") or 0.0)
-    if workers:
-        prove = sum(float(entry.get("seconds") or 0.0)
-                    for entry in workers.values())
-    else:
-        prove = sum(float(item.get("seconds") or 0.0) for item in passes)
+    prove = sum(float(item.get("seconds") or 0.0) for item in passes)
     if queued or prove:
         body.append(_hbars([("queued", queued), ("proving", prove)],
                            bar=12, label="queue/prove split"))
         body.append(f"<p>queue/prove split: {queued:.4f}s queued vs "
                     f"{prove:.4f}s proving.</p>")
-    critical = summary.get("critical_path_seconds")
-    if critical is not None:
-        body.append(f"<p>critical path &#8776; {float(critical):.4f}s "
-                    "(busiest worker + merge).</p>")
     return "".join(body)
 
 
@@ -275,47 +242,6 @@ def _tier_ratios(series: List[Dict], latest: Optional[Dict]) -> str:
                     f"evictions: {int(latest.get('wasted_evictions') or 0)}; "
                     f"hot keys tracked: "
                     f"{len(latest.get('hot_keys') or [])}.</p>")
-    return "".join(body)
-
-
-def _cluster_health(status: Optional[Dict], problems: List[str]) -> str:
-    if status is None:
-        return _placeholder("no run-status.json board — no distributed run "
-                            "has written one here yet")
-    state = "finished" if status.get("done") else "LIVE"
-    body = [f"<p>last board: {state}, "
-            f"{int(status.get('units_done') or 0)}/"
-            f"{int(status.get('units_total') or 0)} units done, "
-            f"{int(status.get('failures') or 0)} failure(s), "
-            f"{int(status.get('stolen') or 0)} stolen, "
-            f"{int(status.get('retried') or 0)} retried.</p>"]
-    workers = status.get("workers") or {}
-    if workers:
-        body.append("<table><tr><th>worker</th><th class=num>done</th>"
-                    "<th class=num>prove s</th><th class=num>transport s</th>"
-                    "<th class=num>rss MiB</th></tr>")
-        for owner, row in sorted(workers.items()):
-            if not isinstance(row, dict):
-                continue
-            rss = row.get("rss_bytes")
-            body.append(
-                f"<tr><td>{_esc(owner)}</td>"
-                f"<td class=num>{int(row.get('units_done') or 0)}</td>"
-                f"<td class=num>"
-                f"{float(row.get('prove_seconds') or 0.0):.4f}</td>"
-                f"<td class=num>"
-                f"{float(row.get('transport_seconds') or 0.0):.4f}</td>"
-                f"<td class=num>"
-                f"{'-' if rss is None else format(rss / 1048576, '.1f')}"
-                "</td></tr>")
-        body.append("</table>")
-    if problems:
-        body.append("<ul>")
-        body.extend(f'<li class="problem">{_esc(line)}</li>'
-                    for line in problems)
-        body.append("</ul>")
-    else:
-        body.append('<p class="ok">no health problems detected.</p>')
     return "".join(body)
 
 
@@ -380,17 +306,11 @@ def render_dashboard(cache_dir: os.PathLike, *,
     if latest_stats is None and series:
         latest_stats = series[-1].get("payload")
 
-    from repro.cluster.status import health_problems, read_run_status
-    status = read_run_status(cache_dir)
-    problems = health_problems(status) if status else []
-
     sections = [
         _section("history-trends", "History trends", _history_trends(runs)),
         _section("latest-run", "Latest run", _latest_run(runs)),
         _section("tier-ratios", "Store tier hit ratios",
                  _tier_ratios(series, latest_stats)),
-        _section("cluster-health", "Cluster health",
-                 _cluster_health(status, problems)),
         _section("fuzz-corpus", "Fuzz corpus", _fuzz_corpus(corpus_dir)),
     ]
     return (

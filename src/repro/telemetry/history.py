@@ -3,14 +3,14 @@
 A single traced run answers "what happened just now"; this module answers
 "what changed since last week".  :class:`TelemetryHistory` is a small
 schema-versioned sqlite database living alongside the proof cache
-(``history.sqlite`` next to ``proofs.sqlite``) into which the CLI drops a
+(``history.sqlite`` next to ``proofs.jsonl``) into which the CLI drops a
 :func:`~repro.telemetry.analyze.summarize_trace` digest after every traced
 ``repro verify`` — automatically, unless ``--no-history`` says otherwise.
 
-Design mirrors :class:`repro.service.store.SqliteProofCache` deliberately:
+Design:
 
 * WAL journal + generous busy timeout, autocommit statements under one
-  re-entrant lock, so a cluster coordinator and a concurrent CLI run can
+  re-entrant lock, so two concurrent CLI runs on one cache directory can
   both record without corrupting anything;
 * a ``meta`` table carries the schema version; a database written by an
   incompatible layout is rebuilt, not misread (it is telemetry — losing

@@ -1,38 +1,25 @@
 """Counters registry and Prometheus text exposition.
 
-The daemon keeps one :class:`CounterRegistry` per service instance and
-serves it on ``GET /metrics`` in the Prometheus text format (version
-0.0.4): one ``# TYPE`` line per metric followed by ``name value``.
-``repro status`` consumes the same endpoint via
-:func:`parse_prometheus`, so the CLI and any scraping setup read the
-identical surface.
+A fuzz campaign counts its cases, checks, failures and shrink steps in one
+:class:`CounterRegistry` and writes the totals beside its corpus as
+``metrics.prom`` in the Prometheus text format (version 0.0.4): one
+``# TYPE`` line per metric followed by ``name value``.
 
 Counters are plain ints guarded by one lock — no allocation on the hot
-path, and reading a snapshot never blocks writers for long.  Histograms
-(:meth:`CounterRegistry.observe`) follow the Prometheus convention:
-cumulative ``_bucket{le=...}`` counts plus ``_sum``/``_count``, with an
-optional label set (the daemon uses one — the solver backend — for its
-per-solver verify latency).
+path, and reading a snapshot never blocks writers for long.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Union
 
 __all__ = [
     "CounterRegistry",
-    "DEFAULT_LATENCY_BUCKETS",
     "render_prometheus",
-    "parse_prometheus",
 ]
 
 Number = Union[int, float]
-Labels = Tuple[Tuple[str, str], ...]
-
-#: Upper bounds (seconds) for latency histograms: warm cache hits land in
-#: the millisecond buckets, cold proofs in the second-scale ones.
-DEFAULT_LATENCY_BUCKETS = (0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10.0)
 
 
 class CounterRegistry:
@@ -41,8 +28,6 @@ class CounterRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._values: Dict[str, Number] = {}
-        #: (name, labels) -> {"bounds": tuple, "counts": list, "sum", "count"}
-        self._histograms: Dict[Tuple[str, Labels], Dict] = {}
 
     def inc(self, name: str, value: Number = 1) -> None:
         with self._lock:
@@ -56,29 +41,11 @@ class CounterRegistry:
         with self._lock:
             return self._values.get(name, default)
 
-    def observe(self, name: str, value: Number, *,
-                labels: Sequence[Tuple[str, str]] = (),
-                buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> None:
-        """Record one observation into the ``(name, labels)`` histogram."""
-        key = (name, tuple((str(k), str(v)) for k, v in labels))
-        with self._lock:
-            entry = self._histograms.get(key)
-            if entry is None:
-                bounds = tuple(sorted(float(b) for b in buckets))
-                entry = {"bounds": bounds, "counts": [0] * len(bounds),
-                         "sum": 0.0, "count": 0}
-                self._histograms[key] = entry
-            for index, bound in enumerate(entry["bounds"]):
-                if value <= bound:
-                    entry["counts"][index] += 1
-            entry["sum"] += float(value)
-            entry["count"] += 1
-
     def merge(self, values: Mapping[str, Number]) -> None:
         """Fold another registry's counter snapshot into this one.
 
         Addition per name, under the lock — the fuzz campaign uses this to
-        absorb the counter dicts its cluster work units send back, and the
+        absorb the counter dicts its seed-range batches return, and the
         result is independent of merge order.
         """
         with self._lock:
@@ -90,20 +57,6 @@ class CounterRegistry:
         with self._lock:
             return dict(sorted(self._values.items()))
 
-    def histogram_snapshot(self) -> List[Dict]:
-        """Point-in-time histogram rows, sorted by (name, labels)."""
-        with self._lock:
-            rows = [{
-                "name": name,
-                "labels": labels,
-                "bounds": entry["bounds"],
-                "counts": list(entry["counts"]),
-                "sum": entry["sum"],
-                "count": entry["count"],
-            } for (name, labels), entry in self._histograms.items()]
-        rows.sort(key=lambda row: (row["name"], row["labels"]))
-        return rows
-
 
 def _format_value(value: Number) -> str:
     if isinstance(value, bool):  # bools are ints; keep them numeric
@@ -113,24 +66,13 @@ def _format_value(value: Number) -> str:
     return repr(float(value))
 
 
-def _label_suffix(labels: Labels, extra: Optional[Tuple[str, str]] = None) -> str:
-    pairs = list(labels) + ([extra] if extra is not None else [])
-    if not pairs:
-        return ""
-    inner = ",".join(f'{key}="{value}"' for key, value in pairs)
-    return "{" + inner + "}"
-
-
 def render_prometheus(values: Mapping[str, Number], *,
                       types: Optional[Mapping[str, str]] = None,
-                      help_text: Optional[Mapping[str, str]] = None,
-                      histograms: Optional[Sequence[Dict]] = None) -> str:
+                      help_text: Optional[Mapping[str, str]] = None) -> str:
     """Render name→value pairs as Prometheus text exposition.
 
     ``types`` maps metric names to ``counter``/``gauge`` (metrics ending in
     ``_total`` default to ``counter``, everything else to ``gauge``).
-    ``histograms`` takes :meth:`CounterRegistry.histogram_snapshot` rows and
-    appends conventional ``_bucket``/``_sum``/``_count`` series.
     """
     types = types or {}
     help_text = help_text or {}
@@ -142,45 +84,4 @@ def render_prometheus(values: Mapping[str, Number], *,
             lines.append(f"# HELP {name} {text}")
         lines.append(f"# TYPE {name} {kind}")
         lines.append(f"{name} {_format_value(values[name])}")
-    typed: set = set()
-    for row in histograms or ():
-        name, labels = row["name"], tuple(row.get("labels") or ())
-        if name not in typed:
-            text = help_text.get(name)
-            if text:
-                lines.append(f"# HELP {name} {text}")
-            lines.append(f"# TYPE {name} histogram")
-            typed.add(name)
-        for bound, count in zip(row["bounds"], row["counts"]):
-            lines.append(
-                f"{name}_bucket{_label_suffix(labels, ('le', repr(float(bound))))} "
-                f"{count}")
-        lines.append(
-            f"{name}_bucket{_label_suffix(labels, ('le', '+Inf'))} "
-            f"{row['count']}")
-        lines.append(f"{name}_sum{_label_suffix(labels)} "
-                     f"{_format_value(row['sum'])}")
-        lines.append(f"{name}_count{_label_suffix(labels)} {row['count']}")
     return "\n".join(lines) + "\n"
-
-
-def parse_prometheus(text: str) -> Dict[str, float]:
-    """Parse the subset of the exposition format :func:`render_prometheus`
-    emits: comment lines are skipped, sample lines become name→float
-    entries.  Labeled samples (histogram series) keep their label block in
-    the key verbatim — unlabeled parsing is unchanged, which is what
-    ``repro status`` reads."""
-    values: Dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            continue
-        name, raw = parts
-        try:
-            values[name] = float(raw)
-        except ValueError:
-            continue
-    return values

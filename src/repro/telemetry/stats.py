@@ -1,6 +1,6 @@
 """Per-key proof-store analytics: the cost-attribution layer.
 
-Every verification run (in-process, pooled, or clustered) can account each
+Every verification run (in-process or pooled) can account each
 proof-store access to the responsible key and tier — which subgoal
 fingerprints are hot, which tier served them, and which evicted keys had
 to be re-proved ("wasted evictions", the direct input for LRU sizing).
@@ -13,9 +13,9 @@ The aggregate has two sections with very different guarantees:
   either cache backend**.  The rule that makes this work: a subgoal key
   accessed ``a`` times is charged 1 miss and ``a - 1`` hits when it was
   proved this run, and ``a`` hits otherwise (it must have been warm).
-  Under cluster snapshot staleness two units may both prove the same key;
-  the deduplicated proved-set still charges exactly one miss — the same
-  totals a sequential run produces.
+  Two pool workers, each holding the run's starting snapshot, may both
+  prove the same key; the deduplicated proved-set still charges exactly
+  one miss — the same totals a sequential run produces.
 * ``local`` — wall-clock latency, byte counts, backend and worker count
   for *this* process.  Useful for operators, never compared byte-for-byte.
 
@@ -128,8 +128,8 @@ class StatsRecorder:
 
     The canonical inputs arrive from the driver (pass-tier outcomes from
     ``resolve_pending``, per-unit subgoal access lists, stored certificate
-    keys); the local section accumulates from the cache backends' own
-    ``note_io`` hooks and from worker-shipped ``store_io`` deltas.
+    keys); the local section accumulates from the cache's own
+    ``note_io`` hook.
     """
 
     def __init__(self, directory=None, *, backend: Optional[str] = None,
@@ -184,18 +184,6 @@ class StatsRecorder:
             row["hits" if hit else "misses"] += 1
             row["seconds"] += seconds
             row["bytes"] += nbytes
-
-    def merge_io(self, tier: str, counters: Dict) -> None:
-        """Fold a worker-shipped per-tier counter delta into this run."""
-        if not isinstance(counters, dict):
-            return
-        with self._lock:
-            row = self._io.setdefault(
-                tier, {"gets": 0, "hits": 0, "misses": 0,
-                       "seconds": 0.0, "bytes": 0})
-            for field in ("gets", "hits", "misses", "bytes"):
-                row[field] += int(counters.get(field, 0) or 0)
-            row["seconds"] += float(counters.get("seconds", 0.0) or 0.0)
 
     # -- aggregation -------------------------------------------------------- #
     def _missed_keys(self) -> Dict[str, set]:

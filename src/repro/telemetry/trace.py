@@ -1,13 +1,13 @@
 """Spans, events, and the JSONL trace sink.
 
 A **span** is a timed region (a pass verification, a subgoal discharge, a
-cluster unit) with a name, a kind, free-form attributes, and a parent — the
+pool map) with a name, a kind, free-form attributes, and a parent — the
 innermost open span on the same thread.  An **event** is a zero-duration
-point (a cache hit, a lease, a requeue).  Both are emitted as one JSON
-object per line to a schema-versioned trace file beside the proof cache,
-or buffered in memory when collecting spans to ship across a process
-boundary (pool tasks and cluster workers piggyback their batches on result
-messages; the coordinator absorbs them into one merged trace).
+point (a cache hit, a discharge, an import-scan count).  Both are emitted
+as one JSON object per line to a schema-versioned trace file beside the
+proof cache, or buffered in memory when collecting spans to ship across a
+process boundary (pool tasks piggyback their batches on result messages;
+the parent absorbs them into one merged trace).
 
 Design rules that keep this safe to thread through every subsystem:
 
@@ -183,9 +183,8 @@ class Tracer:
     to disk; pass ``keep=True`` to additionally retain them in memory
     (``repro verify --profile`` reads them back without re-parsing files).
 
-    Thread-safe: the span stack is thread-local (daemon handler threads and
-    the coordinator's connection threads each get their own nesting), and
-    record emission is serialised under a lock.
+    Thread-safe: the span stack is thread-local (each thread gets its own
+    nesting), and record emission is serialised under a lock.
     """
 
     def __init__(self, writer: Optional[TraceWriter] = None,
@@ -269,14 +268,12 @@ class Tracer:
 
     # ------------------------------------------------------------------ #
     def absorb(self, records: Sequence[Dict[str, Any]], *,
-               worker: Optional[str] = None,
                parent: Optional[int] = None) -> int:
         """Merge a span batch collected in another process into this trace.
 
         Ids are remapped to fresh local ids (internal parent/child links are
-        preserved; roots are re-parented under ``parent``), and ``worker``
-        stamps every absorbed record's attributes so merged cluster traces
-        carry worker attribution.  Returns the number of records absorbed.
+        preserved; roots are re-parented under ``parent``).  Returns the
+        number of records absorbed.
         """
         mapping: Dict[int, int] = {}
         batch = [rec for rec in records
@@ -291,10 +288,7 @@ class Tracer:
             merged = dict(rec)
             merged["id"] = mapping.get(rec.get("id"), self._allocate_id())
             merged["parent"] = mapping.get(rec.get("parent"), parent)
-            attrs = dict(rec.get("attrs") or {})
-            if worker is not None:
-                attrs.setdefault("worker", worker)
-            merged["attrs"] = attrs
+            merged["attrs"] = dict(rec.get("attrs") or {})
             self._emit(merged)
         return len(batch)
 
@@ -379,11 +373,11 @@ def tracing(directory: Optional[str] = None, *, node: str = "main",
 def collecting(node: str = "collector") -> Iterator[Tracer]:
     """Swap in an in-memory collector as the active tracer.
 
-    Used where spans must cross a process boundary: pool tasks and cluster
-    workers run their unit under ``collecting()`` and attach the drained
-    records to the result message; the parent re-absorbs them with
-    :meth:`Tracer.absorb`.  Restores the previous tracer on exit, so a
-    coordinator self-leasing a unit does not lose its sink.
+    Used where spans must cross a process boundary: pool tasks run under
+    ``collecting()`` and attach the drained records to the result message;
+    the parent re-absorbs them with :meth:`Tracer.absorb`.  Restores the
+    previous tracer on exit, so a task that runs in-process (the pool's
+    fallback) does not lose the parent's sink.
     """
     global _ACTIVE
     previous = _ACTIVE
@@ -403,9 +397,9 @@ def _restore(previous: Optional[Tracer]) -> None:
 def _flush_before_fork() -> None:
     """Empty the sink's buffer in the parent before any fork.
 
-    The engine forks worker pools and cluster workers while a trace may be
-    open; a child inheriting buffered-but-unflushed bytes would re-emit
-    them when its interpreter exits and flushes the shared handle.  An
+    The engine forks worker pools while a trace may be open; a child
+    inheriting buffered-but-unflushed bytes would re-emit them when its
+    interpreter exits and flushes the shared handle.  An
     empty buffer at fork time makes inheritance harmless — children only
     ever collect spans in memory (see :func:`collecting`) and never write
     the parent's file.

@@ -57,17 +57,14 @@ class PassManager:
     """
 
     def __init__(self, passes: Sequence = (), *, verify_first: bool = False,
-                 verify_jobs: int = 1, verify_cache_dir: Optional[str] = None,
-                 verify_daemon: bool = False) -> None:
+                 verify_jobs: int = 1,
+                 verify_cache_dir: Optional[str] = None) -> None:
         self._passes: List = list(passes)
         self.property_set = PropertySet()
         self.records: List[PassExecutionRecord] = []
         self.verify_first = verify_first
         self.verify_jobs = verify_jobs
         self.verify_cache_dir = verify_cache_dir
-        #: Route verification through a running ``repro serve`` daemon when
-        #: one is found (falling back to in-process verification silently).
-        self.verify_daemon = verify_daemon
         #: Configurations this manager has already verified: config key ->
         #: (class, kwargs), so :meth:`mark_stale` can map them back onto the
         #: incremental layer's dependency index.
@@ -121,12 +118,8 @@ class PassManager:
         """Verify the pipeline's Giallar passes, raising on any failure.
 
         Configurations already verified by this manager are skipped; across
-        processes the engine's proof cache (or, with ``verify_daemon=True``,
-        a resident ``repro serve`` daemon over the shared store) makes
-        re-verification cheap.
+        processes the engine's proof cache makes re-verification cheap.
         """
-        from contextlib import ExitStack
-
         from repro.engine import ProofCache, default_cache_dir, verify_passes
         from repro.engine.driver import batch_distinct_configs
 
@@ -136,41 +129,20 @@ class PassManager:
         ]
         if not targets:
             return
-        directory = self.verify_cache_dir or default_cache_dir()
-        client = None
-        if self.verify_daemon:
-            from repro.service.client import connect
-
-            client = connect(directory)
         failed: List = []
-        with ExitStack() as stack:
-            cache = None
-            if client is None:
-                cache = stack.enter_context(ProofCache(directory))
+        with ProofCache(self.verify_cache_dir or default_cache_dir()) as cache:
             # One batch per distinct configuration of a class; in the common
             # case (each class once) this is a single call.
             pairs = [(cls, kwargs) for cls, kwargs, _ in targets]
             for batch in batch_distinct_configs(pairs):
                 batch_kwargs = {cls: kwargs for _, cls, kwargs in batch}
-                if client is not None:
-                    from repro.service.client import verify_with_fallback
-
-                    report = verify_with_fallback(
-                        [cls for _, cls, _ in batch],
-                        cache_dir=str(directory),
-                        jobs=self.verify_jobs,
-                        pass_kwargs_fn=batch_kwargs.get,
-                        counterexample_search=False,
-                        client=client,
-                    )
-                else:
-                    report = verify_passes(
-                        [cls for _, cls, _ in batch],
-                        jobs=self.verify_jobs,
-                        cache=cache,
-                        pass_kwargs_fn=batch_kwargs.get,
-                        counterexample_search=False,
-                    )
+                report = verify_passes(
+                    [cls for _, cls, _ in batch],
+                    jobs=self.verify_jobs,
+                    cache=cache,
+                    pass_kwargs_fn=batch_kwargs.get,
+                    counterexample_search=False,
+                )
                 for (index, cls, kwargs), result in zip(batch, report.results):
                     if result.supported and not result.verified:
                         failed.append(result)
@@ -188,7 +160,7 @@ class PassManager:
     def mark_stale(self, changed_paths) -> int:
         """Drop verified-markers an edit can have invalidated.
 
-        A long-lived manager (notebook, service) skips re-verification of
+        A long-lived manager (a notebook, say) skips re-verification of
         configurations it already verified; after a source edit that skip
         would trust a stale verdict.  This maps the changed files through
         the proof cache's dependency index (:mod:`repro.incremental`) and

@@ -115,19 +115,10 @@ def to_json(results: Sequence[VerificationResult], indent: int = 2,
 
 
 def _stats_lines(stats: Optional[object]) -> List[str]:
-    """Engine-statistics footer lines: the summary, then — when the batch
-    was served by a resident daemon or scheduled across a worker cluster —
-    who answered and how the work was spread."""
+    """Engine-statistics footer lines: the one-line run summary."""
     if stats is None:
         return []
-    lines = [stats.summary_line()]
-    for line_fn_name in ("daemon_line", "cluster_line"):
-        line_fn = getattr(stats, line_fn_name, None)
-        if callable(line_fn):
-            line = line_fn()
-            if line:
-                lines.append(line)
-    return lines
+    return [stats.summary_line()]
 
 
 def _status(result: VerificationResult) -> str:

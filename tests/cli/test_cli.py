@@ -133,25 +133,39 @@ def test_verify_workers_is_an_alias_of_jobs(tmp_path, capsys):
     assert reports[1]["engine"]["cluster"] is None
 
 
-def test_verify_daemon_fallback_names_the_searched_state_file(tmp_path, capsys):
-    """--daemon with no daemon verifies in-process, and says so on stderr."""
-    cache_dir = tmp_path / "cache"
-    assert main(["verify", "Width", "--daemon", "--cache-dir", str(cache_dir),
-                 "--format", "json"]) == 0
-    captured = capsys.readouterr()
-    assert captured.err.splitlines() == [
-        f"no daemon answered via {cache_dir / 'daemon.json'}; "
-        f"verified in-process"]
-    assert json.loads(captured.out)["engine"]["daemon"] is None
-
-
 def test_no_subcommand_takes_a_backend_option(capsys):
     """One proof store: no subcommand selects a cache tier."""
-    for argv in (["verify", "--all"], ["watch"], ["serve"],
+    for argv in (["verify", "--all"], ["watch"], ["status"],
                  ["cache", "prune", "--max-entries", "1"], ["cache", "gc"]):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv + ["--backend", "jsonl"])
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+
+#: Subcommands and options of the retired resident daemon and worker
+#: cluster: each must be a usage error now, not a silent no-op.
+RETIRED_ARGV = [
+    ["serve"],
+    ["work"],
+    ["top"],
+    ["verify", "--all", "--daemon"],
+    ["verify", "--all", "--cluster", "hostfile"],
+    ["verify", "--all", "--shard-threshold", "1"],
+    ["verify", "--all", "--shard-count", "2"],
+    ["watch", "--daemon"],
+    ["trace", "summary", "trace-dir", "--check-coverage"],
+]
+
+
+def test_retired_daemon_and_cluster_surface_is_gone(capsys):
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert {"serve", "work", "top"}.isdisjoint(commands)
+    for argv in RETIRED_ARGV:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments" in err, argv
 
 
 # --------------------------------------------------------------------------- #
@@ -191,8 +205,9 @@ def test_cache_migrate_from_sqlite_then_warm(tmp_path, capsys,
         order = sorted(cache.entries(), key=lambda entry: entry[1])
         proofs = [(kind, key, cache.active_fingerprint, value, index % 3)
                   for index, (kind, key, value) in enumerate(order)]
-        certs = [(key, cache.active_fingerprint, value, 1)
-                 for key, value in cache.certificate_snapshot().items()]
+    certs = [(record["key"], record["fp"], record["value"], 1)
+             for record in map(json.loads,
+                               (cache_dir / "certs.jsonl").read_text().splitlines())]
     deps = [(record["key"], record["value"]["schema"], record["value"])
             for record in map(json.loads,
                               (cache_dir / "deps.jsonl").read_text().splitlines())]
@@ -230,7 +245,7 @@ def test_cache_migrate_unopenable_store_is_a_clean_error(tmp_path, capsys):
 
 def test_status_without_daemon_or_store(tmp_path, capsys):
     assert main(["status", "--cache-dir", str(tmp_path)]) == 1
-    assert "no daemon running" in capsys.readouterr().err
+    assert f"no proof store in {tmp_path} yet" in capsys.readouterr().err
 
 
 def test_status_reports_offline_store(tmp_path, capsys):
@@ -238,9 +253,9 @@ def test_status_reports_offline_store(tmp_path, capsys):
     assert main(["verify", "Width", "--cache-dir", cache_dir,
                  "--format", "json"]) == 0
     capsys.readouterr()
-    assert main(["status", "--cache-dir", cache_dir]) == 1
+    assert main(["status", "--cache-dir", cache_dir]) == 0
     out = capsys.readouterr().out
-    assert "no daemon running" in out
+    assert "daemon" not in out
     assert "live entries" in out
     assert "damaged" not in out and "migrate" not in out
 
@@ -252,12 +267,12 @@ def test_status_reports_store_damage_once(tmp_path, capsys):
     capsys.readouterr()
     with open(cache_dir / "proofs.jsonl", "a", encoding="utf-8") as handle:
         handle.write('{"kind": "pass", "key": "torn\n')
-    assert main(["status", "--cache-dir", str(cache_dir)]) == 1
+    assert main(["status", "--cache-dir", str(cache_dir)]) == 0
     damaged = [line for line in capsys.readouterr().out.splitlines()
                if line.startswith("damaged")]
     assert damaged == ["damaged     : 1 unreadable lines dropped on load"]
     # Opening the store healed it.
-    assert main(["status", "--cache-dir", str(cache_dir)]) == 1
+    assert main(["status", "--cache-dir", str(cache_dir)]) == 0
     assert "damaged" not in capsys.readouterr().out
 
 
@@ -269,7 +284,7 @@ def test_status_names_cache_migrate_beside_a_sqlite_store(tmp_path, capsys):
     assert main(["verify", "Width", "--cache-dir", str(tmp_path),
                  "--format", "json"]) == 0
     capsys.readouterr()
-    assert main(["status", "--cache-dir", str(tmp_path)]) == 1
+    assert main(["status", "--cache-dir", str(tmp_path)]) == 0
     migrate = [line for line in capsys.readouterr().out.splitlines()
                if "repro cache migrate" in line]
     assert len(migrate) == 1

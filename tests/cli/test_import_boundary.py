@@ -162,6 +162,35 @@ def test_store_and_listing_commands_load_no_verifier(seeded_store, argv):
     if argv[0] != "list":
         argv += ("--cache-dir", seeded_store)
     run = _fresh_process(*argv)
-    # ``status`` exits 1 when no daemon is serving the store.
-    assert run["code"] in ((1,) if argv[0] == "status" else (0,))
+    assert run["code"] == 0
     _assert_light(run["modules"])
+
+
+# --------------------------------------------------------------------------- #
+# No network surface
+# --------------------------------------------------------------------------- #
+#: Standard-library modules that open or authenticate network endpoints.
+NETWORK_MODULES = ("socket", "socketserver", "http", "ssl", "hmac",
+                   "selectors")
+
+
+def _imported_names(source: bytes):
+    """Every name ``source``'s import statements mention, read the way
+    ``repro.incremental.deps`` reads them (skeleton, else whole file)."""
+    from repro.incremental.deps import _skeleton_names, _whole_file_names
+
+    names = _skeleton_names(source)
+    return names if names is not None else _whole_file_names(source)
+
+
+def test_no_module_imports_a_network_library():
+    package = Path(REPO_SRC) / "repro"
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) > 50
+    offenders = sorted(
+        (str(path.relative_to(package)), name)
+        for path in modules
+        for name in _imported_names(path.read_bytes())
+        if name.split(".")[0] in NETWORK_MODULES)
+    assert offenders == []
+

@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-import repro
 from repro.circuit import Gate, QCircuit
 from repro.circuit.random import DEFAULT_GATE_POOL
 
@@ -21,44 +16,6 @@ from repro.circuit.random import DEFAULT_GATE_POOL
 def _isolated_proof_cache(tmp_path, monkeypatch):
     """Keep the verification engine's default proof cache out of $HOME."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "proof-cache"))
-
-
-@pytest.fixture
-def cluster_peers(tmp_path):
-    """Start ``repro work`` peers for a loopback ``--cluster`` run.
-
-    ``with cluster_peers(cache_dir, count) as hostfile:`` yields a hostfile
-    listening on an ephemeral loopback port, with ``count`` peers waiting
-    to find the coordinator through ``cache_dir/cluster.json`` (the
-    default cache directory when ``cache_dir`` is None).  Peers are fresh
-    interpreters, never forks of this process, which may hold threads.  A
-    warm run opens no listener, so teardown terminates the peers instead
-    of letting them wait out ``--wait``.
-    """
-    hostfile = tmp_path / "hostfile"
-    hostfile.write_text("listen 127.0.0.1:0\n")
-    env = dict(os.environ)
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-
-    @contextlib.contextmanager
-    def start(cache_dir=None, count=2):
-        directory = cache_dir or os.environ["REPRO_CACHE_DIR"]
-        peers = [subprocess.Popen(
-            [sys.executable, "-m", "repro", "work", "--cache-dir",
-             str(directory), "--wait", "60"],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-            for _ in range(count)]
-        try:
-            yield str(hostfile)
-        finally:
-            for peer in peers:
-                peer.terminate()
-            for peer in peers:
-                peer.wait(timeout=30)
-
-    return start
 
 
 #: The table layout of the retired sqlite proof tier (schema v3).

@@ -173,8 +173,8 @@ def test_prune_in_memory_cache(tmp_path):
 
 
 def test_invalidated_is_per_run_not_cumulative(tmp_path):
-    """A long-lived caller-provided cache (the daemon's) must not re-report
-    old invalidations on every run's stats."""
+    """A long-lived caller-provided cache (a pass manager's) must not
+    re-report old invalidations on every run's stats."""
     from repro.engine import verify_passes
     from repro.passes import Width
 

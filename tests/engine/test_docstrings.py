@@ -1,24 +1,16 @@
 """Execute the doctests embedded in the invariant-bearing module docstrings.
 
 ``docs/caching.md`` references the key-derivation invariants documented in
-:mod:`repro.engine.fingerprint` and the wire-format invariants in
-:mod:`repro.service.protocol`; these tests keep the examples in those
-docstrings executable so the documentation cannot silently rot.
+:mod:`repro.engine.fingerprint`; this test keeps the examples in that
+docstring executable so the documentation cannot silently rot.
 """
 
 import doctest
 
 from repro.engine import fingerprint
-from repro.service import protocol
 
 
 def test_fingerprint_canonicalisation_doctest():
     results = doctest.testmod(fingerprint, verbose=False)
     assert results.attempted > 0, "fingerprint docstring lost its examples"
-    assert results.failed == 0
-
-
-def test_protocol_wire_format_doctest():
-    results = doctest.testmod(protocol, verbose=False)
-    assert results.attempted > 0, "protocol docstring lost its examples"
     assert results.failed == 0

@@ -1,13 +1,13 @@
-"""Per-run cache-stats accounting and EngineStats.merge algebra.
+"""Per-run cache-stats accounting.
 
-Regression guards for the PR 2 accounting fix: a long-lived (caller-provided)
-cache accumulates counters across runs, but each ``verify_passes`` call must
+Regression guards: a long-lived (caller-provided) cache accumulates
+counters across runs, but each ``verify_passes`` call must
 report only what *it* contributed — hits, misses, and invalidations must not
 leak from one run's stats block into the next.
 """
 
 from repro.engine.cache import ProofCache
-from repro.engine.driver import EngineStats, verify_passes
+from repro.engine.driver import verify_passes
 from repro.engine.fingerprint import pass_fingerprint, toolchain_fingerprint
 from repro.passes import CXCancellation, Depth, Width
 
@@ -64,63 +64,6 @@ def test_incremental_runs_share_the_same_accounting(tmp_path):
                               changed_paths=[]).stats
         assert again.cache_hits == 2            # not 4: per-run, not cumulative
         assert again.stale_passes == 0
-
-
-# --------------------------------------------------------------------------- #
-# EngineStats.merge algebra
-# --------------------------------------------------------------------------- #
-def _clone(stats: EngineStats) -> EngineStats:
-    return EngineStats.from_dict(stats.to_dict())
-
-
-def _merge(a: EngineStats, b: EngineStats) -> EngineStats:
-    return _clone(a).merge(_clone(b))
-
-
-MIXED_BATCHES = [
-    EngineStats(jobs=1, passes_total=10, cache_hits=10, cache_misses=0,
-                subgoal_hits=3, wall_seconds=0.25),
-    EngineStats(jobs=4, used_processes=True, passes_total=5, cache_hits=1,
-                cache_misses=4, subgoal_misses=7, invalidated=2,
-                wall_seconds=1.5),
-    EngineStats(jobs=2, passes_total=3, cache_hits=0, cache_misses=3,
-                subgoal_hits=1, subgoal_misses=2, wall_seconds=0.5,
-                stale_passes=3),
-    EngineStats(jobs=1, passes_total=0, wall_seconds=0.0),
-    EngineStats(jobs=8, passes_total=47, cache_hits=40, cache_misses=7,
-                invalidated=1, wall_seconds=2.0, stale_passes=7),
-]
-
-
-def test_merge_is_associative_on_mixed_batches():
-    for i, a in enumerate(MIXED_BATCHES):
-        for j, b in enumerate(MIXED_BATCHES):
-            for k, c in enumerate(MIXED_BATCHES):
-                left = _merge(_merge(a, b), c)
-                right = _merge(a, _merge(b, c))
-                assert left.to_dict() == right.to_dict(), (i, j, k)
-
-
-def test_merge_totals_on_a_mixed_hit_miss_chain():
-    total = MIXED_BATCHES[0]
-    for other in MIXED_BATCHES[1:]:
-        total = _merge(total, other)
-    assert total.passes_total == sum(s.passes_total for s in MIXED_BATCHES)
-    assert total.cache_hits == sum(s.cache_hits for s in MIXED_BATCHES)
-    assert total.cache_misses == sum(s.cache_misses for s in MIXED_BATCHES)
-    assert total.invalidated == sum(s.invalidated for s in MIXED_BATCHES)
-    # None is the identity for stale_passes, not zero:
-    assert total.stale_passes == 10
-    assert total.jobs == 8
-    assert total.used_processes is True
-
-
-def test_merge_none_stale_is_identity():
-    full = EngineStats(passes_total=2, stale_passes=None)
-    incr = EngineStats(passes_total=1, stale_passes=0)
-    assert _merge(full, full).stale_passes is None
-    assert _merge(full, incr).stale_passes == 0
-    assert _merge(incr, full).stale_passes == 0
 
 
 def test_evicted_proof_with_fresh_deps_counts_one_miss(tmp_path):

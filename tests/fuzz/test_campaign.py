@@ -146,7 +146,7 @@ def test_corpus_bytes_identical_across_runs(buggy_campaign, tmp_path):
 
 def test_corpus_bytes_identical_across_worker_counts(buggy_campaign, tmp_path):
     _, corpus_dir = buggy_campaign
-    for workers in (1, 2, 3):
+    for workers in (0, 1, 2, 3):   # 0 means one per CPU, as --jobs 0 does
         workers_dir = str(tmp_path / f"workers{workers}")
         result = run_campaign(CATCH_SEED, CATCH_CASES, corpus_dir=workers_dir,
                               passes=BUGGY_NAMES, workers=workers)
@@ -155,8 +155,8 @@ def test_corpus_bytes_identical_across_worker_counts(buggy_campaign, tmp_path):
 
 
 def test_worker_campaign_runs_without_the_cluster_package(tmp_path):
-    """--workers runs on the engine's process pool; a campaign never
-    imports repro.cluster (checked in a fresh interpreter)."""
+    """--workers maps its batches over the engine's WorkerPool, so a
+    campaign run from a fresh interpreter loads no cluster package."""
     import os
     import subprocess
     import sys

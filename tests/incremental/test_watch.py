@@ -1,4 +1,4 @@
-"""End-to-end incremental re-verification: driver, watcher, daemon pre-warm."""
+"""End-to-end incremental re-verification: driver, watcher, pre-warm."""
 
 from repro.engine.driver import verify_passes
 
@@ -113,36 +113,29 @@ def test_watcher_watch_runs_bounded_cycles(tmp_path, pass_package):
 
 
 # --------------------------------------------------------------------------- #
-# Daemon pre-warm
+# Pre-warm
 # --------------------------------------------------------------------------- #
-def test_daemon_watcher_prewarms_store(tmp_path, pass_package):
-    from repro.service.daemon import DaemonWatcher, VerificationService
+def test_watch_cycle_prewarms_store(tmp_path, pass_package):
+    """After a watch cycle re-proves an edit, the next run on the same
+    store is served entirely warm."""
+    from repro.incremental.watch import Watcher, refresh_classes
 
     pass_package.write("mod_a.py", pass_package.GOOD_WIDTH)
     pass_package.write("mod_b.py", pass_package.GOOD_SIZE)
     width = pass_package.load("mod_a", "TempWidth")
     size = pass_package.load("mod_b", "TempSize")
+    store = str(tmp_path / "store")
 
-    service = VerificationService(cache_dir=tmp_path / "store")
-    try:
-        verify_passes([width, size], cache=service.cache)
-        watcher = DaemonWatcher(service, interval=0.05,
-                                pass_classes=[width, size])
-        assert watcher.run_cycle() == 0   # nothing changed yet
+    watcher = Watcher([width, size], cache_dir=store)
+    assert watcher.run_cycle().stats.cache_misses == 2   # baseline
 
-        pass_package.write("mod_a.py", pass_package.GOOD_WIDTH_EDITED)
-        assert watcher.run_cycle() == 1   # exactly the edited pass re-proved
-        assert watcher.prewarmed == 1
+    pass_package.write("mod_a.py", pass_package.GOOD_WIDTH_EDITED)
+    cycle = watcher.run_cycle()
+    assert cycle.stats.cache_misses == 1   # exactly the edited pass re-proved
 
-        # A client arriving after the edit is served entirely warm.
-        from repro.incremental.watch import refresh_classes
-
-        client = verify_passes(refresh_classes([width, size]),
-                               cache=service.cache)
-        assert client.stats.cache_hits == 2
-        assert client.stats.cache_misses == 0
-    finally:
-        service.close()
+    client = verify_passes(refresh_classes([width, size]), cache_dir=store)
+    assert client.stats.cache_hits == 2
+    assert client.stats.cache_misses == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -170,76 +163,3 @@ def test_passmanager_mark_stale_drops_only_affected_configs(tmp_path,
     assert manager.mark_stale([pass_package.path_of("mod_a.py")]) == 1
     remaining = [cls.__name__ for (cls, _) in manager._verified_classes.values()]
     assert remaining == ["TempSize"]
-
-
-def test_watch_daemon_refuses_non_watching_daemon(tmp_path, pass_package,
-                                                  capsys):
-    """A daemon without --watch must not serve watch cycles (store poisoning)."""
-    import threading
-
-    from repro.incremental.watch import Watcher
-    from repro.service.daemon import ProofDaemon, VerificationService
-
-    pass_package.write("mod_a.py", pass_package.GOOD_WIDTH)
-    width = pass_package.load("mod_a", "TempWidth")
-
-    service = VerificationService(cache_dir=tmp_path)
-    server = ProofDaemon(service)
-    thread = threading.Thread(target=server.serve_forever,
-                              kwargs={"poll_interval": 0.05}, daemon=True)
-    thread.start()
-    try:
-        watcher = Watcher([width], cache_dir=str(tmp_path), use_daemon=True)
-        cycle = watcher.run_cycle()
-        # Served in-process (no stats.daemon block), with a one-time warning.
-        assert cycle.stats.daemon is None
-        assert cycle.all_verified
-        assert "not running with --watch" in capsys.readouterr().err
-    finally:
-        server.shutdown()
-        thread.join(timeout=10)
-        server.close()
-
-
-def test_watch_daemon_uses_watching_daemon(tmp_path, pass_package):
-    """Against a --watch daemon the cycle is served remotely and stays sound."""
-    import threading
-
-    from repro.incremental.watch import Watcher, refresh_classes
-    from repro.service.daemon import (
-        DaemonWatcher,
-        ProofDaemon,
-        VerificationService,
-    )
-
-    pass_package.write("mod_a.py", pass_package.GOOD_WIDTH)
-    width = pass_package.load("mod_a", "TempWidth")
-
-    service = VerificationService(cache_dir=tmp_path)
-    service.registry["TempWidth"] = width   # daemon must know the temp pass
-    # Watcher thread not started: request-time catch-up cycles are enough.
-    service.watcher = DaemonWatcher(service, interval=60.0,
-                                    pass_classes=[width])
-    server = ProofDaemon(service)
-    thread = threading.Thread(target=server.serve_forever,
-                              kwargs={"poll_interval": 0.05}, daemon=True)
-    thread.start()
-    try:
-        watcher = Watcher([width], cache_dir=str(tmp_path), use_daemon=True)
-        baseline = watcher.run_cycle()
-        assert baseline.stats.daemon is not None   # actually served remotely
-
-        # Edit; the daemon must catch up at request time and prove the NEW
-        # code, not cache a stale verdict under the new key.
-        pass_package.write("mod_a.py", pass_package.GOOD_WIDTH_EDITED)
-        cycle = watcher.run_cycle()
-        assert not cycle.quiet
-        assert cycle.stats.daemon is not None
-        assert cycle.all_verified
-        # The daemon's registry classes were refreshed by the catch-up.
-        refreshed = service.watcher._classes()[0]
-        assert "num_clbits" in refreshed.run.__code__.co_names
-    finally:
-        server.shutdown()
-        thread.join(timeout=10)
-        server.close()

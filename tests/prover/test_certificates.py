@@ -1,5 +1,8 @@
 """Proof certificates: payload round-trips, cache tiers, suite-wide replay."""
 
+import json
+from pathlib import Path
+
 from repro.bench.table2 import pass_kwargs_for
 from repro.engine import subgoal_fingerprint, verify_passes
 from repro.engine.cache import ProofCache
@@ -9,6 +12,12 @@ from repro.verify.discharge import Discharger
 from repro.verify.verifier import verify_pass
 
 SUITE = list(ALL_VERIFIED_PASSES) + list(EXTENSION_PASSES)
+
+
+def _stored_certificates(directory):
+    """The certificate tier as written to ``certs.jsonl``, by subgoal key."""
+    lines = (Path(directory) / "certs.jsonl").read_text().splitlines()
+    return {record["key"]: record["value"] for record in map(json.loads, lines)}
 
 
 # --------------------------------------------------------------------------- #
@@ -44,7 +53,8 @@ def test_certificate_tier_persists(tmp_path):
         assert cache.get_certificate("sg-key") == payload
     with ProofCache(tmp_path) as cache:
         assert cache.get_certificate("sg-key") == payload
-        assert cache.certificate_snapshot() == {"sg-key": payload}
+        assert cache.summary()["cert_entries"] == 1
+    assert _stored_certificates(tmp_path) == {"sg-key": payload}
 
 
 def test_pruned_subgoals_drop_their_certificates(tmp_path):
@@ -58,14 +68,14 @@ def test_pruned_subgoals_drop_their_certificates(tmp_path):
         cache.prune(0)
         assert cache.get_certificate("sg-key") is None
     with ProofCache(tmp_path) as cache:
-        assert cache.certificate_snapshot() == {}
+        assert cache.summary()["cert_entries"] == 0
 
 
 def test_engine_records_certificates(tmp_path):
     subset = SUITE[:6]
     with ProofCache(tmp_path) as cache:
         verify_passes(subset, cache=cache, pass_kwargs_fn=pass_kwargs_for)
-        certificates = cache.certificate_snapshot()
+        certificates = _stored_certificates(tmp_path)
         assert certificates
         # Every certificate sits next to a live subgoal entry, decodes, and
         # records the backend that proved it.
@@ -82,7 +92,7 @@ def test_engine_records_certificates(tmp_path):
 def test_certificate_replay_reproves_the_whole_suite(tmp_path):
     with ProofCache(tmp_path) as cache:
         verify_passes(SUITE, cache=cache, pass_kwargs_fn=pass_kwargs_for)
-        certificates = cache.certificate_snapshot()
+    certificates = _stored_certificates(tmp_path)
     assert certificates
 
     replayed = {"count": 0}

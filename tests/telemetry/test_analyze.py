@@ -1,4 +1,4 @@
-"""Trace analysis: loading, summarising, coverage, profiling, export."""
+"""Trace analysis: loading, summarising, profiling, export."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 from repro.telemetry import trace as _trace
 from repro.telemetry.analyze import (
     canonical_tree,
-    coverage_problems,
     export_chrome,
     load_trace,
     profile_records,
@@ -73,49 +72,26 @@ def test_load_trace_reads_rotated_generations_oldest_first(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# summarize_trace / coverage
+# summarize_trace
 # --------------------------------------------------------------------- #
 
-def _cluster_records():
-    """A synthetic merged cluster trace: plan, two units, one merge span."""
-    return [
-        {"t": "event", "id": 1, "parent": None, "name": "cluster.plan",
-         "kind": "cluster", "ts": 0.0, "node": "main",
-         "attrs": {"units": ["u-0", "u-1"], "split_passes": 0}},
-        {"t": "span", "id": 2, "parent": None, "name": "unit", "kind": "unit",
-         "start": 0.0, "dur": 0.5, "node": "main",
-         "attrs": {"unit": "u-0", "worker": "worker-1",
-                   "prove_seconds": 0.4, "transport_seconds": 0.1}},
-        {"t": "span", "id": 3, "parent": None, "name": "unit", "kind": "unit",
-         "start": 0.0, "dur": 0.3, "node": "main",
-         "attrs": {"unit": "u-1", "worker": "worker-2",
-                   "prove_seconds": 0.3, "transport_seconds": 0.0}},
-        {"t": "span", "id": 4, "parent": None, "name": "cluster.merge",
-         "kind": "merge", "start": 1.0, "dur": 0.2, "node": "main",
-         "attrs": {}},
+def test_summarize_trace_sums_pool_queue_wait():
+    """Pooled pass spans carry their queue wait; the summary splits it
+    from the proving time."""
+    records = [
+        {"t": "span", "id": 1, "parent": None, "name": "CXCancellation",
+         "kind": "pass", "start": 0.0, "dur": 0.4, "node": "pool",
+         "attrs": {"queue_wait": 0.1, "subgoals": 3}},
+        {"t": "span", "id": 2, "parent": None, "name": "Width",
+         "kind": "pass", "start": 0.0, "dur": 0.2, "node": "pool",
+         "attrs": {"queue_wait": 0.05, "subgoals": 1}},
     ]
-
-
-def test_summarize_trace_worker_attribution_and_critical_path():
-    summary = summarize_trace(_cluster_records())
-    assert summary["planned_units"] == ["u-0", "u-1"]
-    assert summary["covered_units"] == {"u-0": 1, "u-1": 1}
-    assert summary["workers"]["worker-1"]["units"] == 1
-    assert summary["workers"]["worker-1"]["transport_seconds"] == 0.1
-    assert summary["merge_seconds"] == 0.2
-    # Busiest worker (0.4 + 0.1) plus the serial merge (0.2).
-    assert summary["critical_path_seconds"] == pytest.approx(0.7)
-    assert coverage_problems(summary) == []
-
-
-def test_coverage_problems_flags_lost_duplicate_and_unplanned():
-    records = _cluster_records()
-    records.append(dict(records[1], id=9))        # duplicate u-0
-    records[2]["attrs"] = dict(records[2]["attrs"], unit="u-ghost")  # u-1 lost
-    problems = coverage_problems(summarize_trace(records))
-    assert any("u-1" in p and "lost" in p for p in problems)
-    assert any("u-0" in p and "duplicated" in p for p in problems)
-    assert any("u-ghost" in p and "never planned" in p for p in problems)
+    summary = summarize_trace(records)
+    assert [item["name"] for item in summary["passes"]] == [
+        "CXCancellation", "Width"]
+    assert summary["queue_seconds"] == pytest.approx(0.15)
+    text = "\n".join(render_summary(summary))
+    assert "queue/prove split: 0.1500s queued vs 0.6000s proving" in text
 
 
 def test_summarize_trace_counts_cache_events():
@@ -192,7 +168,7 @@ def test_canonical_tree_drops_ids_timestamps_and_volatile_attrs():
     def run(extra):
         tracer = _trace.Tracer(None, node="main")
         with tracer.span("run", kind="run", wall=extra):
-            with tracer.span("P", kind="pass", worker=f"w-{extra}"):
+            with tracer.span("P", kind="pass", queue_wait=extra):
                 tracer.event("hit", kind="cache", outcome="hit")
         return tracer.records
 

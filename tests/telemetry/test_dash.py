@@ -1,14 +1,8 @@
-"""The self-contained dashboard and its CLI surfaces (``stats``/``dash``/
-``top --fail-unhealthy``)."""
+"""The self-contained dashboard and its CLI surfaces (``stats``/``dash``)."""
 
 import json
-import time
 
 from repro.cli import main
-from repro.cluster.status import (
-    RUN_STATUS_SCHEMA_VERSION,
-    run_status_path,
-)
 from repro.telemetry.dash import DASH_SECTIONS, render_dashboard, write_dashboard
 from repro.telemetry.history import TelemetryHistory
 from repro.telemetry.stats import StatsRecorder
@@ -19,24 +13,6 @@ def _assert_self_contained(page):
         assert f'<section id="{section_id}"' in page, section_id
     assert "<script" not in page
     assert "http://" not in page and "https://" not in page
-
-
-def _board(cache_dir, *, done, last_seen_ago=0.0, rss=100 * 1048576,
-           failures=0):
-    now = time.time()
-    payload = {
-        "schema": RUN_STATUS_SCHEMA_VERSION,
-        "pid": 1234, "node": "test", "started_at": now - 30.0,
-        "updated_at": now, "units_total": 4, "units_done": 4,
-        "failures": failures, "stolen": 0, "retried": 0, "done": done,
-        "workers": {"w1": {"inflight": None, "units_done": 4,
-                           "prove_seconds": 1.0, "transport_seconds": 0.1,
-                           "rss_bytes": rss,
-                           "last_seen": now - last_seen_ago}},
-    }
-    path = run_status_path(cache_dir)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload))
 
 
 # --------------------------------------------------------------------- #
@@ -50,7 +26,6 @@ def test_empty_directory_renders_every_section_with_placeholders(tmp_path):
     assert "no recorded runs yet" in page
     assert "no traced run recorded yet" in page
     assert "no store analytics recorded yet" in page
-    assert "no run-status.json board" in page
     assert "no fuzz corpus found" in page
     # Rendering a report must not create stores in the directory.
     assert list(tmp_path.iterdir()) == []
@@ -60,13 +35,9 @@ def test_populated_directory_renders_real_data(tmp_path):
     summary = {
         "records": 10,
         "passes": [{"name": "CXCancellation", "seconds": 0.5,
-                    "subgoals": 3, "worker": "w1", "solver": "builtin"}],
+                    "subgoals": 3, "solver": "builtin"}],
         "solvers": {"builtin": {"count": 1}},
-        "workers": {"w1": {"units": 1, "seconds": 0.5,
-                           "transport_seconds": 0.1, "queue_seconds": 0.2,
-                           "utilisation": 0.625}},
         "queue_seconds": 0.2,
-        "critical_path_seconds": 0.6,
     }
     recorder = StatsRecorder(tmp_path, backend="jsonl")
     recorder.note_pass("p", "hit")
@@ -75,7 +46,6 @@ def test_populated_directory_renders_real_data(tmp_path):
     with TelemetryHistory(tmp_path) as history:
         history.record_run(summary, stats={"backend": "jsonl"},
                            store_stats=recorder.canonical(), git="abc123")
-    _board(tmp_path, done=True)
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "corpus.jsonl").write_text(
@@ -86,18 +56,9 @@ def test_populated_directory_renders_real_data(tmp_path):
     assert "1 recorded run(s)" in page
     assert "CXCancellation" in page
     assert "queue/prove split: 0.2000s queued vs 0.5000s proving" in page
-    assert "critical path" in page
     assert "<polyline" in page                  # the SVG charts rendered
-    assert "no health problems detected" in page
     assert "mismatch" in page
     assert "abc123" in page
-
-
-def test_unhealthy_board_renders_problem_lines(tmp_path):
-    _board(tmp_path, done=False, last_seen_ago=120.0, failures=2)
-    page = render_dashboard(tmp_path)
-    assert "is stale" in page
-    assert "failed permanently" in page
 
 
 def test_write_dashboard_is_atomic_and_returns_path(tmp_path):
@@ -107,7 +68,7 @@ def test_write_dashboard_is_atomic_and_returns_path(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# CLI: repro stats / repro dash / repro top --fail-unhealthy
+# CLI: repro stats / repro dash
 # --------------------------------------------------------------------- #
 
 def test_cli_stats_table_and_json(tmp_path, capsys):
@@ -137,26 +98,3 @@ def test_cli_dash_renders_sections(tmp_path, capsys):
                  "--html", str(out_file)]) == 0
     assert "wrote" in capsys.readouterr().out
     _assert_self_contained(out_file.read_text())
-
-
-def test_cli_top_fail_unhealthy_exit_codes(tmp_path, capsys):
-    _board(tmp_path, done=True)
-    assert main(["top", "--once", "--fail-unhealthy",
-                 "--cache-dir", str(tmp_path)]) == 0
-    assert "health: ok" in capsys.readouterr().out
-
-    _board(tmp_path, done=False, last_seen_ago=60.0)
-    assert main(["top", "--once", "--fail-unhealthy",
-                 "--cache-dir", str(tmp_path)]) == 1
-    assert "is stale" in capsys.readouterr().err
-
-    _board(tmp_path, done=True, rss=2 * 1048576 * 1024)
-    assert main(["top", "--once", "--fail-unhealthy", "--max-rss-mib", "512",
-                 "--cache-dir", str(tmp_path)]) == 1
-    assert "exceeds" in capsys.readouterr().err
-
-
-def test_cli_top_fail_unhealthy_requires_once(tmp_path, capsys):
-    assert main(["top", "--fail-unhealthy",
-                 "--cache-dir", str(tmp_path)]) == 2
-    assert "--once" in capsys.readouterr().err

@@ -1,9 +1,8 @@
-"""CLI surfaces: ``repro trace diff``, ``repro history``, ``repro top``."""
+"""CLI surfaces: ``repro trace diff`` and ``repro history``."""
 
 import json
 
 from repro.cli import main
-from repro.cluster.status import RunStatusBoard
 from repro.telemetry.history import TelemetryHistory, history_path
 
 
@@ -123,47 +122,3 @@ def test_history_commands_without_a_store_exit_one(tmp_path, capsys):
                  ["history", "regressions"]):
         assert main(argv + ["--cache-dir", str(tmp_path / "empty")]) == 1
         assert "no run history" in capsys.readouterr().err
-
-
-# --------------------------------------------------------------------- #
-# top
-# --------------------------------------------------------------------- #
-
-def test_top_once_without_a_run_exits_one(tmp_path, capsys):
-    assert main(["top", "--once", "--cache-dir", str(tmp_path)]) == 1
-    assert "no run status" in capsys.readouterr().err
-
-
-def test_top_rejects_a_nonpositive_interval(tmp_path, capsys):
-    assert main(["top", "--cache-dir", str(tmp_path),
-                 "--interval", "0"]) == 2
-    assert "--interval" in capsys.readouterr().err
-
-
-def test_top_once_renders_worker_rows(tmp_path, capsys):
-    board = RunStatusBoard(tmp_path, 10, node="vm-1")
-    board.heartbeat("worker-1-peer", {"inflight": "unit-03", "units_done": 2,
-                                      "prove_seconds": 0.5,
-                                      "rss_bytes": 64 << 20})
-    board.note_result("worker-1-peer", prove_seconds=0.1,
-                      transport_seconds=0.02)
-    board.set_progress(units_done=3, failures=0, stolen=1, retried=0)
-    board.finish()
-    assert main(["top", "--once", "--cache-dir", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "run done" in out and "3/10 units" in out and "1 stolen" in out
-    assert "worker-1-peer" in out
-    assert "64MiB" in out
-
-
-def test_top_once_after_a_real_workers_run(tmp_path, capsys, cluster_peers):
-    cache = tmp_path / "cache"
-    with cluster_peers(cache) as hostfile:
-        assert main(["verify", "ApplyLayout", "CXCancellation", "BasicSwap",
-                     "--cluster", hostfile, "--cache-dir", str(cache)]) == 0
-    capsys.readouterr()
-    # The board outlives the run exactly so this cannot race a short run.
-    assert main(["top", "--once", "--cache-dir", str(cache)]) == 0
-    out = capsys.readouterr().out
-    assert "run done" in out
-    assert "worker-1-" in out or "worker-2-" in out or "coordinator" in out

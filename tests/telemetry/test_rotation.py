@@ -1,62 +1,65 @@
 """Trace-sink rotation boundaries: absorbed batches must survive rotation.
 
-The JSONL sink rotates ``trace-<node>.jsonl`` at a byte cap, and the
-coordinator absorbs worker span batches into that stream mid-run.  The
-dangerous case is a batch whose records land either side of a rotation:
-the reader must stitch the rotated generations back together oldest-first,
-keep parent links intact, and count every planned unit exactly once —
-losing a unit span to rotation would make ``--check-coverage`` lie.
+The JSONL sink rotates ``trace-<node>.jsonl`` at a byte cap, and a
+``--jobs N`` run absorbs the worker pool's span batches into that stream
+mid-run.  The dangerous case is a batch whose records land either side of
+a rotation: the reader must stitch the rotated generations back together
+oldest-first, keep parent links intact, and count every pass exactly once
+— losing a pass span to rotation would make the summary lie.
 """
+
+from collections import Counter
 
 import pytest
 
-from repro.telemetry import trace as _trace
-from repro.telemetry.analyze import (
-    coverage_problems,
-    load_trace,
-    summarize_trace,
-)
+from repro.telemetry.analyze import load_trace, summarize_trace
 from repro.telemetry.trace import TraceWriter, Tracer
 
 
-def _worker_batch(worker, units):
-    """Collect a worker-shaped span batch in a separate collector tracer,
-    exactly as ``repro work`` ships them inside result messages."""
-    collector = Tracer(node=worker)
-    for unit_id in units:
-        with collector.span("unit", kind="unit", unit=unit_id,
-                            prove_seconds=0.001, transport_seconds=0.0):
-            with collector.span("subgoal", kind="subgoal", key=f"k-{unit_id}"):
+def _pool_batch(passes):
+    """Collect a pool-task-shaped span batch in a separate collector
+    tracer, as ``--jobs N`` tasks ship them inside their results."""
+    collector = Tracer(node="pool")
+    for name in passes:
+        with collector.span(name, kind="pass", queue_wait=0.001):
+            with collector.span("subgoal.prove", kind="subgoal",
+                                key=f"k-{name}"):
                 pass
     return collector.drain()
 
 
+def _assert_links_intact(records):
+    """Every absorbed subgoal span hangs under the pass span it ran in."""
+    spans = {rec["id"]: rec for rec in records if rec.get("t") == "span"}
+    for rec in spans.values():
+        if rec["kind"] == "subgoal":
+            parent = spans[rec["parent"]]
+            assert parent["kind"] == "pass"
+            assert rec["attrs"]["key"] == f"k-{parent['name']}"
+
+
 @pytest.mark.parametrize("max_bytes", [256, 700])
 def test_absorbed_batches_span_rotated_files(tmp_path, max_bytes):
-    units = [f"unit-{index:02d}" for index in range(12)]
+    passes = [f"Pass{index:02d}" for index in range(12)]
     writer = TraceWriter(str(tmp_path), node="main",
                          max_bytes=max_bytes, max_files=50)
     tracer = Tracer(writer, node="main")
-    tracer.event("cluster.plan", kind="cluster", units=list(units),
-                 split_passes=0)
     # Two absorbed batches with a flush between them, so records from one
     # batch straddle at least one rotation boundary at these byte caps.
-    tracer.absorb(_worker_batch("worker-1", units[:6]), worker="worker-1")
+    tracer.absorb(_pool_batch(passes[:6]))
     writer.flush()
-    tracer.absorb(_worker_batch("worker-2", units[6:]), worker="worker-2")
+    tracer.absorb(_pool_batch(passes[6:]))
     writer.close()
 
     files = sorted(tmp_path.glob("trace-*.jsonl*"))
     assert len(files) > 1, "cap did not force a rotation; lower max_bytes"
 
-    summary = summarize_trace(load_trace(str(tmp_path)))
-    assert coverage_problems(summary) == []
-    assert sorted(summary["planned_units"]) == units
-    assert summary["covered_units"] == {unit: 1 for unit in units}
-    # Worker attribution survives the merge+rotation round trip.
-    assert set(summary["workers"]) == {"worker-1", "worker-2"}
-    assert summary["workers"]["worker-1"]["units"] == 6
-    assert summary["workers"]["worker-2"]["units"] == 6
+    records = load_trace(str(tmp_path))
+    _assert_links_intact(records)
+    summary = summarize_trace(records)
+    counts = Counter(item["name"] for item in summary["passes"])
+    assert counts == {name: 1 for name in passes}
+    assert summary["queue_seconds"] == pytest.approx(0.012)
 
 
 def test_rotation_drops_oldest_beyond_max_files(tmp_path):
@@ -81,11 +84,12 @@ def test_torn_line_at_rotation_boundary_is_skipped(tmp_path):
     writer = TraceWriter(str(tmp_path), node="main",
                          max_bytes=100000, max_files=3)
     tracer = Tracer(writer, node="main")
-    tracer.event("cluster.plan", kind="cluster", units=["u1"], split_passes=0)
-    tracer.absorb(_worker_batch("worker-1", ["u1"]), worker="worker-1")
+    tracer.absorb(_pool_batch(["Pass00"]))
     writer.close()
     live = tmp_path / "trace-main.jsonl"
     with open(live, "a", encoding="utf-8") as handle:
         handle.write('{"t": "span", "id": 99, "name": "torn')  # no newline
-    summary = summarize_trace(load_trace(str(tmp_path)))
-    assert coverage_problems(summary) == []
+    records = load_trace(str(tmp_path))
+    _assert_links_intact(records)
+    summary = summarize_trace(records)
+    assert [item["name"] for item in summary["passes"]] == ["Pass00"]

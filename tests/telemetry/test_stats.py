@@ -131,18 +131,6 @@ def test_load_rejects_corrupt_and_foreign_schema(tmp_path):
     assert load_store_stats(tmp_path) is None
 
 
-def test_merge_io_folds_worker_deltas():
-    recorder = StatsRecorder()
-    recorder.merge_io("remote-subgoal", {"gets": 3, "hits": 2, "misses": 1,
-                                         "seconds": 0.5, "bytes": 100})
-    recorder.merge_io("remote-subgoal", {"gets": 1, "hits": 1, "misses": 0,
-                                         "seconds": 0.25, "bytes": 20})
-    recorder.merge_io("remote-subgoal", "garbage")        # ignored
-    io = recorder.local()["io"]["remote-subgoal"]
-    assert io == {"gets": 4, "hits": 3, "misses": 1,
-                  "seconds": 0.75, "bytes": 120}
-
-
 def test_render_table_mentions_every_surface(tmp_path):
     recorder = StatsRecorder(tmp_path, backend="jsonl", workers=None)
     recorder.note_pass("p", "stale")

@@ -59,35 +59,49 @@ def test_sibling_spans_share_a_parent():
     assert a["parent"] == outer["id"] == b["parent"]
 
 
-def test_absorb_remaps_ids_and_stamps_worker():
-    collector = Tracer(None, node="worker-node")
-    with collector.span("unit-work", kind="pass"):
+def test_absorb_remaps_ids_under_the_given_parent():
+    collector = Tracer(None, node="pool")
+    with collector.span("CXCancellation", kind="pass"):
         collector.event("hit", kind="cache")
     batch = collector.drain()
     assert collector.records == []
 
     parent = Tracer(None, node="main")
     with parent.span("run", kind="run") as handle:
-        absorbed = parent.absorb(batch, worker="worker-1", parent=handle.id)
+        absorbed = parent.absorb(batch, parent=handle.id)
     assert absorbed == 2
     by_name = {rec.get("name"): rec for rec in parent.records}
-    span = by_name["unit-work"]
+    span = by_name["CXCancellation"]
     event = by_name["hit"]
     run = by_name["run"]
     # Internal links survive the remap; roots hang under the given parent.
     assert event["parent"] == span["id"]
     assert span["parent"] == run["id"]
-    assert span["id"] != batch[1]["id"] or span["id"] != run["id"]
-    assert span["attrs"]["worker"] == "worker-1"
-    assert event["attrs"]["worker"] == "worker-1"
+    assert len({span["id"], event["id"], run["id"]}) == 3
+
+
+def test_absorb_copies_attrs_and_node_unchanged():
+    collector = Tracer(None, node="pool")
+    with collector.span("Width", kind="pass", queue_wait=0.25):
+        pass
+    batch = collector.drain()
+    parent = Tracer(None, node="main")
+    assert parent.absorb(batch) == 1
+    (span,) = parent.records
+    assert span["attrs"] == {"queue_wait": 0.25}
+    assert span["node"] == "pool"
+    assert span["parent"] is None
+    # The merged record is a copy: later edits do not reach the batch.
+    span["attrs"]["queue_wait"] = 0.0
+    assert batch[0]["attrs"] == {"queue_wait": 0.25}
 
 
 def test_absorb_keeps_existing_worker_attr():
     collector = Tracer(None, node="w")
-    with collector.span("unit", kind="unit", worker="original"):
+    with collector.span("Width", kind="pass", worker="original"):
         pass
     parent = Tracer(None, node="main")
-    parent.absorb(collector.drain(), worker="overwriter")
+    parent.absorb(collector.drain())
     (span,) = parent.records
     assert span["attrs"]["worker"] == "original"
 

@@ -70,28 +70,17 @@ def test_trace_summary_on_unreadable_data_still_exits_two(tmp_path, capsys):
     assert "cannot load trace" in capsys.readouterr().err
 
 
-def test_trace_check_coverage_requires_a_cluster_plan(tmp_path, capsys):
+def test_pooled_trace_summary_lists_every_pass(tmp_path, capsys):
     trace_dir = tmp_path / "trace"
-    _verify(tmp_path, "--trace", str(trace_dir))  # sequential: no plan
+    assert main(["verify", "ApplyLayout", "CXCancellation", "BasicSwap",
+                 "--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
+                 "--trace", str(trace_dir)]) == 0
     capsys.readouterr()
-    assert main(["trace", "summary", str(trace_dir),
-                 "--check-coverage"]) == 1
-    assert "no cluster plan" in capsys.readouterr().err
-
-
-def test_cluster_trace_passes_coverage_check(tmp_path, capsys, cluster_peers):
-    trace_dir = tmp_path / "trace"
-    with cluster_peers(tmp_path / "cache") as hostfile:
-        assert main(["verify", "ApplyLayout", "CXCancellation", "BasicSwap",
-                     "--cluster", hostfile,
-                     "--cache-dir", str(tmp_path / "cache"),
-                     "--trace", str(trace_dir)]) == 0
-    capsys.readouterr()
-    assert main(["trace", "summary", str(trace_dir),
-                 "--check-coverage"]) == 0
+    assert main(["trace", "summary", str(trace_dir)]) == 0
     out = capsys.readouterr().out
-    assert "planned units traced exactly once" in out
-    assert "worker attribution:" in out
+    for name in ("ApplyLayout", "CXCancellation", "BasicSwap"):
+        assert out.count(f"  {name} ") == 1, name
+    assert "queue/prove split:" in out
 
 
 def test_trace_show_renders_the_span_tree(tmp_path, capsys):
@@ -163,7 +152,6 @@ def test_status_reports_certificate_tier(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
     main(["verify", "ApplyLayout", "--cache-dir", str(cache_dir)])
     capsys.readouterr()
-    # Exit 1: no daemon is running — but the store block still renders.
-    assert main(["status", "--cache-dir", str(cache_dir)]) == 1
+    assert main(["status", "--cache-dir", str(cache_dir)]) == 0
     out = capsys.readouterr().out
     assert "certificates:" in out
