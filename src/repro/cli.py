@@ -245,14 +245,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         pass_kwargs_fn=pass_kwargs_for,
         extra_paths=args.data or (),
     )
-    try:
-        last = watcher.watch(interval=args.interval, cycles=args.cycles)
-    except OSError as exc:
-        print(f"cannot open proof cache: {exc}", file=sys.stderr)
-        return 2
-    if last is None:
-        return 0
-    return 0 if all(r.verified for r in watcher.last_results) else 1
+    last = watcher.watch(interval=args.interval, cycles=args.cycles)
+    return 0 if last is None or last.all_verified else 1
 
 
 # --------------------------------------------------------------------------- #

@@ -142,9 +142,9 @@ def _read_deps_file(path) -> Tuple[Dict[str, dict], int, int]:
 def read_deps_sidecar(directory: os.PathLike) -> Dict[str, dict]:
     """The JSONL tier's dependency index, read without loading the proofs.
 
-    Pollers (``repro watch``, ``PassManager.mark_stale``) need only the
-    sidecar; parsing the whole ``proofs.jsonl`` per poll would be pure
-    waste.  The sidecar's module rows join the module graph on the way.
+    The watcher (``repro watch``) needs only the sidecar; parsing the
+    whole ``proofs.jsonl`` after every cycle would be pure waste.  The
+    sidecar's module rows join the module graph on the way.
     """
     from repro.incremental.deps import split_module_rows
 

@@ -56,7 +56,7 @@ from repro.verify.session import Subgoal
 
 # The verifier, the discharge pipeline and the worker pool are imported
 # where they are called: a run the proof store serves whole never loads
-# them, and a watcher that reloaded one of them calls the reloaded code.
+# them.
 
 #: Passes that need a coupling map to be instantiated (Table 2 suite).
 COUPLING_PASSES = {
@@ -301,7 +301,8 @@ def _verify_one(pass_class, pass_kwargs, counterexample_search,
     return result, acct
 
 
-def _resolve_class(module_name: str, qualname: str):
+def resolve_qualname(module_name: str, qualname: str):
+    """The object a ``__module__``/``__qualname__`` pair names, imported."""
     obj = importlib.import_module(module_name)
     for part in qualname.split("."):
         obj = getattr(obj, part)
@@ -323,7 +324,7 @@ def _verify_task(task: dict) -> dict:
     """Worker entry point: verify one pass from a picklable task description."""
     from repro.verify.discharge import Discharger
 
-    pass_class = _resolve_class(task["module"], task["qualname"])
+    pass_class = resolve_qualname(task["module"], task["qualname"])
 
     def _run() -> Tuple[VerificationResult, SubgoalAccounting]:
         return _verify_one(
@@ -789,7 +790,7 @@ def _verify_passes_with_cache(
                     recorder.note_certificates(
                         (output.get("new_certificates") or {}).keys())
                 if tracer is not None and output.get("spans"):
-                    tracer.absorb(output["spans"])
+                    tracer.absorb(output["spans"], parent=pool.span_id)
                 if cache is not None:
                     cache.put_pass(key, output["result"])
                     for sub_key, value in output["new_subgoals"].items():

@@ -63,8 +63,6 @@ import re
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.circuit.gate import Gate
-# Not from-imported: ``repro watch`` may reload the preprocessor, and keys
-# must hash the text the reloaded analysis reads.
 from repro.verify import preprocessor
 from repro.verify.facts import Fact
 from repro.verify.session import Subgoal
@@ -323,11 +321,11 @@ def toolchain_fingerprint() -> str:
 def reset_memos() -> None:
     """Forget every memoised fingerprint, file digest and source extraction.
 
-    The long-lived watcher (``repro watch``) calls this once source files
-    change: the toolchain hash and the module graph's digests are
-    memoised per process, so without a reset a re-fingerprinted pass
-    would be keyed against the *old* prover and stale proofs could be
-    served for a live edit.
+    The toolchain hash and the module graph's digests are memoised per
+    process, so a process that keys a pass again after editing its sources
+    (tests do) must call this first, or it would key against the files as
+    they were.  ``repro watch`` needs no reset: each cycle verifies in a
+    fresh interpreter.
     """
     global _toolchain_memo
     from repro.incremental.deps import reset_memos as reset_graph_memos

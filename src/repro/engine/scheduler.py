@@ -59,6 +59,9 @@ class WorkerPool:
         self.initializer = initializer
         self.initargs = tuple(initargs)
         self.used_processes = False   # did the last map actually fan out?
+        #: The last traced map's ``scheduler.map`` span id, under which the
+        #: caller absorbs the span batches its tasks return.
+        self.span_id: Optional[int] = None
 
     def _run_in_process(self, worker, payloads):
         if self.initializer is not None:
@@ -82,6 +85,7 @@ class WorkerPool:
         # map itself; per-task queue wait rides on the tasks' own spans.
         with tracer.span("scheduler.map", kind="scheduler", jobs=self.jobs,
                          tasks=len(payloads)) as handle:
+            self.span_id = handle.id
             results = self._map(worker, payloads, handle.attrs)
             handle.attrs["used_processes"] = self.used_processes
         return results

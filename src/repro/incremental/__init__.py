@@ -14,9 +14,9 @@ when nothing changed.  This package makes verification
 * :mod:`repro.incremental.detect` turns a set of changed paths — found by
   stdlib mtime/size/sha polling, no third-party watcher — into the minimal
   set of stale configurations;
-* :mod:`repro.incremental.watch` runs the loop: poll, reload edited modules,
-  route exactly the stale passes back through
-  :func:`repro.engine.verify_passes`, and print per-cycle engine statistics.
+* :mod:`repro.incremental.watch` runs the loop: poll, then route exactly
+  the stale passes back through :func:`repro.engine.verify_passes` in a
+  fresh interpreter, and print per-cycle engine statistics.
 
 ``repro watch`` is the CLI surface.
 """

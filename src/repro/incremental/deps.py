@@ -78,12 +78,12 @@ def _in_package(name: str) -> bool:
 def module_source_path(module_name: str) -> Optional[str]:
     """The source file backing ``module_name``, or ``None`` (builtin, C ext).
 
-    Prefers the already-imported module's ``__file__`` (cheap, and correct
-    for reloaded modules); otherwise searches the parent package's path
-    with :class:`importlib.machinery.PathFinder`, which — unlike
+    Prefers the already-imported module's ``__file__`` (cheap); otherwise
+    searches the parent package's path with
+    :class:`importlib.machinery.PathFinder`, which — unlike
     :func:`importlib.util.find_spec` — executes no package on the way.
-    Memoised, and dropped by :func:`reset_memos` after reloads (a module's
-    backing file only moves across restarts otherwise).
+    Memoised, and dropped by :func:`reset_memos` (a module created after
+    the first lookup is found only then).
     """
     module = sys.modules.get(module_name)
     path = getattr(module, "__file__", None) if module is not None else None
@@ -491,7 +491,7 @@ def split_module_rows(records: Mapping[str, Mapping]) -> Dict[str, Mapping]:
 
 
 def reset_memos() -> None:
-    """Forget memoised paths, digests and closures (after edits or reloads).
+    """Forget memoised paths, digests and closures (after edits).
 
     The module table stays: a row is keyed by content, so it still holds
     for whichever file hashes to it.

@@ -26,28 +26,6 @@ def normalize_path(path: os.PathLike) -> str:
     return os.path.realpath(os.path.abspath(os.fspath(path)))
 
 
-def is_python_source(path: os.PathLike) -> bool:
-    """Whether an edit to ``path`` calls for a module reload.
-
-    The watch surface is not just ``.py`` modules: dependency entries also
-    carry *data* files (device maps, recorded qasm suites).  Data edits
-    invalidate passes through the dependency index like any other change,
-    but there is no module to reload for them — the next verification
-    simply re-reads the file.
-    """
-    return os.fspath(path).endswith(".py")
-
-
-def partition_changes(changed_paths: Iterable[os.PathLike]) -> Tuple[Set[str], Set[str]]:
-    """Split a change set into ``(python_sources, data_files)``."""
-    sources: Set[str] = set()
-    data: Set[str] = set()
-    for path in changed_paths:
-        path = normalize_path(path)
-        (sources if is_python_source(path) else data).add(path)
-    return sources, data
-
-
 def _sha256_file(path: str) -> Optional[str]:
     try:
         digest = hashlib.sha256()

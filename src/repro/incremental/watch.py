@@ -1,153 +1,80 @@
 """The edit-driven verification loop behind ``repro watch``.
 
 Each cycle polls the watched files (the union of every dependency entry's
-file set), and when something really changed:
+file set), and when something really changed it verifies in a fresh
+interpreter: a child process, started with ``sys.executable`` on the
+watcher's ``sys.path``, runs :func:`repro.engine.verify_passes` with
+``changed_paths`` set on the same store, so only the passes whose
+dependency files changed are re-fingerprinted (and, if their key moved,
+re-proved).  The watcher rebuilds the child's results and prints the
+per-cycle :class:`~repro.engine.driver.EngineStats` line.
 
-1. reloads the edited modules in place and drops the memoised fingerprint
-   state (:func:`refresh_source_state`) — a long-lived process must hash the
-   *new* source, not the copy it imported at startup;
-2. re-resolves the watched pass classes against their reloaded modules
-   (:func:`refresh_classes`) — the old class objects still carry the old
-   code;
-3. routes the batch through :func:`repro.engine.verify_passes` with
-   ``changed_paths`` set, so only the passes whose dependency files changed
-   are re-fingerprinted (and, if their key moved, re-proved), and prints the
-   per-cycle :class:`~repro.engine.driver.EngineStats` delta.
+Why a fresh interpreter: ``from m import f`` binds ``f`` once, when the
+importing module runs, so reloading ``m`` in place leaves every such
+binding on the pre-edit code, and a long-lived process would key the
+edited file while proving the old one.  A new interpreter holds no old
+bindings.  The watcher itself only polls, reads the dependency index and
+prints; it never imports the verifier or the prover.
 
-The first cycle is a full (warm or cold) verification that also records the
-dependency index; every later cycle is bounded by what actually changed.
+The first cycle is a full (warm or cold) verification that also records
+the dependency index; every later cycle is bounded by what actually
+changed.  A cycle whose child fails (a half-saved file that does not
+parse, an edited module that raises, an unwritable store) reports the
+child's last error line; its change set joins the next cycle's, and a
+failed first cycle is retried whole on the next poll.
 """
 
 from __future__ import annotations
 
-import importlib
-import linecache
+import dataclasses
+import json
+import os
+import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Set, Tuple, Type
 
-from repro.incremental.deps import dep_index_paths
+from repro.incremental.deps import dep_index_paths, reset_memos
 from repro.incremental.detect import ChangeDetector, normalize_path
 from repro.telemetry import trace as _trace
 
-#: Module prefixes that are never reloaded: the watcher's own machinery.
-#: Reloading the engine or this package mid-cycle would swap out the very
-#: functions executing the cycle; edits there need a process restart (and
-#: do not affect proof validity of the *passes* — the toolchain hash covers
-#: the prover, and every toolchain module is reloadable).
-_UNRELOADABLE_PREFIXES = (
-    "repro.engine.cache",
-    "repro.engine.driver",
-    "repro.engine.scheduler",
-    # fingerprint.py is watched (editing it can change every key) but must
-    # not be hot-reloaded: driver.py holds from-import bindings of its
-    # functions, so a reload would rebind the module without changing what
-    # the engine actually calls — silently applying half an edit is worse
-    # than honestly requiring a restart (which refresh_source_state warns
-    # about).
-    "repro.engine.fingerprint",
-    "repro.incremental",
-    "repro.cli",
-    # The tracer is module-global state threaded through the cycle itself;
-    # reloading it mid-run would orphan the active sink.
-    "repro.telemetry",
+#: The child's program: read the request from stdin, search the watcher's
+#: ``sys.path``, verify, and write the reply to stdout.
+_CHILD_PROGRAM = (
+    "import json, sys\n"
+    "request = json.load(sys.stdin)\n"
+    "sys.path[:] = request['sys_path']\n"
+    "from repro.incremental.watch import verify_in_child\n"
+    "verify_in_child(request)\n"
 )
 
 
-def _reloadable(module_name: str) -> bool:
-    # Any watched module may be reloaded — passes can live outside the
-    # repro package (user pass libraries) — except the watcher's own
-    # machinery.  Only files in the watched (dependency-indexed) set reach
-    # this check, so arbitrary third-party modules never do.
-    return not any(
-        module_name == prefix or module_name.startswith(prefix + ".")
-        for prefix in _UNRELOADABLE_PREFIXES
+def verify_in_child(request: dict) -> None:
+    """One cycle's verification, run by the child process.
+
+    Pass classes and the kwargs function are resolved by ``__module__`` and
+    ``__qualname__``; the reply holds each result's payload and the run's
+    :class:`~repro.engine.driver.EngineStats` fields.  Anything the passes
+    print goes to stderr, so stdout carries the reply alone.
+    """
+    from repro.engine.driver import resolve_qualname, result_to_payload, verify_passes
+
+    reply, sys.stdout = sys.stdout, sys.stderr
+    kwargs_fn = request["pass_kwargs_fn"]
+    report = verify_passes(
+        [resolve_qualname(*reference) for reference in request["passes"]],
+        jobs=request["jobs"],
+        cache_dir=request["cache_dir"],
+        pass_kwargs_fn=resolve_qualname(*kwargs_fn) if kwargs_fn else None,
+        counterexample_search=request["counterexample_search"],
+        changed_paths=request["changed_paths"],
     )
-
-
-def refresh_source_state(changed_paths) -> List[str]:
-    """Reload the modules behind ``changed_paths``; reset fingerprint memos.
-
-    Returns the names of the modules that were reloaded, in name order.
-    ``reload`` updates a module object in place, but a ``from m import f``
-    binding is re-read only in modules that are themselves reloaded: every
-    other module keeps calling the pre-edit ``f``.  So the engine, which is
-    never reloaded, imports the verifier and the discharge pipeline where
-    it calls them; an edit to a function that an unedited module
-    from-imported (``session.py`` binds ``gates.is_self_inverse``) still
-    proves with the pre-edit code until the process restarts.  The
-    fingerprint memos (toolchain, file digests, import closures, class
-    sources) are dropped whenever a Python source changed, reloaded or
-    not: keys hash the files on disk, including closure modules a
-    verification never imports.
-
-    Non-Python paths (edited *data* files — device maps, recorded suites)
-    have no module to reload; they still invalidate passes through the
-    dependency index, and the next verification re-reads them.
-    """
-    from repro.incremental.detect import partition_changes
-
-    changed, _data = partition_changes(changed_paths)
-    if not changed:
-        return []
-    linecache.checkcache()
-    reloaded: List[str] = []
-    for name in sorted(sys.modules):
-        module = sys.modules.get(name)
-        path = getattr(module, "__file__", None)
-        if path is None or normalize_path(path) not in changed:
-            continue
-        if not _reloadable(name):
-            print(f"repro watch: {path} changed but cannot be hot-reloaded "
-                  f"({name} is part of the watcher/engine machinery); "
-                  f"restart the watcher to pick up this edit",
-                  file=sys.stderr)
-            continue
-        try:
-            importlib.reload(module)
-            reloaded.append(name)
-        except Exception:
-            # A half-saved file that does not parse: keep the old module,
-            # the next cycle (after the save completes) will retry.
-            continue
-    from repro.engine.fingerprint import reset_memos
-
-    reset_memos()
-    if reloaded:
-        from repro.smt.terms import reset_interning
-
-        # The hash-cons table is process-global and unbounded; without
-        # this, every reload leaks the previous version's terms (and the
-        # solver memos that reference them) for the watcher's lifetime.
-        reset_interning()
-    return reloaded
-
-
-def refresh_classes(pass_classes: Sequence[Type]) -> List[Type]:
-    """Re-resolve each class from its (possibly reloaded) module.
-
-    ``importlib.reload`` rebinds the module's attributes but cannot update
-    class objects already referenced elsewhere; verifying the old object
-    would hash — and prove — the pre-edit code.  Classes whose module or
-    qualname no longer resolves keep their old object (a deleted class
-    verifies as before until the caller drops it).
-    """
-    refreshed: List[Type] = []
-    for pass_class in pass_classes:
-        target = pass_class
-        module = sys.modules.get(pass_class.__module__)
-        if module is not None:
-            obj = module
-            try:
-                for part in pass_class.__qualname__.split("."):
-                    obj = getattr(obj, part)
-            except AttributeError:
-                obj = None
-            if isinstance(obj, type):
-                target = obj
-        refreshed.append(target)
-    return refreshed
+    json.dump({
+        "results": [dict(result_to_payload(result), from_cache=result.from_cache)
+                    for result in report.results],
+        "stats": dataclasses.asdict(report.stats),
+    }, reply)
 
 
 @dataclass
@@ -156,15 +83,16 @@ class WatchCycle:
 
     index: int
     changed_paths: Tuple[str, ...] = ()
-    reloaded_modules: Tuple[str, ...] = ()
     stats: Optional[object] = None          # EngineStats | None (quiet cycle)
     results: List = field(default_factory=list)
     wall_seconds: float = 0.0
+    #: The failed child's last stderr line; ``None`` when nothing failed.
+    error: Optional[str] = None
 
     @property
     def quiet(self) -> bool:
         """True when nothing changed and nothing was verified."""
-        return self.stats is None
+        return self.stats is None and self.error is None
 
     @property
     def all_verified(self) -> bool:
@@ -174,11 +102,20 @@ class WatchCycle:
         if self.quiet:
             return f"cycle {self.index}: no changes"
         edits = ", ".join(sorted(self.changed_paths)) or "initial"
-        return f"cycle {self.index}: {edits}\n  {self.stats.summary_line()}"
+        outcome = self.stats.summary_line() if self.error is None \
+            else f"verification failed: {self.error}"
+        return f"cycle {self.index}: {edits}\n  {outcome}"
 
 
 class Watcher:
-    """Poll, detect, reload, re-verify: the ``repro watch`` engine."""
+    """Poll, detect, re-verify in a fresh interpreter: the ``repro watch``
+    engine.
+
+    Every pass class, and ``pass_kwargs_fn`` when given, must be importable
+    by its ``__module__`` and ``__qualname__``, because the child process
+    resolves them that way: ``pass_kwargs_fn`` must be a module-level
+    function, as the CLI's ``pass_kwargs_for`` is.
+    """
 
     def __init__(self, pass_classes: Sequence[Type], *,
                  cache_dir: Optional[str] = None,
@@ -186,31 +123,55 @@ class Watcher:
                  counterexample_search: bool = True,
                  pass_kwargs_fn: Optional[Callable] = None,
                  extra_paths: Sequence[str] = ()) -> None:
-        from repro.engine.driver import default_pass_kwargs
-
         self.pass_classes = list(pass_classes)
         self.cache_dir = cache_dir
         self.jobs = jobs
         self.counterexample_search = counterexample_search
-        self.kwargs_fn = pass_kwargs_fn or default_pass_kwargs
+        self.kwargs_reference = None
+        if pass_kwargs_fn is not None:
+            self.kwargs_reference = (pass_kwargs_fn.__module__,
+                                     pass_kwargs_fn.__qualname__)
+            if "<" in pass_kwargs_fn.__qualname__:
+                raise TypeError(f"pass_kwargs_fn {pass_kwargs_fn!r} is not a "
+                                f"module-level function")
         self.extra_paths = [normalize_path(path) for path in extra_paths]
         self.detector = ChangeDetector(self.extra_paths)
         self.cycles_run = 0
-        self.last_results: List = []
+        self._baselined = False
+        #: Changes whose verification failed; retried with the next change.
+        self._unverified: Set[str] = set()
 
     # ------------------------------------------------------------------ #
-    def _verify(self, changed_paths: Optional[Set[str]]):
-        """One engine run: full on the first cycle, incremental after."""
-        from repro.engine.driver import verify_passes
+    def _verify(self, index: int, changed_paths: Optional[Set[str]],
+                started: float) -> WatchCycle:
+        """One verification in a fresh interpreter: full when
+        ``changed_paths`` is ``None``, incremental otherwise."""
+        request = {
+            "sys_path": list(sys.path),
+            "passes": [(cls.__module__, cls.__qualname__) for cls in self.pass_classes],
+            "pass_kwargs_fn": self.kwargs_reference,
+            "cache_dir": self.cache_dir,
+            "jobs": self.jobs,
+            "counterexample_search": self.counterexample_search,
+            "changed_paths": None if changed_paths is None else sorted(changed_paths),
+        }
+        child = subprocess.run([sys.executable, "-c", _CHILD_PROGRAM],
+                               input=json.dumps(request, default=os.fspath),
+                               capture_output=True, text=True)
+        sys.stderr.write(child.stderr)
+        cycle = WatchCycle(index=index, changed_paths=tuple(sorted(changed_paths or ())))
+        if child.returncode != 0:
+            lines = child.stderr.strip().splitlines()
+            cycle.error = lines[-1] if lines else f"exit status {child.returncode}"
+        else:
+            from repro.engine.driver import EngineStats, payload_to_result
 
-        return verify_passes(
-            self.pass_classes,
-            jobs=self.jobs,
-            cache_dir=self.cache_dir,
-            pass_kwargs_fn=self.kwargs_fn,
-            counterexample_search=self.counterexample_search,
-            changed_paths=changed_paths,
-        )
+            reply = json.loads(child.stdout)
+            cycle.stats = EngineStats(**reply["stats"])
+            cycle.results = [payload_to_result(payload, from_cache=payload["from_cache"])
+                             for payload in reply["results"]]
+        cycle.wall_seconds = time.perf_counter() - started
+        return cycle
 
     def _refresh_watched_paths(self) -> None:
         """Watch the union of the dependency index's file sets.
@@ -239,54 +200,53 @@ class Watcher:
             handle.attrs["changed"] = len(cycle.changed_paths)
         return cycle
 
+    def _poll(self) -> Set[str]:
+        tracer = _trace.current()
+        if tracer is None:
+            return self.detector.poll()
+        # Stale detection timed apart from the verify that follows: on a
+        # large dependency surface the stat() sweep itself is the cycle's
+        # fixed cost.
+        with tracer.span("watch.poll", kind="watch") as handle:
+            changed = self.detector.poll()
+            handle.attrs["changed"] = len(changed)
+        return changed
+
     def _run_cycle(self) -> WatchCycle:
         started = time.perf_counter()
         index = self.cycles_run
         self.cycles_run += 1
 
-        if index == 0:
+        changed: Optional[Set[str]] = None
+        if not self._baselined:
             # Snapshot the already-known dependency surface *before* the
             # baseline verification: an edit saved while the baseline runs
             # must be detected on the next cycle, not silently recorded as
             # if it were the content that got verified.
             self._refresh_watched_paths()
-            report = self._verify(changed_paths=None)
-            self.last_results = list(report.results)
-            # Configurations verified for the first time only now have dep
-            # entries; their files join the watch set here (baselined at
-            # post-verify state — the narrowest window polling allows).
-            self._refresh_watched_paths()
-            return WatchCycle(index=index, stats=report.stats,
-                              results=list(report.results),
-                              wall_seconds=time.perf_counter() - started)
-
-        # No cache re-read on quiet polls: the dependency index can only
-        # change when something verifies, so the watched set is refreshed
-        # after verifying cycles (and at baseline), not per poll.
-        tracer = _trace.current()
-        if tracer is None:
-            changed = self.detector.poll()
         else:
-            # Stale detection timed apart from the verify that follows:
-            # on a large dependency surface the stat() sweep itself is the
-            # cycle's fixed cost.
-            with tracer.span("watch.poll", kind="watch") as handle:
-                changed = self.detector.poll()
-                handle.attrs["changed"] = len(changed)
-        if not changed:
-            return WatchCycle(index=index,
-                              wall_seconds=time.perf_counter() - started)
-        reloaded = refresh_source_state(changed)
-        self.pass_classes = refresh_classes(self.pass_classes)
-        report = self._verify(changed_paths=changed)
-        self.last_results = list(report.results)
+            # No cache re-read on quiet polls: the dependency index can
+            # only change when something verifies, so the watched set is
+            # refreshed after verifying cycles, not per poll.
+            changed = self._poll()
+            if not changed:
+                return WatchCycle(index=index,
+                                  wall_seconds=time.perf_counter() - started)
+            changed |= self._unverified
+        cycle = self._verify(index, changed, started)
+        if cycle.error is not None:
+            self._unverified = changed or set()
+            return cycle
+        self._baselined = True
+        self._unverified = set()
+        # Configurations verified for the first time only now have dep
+        # entries, and an edit may have added imports: the watch set is
+        # recomputed from the index on fresh module-graph memos (new
+        # files are baselined at post-verify state — the narrowest window
+        # polling allows).
+        reset_memos()
         self._refresh_watched_paths()
-        return WatchCycle(index=index,
-                          changed_paths=tuple(sorted(changed)),
-                          reloaded_modules=tuple(reloaded),
-                          stats=report.stats,
-                          results=list(report.results),
-                          wall_seconds=time.perf_counter() - started)
+        return cycle
 
     def watch(self, interval: float = 2.0, cycles: Optional[int] = None,
               printer: Optional[Callable[[str], None]] = print) -> WatchCycle:

@@ -62,7 +62,7 @@ class SolverBackend:
         raise NotImplementedError
 
     def reset(self) -> None:
-        """Drop memoised state (called on module reloads / interning resets)."""
+        """Drop memoised state (called by :func:`reset_solver_state`)."""
 
     def stats(self) -> Dict[str, object]:
         """Plain-int counters describing this backend's memo/index behaviour.
@@ -103,11 +103,6 @@ def resolve_solver(name: str = "auto") -> SolverBackend:
             f"(expected one of {', '.join(SOLVER_CHOICES)})")
     backend = _INSTANCES.get(resolved)
     if backend is None:
-        from repro.smt.terms import on_reset_interning
-
-        # Memoised check results hold terms; they must die with the
-        # interning table.
-        on_reset_interning(reset_solver_state)
         backend = factory()
         _INSTANCES[resolved] = backend
     if not backend.available():
@@ -133,12 +128,9 @@ def available_solvers() -> List[Tuple[str, bool]]:
 def reset_solver_state() -> None:
     """Drop every built backend, with its memoised state.
 
-    Wired into the interning reset (:func:`repro.smt.terms.reset_interning`),
-    which module reloads run: memoised check results hold hash-consed
-    terms, and serving them across an interning reset would resurrect stale
-    objects.  The next :func:`resolve_solver` builds a fresh instance from
-    its module as it is now, so an edited backend module that the watcher
-    reloaded is the one that proves.
+    The next :func:`resolve_solver` builds a fresh instance, so a
+    measurement that calls this first (``repro bench solver``) starts from
+    empty memos.
     """
     for backend in _INSTANCES.values():
         backend.reset()

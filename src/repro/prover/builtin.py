@@ -10,10 +10,8 @@ structurally identical goals under identical collected rule sets many
 times per suite, and terms are hash-consed, so the key is exact content
 identity, never a heuristic.
 
-The memo is process-local and dropped by
-:func:`repro.prover.backend.reset_solver_state` (module reloads, interning
-resets) because cached :class:`~repro.smt.solver.CheckResult` objects hold
-terms.
+The memo is process-local, lives as long as the backend instance, and is
+dropped with it by :func:`repro.prover.backend.reset_solver_state`.
 """
 
 from __future__ import annotations

@@ -38,9 +38,9 @@ class Term:
     _interned: Dict[tuple, "Term"] = {}
     _next_id = 0
     #: Interning statistics (see :func:`interning_stats`).  The table is
-    #: process-global and — without :func:`reset_interning` — unbounded;
-    #: the counters make that growth observable.
-    _stats = {"hits": 0, "misses": 0, "resets": 0}
+    #: process-global and unbounded; the counters make its growth
+    #: observable.
+    _stats = {"hits": 0, "misses": 0}
 
     def __new__(cls, op: str, args: Tuple["Term", ...] = (), sort: str = BOOL, payload=None):
         key = (op, args, sort, payload)
@@ -127,55 +127,19 @@ class Term:
 
 
 # --------------------------------------------------------------------------- #
-# Interning maintenance
+# Interning statistics
 # --------------------------------------------------------------------------- #
-#: Callables invoked by :func:`reset_interning` before the table clears:
-#: caches elsewhere holding term references (memoised solver runs) must be
-#: dropped in the same stroke, or they would resurrect pre-reset objects
-#: that no longer compare equal to freshly interned terms.
-_reset_hooks: List = []
-
-
-def on_reset_interning(hook) -> None:
-    """Register a callable to run whenever the interning table is reset."""
-    if hook not in _reset_hooks:
-        _reset_hooks.append(hook)
-
-
 def interning_stats() -> Dict[str, int]:
     """Observability for the process-global hash-cons table.
 
-    ``terms`` is the live table size (the thing that grows without bound
-    in long-lived processes), ``hits``/``misses`` the constructor's reuse
-    counters, ``resets`` how many times :func:`reset_interning` ran.
+    ``terms`` is the live table size (it only grows for the life of the
+    process), ``hits``/``misses`` the constructor's reuse counters.
     """
     return {
         "terms": len(Term._interned),
         "hits": Term._stats["hits"],
         "misses": Term._stats["misses"],
-        "resets": Term._stats["resets"],
     }
-
-
-def reset_interning() -> int:
-    """Drop every hash-consed term; returns the number of entries dropped.
-
-    ``Term._interned`` is process-global and unbounded: a watcher that
-    reloads modules accumulates terms for *every version* of
-    the code it ever verified, and stale entries can never be hit again
-    (their uids embed retired symbolic counters).  Long-lived processes
-    call this at module-reload boundaries — next to
-    ``fingerprint.reset_memos`` — where no pre-reset term is retained
-    outside the caches the reset hooks clear.  ``term_id`` keeps counting
-    monotonically, so an accidentally surviving old term can never collide
-    with a fresh one in the ``eq``-normalisation order.
-    """
-    for hook in list(_reset_hooks):
-        hook()
-    dropped = len(Term._interned)
-    Term._interned.clear()
-    Term._stats["resets"] += 1
-    return dropped
 
 
 # --------------------------------------------------------------------------- #

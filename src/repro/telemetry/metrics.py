@@ -23,7 +23,7 @@ Number = Union[int, float]
 
 
 class CounterRegistry:
-    """A named bag of monotonically increasing counters and point gauges."""
+    """A named bag of monotonically increasing counters."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -32,14 +32,6 @@ class CounterRegistry:
     def inc(self, name: str, value: Number = 1) -> None:
         with self._lock:
             self._values[name] = self._values.get(name, 0) + value
-
-    def set(self, name: str, value: Number) -> None:
-        with self._lock:
-            self._values[name] = value
-
-    def get(self, name: str, default: Number = 0) -> Number:
-        with self._lock:
-            return self._values.get(name, default)
 
     def merge(self, values: Mapping[str, Number]) -> None:
         """Fold another registry's counter snapshot into this one.

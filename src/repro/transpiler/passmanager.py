@@ -65,10 +65,9 @@ class PassManager:
         self.verify_first = verify_first
         self.verify_jobs = verify_jobs
         self.verify_cache_dir = verify_cache_dir
-        #: Configurations this manager has already verified: config key ->
-        #: (class, kwargs), so :meth:`mark_stale` can map them back onto the
-        #: incremental layer's dependency index.
-        self._verified_classes: Dict = {}
+        #: Config keys (see :meth:`_config_key`) this manager has already
+        #: verified.
+        self._verified_classes: set = set()
 
     # ------------------------------------------------------------------ #
     # Verify-before-run
@@ -143,11 +142,11 @@ class PassManager:
                     pass_kwargs_fn=batch_kwargs.get,
                     counterexample_search=False,
                 )
-                for (index, cls, kwargs), result in zip(batch, report.results):
+                for (index, _, _), result in zip(batch, report.results):
                     if result.supported and not result.verified:
                         failed.append(result)
                     else:
-                        self._verified_classes[targets[index][2]] = (cls, kwargs)
+                        self._verified_classes.add(targets[index][2])
         if failed:
             details = "; ".join(
                 f"{result.pass_name}: {result.failure_reasons[0] if result.failure_reasons else 'unproven'}"
@@ -156,55 +155,6 @@ class PassManager:
             raise TranspilerError(
                 f"verify-before-run rejected the pipeline ({details})"
             )
-
-    def mark_stale(self, changed_paths) -> int:
-        """Drop verified-markers an edit can have invalidated.
-
-        A long-lived manager (a notebook, say) skips re-verification of
-        configurations it already verified; after a source edit that skip
-        would trust a stale verdict.  This maps the changed files through
-        the proof cache's dependency index (:mod:`repro.incremental`) and
-        forgets exactly the affected configurations — the next :meth:`run`
-        re-verifies those (warm from the cache when the key is unchanged)
-        and only those.  Configurations without a dependency entry are
-        conservatively forgotten too.  Returns how many were dropped.
-
-        The edited state is refreshed, not just forgotten: the changed
-        modules are reloaded and the memoised toolchain and file hashes
-        dropped (otherwise re-verification would key against the *old*
-        prover and re-trust the very verdicts the edit invalidated), and
-        the pipeline's pass instances are re-pointed at their reloaded
-        classes so the re-proof covers the new code rather than the class
-        objects imported before the edit.
-        """
-        if not self._verified_classes:
-            return 0
-        from repro.engine import default_cache_dir
-        from repro.engine.cache import read_deps_sidecar
-        from repro.incremental.deps import identity_key
-        from repro.incremental.detect import stale_identities
-        from repro.incremental.watch import refresh_classes, refresh_source_state
-
-        directory = self.verify_cache_dir or default_cache_dir()
-        try:
-            dep_index = read_deps_sidecar(directory)
-        except Exception:
-            dep_index = {}
-        stale = stale_identities(dep_index, changed_paths)
-        dropped = 0
-        for key, (cls, kwargs) in list(self._verified_classes.items()):
-            ident = identity_key(cls, kwargs)
-            if ident in stale or ident not in dep_index:
-                del self._verified_classes[key]
-                dropped += 1
-        if dropped:
-            refresh_source_state(changed_paths)
-            for pass_instance in self._passes:
-                target = getattr(pass_instance, "verified_pass", None) or pass_instance
-                refreshed = refresh_classes([type(target)])[0]
-                if refreshed is not type(target):
-                    target.__class__ = refreshed
-        return dropped
 
     def append(self, pass_instance) -> "PassManager":
         self._passes.append(pass_instance)

@@ -133,8 +133,8 @@ def _module_class_sources(module_name: str, stamp: Tuple) -> Tuple[str, Dict[str
     ``inspect.getsource`` re-tokenises the whole module per class, which
     dominated warm-cache runs; parsing the module AST once and slicing out
     every class body makes fingerprinting 44 passes take ~1 ms.  ``stamp``
-    (the file's mtime and size) keys the memo so an edited-and-reloaded
-    module is re-extracted.
+    (the file's mtime and size) keys the memo so an edited module is
+    re-extracted.
     """
     del stamp  # part of the cache key only
     module = importlib.import_module(module_name)

@@ -2,10 +2,10 @@
 
 Two shapes of concurrency, both from genuinely separate processes:
 
-* raw store clients appending to one directory (every entry survives,
-  nothing corrupts);
-* two full ``repro verify`` CLI clients sharing one store (both complete
-  with correct verdicts, and a third client is then fully warm).
+* processes appending to one store directory through ``ProofCache``
+  (every entry survives, nothing corrupts);
+* two ``repro verify`` runs sharing one store (both complete with
+  correct verdicts, and a third run is then fully warm).
 
 Hit totals are absolute and the last writer wins, so concurrent readers'
 counts are not summed; that costs accounting, never a verdict.

@@ -1,5 +1,5 @@
-"""The store the daemon serves is the JSONL proof cache direct runs use:
-persistence, invalidation and eviction under an explicit fingerprint."""
+"""The JSONL proof store every ``repro`` process opens: persistence,
+invalidation and eviction under an explicit fingerprint."""
 
 from repro.engine.cache import ProofCache
 from repro.engine.fingerprint import toolchain_fingerprint

@@ -16,9 +16,7 @@ from repro.incremental.deps import (
 )
 from repro.incremental.detect import (
     ChangeDetector,
-    is_python_source,
     normalize_path,
-    partition_changes,
     stale_identities,
 )
 from repro.passes import ALL_VERIFIED_PASSES
@@ -126,25 +124,6 @@ def test_declared_data_dependencies_feed_the_fingerprint(tmp_path):
     # Missing files hash as absent, not as an error.
     data.unlink()
     assert data_dependency_digest(DataPass)[0][1] == "<missing>"
-
-
-def test_partition_changes_and_is_python_source(tmp_path):
-    py = tmp_path / "m.py"
-    py.write_text("")
-    dat = tmp_path / "d.json"
-    dat.write_text("{}")
-    assert is_python_source(str(py)) and not is_python_source(str(dat))
-    sources, data = partition_changes([str(py), str(dat)])
-    assert sources == {normalize_path(str(py))}
-    assert data == {normalize_path(str(dat))}
-
-
-def test_refresh_source_state_ignores_data_files(tmp_path):
-    from repro.incremental.watch import refresh_source_state
-
-    dat = tmp_path / "device.json"
-    dat.write_text("{}")
-    assert refresh_source_state([str(dat)]) == []
 
 
 def test_file_backed_qasm_suite(tmp_path):

@@ -1,13 +1,13 @@
-"""After a watcher reloads an edited prover module, the reloaded code proves.
+"""A watch cycle proves the code on disk, and a cycle that cannot verify fails
+cleanly.
 
-The regression: ``engine/driver.py``, which the watcher never reloads,
-bound ``verify_pass`` and ``Discharger`` when it was first imported.  After
-an edit to ``verify/verifier.py`` or ``verify/discharge.py`` and
-:func:`repro.incremental.watch.refresh_source_state`, the keys hashed the
-edited file while the engine still called the pre-edit code, so a
-deliberately broken verifier kept verifying.  A reloaded solver backend must
-likewise replace the instance built before the edit.  Run on a copy of the
-package, in fresh interpreters.
+The regression: the watcher used to reload edited modules in place, but a
+module it did not reload kept calling the code it had imported first, so a
+deliberately broken verifier kept verifying.  Each cycle now verifies in a
+fresh interpreter: an exception inserted into the verifier, the discharge
+pipeline or the builtin solver backend must surface as that cycle's error.
+The sabotage runs on a copy of the package, with the watcher itself in a
+fresh interpreter on that copy.
 """
 
 import json
@@ -22,37 +22,27 @@ import pytest
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
-_EDIT_AND_REVERIFY = textwrap.dedent(
+_EDIT_BETWEEN_CYCLES = textwrap.dedent(
     """
-    import importlib.util
     import json
-    import os
     import sys
 
-    from repro.engine.driver import verify_passes
-    from repro.incremental.watch import refresh_source_state
+    from repro.incremental.watch import Watcher
     from repro.passes import CXCancellation
 
-    path, anchor, inserted = sys.argv[1:]
-    # The watcher's first cycle: everything a proof runs is imported.
-    assert verify_passes([CXCancellation], use_cache=False)[0].verified
+    path, anchor, inserted, store = sys.argv[1:]
+    watcher = Watcher([CXCancellation], cache_dir=store)
+    assert watcher.run_cycle().all_verified
 
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     assert text.count(anchor) == 1
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text.replace(anchor, inserted + anchor))
-    cached = importlib.util.cache_from_source(path)
-    if os.path.exists(cached):
-        os.unlink(cached)
 
-    reloaded = refresh_source_state([path])
-    try:
-        report = verify_passes([CXCancellation], use_cache=False)
-        outcome = {"verified": report[0].verified}
-    except RuntimeError as exc:
-        outcome = {"raised": str(exc)}
-    print(json.dumps({"reloaded": reloaded, "outcome": outcome}))
+    cycle = watcher.run_cycle()
+    print(json.dumps({"changed": cycle.changed_paths, "error": cycle.error,
+                      "results": len(cycle.results)}))
     """
 )
 
@@ -61,25 +51,62 @@ _EDIT_AND_REVERIFY = textwrap.dedent(
     ("repro.verify.verifier", "    pass_kwargs = dict(pass_kwargs or {})\n"),
     ("repro.verify.discharge",
      "        result, backend_used = self._dispatch(subgoal)\n"),
-    # Resolved backends are built once; the reload's interning reset must
-    # drop them so the next run builds the reloaded class.
     ("repro.prover.builtin", "        self.memo_misses += 1\n"),
 ], ids=["verifier", "discharge", "builtin-backend"])
 def test_a_reloaded_prover_module_is_the_one_that_proves(tmp_path, module,
-                                                          anchor):
+                                                        anchor):
     src = tmp_path / "src"
     shutil.copytree(REPO_SRC / "repro", src / "repro",
                     ignore=shutil.ignore_patterns("__pycache__"))
     path = src.joinpath(*module.split(".")).with_suffix(".py")
     marker = f"edited {module}"
     indent = anchor[:len(anchor) - len(anchor.lstrip())]
-    env = dict(os.environ, PYTHONPATH=str(src))
     completed = subprocess.run(
-        [sys.executable, "-c", _EDIT_AND_REVERIFY, str(path), anchor,
-         f"{indent}raise RuntimeError({marker!r})\n"],
-        capture_output=True, text=True, env=env, timeout=300,
+        [sys.executable, "-c", _EDIT_BETWEEN_CYCLES, str(path), anchor,
+         f"{indent}raise RuntimeError({marker!r})\n", str(tmp_path / "store")],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert completed.returncode == 0, completed.stderr
-    result = json.loads(completed.stdout)
-    assert result["reloaded"] == [module]
-    assert result["outcome"] == {"raised": marker}
+    cycle = json.loads(completed.stdout)
+    assert cycle == {"changed": [os.path.realpath(path)],
+                     "error": f"RuntimeError: {marker}", "results": 0}
+
+
+def _store_bytes(store: Path) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(store.iterdir())}
+
+
+def test_a_cycle_that_cannot_verify_stores_nothing(tmp_path, pass_package):
+    """A half-saved pass module fails one cycle; the watcher keeps polling,
+    and the save that fixes the file re-proves the pass."""
+    from repro.incremental.watch import Watcher
+
+    pass_package.write("mod_a.py", pass_package.GOOD_WIDTH)
+    pass_package.write("mod_b.py", pass_package.GOOD_SIZE)
+    width = pass_package.load("mod_a", "TempWidth")
+    size = pass_package.load("mod_b", "TempSize")
+    store = tmp_path / "store"
+    watcher = Watcher([width, size], cache_dir=str(store))
+    assert watcher.run_cycle().all_verified
+    before = _store_bytes(store)
+
+    pass_package.write("mod_a.py", pass_package.GOOD_WIDTH_EDITED.replace(
+        "def run(self, circuit):", "def run(self, circuit:"))
+    failed = watcher.run_cycle()
+    assert failed.changed_paths == (pass_package.path_of("mod_a.py"),)
+    assert failed.error.startswith("SyntaxError")
+    assert "verification failed: SyntaxError" in failed.summary_line()
+    assert not failed.quiet and not failed.all_verified
+    assert _store_bytes(store) == before
+
+    assert watcher.run_cycle().quiet
+
+    pass_package.write("mod_a.py", pass_package.GOOD_WIDTH_EDITED)
+    fixed = watcher.run_cycle()
+    assert fixed.error is None
+    assert fixed.stats.stale_passes == 1
+    assert fixed.stats.cache_misses == 1   # TempWidth re-proved
+    assert [r.pass_name for r in fixed.results if not r.from_cache] == \
+        ["TempWidth"]
+    assert fixed.all_verified

@@ -3,8 +3,11 @@
 The regression: ``circuit/gates.is_self_inverse`` is read by the symbolic
 executor but was outside the hand-kept toolchain list, so after making it
 return ``False`` a warm store and ``--changed`` both still served 47/47
-while a fresh run rejected three passes.  Run on a copy of the package, in
-fresh interpreters.
+while a fresh run rejected three passes.  The watcher had the same hole
+for longer: it reloaded ``gates.py`` in place, but the symbolic executor
+kept the ``is_self_inverse`` it had imported first, so the watch cycle
+stored 47/47 under the edited file's keys.  Run on a copy of the package,
+in fresh interpreters.
 """
 
 import importlib.util
@@ -13,6 +16,7 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -63,3 +67,63 @@ def test_stored_verdicts_follow_an_edit_to_the_gate_library(tmp_path):
                           if not row["verified"])
         assert rejected == NEED_SELF_INVERSE, name
         assert report["summary"]["verified"] == 44, name
+
+
+_WATCH_THE_EDIT = textwrap.dedent(
+    """
+    import json
+    import sys
+
+    from repro.cli import pass_kwargs_for
+    from repro.incremental.watch import Watcher
+    from repro.passes import pass_registry
+
+    gates, store, body = sys.argv[1:]
+    watcher = Watcher(list(pass_registry().values()), cache_dir=store,
+                      pass_kwargs_fn=pass_kwargs_for)
+    baseline = watcher.run_cycle()
+    heavy = ("repro.verify.verifier", "repro.verify.discharge",
+             "repro.prover.methods", "repro.engine.scheduler")
+    loaded = [name for name in heavy if name in sys.modules]
+
+    with open(gates, encoding="utf-8") as handle:
+        text = handle.read()
+    with open(gates, "w", encoding="utf-8") as handle:
+        handle.write(text.replace(body, "    return False\\n"))
+    cycle = watcher.run_cycle()
+    print(json.dumps({
+        "baseline": sum(result.verified for result in baseline.results),
+        "loaded": loaded,
+        "verified": sum(result.verified for result in cycle.results),
+        "total": len(cycle.results),
+        "stale": cycle.stats.stale_passes,
+    }))
+    """
+)
+
+
+def test_a_watch_cycle_proves_the_edited_gate_library(tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(REPO_SRC / "repro", src / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    gates = src / "repro" / "circuit" / "gates.py"
+    assert gates.read_text(encoding="utf-8").count(SELF_INVERSE_BODY) == 1
+    store = tmp_path / "store"
+    completed = subprocess.run(
+        [sys.executable, "-c", _WATCH_THE_EDIT, str(gates), str(store),
+         SELF_INVERSE_BODY],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert completed.returncode == 0, completed.stderr
+    # The watcher process loads neither the verifier nor the prover.
+    assert json.loads(completed.stdout) == {
+        "baseline": 47, "loaded": [], "verified": 44, "total": 47, "stale": 47}
+
+    warm = _verify(src, store)
+    fresh = _verify(src, tmp_path / "unused", "--no-cache")
+    assert (warm["engine"]["cache_hits"], warm["engine"]["cache_misses"]) == (47, 0)
+    verdicts = lambda report: [(row["pass"], row["verified"])
+                               for row in report["results"]]
+    assert verdicts(warm) == verdicts(fresh)
+    assert warm["summary"]["verified"] == 44

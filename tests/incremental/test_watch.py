@@ -1,6 +1,22 @@
-"""End-to-end incremental re-verification: driver, watcher, pre-warm."""
+"""End-to-end incremental re-verification: driver, watcher, pre-warm.
+
+Each watch cycle verifies in a fresh interpreter, so the tests edit the
+pass modules on disk and never have to re-import them here.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
 
 from repro.engine.driver import verify_passes
+
+REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 # --------------------------------------------------------------------------- #
@@ -44,24 +60,21 @@ def test_pass_without_dep_entry_is_conservatively_stale(tmp_path, pass_package):
 
 
 def test_verdicts_identical_to_full_run_after_edit(tmp_path, pass_package):
+    from repro.incremental.watch import Watcher
+
     pass_package.write("mod_a.py", pass_package.GOOD_WIDTH)
     pass_package.write("mod_b.py", pass_package.GOOD_SIZE)
-    width = pass_package.load("mod_a", "TempWidth")
-    size = pass_package.load("mod_b", "TempSize")
-    cache_dir = tmp_path / "cache"
-    verify_passes([width, size], cache_dir=cache_dir)
+    classes = [pass_package.load("mod_a", "TempWidth"),
+               pass_package.load("mod_b", "TempSize")]
+    watcher = Watcher(classes, cache_dir=str(tmp_path / "cache"))
+    watcher.run_cycle()
 
     pass_package.write("mod_a.py", pass_package.GOOD_WIDTH_EDITED)
-    from repro.incremental.watch import refresh_classes, refresh_source_state
-
-    refresh_source_state([pass_package.path_of("mod_a.py")])
-    width, size = refresh_classes([width, size])
-
-    incr = verify_passes([width, size], cache_dir=cache_dir,
-                         changed_paths=[pass_package.path_of("mod_a.py")])
-    full = verify_passes([width, size], cache_dir=tmp_path / "fresh")
+    incr = watcher.run_cycle()
+    full = Watcher(classes, cache_dir=str(tmp_path / "fresh")).run_cycle()
     assert incr.stats.stale_passes == 1
     assert incr.stats.cache_misses == 1   # the edited pass was re-proved
+    assert full.stats.cache_misses == 2
     assert [r.verified for r in incr.results] == \
         [r.verified for r in full.results]
 
@@ -93,10 +106,6 @@ def test_watcher_reverifies_only_the_edited_pass(tmp_path, pass_package):
     assert cycle.stats.cache_hits == 1     # TempSize untouched: served warm
     assert cycle.stats.cache_misses == 1   # TempWidth re-proved
     assert cycle.all_verified
-    assert any("mod_a" in name for name in cycle.reloaded_modules)
-    # The reloaded class really is the edited one.
-    assert "num_clbits" in [c for c in watcher.pass_classes
-                            if c.__name__ == "TempWidth"][0].run.__code__.co_names
 
 
 def test_watcher_watch_runs_bounded_cycles(tmp_path, pass_package):
@@ -112,13 +121,92 @@ def test_watcher_watch_runs_bounded_cycles(tmp_path, pass_package):
     assert any("cycle 0" in line for line in lines)
 
 
+def test_watcher_takes_only_an_importable_kwargs_function(pass_package):
+    from repro.engine.driver import default_pass_kwargs
+    from repro.incremental.watch import Watcher
+
+    pass_package.write("mod_a.py", pass_package.GOOD_WIDTH)
+    width = pass_package.load("mod_a", "TempWidth")
+    # The child process finds the function by module and qualname.
+    watcher = Watcher([width], pass_kwargs_fn=default_pass_kwargs)
+    assert watcher.kwargs_reference == \
+        ("repro.engine.driver", "default_pass_kwargs")
+    with pytest.raises(TypeError, match="not a module-level function"):
+        Watcher([width], pass_kwargs_fn=lambda cls: None)
+
+
+_ADD_AN_IMPORT = textwrap.dedent(
+    """
+    import json
+    import os
+    import sys
+
+    from repro.incremental.watch import Watcher
+
+    package = sys.argv[1]
+    helper = os.path.join(os.path.dirname(package), "repro", "watch_helper.py")
+
+    def write(path, text):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+
+    write(helper, "VALUE = 1\\n")
+    module = os.path.join(package, "mod_a.py")
+    with open(module, encoding="utf-8") as handle:
+        body = handle.read()
+    from watchpkg.mod_a import TempWidth
+
+    watcher = Watcher([TempWidth], cache_dir=sys.argv[2])
+    cycles = [watcher.run_cycle()]
+    write(module, "import repro.watch_helper  # noqa: F401\\n" + body)
+    cycles.append(watcher.run_cycle())
+    write(helper, "VALUE = 22\\n")
+    cycles.append(watcher.run_cycle())
+    print(json.dumps([
+        {"changed": [os.path.basename(path) for path in cycle.changed_paths],
+         "stale": cycle.stats and cycle.stats.stale_passes,
+         "misses": cycle.stats and cycle.stats.cache_misses,
+         "verified": cycle.all_verified}
+        for cycle in cycles]))
+    """
+)
+
+
+def test_the_watch_set_follows_an_edit_that_adds_an_import(tmp_path,
+                                                           pass_package):
+    """Only package modules join a closure, so the helper lives in a copy
+    of ``src/repro``; the pass module gains an import of it, and an edit
+    to the helper alone must then re-verify the pass."""
+    src = tmp_path / "src"
+    shutil.copytree(REPO_SRC / "repro", src / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    package = src / "watchpkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod_a.py").write_text(textwrap.dedent(pass_package.GOOD_WIDTH))
+    completed = subprocess.run(
+        [sys.executable, "-c", _ADD_AN_IMPORT, str(package),
+         str(tmp_path / "store")],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert completed.returncode == 0, completed.stderr
+    baseline, added, helper = json.loads(completed.stdout)
+    assert baseline == {"changed": [], "stale": None, "misses": 1,
+                        "verified": True}
+    assert added == {"changed": ["mod_a.py"], "stale": 1, "misses": 1,
+                     "verified": True}
+    assert helper == {"changed": ["watch_helper.py"], "stale": 1, "misses": 1,
+                      "verified": True}
+
+
 # --------------------------------------------------------------------------- #
 # Pre-warm
 # --------------------------------------------------------------------------- #
 def test_watch_cycle_prewarms_store(tmp_path, pass_package):
     """After a watch cycle re-proves an edit, the next run on the same
     store is served entirely warm."""
-    from repro.incremental.watch import Watcher, refresh_classes
+    from repro.incremental.watch import Watcher
 
     pass_package.write("mod_a.py", pass_package.GOOD_WIDTH)
     pass_package.write("mod_b.py", pass_package.GOOD_SIZE)
@@ -133,33 +221,6 @@ def test_watch_cycle_prewarms_store(tmp_path, pass_package):
     cycle = watcher.run_cycle()
     assert cycle.stats.cache_misses == 1   # exactly the edited pass re-proved
 
-    client = verify_passes(refresh_classes([width, size]), cache_dir=store)
+    client = Watcher([width, size], cache_dir=store).run_cycle()
     assert client.stats.cache_hits == 2
     assert client.stats.cache_misses == 0
-
-
-# --------------------------------------------------------------------------- #
-# PassManager tie-in
-# --------------------------------------------------------------------------- #
-def test_passmanager_mark_stale_drops_only_affected_configs(tmp_path,
-                                                            pass_package):
-    from repro.transpiler.passmanager import PassManager
-
-    pass_package.write("mod_a.py", pass_package.GOOD_WIDTH)
-    pass_package.write("mod_b.py", pass_package.GOOD_SIZE)
-    width = pass_package.load("mod_a", "TempWidth")
-    size = pass_package.load("mod_b", "TempSize")
-
-    manager = PassManager([width(), size()], verify_first=True,
-                          verify_cache_dir=str(tmp_path / "cache"))
-    manager.ensure_verified()
-    assert len(manager._verified_classes) == 2
-
-    # An unrelated edit invalidates nothing.
-    assert manager.mark_stale([str(tmp_path / "unrelated.py")]) == 0
-    assert len(manager._verified_classes) == 2
-
-    # Editing mod_a invalidates exactly TempWidth's marker.
-    assert manager.mark_stale([pass_package.path_of("mod_a.py")]) == 1
-    remaining = [cls.__name__ for (cls, _) in manager._verified_classes.values()]
-    assert remaining == ["TempSize"]

@@ -71,6 +71,12 @@ def test_pooled_cold_trace_covers_every_pass_exactly_once(tmp_path):
     finally:
         _trace.shutdown()
     assert report.stats.cache_misses == len(SUBSET)
-    summary = summarize_trace(load_trace(str(tmp_path / "trace")))
+    records = load_trace(str(tmp_path / "trace"))
+    summary = summarize_trace(records)
     names = sorted(item["name"] for item in summary["passes"])
     assert names == sorted(cls.__name__ for cls in SUBSET)
+    # The absorbed pass spans hang under the map that ran them.
+    spans = [record for record in records if record["t"] == "span"]
+    (pool_map,) = [span for span in spans if span["name"] == "scheduler.map"]
+    assert {span["parent"] for span in spans if span["kind"] == "pass"} == \
+        {pool_map["id"]}

@@ -11,15 +11,13 @@ from repro.telemetry.metrics import CounterRegistry, render_prometheus
 
 def test_counter_registry_inc_set_get():
     counters = CounterRegistry()
+    counters.inc("b_total", 0.5)
     counters.inc("a_total")
     counters.inc("a_total", 4)
-    counters.set("gauge", 2.5)
-    assert counters.get("a_total") == 5
-    assert counters.get("gauge") == 2.5
-    assert counters.get("missing", -1) == -1
     snapshot = counters.snapshot()
+    assert list(snapshot.items()) == [("a_total", 5), ("b_total", 0.5)]
     snapshot["a_total"] = 999  # snapshots are copies
-    assert counters.get("a_total") == 5
+    assert counters.snapshot()["a_total"] == 5
 
 
 def test_counter_registry_merge_adds_snapshots():
@@ -27,8 +25,7 @@ def test_counter_registry_merge_adds_snapshots():
     counters.inc("a_total", 2)
     counters.merge({"a_total": 3, "b_total": 5})
     counters.merge({})  # merging nothing is a no-op
-    assert counters.get("a_total") == 5
-    assert counters.get("b_total") == 5
+    assert counters.snapshot() == {"a_total": 5, "b_total": 5}
 
 
 def test_counter_registry_merge_combines_worker_payloads():
@@ -39,7 +36,7 @@ def test_counter_registry_merge_combines_worker_payloads():
     combined = CounterRegistry()
     for registry in workers:
         combined.merge(registry.snapshot())
-    assert combined.get("repro_fuzz_cases_total") == 6
+    assert combined.snapshot() == {"repro_fuzz_cases_total": 6}
 
 
 def test_counter_registry_is_thread_safe():
@@ -54,7 +51,7 @@ def test_counter_registry_is_thread_safe():
         thread.start()
     for thread in threads:
         thread.join()
-    assert counters.get("n_total") == 8000
+    assert counters.snapshot() == {"n_total": 8000}
 
 
 # --------------------------------------------------------------------- #
