@@ -77,6 +77,16 @@ class CacheStats:
     certs_evicted: int = 0    # certificates dropped when their subgoal died
 
 
+def _dumps(record) -> str:
+    """One store record as the files hold it: sorted keys, no spaces.
+
+    Every record of the three files is written through here, and the byte
+    counts (payload bytes, reclaimed bytes) measure values the same way.
+    Records written with the default separators load alike.
+    """
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR``, else ``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``."""
     override = os.environ.get("REPRO_CACHE_DIR")
@@ -333,7 +343,7 @@ class ProofCache:
         if self._handle is None:
             return
         record = {"kind": kind, "key": key, "fp": self.active_fingerprint, "value": value}
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+        self._handle.write(_dumps(record) + "\n")
         self._handle.flush()
 
     def flush(self) -> None:
@@ -386,7 +396,7 @@ class ProofCache:
             if count > self._hits_written.get((kind, key), 0):
                 record = {"kind": "touch", "ref": kind, "key": key,
                           "hits": count}
-                self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+                self._handle.write(_dumps(record) + "\n")
                 self._hits_written[(kind, key)] = count
                 self._dead_lines += 1
 
@@ -411,7 +421,7 @@ class ProofCache:
                 hits = self._hits.get((kind, key), 0)
                 if hits:
                     record["hits"] = hits
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+                handle.write(_dumps(record) + "\n")
         os.replace(tmp_path, self.path)
         self._dead_lines = 0
         self._damaged.discard(self.path)
@@ -449,7 +459,7 @@ class ProofCache:
         self._touched[(kind, key)] = None
         record = {"kind": "touch", "ref": kind, "key": key,
                   "hits": self._hits[(kind, key)]}
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+        self._handle.write(_dumps(record) + "\n")
         self._hits_written[(kind, key)] = self._hits[(kind, key)]
         self._dead_lines += 1
 
@@ -480,14 +490,14 @@ class ProofCache:
                 evicted += 1
                 journal.append((kind, key))
                 self.stats.proof_bytes_reclaimed += \
-                    len(json.dumps(value, sort_keys=True))
+                    len(_dumps(value))
             self._hits.pop((kind, key), None)
             self._hits_written.pop((kind, key), None)
         # Certificates live and die with their subgoal entry.
         orphaned = [key for key in self._certs if key not in self._subgoals]
         for key in orphaned:
             self.stats.cert_bytes_reclaimed += \
-                len(json.dumps(self._certs[key], sort_keys=True))
+                len(_dumps(self._certs[key]))
             journal.append(("certificate", key))
             del self._certs[key]
             self._certs_lru.pop(key, None)
@@ -624,7 +634,7 @@ class ProofCache:
         self.stats.cert_stores += 1
         if self._certs_handle is not None:
             record = {"key": key, "fp": self.active_fingerprint, "value": value}
-            self._certs_handle.write(json.dumps(record, sort_keys=True) + "\n")
+            self._certs_handle.write(_dumps(record) + "\n")
             self._certs_handle.flush()
 
     def _compact_certs(self) -> None:
@@ -643,7 +653,7 @@ class ProofCache:
                           "value": self._certs[key]}
                 if self._cert_hits.get(key):
                     record["hits"] = self._cert_hits[key]
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+                handle.write(_dumps(record) + "\n")
         os.replace(tmp_path, self.certs_path)
         self._certs_dead = 0
         self._damaged.discard(self.certs_path)
@@ -676,7 +686,7 @@ class ProofCache:
         self._deps.update(records)
         if self._deps_handle is not None:
             self._deps_handle.write("".join(
-                json.dumps({"key": row, "value": record}, sort_keys=True) + "\n"
+                _dumps({"key": row, "value": record}) + "\n"
                 for row, record in records.items()))
             self._deps_handle.flush()
 
@@ -705,7 +715,7 @@ class ProofCache:
         doomed = [key for key in self._deps if key not in live]
         for key in doomed:
             self.stats.dep_bytes_reclaimed += \
-                len(json.dumps(self._deps[key], sort_keys=True))
+                len(_dumps(self._deps[key]))
             del self._deps[key]
             self._deps_dead += 1
         if doomed and self._deps_handle is not None:
@@ -722,8 +732,7 @@ class ProofCache:
         tmp_path = self.deps_path.with_suffix(".tmp")
         with open(tmp_path, "w", encoding="utf-8") as handle:
             for key, value in self._deps.items():
-                handle.write(json.dumps({"key": key, "value": value},
-                                        sort_keys=True) + "\n")
+                handle.write(_dumps({"key": key, "value": value}) + "\n")
         os.replace(tmp_path, self.deps_path)
         self._deps_dead = 0
         self._damaged.discard(self.deps_path)
@@ -756,7 +765,7 @@ class ProofCache:
         certs = list(self._certs.values())
 
         def payload_bytes(values) -> int:
-            return sum(len(json.dumps(value, sort_keys=True)) for value in values)
+            return sum(len(_dumps(value)) for value in values)
 
         live = len(passes) + len(subgoals)
         return {

@@ -6,7 +6,9 @@ This is the engine's public API.  It turns the one-shot
 * every pass is fingerprinted (source + constructor arguments + rule set)
   and served from the persistent :class:`~repro.engine.cache.ProofCache`
   when unchanged — a warm re-verification of the whole suite takes
-  milliseconds instead of re-proving every obligation;
+  milliseconds instead of re-proving every obligation, and derives no key:
+  a pass whose recorded dependency entry still matches the content digest
+  of its sources is served through the fingerprint recorded there;
 * cache misses are fanned out over a
   :class:`~repro.engine.scheduler.WorkerPool` (``jobs=N``), each worker
   discharging the subgoals of its passes with a process-local view of the
@@ -14,11 +16,11 @@ This is the engine's public API.  It turns the one-shot
   with its previous version;
 * results come back in input order with an :class:`EngineStats` block
   (hits, misses, jobs, wall time) that the reports surface;
-* dependency information (which source files each verified configuration's
-  cache key depends on) is recorded at verification time, and
-  ``verify_passes(changed_paths=...)`` uses it to re-fingerprint only the
-  passes an edit can actually have invalidated (see
-  :mod:`repro.incremental`).
+* dependency information (the fingerprint each verified configuration's
+  key came to, and the digest of the sources it read) is recorded at
+  verification time, and ``verify_passes(changed_paths=...)`` also uses
+  it to re-fingerprint the passes an edit to a listed file can have
+  invalidated (see :mod:`repro.incremental`).
 
 The CLI (``repro verify --all --jobs 8``), the pass manager's
 verify-before-run mode, and the Table 2 benchmark driver all route through
@@ -40,15 +42,16 @@ from repro.engine.cache import (
 from repro.engine.fingerprint import (
     DEFAULT_SOLVER,
     canonical_rule_names,
+    data_dependency_digest,
     pass_fingerprint,
     subgoal_fingerprint,
 )
 from repro.telemetry import stats as store_stats
 from repro.telemetry import trace as _trace
-from repro.verify.preprocessor import PassAnalysis
 from repro.verify.results import (
     CounterExample,
     DischargeResult,
+    PassAnalysis,
     SubgoalOutcome,
     VerificationResult,
 )
@@ -529,16 +532,19 @@ def verify_passes(
     obligations — benchmarks that report per-pass times want this; the
     default shares discharge results between passes within the run.
 
-    ``changed_paths`` switches the run *incremental*: only passes whose
-    recorded dependency files (see :mod:`repro.incremental.deps`) intersect
-    the change set are re-fingerprinted; every other pass is served from
-    the cache through the fingerprint recorded in the dependency index,
-    skipping source extraction and hashing entirely.  Pass an empty
-    iterable for "nothing changed".  Passes without a dependency entry are
-    conservatively treated as stale.  Verdicts are identical to a full run;
-    ``stats.stale_passes`` reports how many passes took the full path.
-    ``record_deps=False`` skips dependency bookkeeping for cached runs that
-    will never be re-driven incrementally.
+    Every cached run serves a pass whose dependency entry (see
+    :mod:`repro.incremental.deps`) is fresh through the fingerprint
+    recorded there, skipping source extraction and key derivation: the
+    entry's ``sources`` digest still equals the content digest of
+    everything its key reads.  ``changed_paths`` switches the run
+    *incremental*: passes whose recorded dependency files intersect the
+    change set are re-fingerprinted too, and ``stats.stale_passes``
+    reports how many passes took that full path (an entry whose sources
+    moved takes it whether or not the change set names the edit).  Pass
+    an empty iterable for "nothing changed".  Passes without a dependency
+    entry are conservatively treated as stale.  Verdicts are identical to
+    a full run.  ``record_deps=False`` writes no dependency entries, for
+    cached runs that will never be re-driven incrementally.
     """
     started = time.perf_counter()
     _check_changed_paths(changed_paths)
@@ -583,13 +589,18 @@ def resolve_pending(
 ) -> Tuple[List[Optional[VerificationResult]], List[Tuple[int, Type, Optional[Dict], Optional[str]]]]:
     """Phase 1 of a batch run: serve what the cache can, collect the rest.
 
-    Fingerprints every requested configuration (or, on incremental runs,
-    only the ones the dependency index says an edit can have invalidated),
-    serves cache hits, and records dependency entries.  Returns
-    ``(results, pending)``: ``results`` is a list aligned with
-    ``pass_classes`` holding the cached results (``None`` where work
-    remains) and ``pending`` lists ``(index, pass_class, pass_kwargs,
-    key)`` for everything that must actually be proved.
+    A configuration whose dependency entry is *fresh* is served through
+    the fingerprint recorded in it, without deriving its key: the entry's
+    ``sources`` digest (:func:`repro.incremental.deps.sources_digest`,
+    everything the key reads besides the configuration's identity,
+    ``solver`` included) equals the current one, and on incremental runs
+    its watch set also misses ``changed_paths``.  Every other
+    configuration is fingerprinted and served on a hit, and its entry is
+    rewritten when its key or its sources moved.  Returns ``(results,
+    pending)``: ``results`` is a list aligned with ``pass_classes``
+    holding the cached results (``None`` where work remains) and
+    ``pending`` lists ``(index, pass_class, pass_kwargs, key)`` for
+    everything that must actually be proved.
 
     ``recorder`` (a :class:`~repro.telemetry.stats.StatsRecorder`) receives
     the canonical pass-tier outcome for every requested key: ``hit``
@@ -597,100 +608,74 @@ def resolve_pending(
     re-proved), or ``miss`` (cold).  This phase runs in the parent
     process whether or not the pending work goes to a worker pool, so the
     recorded outcomes are identical at any worker count.
-
-    ``solver`` is the resolved backend name the run discharges with; it
-    joins every derived fingerprint, and dependency entries recorded under
-    a *different* solver are conservatively treated as stale (their
-    recorded fingerprint can only hit the other solver's cache entries).
     """
     if cache is not None:
         stats.backend = getattr(cache, "backend", None)
         if cache.directory is not None:
             stats.cache_dir = str(cache.directory)
 
-    # Incremental mode: the dependency index tells us which passes an edit
-    # can possibly have invalidated; everything else is served through its
-    # recorded fingerprint without being re-fingerprinted at all.
-    incremental = changed_paths is not None and cache is not None \
-        and hasattr(cache, "deps_snapshot")
-    track_deps = record_deps and cache is not None and hasattr(cache, "put_deps")
+    indexed = cache is not None and hasattr(cache, "deps_snapshot")
+    incremental = changed_paths is not None and indexed
+    track_deps = record_deps and indexed and hasattr(cache, "put_deps")
     dep_index: Dict[str, dict] = {}
     changed: set = set()
-    if incremental or track_deps:
+    if indexed:
         from repro.incremental.deps import (
             build_dep_entry,
             entry_watch_paths,
             identity_key,
+            sources_digest,
         )
+
+        dep_index = cache.deps_snapshot()
     if incremental:
         from repro.incremental.detect import normalize_path
 
-        dep_index = cache.deps_snapshot()
         changed = {normalize_path(path) for path in changed_paths}
         stats.stale_passes = 0
-    elif track_deps:
-        dep_index = cache.deps_snapshot()
 
     tracer = _trace.current()
     results: List[Optional[VerificationResult]] = [None] * len(pass_classes)
     pending: List[Tuple[int, Type, Optional[Dict], Optional[str]]] = []
     for index, pass_class in enumerate(pass_classes):
         pass_kwargs = kwargs_fn(pass_class)
-        ident = None
-        probed_key = None
-        stale_pass = False
-        if incremental or track_deps:
+        key = ident = entry = sources = data = None
+        if indexed:
             ident = identity_key(pass_class, pass_kwargs)
-        if incremental:
-            dep_entry = dep_index.get(ident)
-            # A dependency entry recorded under another solver points at
-            # that solver's cache keys; serving through it would hand this
-            # run a different backend's verdict payload.
-            if dep_entry is not None and \
-                    dep_entry.get("solver", DEFAULT_SOLVER) == solver and \
-                    changed.isdisjoint(entry_watch_paths(dep_entry)):
-                probed_key = dep_entry.get("fingerprint")
-                cached = cache.get_pass(probed_key)
-                if cached is not None:
-                    results[index] = payload_to_result(
-                        cached, from_cache=True, time_seconds=0.0)
-                    if recorder is not None:
-                        recorder.note_pass(probed_key, "hit")
-                    if tracer is not None:
-                        tracer.event("pass.cache", kind="cache", outcome="hit",
-                                     target=pass_class.__name__,
-                                     incremental=True)
-                    continue
-            # No dependency entry, a changed dependency file, or an evicted
-            # proof: take the full fingerprint-and-verify path.
+            data = data_dependency_digest(pass_class)
+            sources = sources_digest(pass_class.__module__, solver, data)
+            entry = dep_index.get(ident)
+            if entry is not None and sources is not None \
+                    and entry.get("sources") == sources and (
+                        not changed or changed.isdisjoint(entry_watch_paths(entry))):
+                key = entry["fingerprint"]
+        fresh = key is not None
+        if not fresh:
+            key = pass_fingerprint(pass_class, pass_kwargs, solver=solver,
+                                   data_digests=data)
+            if track_deps and key is not None and (
+                    entry is None or entry.get("fingerprint") != key
+                    or entry.get("sources") != sources):
+                entry = build_dep_entry(pass_class, pass_kwargs, key,
+                                        solver=solver, sources=sources)
+                cache.put_deps(ident, entry)
+                dep_index[ident] = entry
+        cached = cache.get_pass(key) if cache is not None else None
+        # On incremental runs, whatever the recorded fingerprint did not
+        # serve (no fresh entry, or an evicted proof) counts as stale.
+        stale_pass = incremental and not (fresh and cached is not None)
+        if stale_pass:
             stats.stale_passes += 1
-            stale_pass = True
             if tracer is not None:
                 tracer.event("pass.cache", kind="cache", outcome="stale",
                              target=pass_class.__name__)
-        key = pass_fingerprint(pass_class, pass_kwargs, solver=solver)
-        if track_deps and key is not None:
-            recorded = dep_index.get(ident)
-            # An entry names its module, not its files, so it only needs
-            # rewriting when the key moved or nothing was recorded.
-            if recorded is None or recorded.get("fingerprint") != key:
-                new_entry = build_dep_entry(pass_class, pass_kwargs, key,
-                                            solver=solver)
-                cache.put_deps(ident, new_entry)
-                dep_index[ident] = new_entry
-        # An unchanged-deps pass whose proof was evicted re-derives the key
-        # just probed; asking the cache again would double-count the miss.
-        if key is not None and key == probed_key:
-            entry = None
-        else:
-            entry = cache.get_pass(key) if cache is not None else None
-        if entry is not None:
-            results[index] = payload_to_result(entry, from_cache=True, time_seconds=0.0)
+        if cached is not None:
+            results[index] = payload_to_result(cached, from_cache=True, time_seconds=0.0)
             if recorder is not None:
                 recorder.note_pass(key, "hit")
             if tracer is not None:
                 tracer.event("pass.cache", kind="cache", outcome="hit",
-                             target=pass_class.__name__)
+                             target=pass_class.__name__, recorded=fresh)
         else:
             pending.append((index, pass_class, pass_kwargs, key))
             if recorder is not None:

@@ -36,7 +36,10 @@ incremental layer relies on):
    :func:`~repro.incremental.deps.entry_watch_paths` maps the same modules
    to the files the dependency index watches: the files that can change a
    pass key are exactly the watched ones, plus any declared or
-   kwarg-carried data files.
+   kwarg-carried data files.  Everything the key reads besides its
+   identity (module, qualname, kwargs) is digested again by
+   :func:`~repro.incremental.deps.sources_digest`, so a key recorded
+   beside that digest is served, underived, while the digest holds.
 2. **Keys are deterministic across processes.**  Symbolic uids are renamed
    in order of first appearance before hashing, so the same obligation
    produced in two worker processes (with different raw uid counters) maps
@@ -63,7 +66,6 @@ import re
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.circuit.gate import Gate
-from repro.verify import preprocessor
 from repro.verify.facts import Fact
 from repro.verify.session import Subgoal
 from repro.verify.symvalues import Segment, SymGate
@@ -329,6 +331,7 @@ def reset_memos() -> None:
     """
     global _toolchain_memo
     from repro.incremental.deps import reset_memos as reset_graph_memos
+    from repro.verify import preprocessor
 
     _toolchain_memo = None
     reset_graph_memos()
@@ -382,7 +385,8 @@ def data_dependency_digest(pass_class) -> Tuple:
 
 
 def pass_fingerprint(pass_class, pass_kwargs: Optional[dict] = None,
-                     solver: str = DEFAULT_SOLVER) -> Optional[str]:
+                     solver: str = DEFAULT_SOLVER,
+                     data_digests: Optional[Tuple] = None) -> Optional[str]:
     """Stable SHA-256 key for verifying one pass, or ``None`` if uncacheable.
 
     ``solver`` joins the key: a verdict is only reusable for the backend
@@ -391,8 +395,13 @@ def pass_fingerprint(pass_class, pass_kwargs: Optional[dict] = None,
     class source, the key covers the pass module's other imports (by
     content digest) and the module's text outside its other pass classes,
     so module-level helpers and constants move the key while an edit
-    inside a sibling pass does not.
+    inside a sibling pass does not.  ``data_digests`` is
+    :func:`data_dependency_digest` of the class when the caller already
+    read it, so a ``sources`` digest recorded beside the key covers the
+    same data-file contents.
     """
+    from repro.verify import preprocessor
+
     source = preprocessor.pass_source(pass_class)
     if source is None:
         return None
@@ -410,7 +419,7 @@ def pass_fingerprint(pass_class, pass_kwargs: Optional[dict] = None,
         pass_class.__qualname__,
         source,
         kwargs,
-        data_dependency_digest(pass_class),
+        data_dependency_digest(pass_class) if data_digests is None else data_digests,
         closure_digest(pass_class.__module__),
         _sha256(preprocessor.pass_module_text(pass_class)),
     )))

@@ -23,14 +23,16 @@ files on every run, so a submodule created later is still found.
 
 A *dependency entry* is what the stores persist per verified configuration:
 
-``identity key`` → ``{"schema": ..., "fingerprint": ..., "solver": ...,
-"module": ..., "qualname": ..., "data_paths": [...]}``
+``identity key`` → ``{"schema": ..., "fingerprint": ..., "sources": ...,
+"solver": ..., "module": ..., "qualname": ..., "data_paths": [...]}``
 
 where the identity key names a *configuration* (class + constructor kwargs)
 independently of its source text.  The identity key is the stable handle an
 edit cannot change; the fingerprint recorded under it is the cache key the
-configuration verified to last time.  ``verify_passes`` records entries at
-verification time; :mod:`repro.incremental.detect` consumes them.
+configuration verified to last time, and ``sources``
+(:func:`sources_digest`) the digest of everything else that key read.
+``verify_passes`` records entries at verification time and serves a
+configuration through its recorded fingerprint while ``sources`` holds.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from functools import lru_cache
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
                     Optional, Set, Tuple)
 
-from repro.engine.fingerprint import _canon, _canon_kwarg, _sha256
+from repro.engine.fingerprint import ENGINE_VERSION, _canon, _canon_kwarg, _sha256
 from repro.incremental.detect import normalize_path as _normalize
 
 #: Bump when the dependency-entry layout changes incompatibly; sidecar
@@ -440,6 +442,28 @@ def closure_digest(module_name: Optional[str]) -> str:
     return _sha256("".join(f"{name} {module_digest(name)}\n" for name in names))
 
 
+@lru_cache(maxsize=None)
+def sources_digest(module_name: str, solver: str,
+                   data_digests: Tuple) -> Optional[str]:
+    """The digest of everything a pass key reads besides its identity.
+
+    ``ENGINE_VERSION``, the solver, the :func:`closure_digest` and the
+    :func:`module_digest` of the pass's module, and its declared data
+    files' digests (``data_digests``, as
+    :func:`repro.engine.fingerprint.data_dependency_digest` read them for
+    the key).  A pass key is a function of its identity and of these (see
+    ``docs/caching.md``), so while an entry's recorded ``sources`` equals
+    this, its recorded fingerprint is the key the configuration would
+    derive.  ``None`` for a module without a source file: its entries are
+    never fresh.  Memoised like the digests it combines.
+    """
+    digest = module_digest(module_name)
+    if digest is None:
+        return None
+    return _sha256(_canon((ENGINE_VERSION, solver, closure_digest(module_name),
+                           digest, data_digests)))
+
+
 def entry_watch_paths(entry: Mapping) -> FrozenSet[str]:
     """Every file whose edit can move ``entry``'s fingerprint: its watch set.
 
@@ -497,7 +521,7 @@ def reset_memos() -> None:
     for whichever file hashes to it.
     """
     for memo in (module_source_path, _submodule_search_path, module_digest,
-                 module_imports, import_closure, closure_digest):
+                 module_imports, import_closure, closure_digest, sources_digest):
         memo.cache_clear()
 
 
@@ -564,7 +588,8 @@ def identity_key(pass_class, pass_kwargs: Optional[Dict] = None) -> str:
 
 
 def build_dep_entry(pass_class, pass_kwargs: Optional[Dict],
-                    fingerprint: str, solver: str = "builtin") -> Dict[str, object]:
+                    fingerprint: str, solver: str = "builtin",
+                    sources: Optional[str] = None) -> Dict[str, object]:
     """The persisted dependency record for one verified configuration.
 
     The Python-source surface is the module graph's answer for the pass's
@@ -572,14 +597,16 @@ def build_dep_entry(pass_class, pass_kwargs: Optional[Dict],
     files — device maps the kwargs were loaded from, suites the pass
     declares — so editing one invalidates the right passes exactly like
     editing source does.  ``solver`` names the backend the recorded
-    fingerprint was derived under; a run with a different ``--solver``
-    must not be served through this entry (its fingerprint points at the
-    other backend's cache keys), so the engine checks it on probe.
+    fingerprint was derived under.  ``sources`` is the
+    :func:`sources_digest` the fingerprint was derived beside; the engine
+    serves the configuration through ``fingerprint`` only while it holds,
+    and an entry without one is never served.
     """
     data = set(kwarg_data_paths(pass_kwargs)) | set(class_data_paths(pass_class))
     return {
         "schema": DEPS_SCHEMA_VERSION,
         "fingerprint": fingerprint,
+        "sources": sources,
         "solver": solver,
         "module": pass_class.__module__,
         "qualname": pass_class.__qualname__,

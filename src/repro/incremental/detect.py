@@ -1,4 +1,4 @@
-"""Change detection: from edited files to the minimal stale set.
+"""Change detection: which watched files an edit actually changed.
 
 Polling is stdlib-only (the repo takes no third-party watcher dependency):
 a :class:`ChangeDetector` snapshots ``(mtime_ns, size)`` per watched file
@@ -6,11 +6,11 @@ and, when the cheap stat differs, confirms the edit with a SHA-256 of the
 content — so ``touch`` without a content change (editor save hooks, git
 checkout of an identical file) does not invalidate anything.
 
-:func:`stale_identities` intersects a change set with the persisted
-dependency index (:mod:`repro.incremental.deps`): a configuration is stale
-exactly when at least one file of its watch set changed.
-Everything else is provably unaffected — its fingerprint cannot have moved
-— and is served without even being re-fingerprinted.
+The change set goes to ``verify_passes(changed_paths=...)``, which
+re-checks exactly the configurations whose watch set
+(:func:`repro.incremental.deps.entry_watch_paths`) it meets, plus any
+whose recorded sources digest moved; paths are compared in
+:func:`normalize_path` form.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 
 def normalize_path(path: os.PathLike) -> str:
@@ -110,19 +110,3 @@ class ChangeDetector:
             self._states[path] = current
         return changed
 
-
-def stale_identities(dep_index: Mapping[str, Mapping],
-                     changed_paths: Iterable[os.PathLike]) -> Set[str]:
-    """Identity keys whose watch set intersects the change set.
-
-    This is the *minimal* stale set under the dependency index's contract:
-    an entry whose watched files are untouched cannot have a different
-    fingerprint, so re-checking it could only reproduce the cached verdict.
-    """
-    from repro.incremental.deps import entry_watch_paths
-
-    changed = {normalize_path(path) for path in changed_paths}
-    if not changed:
-        return set()
-    return {ident for ident, entry in dep_index.items()
-            if not changed.isdisjoint(entry_watch_paths(entry))}

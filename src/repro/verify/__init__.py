@@ -33,10 +33,11 @@ if TYPE_CHECKING:
         PropertySet,
         RoutingPass,
     )
-    from repro.verify.preprocessor import PassAnalysis, analyze_pass
+    from repro.verify.preprocessor import analyze_pass
     from repro.verify.results import (
         CounterExample,
         DischargeResult,
+        PassAnalysis,
         SubgoalOutcome,
         VerificationResult,
     )
@@ -73,10 +74,11 @@ __getattr__ = lazy_exports(__name__, {
         "PropertySet",
         "RoutingPass",
     ),
-    "repro.verify.preprocessor": ("PassAnalysis", "analyze_pass"),
+    "repro.verify.preprocessor": ("analyze_pass",),
     "repro.verify.results": (
         "CounterExample",
         "DischargeResult",
+        "PassAnalysis",
         "SubgoalOutcome",
         "VerificationResult",
     ),

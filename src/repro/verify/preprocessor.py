@@ -18,16 +18,16 @@ executor), so the preprocessor's remaining jobs are the static ones:
 from __future__ import annotations
 
 import ast
-import importlib
-import inspect
-import os
+import hashlib
+import io
 import sys
 import textwrap
-from dataclasses import dataclass, field
+import tokenize
 from functools import lru_cache
 from typing import Dict, List, Optional, Set, Tuple, Type
 
 from repro.errors import UnsupportedPassError
+from repro.verify.results import PassAnalysis
 
 #: Loop-template entry points (calls to these make a loop verifiable).
 TEMPLATE_NAMES = {
@@ -64,21 +64,6 @@ UTILITY_NAMES = {
 
 #: Calls considered non-critical: they never affect the produced circuit.
 NON_CRITICAL_CALLS = {"print", "log", "debug", "info", "warning"}
-
-
-@dataclass
-class PassAnalysis:
-    """The preprocessor's report for one pass class."""
-
-    pass_name: str
-    lines_of_code: int
-    branch_count: int
-    templates_used: Tuple[str, ...]
-    utilities_used: Tuple[str, ...]
-    raw_loops: int
-    non_critical_statements: int
-    supported: bool
-    unsupported_reason: str = ""
 
 
 class _Analyzer(ast.NodeVisitor):
@@ -127,20 +112,37 @@ def _call_name(node: ast.Call) -> Optional[str]:
 
 
 @lru_cache(maxsize=None)
-def _module_class_sources(module_name: str, stamp: Tuple) -> Tuple[str, Dict[str, str]]:
+def _module_class_sources(module_name: str,
+                          digest: str) -> Optional[Tuple[str, Dict[str, str]]]:
     """A module's source, and the text of every class in it, from one parse.
 
-    ``inspect.getsource`` re-tokenises the whole module per class, which
-    dominated warm-cache runs; parsing the module AST once and slicing out
-    every class body makes fingerprinting 44 passes take ~1 ms.  ``stamp``
-    (the file's mtime and size) keys the memo so an edited module is
-    re-extracted.
+    Read from the module's file, and only if its bytes hash to ``digest``,
+    the module graph's content digest of that file
+    (:func:`repro.incremental.deps.module_digest`), which keys this memo:
+    so a pass key and the ``sources`` digest recorded beside it always
+    read the same version of the file.  ``None`` when the bytes differ
+    (the file changed after it was hashed), which leaves the module's
+    passes uncacheable for the rest of the run, or when the file does not
+    parse.  The text is decoded as :mod:`linecache` reads a source file,
+    so it is what ``inspect.getsource`` returns.
     """
-    del stamp  # part of the cache key only
-    module = importlib.import_module(module_name)
-    source = inspect.getsource(module)
-    tree = ast.parse(source)
-    lines = source.splitlines(keepends=True)
+    from repro.incremental.deps import _BLOCK_NODES, module_source_path
+
+    try:
+        with open(module_source_path(module_name), "rb") as handle:
+            data = handle.read()
+        if hashlib.sha256(data).hexdigest() != digest:
+            return None
+        encoding, _ = tokenize.detect_encoding(io.BytesIO(data).readline)
+        source = data.decode(encoding).replace("\r\n", "\n").replace("\r", "\n")
+        if not source.endswith("\n"):
+            source += "\n"
+        tree = ast.parse(source)
+    except (OSError, SyntaxError, ValueError):
+        return None
+    # Split where ast counts lines: str.splitlines would also break at a
+    # form feed or other separators and shift every later class.
+    lines = io.StringIO(source).readlines()
     segments: Dict[str, str] = {}
 
     def segment_of(node: ast.AST) -> str:
@@ -153,56 +155,51 @@ def _module_class_sources(module_name: str, stamp: Tuple) -> Tuple[str, Dict[str
         last = lines[node.end_lineno - 1][:node.end_col_offset]
         return "".join([first, *middle, last])
 
-    def walk(node: ast.AST, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                qualname = f"{prefix}{child.name}"
-                segments[qualname] = segment_of(child)
-                walk(child, f"{qualname}.")
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                walk(child, f"{prefix}{child.name}.<locals>.")
+    def walk(block: List[ast.AST], prefix: str) -> None:
+        # Classes are statements: a class or function body opens a
+        # qualname scope, any other block (if, try, with, ...) does not.
+        for node in block:
+            if isinstance(node, ast.ClassDef):
+                qualname = f"{prefix}{node.name}"
+                segments[qualname] = segment_of(node)
+                walk(node.body, f"{qualname}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(node.body, f"{prefix}{node.name}.<locals>.")
+            else:
+                for name in node._fields:
+                    inner = getattr(node, name, None)
+                    if isinstance(inner, list) and inner \
+                            and isinstance(inner[0], _BLOCK_NODES):
+                        walk(inner, prefix)
 
-    walk(tree, "")
+    walk(tree.body, "")
     return source, segments
 
 
-def _module_stamp(module_name: str) -> Optional[Tuple]:
-    module = sys.modules.get(module_name)
-    path = getattr(module, "__file__", None) if module is not None else None
-    if path is None:
-        return None
-    try:
-        status = os.stat(path)
-    except OSError:
-        return None
-    return (path, status.st_mtime_ns, status.st_size)
+def _module_sources(module_name: str) -> Optional[Tuple[str, Dict[str, str]]]:
+    """:func:`_module_class_sources` of a module at the digest the module
+    graph holds for it; ``None`` if it has no readable source of that
+    digest."""
+    from repro.incremental.deps import module_digest
 
-
-def _module_sources(module_name: str) -> Tuple[str, Dict[str, str]]:
-    """:func:`_module_class_sources` of an imported module; empty if unreadable."""
-    stamp = _module_stamp(module_name)
-    if stamp is not None:
-        try:
-            return _module_class_sources(module_name, stamp)
-        except (OSError, TypeError, SyntaxError):
-            pass
-    return "", {}
+    digest = module_digest(module_name)
+    if digest is None:
+        return None
+    return _module_class_sources(module_name, digest)
 
 
 def pass_source(pass_class) -> Optional[str]:
     """The pass's source text, or ``None`` when it cannot be recovered.
 
     The pass key hashes this text and :func:`analyze_pass` analyses it.
-    Dynamically created classes (``exec``/REPL) have no retrievable source;
-    the engine treats them as uncacheable rather than risking a collision.
+    Dynamically created classes (``exec``/REPL) have no retrievable source,
+    nor does a class whose module file changed during the run; the engine
+    treats them as uncacheable rather than risking a collision.
     """
-    source = _module_sources(pass_class.__module__)[1].get(pass_class.__qualname__)
-    if source is not None:
-        return source
-    try:
-        return inspect.getsource(pass_class)
-    except (OSError, TypeError):
+    sources = _module_sources(pass_class.__module__)
+    if sources is None:
         return None
+    return sources[1].get(pass_class.__qualname__)
 
 
 def pass_module_text(pass_class) -> str:
@@ -214,7 +211,7 @@ def pass_module_text(pass_class) -> str:
     """
     from repro.verify.passes import BasePass
 
-    text, classes = _module_sources(pass_class.__module__)
+    text, classes = _module_sources(pass_class.__module__) or ("", {})
     module = sys.modules.get(pass_class.__module__)
     for qualname, source in classes.items():
         value = getattr(module, qualname, None)

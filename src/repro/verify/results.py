@@ -1,12 +1,14 @@
 """The records a verification produces, in a module that depends on nothing.
 
-:class:`VerificationResult` (one pass), :class:`SubgoalOutcome` (one
-subgoal with its verdict), :class:`DischargeResult` (how a subgoal was
-discharged) and :class:`CounterExample` (a circuit a rejected pass
-mishandles) are plain data.  A run served from the proof store rebuilds
+:class:`VerificationResult` (one pass), :class:`PassAnalysis` (the
+preprocessor's static report on it), :class:`SubgoalOutcome` (one subgoal
+with its verdict), :class:`DischargeResult` (how a subgoal was discharged)
+and :class:`CounterExample` (a circuit a rejected pass mishandles) are
+plain data.  A run served from the proof store rebuilds
 them from stored payloads and renders its report without the verifier,
-the prover or the counterexample search, so they live here rather than
-beside the code that computes them; those modules re-export them.
+the prover, the preprocessor or the counterexample search, so they live
+here rather than beside the code that computes them; those modules
+re-export them.
 """
 
 from __future__ import annotations
@@ -16,8 +18,22 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.circuit.circuit import QCircuit
-    from repro.verify.preprocessor import PassAnalysis
     from repro.verify.session import Subgoal
+
+
+@dataclass
+class PassAnalysis:
+    """The preprocessor's report for one pass class."""
+
+    pass_name: str
+    lines_of_code: int
+    branch_count: int
+    templates_used: Tuple[str, ...]
+    utilities_used: Tuple[str, ...]
+    raw_loops: int
+    non_critical_statements: int
+    supported: bool
+    unsupported_reason: str = ""
 
 
 @dataclass

@@ -12,10 +12,13 @@ from pathlib import Path
 import pytest
 
 from repro.engine.fingerprint import (
+    data_dependency_digest,
     pass_fingerprint,
+    reset_memos,
     subgoal_fingerprint,
     toolchain_fingerprint,
 )
+from repro.incremental.deps import identity_key, sources_digest
 from repro.passes import CXCancellation, RemoveBarriers
 from repro.verify.session import Subgoal
 from repro.verify.verifier import verify_pass
@@ -132,8 +135,10 @@ def test_editing_pass_source_invalidates(tmp_path):
         module = importlib.import_module("edited_pass_module")
         before = pass_fingerprint(module.EditedPass)
         module_file.write_text(template.format(body="circuit.copy()"))
-        os.utime(module_file)  # make sure the stamp moves even on coarse clocks
         importlib.reload(module)
+        # A process hashes each file once; one that keys a pass again after
+        # editing its sources forgets those digests first.
+        reset_memos()
         after = pass_fingerprint(module.EditedPass)
     finally:
         sys.path.remove(str(module_dir))
@@ -165,12 +170,17 @@ _SUITE_KEYS = textwrap.dedent(
     import json
 
     from repro.cli import _known_passes, pass_kwargs_for
-    from repro.engine.fingerprint import pass_fingerprint, toolchain_fingerprint
+    from repro.engine.fingerprint import (
+        data_dependency_digest, pass_fingerprint, toolchain_fingerprint)
+    from repro.incremental.deps import sources_digest
 
     print(json.dumps({
         "toolchain": toolchain_fingerprint(),
         "passes": {name: pass_fingerprint(cls, pass_kwargs_for(cls))
                    for name, cls in _known_passes().items()},
+        "sources": {name: sources_digest(cls.__module__, "builtin",
+                                         data_dependency_digest(cls))
+                    for name, cls in _known_passes().items()},
     }))
     """
 )
@@ -192,6 +202,7 @@ class _SourceCopy:
         self.src = root / "src"
         shutil.copytree(REPO_SRC / "repro", self.src / "repro",
                         ignore=shutil.ignore_patterns("__pycache__"))
+        self._edited = {}
 
     def keys(self) -> dict:
         env = dict(os.environ, PYTHONPATH=str(self.src), PYTHONDONTWRITEBYTECODE="1")
@@ -203,14 +214,17 @@ class _SourceCopy:
 
     def edited_keys(self, relative: str, old: str, new: str) -> dict:
         """Keys with one replacement applied to one file, then undone."""
+        if (relative, old, new) in self._edited:
+            return self._edited[relative, old, new]
         path = self.src / "repro" / relative
         original = path.read_text(encoding="utf-8")
         assert original.count(old) == 1, (relative, old)
         path.write_text(original.replace(old, new), encoding="utf-8")
         try:
-            return self.keys()
+            self._edited[relative, old, new] = self.keys()
         finally:
             path.write_text(original, encoding="utf-8")
+        return self._edited[relative, old, new]
 
 
 @pytest.fixture(scope="module")
@@ -221,38 +235,86 @@ def source_copy(tmp_path_factory):
     return copy
 
 
-def _moved(before: dict, after: dict) -> set:
-    return {name for name, key in after["passes"].items()
-            if key != before["passes"][name]}
+def _moved(before: dict, after: dict, field: str = "passes") -> set:
+    return {name for name, key in after[field].items()
+            if key != before[field][name]}
+
+
+#: One replacement in one file each: (file, old text, new text).
+#: What perfbench's edit workload does: one comment line at the top of one
+#: optimisation pass's class body.
+COMMENT_IN_ONE_CLASS = ("passes/optimization.py",
+                        "class ConsolidateBlocks(GeneralPass):\n",
+                        "class ConsolidateBlocks(GeneralPass):\n    # an edit\n")
+MODULE_LEVEL_CONSTANT = ("passes/optimization.py",
+                         '_RUN_NAMES_U = ("u1", "u2", "u3")',
+                         '_RUN_NAMES_U = ("u3", "u2", "u1")')
+RULE_SET = ("symbolic/rules.py", "def default_circuit_rules(",
+            "# an edit\ndef default_circuit_rules(")
 
 
 def test_comment_in_one_pass_class_moves_only_its_key(source_copy):
-    # What perfbench's edit workload does: one comment line at the top of
-    # one optimisation pass's class body.
-    after = source_copy.edited_keys(
-        "passes/optimization.py",
-        "class ConsolidateBlocks(GeneralPass):\n",
-        "class ConsolidateBlocks(GeneralPass):\n    # an edit\n")
+    after = source_copy.edited_keys(*COMMENT_IN_ONE_CLASS)
     assert after["toolchain"] == source_copy.baseline["toolchain"]
     assert _moved(source_copy.baseline, after) == {"ConsolidateBlocks"}
 
 
 def test_module_level_constant_moves_the_keys_of_its_module_passes(source_copy):
-    after = source_copy.edited_keys(
-        "passes/optimization.py",
-        '_RUN_NAMES_U = ("u1", "u2", "u3")',
-        '_RUN_NAMES_U = ("u3", "u2", "u1")')
+    after = source_copy.edited_keys(*MODULE_LEVEL_CONSTANT)
     assert after["toolchain"] == source_copy.baseline["toolchain"]
     assert _moved(source_copy.baseline, after) == OPTIMISATION_PASSES
 
 
 def test_editing_the_rule_set_moves_the_toolchain_digest(source_copy):
-    after = source_copy.edited_keys(
-        "symbolic/rules.py", "def default_circuit_rules(",
-        "# an edit\ndef default_circuit_rules(")
+    after = source_copy.edited_keys(*RULE_SET)
     assert after["toolchain"] != source_copy.baseline["toolchain"]
     # ... and with it every pass key.
     assert _moved(source_copy.baseline, after) == set(after["passes"])
+
+
+@pytest.mark.parametrize("edit", [COMMENT_IN_ONE_CLASS, MODULE_LEVEL_CONSTANT, RULE_SET],
+                         ids=["comment-in-one-class", "module-level-constant", "rule-set"])
+def test_a_pass_key_never_moves_without_its_sources(source_copy, edit):
+    # A warm run serves each entry through its recorded key while its
+    # sources digest holds, so no edit may move a key but not its sources.
+    # The converse is allowed: a comment in ConsolidateBlocks moves the
+    # sources of all nine optimisation passes.
+    after = source_copy.edited_keys(*edit)
+    keys = _moved(source_copy.baseline, after)
+    assert keys
+    assert keys <= _moved(source_copy.baseline, after, "sources")
+
+
+def _sources(pass_class):
+    return sources_digest(pass_class.__module__, "builtin",
+                          data_dependency_digest(pass_class))
+
+
+def test_a_data_file_edit_moves_key_and_sources_together(tmp_path):
+    data = tmp_path / "table.dat"
+    data.write_text("v1")
+
+    class DataPass(RemoveBarriers):
+        data_dependencies = (str(data),)
+
+    before = (pass_fingerprint(DataPass), _sources(DataPass))
+    data.write_text("v2")
+    after = (pass_fingerprint(DataPass), _sources(DataPass))
+    assert before[0] != after[0] and before[1] != after[1]
+    # The key reads the data digests its caller passes, as the driver
+    # passes the ones it recorded in the sources.
+    assert pass_fingerprint(DataPass, data_digests=data_dependency_digest(DataPass)) == after[0]
+
+
+def test_a_kwargs_change_moves_the_identity_not_the_sources():
+    # Constructor arguments are part of a configuration's identity: the
+    # moved key is looked up under another entry, never the old one.
+    from repro.coupling.devices import linear_device
+    from repro.passes import BasicSwap
+
+    small, large = {"coupling": linear_device(3)}, {"coupling": linear_device(5)}
+    assert pass_fingerprint(BasicSwap, small) != pass_fingerprint(BasicSwap, large)
+    assert identity_key(BasicSwap, small) != identity_key(BasicSwap, large)
 
 
 _PROVER_MODULES_AFTER_COLD_VERIFY = textwrap.dedent(

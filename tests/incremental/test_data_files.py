@@ -11,14 +11,9 @@ from repro.incremental.deps import (
     build_dep_entry,
     class_data_paths,
     entry_watch_paths,
-    identity_key,
     kwarg_data_paths,
 )
-from repro.incremental.detect import (
-    ChangeDetector,
-    normalize_path,
-    stale_identities,
-)
+from repro.incremental.detect import ChangeDetector, normalize_path
 from repro.passes import ALL_VERIFIED_PASSES
 
 
@@ -73,18 +68,24 @@ def test_dep_entry_includes_device_file(tmp_path):
 def test_editing_the_device_file_invalidates_exactly_its_config(tmp_path):
     path = _write_device(tmp_path / "device.json")
     cls = _coupling_pass()
-    file_backed = identity_key(cls, {"coupling": load_device_map(path)})
-    entry = build_dep_entry(cls, {"coupling": load_device_map(path)}, "fp")
     other = ALL_VERIFIED_PASSES[0]
-    other_entry = build_dep_entry(other, None, "fp2")
-    dep_index = {file_backed: entry, identity_key(other, None): other_entry}
+    cache_dir = str(tmp_path / "cache")
 
+    def kwargs_fn(pass_class):
+        return {"coupling": load_device_map(path)} if pass_class is cls else None
+
+    def stale(pass_class, changed):
+        return verify_passes([pass_class], cache_dir=cache_dir, pass_kwargs_fn=kwargs_fn,
+                             changed_paths=changed).stats.stale_passes
+
+    assert verify_passes([cls, other], cache_dir=cache_dir,
+                         pass_kwargs_fn=kwargs_fn).all_verified
     detector = ChangeDetector([path])
     assert detector.poll() == set()
     _write_device(tmp_path / "device.json", extra_edge=(0, 4))
     changed = detector.poll()
     assert changed == {normalize_path(path)}
-    assert stale_identities(dep_index, changed) == {file_backed}
+    assert (stale(cls, changed), stale(other, changed)) == (1, 0)
 
 
 def test_device_edit_changes_the_cache_key_end_to_end(tmp_path):

@@ -26,6 +26,7 @@ from repro.incremental.deps import (
     import_closure,
     module_row_records,
     module_source_path,
+    sources_digest,
 )
 from repro.passes import CommutationAnalysis, CXCancellation, Depth
 
@@ -105,12 +106,15 @@ def test_identity_key_stable_under_source_edits_but_kwarg_sensitive():
 
 def test_build_dep_entry_shape():
     key = pass_fingerprint(Depth)
-    entry = build_dep_entry(Depth, None, key)
+    sources = sources_digest("repro.passes.analysis", "builtin", ())
+    entry = build_dep_entry(Depth, None, key, sources=sources)
     # The closure is not copied into the entry: it is the module graph's.
-    assert set(entry) == {"schema", "fingerprint", "solver", "module",
-                          "qualname", "data_paths"}
+    assert set(entry) == {"schema", "fingerprint", "sources", "solver",
+                          "module", "qualname", "data_paths"}
     assert entry["schema"] == DEPS_SCHEMA_VERSION
     assert entry["fingerprint"] == key
+    assert entry["sources"] == sources
+    assert build_dep_entry(Depth, None, key)["sources"] is None
     assert entry["module"] == "repro.passes.analysis"
     assert entry["qualname"] == "Depth"
     assert entry["data_paths"] == []

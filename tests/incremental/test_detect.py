@@ -2,11 +2,8 @@
 
 import os
 
-from repro.incremental.detect import (
-    ChangeDetector,
-    normalize_path,
-    stale_identities,
-)
+from repro.engine.driver import verify_passes
+from repro.incremental.detect import ChangeDetector, normalize_path
 
 
 def _write(path, text):
@@ -58,21 +55,39 @@ def test_poll_extends_watch_set_without_reporting_new_paths(tmp_path):
     assert detector.poll() == {normalize_path(b)}
 
 
-def test_stale_identities_is_minimal(tmp_path, monkeypatch):
-    # Each entry watches its own pass module and one shared data file.
-    name = f"stale_probe_{tmp_path.name}".replace("-", "_")
-    for suffix in ("a", "b"):
-        _write(tmp_path / f"{name}_{suffix}.py", "VALUE = 1\n")
-    monkeypatch.syspath_prepend(str(tmp_path))
-    a = normalize_path(tmp_path / f"{name}_a.py")
-    b = normalize_path(tmp_path / f"{name}_b.py")
-    shared = normalize_path(tmp_path / "shared.json")
-    dep_index = {
-        "pass-a": {"fingerprint": "fa", "module": f"{name}_a", "data_paths": [shared]},
-        "pass-b": {"fingerprint": "fb", "module": f"{name}_b", "data_paths": [shared]},
-    }
-    assert stale_identities(dep_index, []) == set()
-    assert stale_identities(dep_index, [a]) == {"pass-a"}
-    assert stale_identities(dep_index, [b]) == {"pass-b"}
-    assert stale_identities(dep_index, [shared]) == {"pass-a", "pass-b"}
-    assert stale_identities(dep_index, [tmp_path / "unrelated.py"]) == set()
+PROBE = """
+from repro.verify.passes import AnalysisPass
+
+
+class {name}(AnalysisPass):
+    data_dependencies = ({shared!r},)
+
+    def run(self, circuit):
+        self.property_set["{name}"] = circuit.num_qubits
+        return circuit
+"""
+
+
+def test_stale_identities_is_minimal(tmp_path, pass_package):
+    # The stale set is what verify_passes(changed_paths=...) re-checks: a
+    # configuration whose watch set the change set meets, and no other.
+    # Each pass watches its own module and one shared data file.
+    shared = tmp_path / "shared.json"
+    _write(shared, "{}")
+    classes = {}
+    for name in ("ProbeA", "ProbeB"):
+        pass_package.write(f"{name.lower()}.py", PROBE.format(name=name, shared=str(shared)))
+        classes[name] = pass_package.load(name.lower(), name)
+    cache_dir = str(tmp_path / "cache")
+    assert verify_passes(list(classes.values()), cache_dir=cache_dir).all_verified
+
+    def stale(*changed):
+        return {name for name, cls in classes.items()
+                if verify_passes([cls], cache_dir=cache_dir,
+                                 changed_paths=changed).stats.stale_passes}
+
+    assert stale() == set()
+    assert stale(pass_package.path_of("probea.py")) == {"ProbeA"}
+    assert stale(pass_package.path_of("probeb.py")) == {"ProbeB"}
+    assert stale(shared) == {"ProbeA", "ProbeB"}
+    assert stale(tmp_path / "unrelated.py") == set()

@@ -20,6 +20,8 @@ import textwrap
 from pathlib import Path
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
+#: A file no dependency entry watches.
+README = REPO_SRC.parent / "README.md"
 
 SELF_INVERSE_BODY = "    return is_known_gate(name) and gate_spec(name).self_inverse\n"
 
@@ -57,16 +59,54 @@ def test_stored_verdicts_follow_an_edit_to_the_gate_library(tmp_path):
 
     reports = {"fresh": _verify(src, tmp_path / "unused", "--no-cache")}
     # Each store-backed run starts from its own copy of the pre-edit store.
-    for name, extra in (("warm", ()), ("changed", ("--changed", str(gates)))):
+    # The last one lists only a file nothing watches: the moved sources
+    # digests still re-check every pass, one miss each.
+    for name, extra in (("warm", ()), ("changed", ("--changed", str(gates))),
+                        ("unlisted", ("--changed", str(README)))):
         store = tmp_path / name
         shutil.copytree(cold_store, store)
         reports[name] = _verify(src, store, *extra)
+        assert reports[name]["engine"]["cache_misses"] == 47, name
     assert reports["changed"]["engine"]["stale_passes"] == 47
+    assert reports["unlisted"]["engine"]["stale_passes"] == 47
     for name, report in reports.items():
         rejected = sorted(row["pass"] for row in report["results"]
                           if not row["verified"])
         assert rejected == NEED_SELF_INVERSE, name
         assert report["summary"]["verified"] == 44, name
+
+
+#: CXCancellation's match; the second occurrence is another pass's.
+CX_MATCH = "other.is_cx_gate() and other.qubits == gate.qubits"
+
+
+def test_changed_serves_no_verdict_for_an_edit_it_does_not_list(tmp_path):
+    """``--changed`` names what its caller saw change.  A list that misses
+    an edit must not serve the pre-edit verdict: every entry whose sources
+    digest moved is re-checked, so the run equals ``--no-cache``."""
+    src = tmp_path / "src"
+    shutil.copytree(REPO_SRC / "repro", src / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    store = tmp_path / "store"
+    assert _verify(src, store)["summary"]["verified"] == 47
+
+    optimization = src / "repro" / "passes" / "optimization.py"
+    text = optimization.read_text(encoding="utf-8")
+    assert text.count(CX_MATCH) == 2
+    optimization.write_text(text.replace(CX_MATCH, "other.is_cx_gate()", 1),
+                            encoding="utf-8")
+    Path(importlib.util.cache_from_source(str(optimization))).unlink(missing_ok=True)
+
+    changed = _verify(src, store, "--changed", str(README))
+    fresh = _verify(src, tmp_path / "unused", "--no-cache")
+    verdicts = lambda report: [(row["pass"], row["verified"])
+                               for row in report["results"]]
+    assert verdicts(changed) == verdicts(fresh)
+    assert changed["summary"]["verified"] == fresh["summary"]["verified"] == 46
+    # The module's nine passes are re-checked; only the edited one misses.
+    engine = changed["engine"]
+    assert (engine["stale_passes"], engine["cache_hits"],
+            engine["cache_misses"]) == (9, 46, 1)
 
 
 _WATCH_THE_EDIT = textwrap.dedent(

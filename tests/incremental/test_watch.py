@@ -59,6 +59,40 @@ def test_pass_without_dep_entry_is_conservatively_stale(tmp_path, pass_package):
     assert incr.stats.cache_hits == 1     # ... which then hits the proof cache
 
 
+def test_an_entry_serves_its_key_while_its_sources_hold(tmp_path, pass_package,
+                                                        monkeypatch):
+    from repro.engine import driver
+    from repro.engine.fingerprint import reset_memos
+
+    two_passes = pass_package.GOOD_WIDTH + pass_package.GOOD_SIZE
+    pass_package.write("mod.py", two_passes)
+    classes = [pass_package.load("mod", "TempWidth"), pass_package.load("mod", "TempSize")]
+    cache_dir = tmp_path / "cache"
+    assert verify_passes(classes, cache_dir=cache_dir).stats.cache_misses == 2
+
+    derived = []
+    real = driver.pass_fingerprint
+    monkeypatch.setattr(driver, "pass_fingerprint",
+                        lambda cls, *a, **k: derived.append(cls.__name__) or real(cls, *a, **k))
+
+    def run(**kwargs):
+        del derived[:]
+        stats = verify_passes(classes, cache_dir=cache_dir, **kwargs).stats
+        return derived[:], stats.cache_hits, stats.cache_misses
+
+    assert run() == ([], 2, 0)   # a warm run derives no key
+    # A comment in one class moves both passes' sources, whatever the
+    # change list says: both keys are derived again, and only the edited
+    # one moved.
+    edited = two_passes.replace("class TempWidth(AnalysisPass):\n",
+                                "class TempWidth(AnalysisPass):\n    # an edit\n")
+    pass_package.write("mod.py", edited)
+    reset_memos()
+    assert run(changed_paths=[]) == (["TempWidth", "TempSize"], 1, 1)
+    # Both entries were rewritten with the new sources.
+    assert run() == ([], 2, 0)
+
+
 def test_verdicts_identical_to_full_run_after_edit(tmp_path, pass_package):
     from repro.incremental.watch import Watcher
 

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import sys
 
 import pytest
 
@@ -137,6 +138,38 @@ def test_a_name_bound_twice_is_analysed_as_the_binding_python_keeps():
     analysis = analyze_pass(Redefined)
     assert analysis.templates_used == ("iterate_all_gates",)
     assert analysis.branch_count == 1
+
+
+FORM_FEED_MODULE = (
+    "from repro.verify.passes import GeneralPass\n"
+    "\x0c\n"
+    "class AfterFormFeed(GeneralPass):\n"
+    "    def run(self, circuit):\n"
+    "        return circuit\n"
+    "\n"
+    "if True:\n"
+    "    class InABlock(GeneralPass):\n"
+    "        def run(self, circuit):\n"
+    "            return circuit\n"
+)
+
+
+def test_class_sources_are_sliced_where_ast_counts_lines(tmp_path, monkeypatch):
+    # A form feed is whitespace to Python but a line break to
+    # str.splitlines; a class in an if block is still found.
+    (tmp_path / "form_feed_passes.py").write_text(FORM_FEED_MODULE, encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    import form_feed_passes
+
+    try:
+        assert pass_source(form_feed_passes.AfterFormFeed) == (
+            "class AfterFormFeed(GeneralPass):\n"
+            "    def run(self, circuit):\n"
+            "        return circuit")
+        assert pass_source(form_feed_passes.InABlock).startswith("class InABlock(")
+        assert analyze_pass(form_feed_passes.InABlock).supported
+    finally:
+        sys.modules.pop("form_feed_passes", None)
 
 
 def test_analysis_parses_the_class_body_not_its_module(monkeypatch):
