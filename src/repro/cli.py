@@ -809,7 +809,13 @@ def _cmd_list(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- #
 # argument parsing
 # --------------------------------------------------------------------------- #
-def _add_verify_arguments(verify: argparse.ArgumentParser) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro", description="Giallar reproduction: verify and run quantum compiler passes"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    verify = sub.add_parser("verify", help="verify compiler passes push-button")
     verify.add_argument("passes", nargs="*", help="pass class names (e.g. CXCancellation)")
     verify.add_argument("--all", action="store_true", help="verify every known pass")
     verify.add_argument("--format", choices=("text", "markdown", "json"), default="text")
@@ -850,8 +856,8 @@ def _add_verify_arguments(verify: argparse.ArgumentParser) -> None:
                              "dependency files include PATH (repeatable)")
     verify.set_defaults(handler=_cmd_verify)
 
-
-def _add_watch_arguments(watch: argparse.ArgumentParser) -> None:
+    watch = sub.add_parser(
+        "watch", help="re-verify passes incrementally as their sources change")
     watch.add_argument("passes", nargs="*",
                        help="pass class names to watch (default: every known pass)")
     watch.add_argument("--interval", type=float, default=2.0, metavar="SECONDS",
@@ -869,15 +875,13 @@ def _add_watch_arguments(watch: argparse.ArgumentParser) -> None:
                             "re-verification (repeatable)")
     watch.set_defaults(handler=_cmd_watch)
 
-
-def _add_status_arguments(status: argparse.ArgumentParser) -> None:
+    status = sub.add_parser("status", help="summarise the proof store")
     status.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="proof-cache directory (default ~/.cache/repro)")
     status.add_argument("--format", choices=("text", "json"), default="text")
     status.set_defaults(handler=_cmd_status)
 
-
-def _add_cache_arguments(cache: argparse.ArgumentParser) -> None:
+    cache = sub.add_parser("cache", help="maintain the proof cache")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     prune = cache_sub.add_parser("prune", help="evict least-recently-used entries")
     prune.add_argument("--max-entries", type=int, required=True, metavar="N",
@@ -894,8 +898,7 @@ def _add_cache_arguments(cache: argparse.ArgumentParser) -> None:
     gc.add_argument("--cache-dir", default=None, metavar="DIR")
     gc.set_defaults(handler=_cmd_cache)
 
-
-def _add_transpile_arguments(transpile: argparse.ArgumentParser) -> None:
+    transpile = sub.add_parser("transpile", help="compile an OpenQASM 2 file for a device")
     transpile.add_argument("input", help="OpenQASM 2 file, or - for stdin")
     transpile.add_argument("--device", default="ibm_16q", help="target device name")
     transpile.add_argument("--pipeline", choices=("verified", "baseline"), default="verified")
@@ -903,8 +906,8 @@ def _add_transpile_arguments(transpile: argparse.ArgumentParser) -> None:
     transpile.add_argument("--stats", action="store_true", help="print gate-count statistics")
     transpile.set_defaults(handler=_cmd_transpile)
 
-
-def _add_trace_arguments(trace: argparse.ArgumentParser) -> None:
+    trace = sub.add_parser(
+        "trace", help="inspect a structured trace written by verify --trace")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     trace_summary = trace_sub.add_parser(
         "summary", help="slowest passes/subgoals, per-method and "
@@ -943,8 +946,8 @@ def _add_trace_arguments(trace: argparse.ArgumentParser) -> None:
     trace_diff.set_defaults(handler=_cmd_trace_diff)
     trace.set_defaults(handler=_cmd_trace)
 
-
-def _add_history_arguments(history: argparse.ArgumentParser) -> None:
+    history = sub.add_parser(
+        "history", help="the longitudinal store of traced-run summaries")
     history_sub = history.add_subparsers(dest="history_command", required=True)
     history_list = history_sub.add_parser(
         "list", help="recorded runs, newest first")
@@ -986,8 +989,9 @@ def _add_history_arguments(history: argparse.ArgumentParser) -> None:
     history_prune.add_argument("--cache-dir", default=None, metavar="DIR")
     history.set_defaults(handler=_cmd_history)
 
-
-def _add_stats_arguments(stats: argparse.ArgumentParser) -> None:
+    stats = sub.add_parser(
+        "stats", help="the latest run's canonical proof-store analytics "
+                      "(tier hit ratios, hot keys, wasted evictions)")
     stats.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="cache directory holding store-stats.json "
                             "(default ~/.cache/repro)")
@@ -998,8 +1002,9 @@ def _add_stats_arguments(stats: argparse.ArgumentParser) -> None:
                             "byte-identical at any worker count")
     stats.set_defaults(handler=_cmd_stats)
 
-
-def _add_dash_arguments(dash: argparse.ArgumentParser) -> None:
+    dash = sub.add_parser(
+        "dash", help="render history, the latest run, tier ratios and the "
+                     "fuzz corpus as one offline HTML page")
     dash.add_argument("--cache-dir", default=None, metavar="DIR",
                       help="cache directory to report on "
                            "(default ~/.cache/repro)")
@@ -1012,8 +1017,7 @@ def _add_dash_arguments(dash: argparse.ArgumentParser) -> None:
                       help="open the rendered report in the default browser")
     dash.set_defaults(handler=_cmd_dash)
 
-
-def _add_bench_arguments(bench: argparse.ArgumentParser) -> None:
+    bench = sub.add_parser("bench", help="run one of the paper's evaluation drivers")
     bench.add_argument("target",
                        choices=("table2", "figure11", "case-studies",
                                 "solver", "telemetry", "stats"))
@@ -1031,8 +1035,9 @@ def _add_bench_arguments(bench: argparse.ArgumentParser) -> None:
                             "the measured comparison as JSON")
     bench.set_defaults(handler=_cmd_bench)
 
-
-def _add_fuzz_arguments(fuzz: argparse.ArgumentParser) -> None:
+    fuzz = sub.add_parser(
+        "fuzz",
+        help="differential fuzzing: hunt pass bugs, shrink them, replay the corpus")
     fuzz.add_argument("action", nargs="?", choices=("run", "replay"),
                       default="run",
                       help="run a campaign (default) or replay the corpus "
@@ -1064,71 +1069,21 @@ def _add_fuzz_arguments(fuzz: argparse.ArgumentParser) -> None:
     fuzz.add_argument("--format", choices=("text", "json"), default="text")
     fuzz.set_defaults(handler=_cmd_fuzz)
 
-
-def _add_soundness_arguments(soundness: argparse.ArgumentParser) -> None:
+    soundness = sub.add_parser("soundness", help="re-check the rewrite rules numerically")
     soundness.add_argument("--embed-qubits", type=int, default=1,
                            help="extra idle qubits when embedding each rule")
     soundness.set_defaults(handler=_cmd_soundness)
 
-
-def _add_listing_arguments(listing: argparse.ArgumentParser) -> None:
+    listing = sub.add_parser("list", help="list passes, devices, or benchmark circuits")
     listing.add_argument("what", choices=("passes", "devices", "circuits"))
     listing.set_defaults(handler=_cmd_list)
 
-
-#: Every subcommand: its name, its help line, and the function that adds
-#: its arguments.
-_SUBCOMMANDS = (
-    ("verify", "verify compiler passes push-button", _add_verify_arguments),
-    ("watch", "re-verify passes incrementally as their sources change",
-     _add_watch_arguments),
-    ("status", "summarise the proof store", _add_status_arguments),
-    ("cache", "maintain the proof cache", _add_cache_arguments),
-    ("transpile", "compile an OpenQASM 2 file for a device",
-     _add_transpile_arguments),
-    ("trace", "inspect a structured trace written by verify --trace",
-     _add_trace_arguments),
-    ("history", "the longitudinal store of traced-run summaries",
-     _add_history_arguments),
-    ("stats", "the latest run's canonical proof-store analytics "
-              "(tier hit ratios, hot keys, wasted evictions)",
-     _add_stats_arguments),
-    ("dash", "render history, the latest run, tier ratios and the "
-             "fuzz corpus as one offline HTML page", _add_dash_arguments),
-    ("bench", "run one of the paper's evaluation drivers", _add_bench_arguments),
-    ("fuzz", "differential fuzzing: hunt pass bugs, shrink them, replay the corpus",
-     _add_fuzz_arguments),
-    ("soundness", "re-check the rewrite rules numerically",
-     _add_soundness_arguments),
-    ("list", "list passes, devices, or benchmark circuits", _add_listing_arguments),
-)
-
-
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The ``repro`` argument parser.
-
-    ``command`` names the one subcommand whose arguments are added; the
-    others are declared by name and help line only, which is all that
-    ``repro --help`` and argparse's errors show.  ``None`` adds every
-    subcommand's arguments.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro", description="Giallar reproduction: verify and run quantum compiler passes"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, add_arguments in _SUBCOMMANDS:
-        subparser = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
-            add_arguments(subparser)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(argv) if argv is not None else sys.argv[1:]
-    # The top-level parser takes no option with a value, so the first
-    # word is the subcommand; only its arguments are built.
-    command = next((word for word in argv if not word.startswith("-")), "")
-    args = build_parser(command).parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(list(argv) if argv is not None else None)
     try:
         return args.handler(args)
     except BrokenPipeError:

@@ -43,6 +43,7 @@ from repro.engine.fingerprint import (
     DEFAULT_SOLVER,
     canonical_rule_names,
     data_dependency_digest,
+    forget_edited,
     pass_fingerprint,
     subgoal_fingerprint,
 )
@@ -548,6 +549,10 @@ def verify_passes(
     """
     started = time.perf_counter()
     _check_changed_paths(changed_paths)
+    # A long-lived process may have edited a source file since it last
+    # hashed one: the digests, and the toolchain hash the store opens
+    # under, are then read again.
+    forget_edited()
     from repro.prover.backend import resolve_solver
 
     # Resolved before the store opens, so an unavailable backend fails
@@ -653,13 +658,17 @@ def resolve_pending(
         if not fresh:
             key = pass_fingerprint(pass_class, pass_kwargs, solver=solver,
                                    data_digests=data)
-            if track_deps and key is not None and (
-                    entry is None or entry.get("fingerprint") != key
-                    or entry.get("sources") != sources):
-                entry = build_dep_entry(pass_class, pass_kwargs, key,
-                                        solver=solver, sources=sources)
-                cache.put_deps(ident, entry)
-                dep_index[ident] = entry
+            if track_deps and key is not None:
+                # Deriving the key hashes a module again if it was edited
+                # since this run hashed it, so the sources are read again
+                # beside the key.
+                sources = sources_digest(pass_class.__module__, solver, data)
+                if entry is None or entry.get("fingerprint") != key \
+                        or entry.get("sources") != sources:
+                    entry = build_dep_entry(pass_class, pass_kwargs, key,
+                                            sources=sources)
+                    cache.put_deps(ident, entry)
+                    dep_index[ident] = entry
         cached = cache.get_pass(key) if cache is not None else None
         # On incremental runs, whatever the recorded fingerprint did not
         # serve (no fresh entry, or an evicted proof) counts as stale.

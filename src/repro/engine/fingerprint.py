@@ -324,10 +324,8 @@ def reset_memos() -> None:
     """Forget every memoised fingerprint, file digest and source extraction.
 
     The toolchain hash and the module graph's digests are memoised per
-    process, so a process that keys a pass again after editing its sources
-    (tests do) must call this first, or it would key against the files as
-    they were.  ``repro watch`` needs no reset: each cycle verifies in a
-    fresh interpreter.
+    process; :func:`forget_edited` calls this when a file they read has
+    changed.
     """
     global _toolchain_memo
     from repro.incremental.deps import reset_memos as reset_graph_memos
@@ -336,6 +334,21 @@ def reset_memos() -> None:
     _toolchain_memo = None
     reset_graph_memos()
     preprocessor._module_class_sources.cache_clear()
+
+
+def forget_edited(module_names: Optional[Iterable[str]] = None) -> None:
+    """:func:`reset_memos` if a source file the memos read has changed.
+
+    One stat per file: those of ``module_names``, or every file hashed so
+    far (:func:`repro.incremental.deps.files_edited`).  Each verification
+    run checks every file and :func:`pass_fingerprint` its pass's module,
+    so a long-lived process that edits a pass and reloads it keys the new
+    text.
+    """
+    from repro.incremental.deps import files_edited
+
+    if files_edited(module_names):
+        reset_memos()
 
 
 # --------------------------------------------------------------------------- #
@@ -402,6 +415,7 @@ def pass_fingerprint(pass_class, pass_kwargs: Optional[dict] = None,
     """
     from repro.verify import preprocessor
 
+    forget_edited((pass_class.__module__,))
     source = preprocessor.pass_source(pass_class)
     if source is None:
         return None

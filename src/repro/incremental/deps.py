@@ -24,7 +24,7 @@ files on every run, so a submodule created later is still found.
 A *dependency entry* is what the stores persist per verified configuration:
 
 ``identity key`` → ``{"schema": ..., "fingerprint": ..., "sources": ...,
-"solver": ..., "module": ..., "qualname": ..., "data_paths": [...]}``
+"module": ..., "qualname": ..., "data_paths": [...]}``
 
 where the identity key names a *configuration* (class + constructor kwargs)
 independently of its source text.  The identity key is the stable handle an
@@ -70,6 +70,10 @@ MODULE_ROW_PREFIX = "module:"
 #: The module table.  Keyed by content, so it serves every store and
 #: checkout, and :func:`reset_memos` keeps it.
 _module_table: Dict[str, Tuple[str, ...]] = {}
+
+#: ``(st_mtime_ns, st_size)`` of every file :func:`module_digest` read,
+#: taken before the read; :func:`files_edited` compares them.
+_stamps: Dict[str, Optional[Tuple[int, int]]] = {}
 
 
 def _in_package(name: str) -> bool:
@@ -376,20 +380,46 @@ def module_digest(module_name: str) -> Optional[str]:
 
     A digest the module table does not know yet is scanned here, once.
     Memoised per process and dropped by :func:`reset_memos`, which
-    long-lived processes call once files change.
+    :func:`repro.engine.fingerprint.forget_edited` calls once
+    :func:`files_edited` sees a file change.
     """
     path = module_source_path(module_name)
     if path is None:
         return None
+    stamp = _stamp(path)
     try:
         with open(path, "rb") as handle:
             source = handle.read()
     except OSError:
         return None
+    _stamps[path] = stamp
     digest = hashlib.sha256(source).hexdigest()
     if digest not in _module_table:
         _module_table[digest] = _scan_imports(source)
     return digest
+
+
+def _stamp(path: str) -> Optional[Tuple[int, int]]:
+    try:
+        status = os.stat(path)
+    except OSError:
+        return None
+    return (status.st_mtime_ns, status.st_size)
+
+
+def files_edited(module_names: Optional[Iterable[str]] = None) -> bool:
+    """Whether a file :func:`module_digest` read has changed since.
+
+    One stat per file: the files of ``module_names`` it read, or every
+    file it read.  A file counts as changed when its modification time or
+    size moved, so a touched file counts too.
+    """
+    if module_names is None:
+        paths = list(_stamps)
+    else:
+        paths = [path for path in map(module_source_path, module_names)
+                 if path in _stamps]
+    return any(_stamp(path) != _stamps[path] for path in paths)
 
 
 @lru_cache(maxsize=None)
@@ -523,6 +553,7 @@ def reset_memos() -> None:
     for memo in (module_source_path, _submodule_search_path, module_digest,
                  module_imports, import_closure, closure_digest, sources_digest):
         memo.cache_clear()
+    _stamps.clear()
 
 
 # --------------------------------------------------------------------------- #
@@ -588,7 +619,7 @@ def identity_key(pass_class, pass_kwargs: Optional[Dict] = None) -> str:
 
 
 def build_dep_entry(pass_class, pass_kwargs: Optional[Dict],
-                    fingerprint: str, solver: str = "builtin",
+                    fingerprint: str,
                     sources: Optional[str] = None) -> Dict[str, object]:
     """The persisted dependency record for one verified configuration.
 
@@ -596,18 +627,16 @@ def build_dep_entry(pass_class, pass_kwargs: Optional[Dict],
     module (see :func:`entry_watch_paths`); ``data_paths`` adds the data
     files — device maps the kwargs were loaded from, suites the pass
     declares — so editing one invalidates the right passes exactly like
-    editing source does.  ``solver`` names the backend the recorded
-    fingerprint was derived under.  ``sources`` is the
-    :func:`sources_digest` the fingerprint was derived beside; the engine
-    serves the configuration through ``fingerprint`` only while it holds,
-    and an entry without one is never served.
+    editing source does.  ``sources`` is the :func:`sources_digest` the
+    fingerprint was derived beside (the solver is hashed into it); the
+    engine serves the configuration through ``fingerprint`` only while it
+    holds, and an entry without one is never served.
     """
     data = set(kwarg_data_paths(pass_kwargs)) | set(class_data_paths(pass_class))
     return {
         "schema": DEPS_SCHEMA_VERSION,
         "fingerprint": fingerprint,
         "sources": sources,
-        "solver": solver,
         "module": pass_class.__module__,
         "qualname": pass_class.__qualname__,
         "data_paths": sorted(data),

@@ -289,11 +289,20 @@ class StatsRecorder:
 
     # -- persistence -------------------------------------------------------- #
     def save(self) -> Optional[str]:
-        """Atomically persist ``store-stats.json`` beside the cache."""
+        """Atomically persist ``store-stats.json`` beside the cache.
+
+        A run whose payload equals the file's but for its timings leaves
+        the file as it is: a warm run of an unchanged suite repeats the
+        previous run's aggregate, and rewriting it was most of what the
+        accounting cost that run.  The file's ``written_at`` and IO
+        seconds then date from the run that wrote it.
+        """
         if self.directory is None:
             return None
         payload = {"canonical": self.canonical(), "local": self.local()}
         path = store_stats_path(self.directory)
+        if _untimed(load_store_stats(self.directory)) == _untimed(payload):
+            return path
         tmp = path + ".tmp"
         data = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         os.makedirs(self.directory, exist_ok=True)
@@ -305,6 +314,19 @@ class StatsRecorder:
     def finalize_and_save(self) -> Optional[str]:
         self.finalize()
         return self.save()
+
+
+def _untimed(payload: Optional[Dict]) -> Optional[Tuple]:
+    """``payload`` without what differs between runs of equal facts:
+    ``written_at`` and the IO seconds.  ``None`` if it is malformed."""
+    local = (payload or {}).get("local")
+    if not isinstance(local, dict) or not isinstance(local.get("io"), dict):
+        return None
+    io = {tier: {name: value for name, value in row.items() if name != "seconds"}
+          for tier, row in local["io"].items() if isinstance(row, dict)}
+    rest = {name: value for name, value in local.items()
+            if name not in ("io", "written_at")}
+    return payload["canonical"], io, rest
 
 
 def load_store_stats(directory) -> Optional[Dict]:

@@ -122,9 +122,9 @@ def _module_class_sources(module_name: str,
     so a pass key and the ``sources`` digest recorded beside it always
     read the same version of the file.  ``None`` when the bytes differ
     (the file changed after it was hashed), which leaves the module's
-    passes uncacheable for the rest of the run, or when the file does not
-    parse.  The text is decoded as :mod:`linecache` reads a source file,
-    so it is what ``inspect.getsource`` returns.
+    passes uncacheable until the module is hashed again, or when the file
+    does not parse.  The text is decoded as :mod:`linecache` reads a
+    source file, so it is what ``inspect.getsource`` returns.
     """
     from repro.incremental.deps import _BLOCK_NODES, module_source_path
 
@@ -193,8 +193,8 @@ def pass_source(pass_class) -> Optional[str]:
 
     The pass key hashes this text and :func:`analyze_pass` analyses it.
     Dynamically created classes (``exec``/REPL) have no retrievable source,
-    nor does a class whose module file changed during the run; the engine
-    treats them as uncacheable rather than risking a collision.
+    nor does a class whose module file changed while it was being read;
+    the engine treats them as uncacheable rather than risking a collision.
     """
     sources = _module_sources(pass_class.__module__)
     if sources is None:

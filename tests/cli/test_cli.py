@@ -1,6 +1,5 @@
 """The ``python -m repro`` command-line interface."""
 
-import argparse
 import json
 
 import pytest
@@ -371,32 +370,6 @@ def test_parser_rejects_missing_command():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args([])
-
-
-def _subcommand_paths(parser, prefix=()):
-    """Every (nested) subcommand of ``parser``, as the words naming it."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, subparser in action.choices.items():
-                yield prefix + (name,)
-                yield from _subcommand_paths(subparser, prefix + (name,))
-
-
-_HELP_AND_ERRORS = ([["--help"], [], ["nope"]]
-                    + [[*path, "--help"] for path in _subcommand_paths(build_parser())])
-
-
-@pytest.mark.parametrize("argv", _HELP_AND_ERRORS, ids=" ".join)
-def test_main_builds_only_the_invoked_subcommand_and_reads_the_same(argv, capsys):
-    # main() adds the arguments of the subcommand it runs alone; the help
-    # and the errors must read as the whole parser's do.
-    with pytest.raises(SystemExit) as whole:
-        build_parser().parse_args(argv)
-    expected = capsys.readouterr()
-    with pytest.raises(SystemExit) as lean:
-        main(argv)
-    assert lean.value.code == whole.value.code
-    assert capsys.readouterr() == expected
 
 
 # --------------------------------------------------------------------------- #

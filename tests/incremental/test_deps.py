@@ -109,7 +109,7 @@ def test_build_dep_entry_shape():
     sources = sources_digest("repro.passes.analysis", "builtin", ())
     entry = build_dep_entry(Depth, None, key, sources=sources)
     # The closure is not copied into the entry: it is the module graph's.
-    assert set(entry) == {"schema", "fingerprint", "sources", "solver",
+    assert set(entry) == {"schema", "fingerprint", "sources",
                           "module", "qualname", "data_paths"}
     assert entry["schema"] == DEPS_SCHEMA_VERSION
     assert entry["fingerprint"] == key

@@ -62,7 +62,6 @@ def test_pass_without_dep_entry_is_conservatively_stale(tmp_path, pass_package):
 def test_an_entry_serves_its_key_while_its_sources_hold(tmp_path, pass_package,
                                                         monkeypatch):
     from repro.engine import driver
-    from repro.engine.fingerprint import reset_memos
 
     two_passes = pass_package.GOOD_WIDTH + pass_package.GOOD_SIZE
     pass_package.write("mod.py", two_passes)
@@ -83,14 +82,44 @@ def test_an_entry_serves_its_key_while_its_sources_hold(tmp_path, pass_package,
     assert run() == ([], 2, 0)   # a warm run derives no key
     # A comment in one class moves both passes' sources, whatever the
     # change list says: both keys are derived again, and only the edited
-    # one moved.
+    # one moved.  The run sees the edit with no reset of this process's
+    # memos.
     edited = two_passes.replace("class TempWidth(AnalysisPass):\n",
                                 "class TempWidth(AnalysisPass):\n    # an edit\n")
     pass_package.write("mod.py", edited)
-    reset_memos()
     assert run(changed_paths=[]) == (["TempWidth", "TempSize"], 1, 1)
     # Both entries were rewritten with the new sources.
     assert run() == ([], 2, 0)
+
+
+def test_a_key_derived_after_an_edit_is_recorded_beside_its_own_sources(
+        tmp_path, pass_package, monkeypatch):
+    from repro.engine import driver
+    from repro.engine.cache import ProofCache
+    from repro.engine.fingerprint import data_dependency_digest, pass_fingerprint
+    from repro.incremental.deps import identity_key, sources_digest
+
+    pass_package.write("mod_a.py", pass_package.GOOD_WIDTH)
+    width = pass_package.load("mod_a", "TempWidth")
+    verify_passes([width], cache_dir=tmp_path / "first")   # hashes mod_a
+
+    # The module changes after the next run read its sources and before
+    # it derives the key, which then reads the edited file.
+    real = driver.pass_fingerprint
+
+    def edit_then_derive(*args, **kwargs):
+        pass_package.write("mod_a.py", pass_package.GOOD_WIDTH_EDITED)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "pass_fingerprint", edit_then_derive)
+    verify_passes([width], cache_dir=tmp_path / "second")
+    monkeypatch.undo()
+
+    with ProofCache(tmp_path / "second") as cache:
+        entry = cache.deps_snapshot()[identity_key(width)]
+    assert entry["fingerprint"] == pass_fingerprint(width)
+    assert entry["sources"] == sources_digest(width.__module__, "builtin",
+                                              data_dependency_digest(width))
 
 
 def test_verdicts_identical_to_full_run_after_edit(tmp_path, pass_package):

@@ -121,6 +121,20 @@ def test_save_load_round_trip(tmp_path):
     assert payload["local"]["io"]["pass"]["bytes"] == 64
 
 
+def test_a_run_of_equal_facts_leaves_the_file_as_it_is(tmp_path):
+    def run(seconds, workers=1):
+        recorder = StatsRecorder(tmp_path, backend="jsonl", workers=workers)
+        recorder.note_pass("p", "hit")
+        recorder.note_io("pass", hit=True, seconds=seconds)
+        recorder.finalize_and_save()
+        with open(store_stats_path(tmp_path), encoding="utf-8") as handle:
+            return handle.read()
+
+    first = run(0.001)
+    assert run(0.002) == first          # only the timings differ
+    assert run(0.002, workers=2) != first
+
+
 def test_load_rejects_corrupt_and_foreign_schema(tmp_path):
     assert load_store_stats(tmp_path) is None
     with open(store_stats_path(tmp_path), "w", encoding="utf-8") as handle:
