@@ -45,7 +45,7 @@ def _run_once(suite, solver: str) -> Dict[str, object]:
     # A memo warmed by a previous measurement would flatter this one.
     reset_solver_state()
     report = verify_passes(
-        suite, jobs=1, use_cache=False, solver=solver,
+        suite, use_cache=False, solver=solver,
         pass_kwargs_fn=pass_kwargs_for, counterexample_search=False,
     )
     methods: Counter = Counter()

@@ -41,7 +41,7 @@ def _suite(pass_classes: Optional[Sequence] = None) -> List:
 
 def _warm_run(suite, cache_dir: str):
     started = time.perf_counter()
-    report = verify_passes(suite, jobs=1, cache_dir=cache_dir,
+    report = verify_passes(suite, cache_dir=cache_dir,
                            pass_kwargs_fn=pass_kwargs_for)
     return time.perf_counter() - started, report
 
@@ -58,7 +58,7 @@ def run_stats_bench(pass_classes: Optional[Sequence] = None,
         was_enabled = store_stats.set_enabled(True)
         gc_was_enabled = gc.isenabled()
         try:
-            cold = verify_passes(suite, jobs=1, cache_dir=cache_dir,
+            cold = verify_passes(suite, cache_dir=cache_dir,
                                  pass_kwargs_fn=pass_kwargs_for)
             verdicts = [(r.pass_name, r.verified) for r in cold.results]
             enabled_verdicts = verdicts

@@ -48,19 +48,18 @@ def category_of(pass_class) -> str:
     return "other"
 
 
-def run_table2(pass_classes: Sequence = None, coupling=None, jobs: int = 1,
+def run_table2(pass_classes: Sequence = None, coupling=None,
                cache_dir: Optional[str] = None) -> List[Table2Row]:
     """Verify every pass and produce the Table 2 rows.
 
     Routed through the batch engine with caching off by default (pass
     ``cache_dir`` to opt in) *and* per-pass subgoal tables, so each row's
     time measures independently proving that pass's own obligations —
-    matching the paper's per-pass accounting at any ``jobs`` level.
+    matching the paper's per-pass accounting.
     """
     pass_classes = list(pass_classes or ALL_VERIFIED_PASSES)
     report = verify_passes(
         pass_classes,
-        jobs=jobs,
         cache_dir=cache_dir,
         use_cache=cache_dir is not None,
         pass_kwargs_fn=lambda cls: pass_kwargs_for(cls, coupling),
@@ -82,13 +81,12 @@ def run_table2(pass_classes: Sequence = None, coupling=None, jobs: int = 1,
     return rows
 
 
-def rule_usage_report(pass_classes: Sequence = None, coupling=None,
-                      jobs: int = 1) -> Dict[str, List[str]]:
+def rule_usage_report(pass_classes: Sequence = None,
+                      coupling=None) -> Dict[str, List[str]]:
     """Which rewrite-rule families each pass's verification used (Section 8)."""
     pass_classes = list(pass_classes or ALL_VERIFIED_PASSES)
     report = verify_passes(
         pass_classes,
-        jobs=jobs,
         use_cache=False,
         pass_kwargs_fn=lambda cls: pass_kwargs_for(cls, coupling),
         share_subgoals=False,
@@ -138,13 +136,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Reproduce Table 2 of the Giallar paper")
     parser.add_argument("--new-passes-only", action="store_true",
                         help="verify only the passes new in Qiskit 0.32 (Section 8)")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes for the verification engine")
     parser.add_argument("--cache-dir", default=None,
                         help="enable the proof cache (off by default: the table times real proving)")
     args = parser.parse_args(argv)
     passes = NEW_IN_032_PASSES if args.new_passes_only else ALL_VERIFIED_PASSES
-    rows = run_table2(passes, jobs=args.jobs, cache_dir=args.cache_dir)
+    rows = run_table2(passes, cache_dir=args.cache_dir)
     print(format_table(rows))
     return 0 if all(r.verified for r in rows) else 1
 

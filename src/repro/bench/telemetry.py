@@ -45,7 +45,7 @@ def _suite(pass_classes: Optional[Sequence] = None) -> List:
 
 def _warm_run(suite, cache_dir: str):
     started = time.perf_counter()
-    report = verify_passes(suite, jobs=1, cache_dir=cache_dir,
+    report = verify_passes(suite, cache_dir=cache_dir,
                            pass_kwargs_fn=pass_kwargs_for)
     return time.perf_counter() - started, report
 
@@ -63,7 +63,7 @@ def run_telemetry_bench(pass_classes: Optional[Sequence] = None,
     spans = events = 0
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache_dir, \
             tempfile.TemporaryDirectory(prefix="repro-bench-trace-") as trace_dir:
-        cold = verify_passes(suite, jobs=1, cache_dir=cache_dir,
+        cold = verify_passes(suite, cache_dir=cache_dir,
                              pass_kwargs_fn=pass_kwargs_for)
         verdicts = [(r.pass_name, r.verified) for r in cold.results]
 

@@ -4,9 +4,8 @@ Invoked as ``python -m repro <command>``.  Commands:
 
 ``verify``
     Verify one, several, or all compiler passes and print a report
-    (text, Markdown, or JSON).  ``--jobs N`` (alias ``--workers N``) runs
-    the batch on N local processes; ``--changed PATH`` scopes the run
-    incrementally to what those edits can have invalidated.
+    (text, Markdown, or JSON).  ``--changed PATH`` reports how many passes
+    the run re-checked because their sources moved.
 
 ``transpile``
     Compile an OpenQASM 2 file for a named device with either the verified
@@ -43,13 +42,12 @@ Invoked as ``python -m repro <command>``.  Commands:
 ``stats``
     The latest run's canonical proof-store analytics (``store-stats.json``
     beside the cache): tier hit ratios, hottest keys, wasted evictions.
-    The JSON form is byte-identical at any worker count.
+    The JSON form is byte-identical across runs of equal facts.
 
 ``dash``
     Render the whole observability stack — history trends, the latest
-    run's queue/prove split, tier hit-ratio evolution, fuzz-corpus
-    status — as one self-contained HTML file (inline SVG, no scripts, no
-    network).
+    run's slowest passes, tier hit-ratio evolution, fuzz-corpus status —
+    as one self-contained HTML file (inline SVG, no scripts, no network).
 
 ``bench``
     Run one of the paper's evaluation drivers (``table2``, ``figure11``,
@@ -172,11 +170,8 @@ def _run_verify(args, selected, tracer) -> int:
     from repro.errors import SolverUnavailable
 
     try:
-        # --jobs 0 means "auto" (one worker per CPU, capped); the engine
-        # applies the convention, so 0 passes through unchanged.
         report = verify_passes(
             selected,
-            jobs=args.jobs,
             cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
             pass_kwargs_fn=pass_kwargs_for,
@@ -241,7 +236,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     watcher = Watcher(
         selected,
         cache_dir=args.cache_dir,
-        jobs=args.jobs,
         pass_kwargs_fn=pass_kwargs_for,
         extra_paths=args.data or (),
     )
@@ -628,8 +622,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         return 1
     if args.format == "json":
         # The canonical half only, as canonical JSON: this output is the
-        # determinism surface — byte-identical at any worker count and on
-        # either cache backend.
+        # determinism surface — byte-identical across runs of equal facts.
         print(canonical_bytes(payload))
         return 0
     for line in render_stats_table(payload, top=args.top):
@@ -821,10 +814,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", choices=("text", "markdown", "json"), default="text")
     verify.add_argument("--jobs", "-j", "--workers", type=int, default=1,
                         metavar="N",
-                        help="worker processes (--workers is an alias); 0 "
-                             "auto-detects the CPU count (capped at 8) — the "
-                             "same 0-means-auto convention applies everywhere "
-                             "a jobs count is taken (default 1, in-process)")
+                        help="no effect, accepted for older scripts: every "
+                             "run proves in-process")
     verify.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="proof-cache directory (default ~/.cache/repro)")
     verify.add_argument("--no-cache", action="store_true",
@@ -852,8 +843,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "cache directory)")
     verify.add_argument("--changed", action="append", default=None,
                         metavar="PATH",
-                        help="run incrementally: re-check only passes whose "
-                             "dependency files include PATH (repeatable)")
+                        help="report, as \"N stale re-checked\", how many "
+                             "passes had their key derived again because "
+                             "their sources moved; every run re-checks those "
+                             "passes, whatever PATH lists (repeatable)")
     verify.set_defaults(handler=_cmd_verify)
 
     watch = sub.add_parser(
@@ -866,7 +859,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stop after N cycles (default: run until ctrl-c); "
                             "--cycles 1 runs only the baseline verification")
     watch.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                       help="worker processes for re-proofs (0 = auto)")
+                       help="no effect, accepted for older scripts: every "
+                            "cycle proves in one process")
     watch.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="proof-cache directory (default ~/.cache/repro)")
     watch.add_argument("--data", action="append", default=None, metavar="PATH",
@@ -999,7 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hot keys to list (default 10)")
     stats.add_argument("--format", choices=("table", "json"), default="table",
                        help="json prints the canonical aggregate only — "
-                            "byte-identical at any worker count")
+                            "byte-identical across runs of equal facts")
     stats.set_defaults(handler=_cmd_stats)
 
     dash = sub.add_parser(
@@ -1054,8 +1048,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="corpus directory (JSONL + metadata)")
     fuzz.add_argument("--workers", type=int, default=1, metavar="N",
                       help="run seed-range batches on N local worker "
-                           "processes; 0 auto-detects the CPU count, as "
-                           "--jobs does (default 1, in-process)")
+                           "processes; 0 auto-detects the CPU count, capped "
+                           "at 8 (default 1, in-process)")
     fuzz.add_argument("--device", default="linear",
                       help="device topology for generated cases")
     fuzz.add_argument("--max-qubits", type=int, default=None,

@@ -1,11 +1,13 @@
-"""The parallel, cache-aware verification engine.
+"""The cache-aware verification engine.
 
 Turns one-shot pass verification into a scalable service: content-addressed
 proof fingerprints (:mod:`repro.engine.fingerprint`), a persistent on-disk
-proof cache (:mod:`repro.engine.cache`), a multiprocessing scheduler
-(:mod:`repro.engine.scheduler`), and the batch driver API
+proof cache (:mod:`repro.engine.cache`), and the batch driver API
 (:mod:`repro.engine.driver`) that the CLI, the pass manager, and the
-benchmarks route through.  The names below are imported on first use.
+benchmarks route through.  The multiprocessing scheduler
+(:mod:`repro.engine.scheduler`) runs the fuzz campaign's ``--workers``
+batches; verification proves in-process.  The names below are imported on
+first use.
 """
 
 from typing import TYPE_CHECKING
@@ -39,7 +41,7 @@ if TYPE_CHECKING:
         subgoal_fingerprint,
         toolchain_fingerprint,
     )
-    from repro.engine.scheduler import WorkerPool, default_jobs, parallel_map
+    from repro.engine.scheduler import WorkerPool, default_jobs
 
 __getattr__ = lazy_exports(__name__, {
     "repro.engine.cache": ("CacheStats", "ProofCache", "default_cache_dir"),
@@ -64,7 +66,7 @@ __getattr__ = lazy_exports(__name__, {
         "subgoal_fingerprint",
         "toolchain_fingerprint",
     ),
-    "repro.engine.scheduler": ("WorkerPool", "default_jobs", "parallel_map"),
+    "repro.engine.scheduler": ("WorkerPool", "default_jobs"),
 })
 
 __all__ = [
@@ -83,7 +85,6 @@ __all__ = [
     "default_jobs",
     "default_pass_kwargs",
     "finalize_stats",
-    "parallel_map",
     "pass_fingerprint",
     "payload_to_result",
     "resolve_pending",

@@ -8,12 +8,11 @@ hash — so entries written against an older prover are *structurally* stale:
 they can never be hit, are counted as invalidated on load, and are dropped
 the next time the file is compacted.
 
-Within one run the cache is written only by the parent process (pool
-workers return their results to the driver).  Separate processes on one
-directory — CLI runs, ``repro watch``, pass managers — share the files
-without locks: each appends whole lines, and every record is keyed by its
-content fingerprint and gated by the toolchain digest, so a race can cost
-warmth but never a verdict.  Hit totals are absolute and the last writer
+Within one run the cache is written only by the process that verifies.
+Separate processes on one directory — CLI runs, ``repro watch`` cycles,
+pass managers — share the files without locks: each appends whole lines,
+and every record is keyed by its content fingerprint and gated by the
+toolchain digest, so a race can cost warmth but never a verdict.  Hit totals are absolute and the last writer
 wins; a long-lived process does not see other processes' appends until it
 reopens; one process's compaction can drop another's concurrent appends.
 A writer that dies mid-append leaves a torn last line: the next session
@@ -578,11 +577,12 @@ class ProofCache:
         self._append("subgoal", key, value)
 
     def subgoal_snapshot(self) -> Dict[str, dict]:
-        """A plain-dict copy of the subgoal table, shippable to workers."""
+        """A plain-dict copy of the subgoal table, which one run's
+        discharges read and extend."""
         return dict(self._subgoals)
 
     def touch_subgoals(self, keys) -> None:
-        """Refresh recency for subgoals served from a worker-side snapshot.
+        """Refresh recency for subgoals served from the run's snapshot.
 
         The engine reads subgoals through :meth:`subgoal_snapshot` (never
         :meth:`get_subgoal`), so without this the subgoal tier would look

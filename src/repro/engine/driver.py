@@ -9,21 +9,18 @@ This is the engine's public API.  It turns the one-shot
   milliseconds instead of re-proving every obligation, and derives no key:
   a pass whose recorded dependency entry still matches the content digest
   of its sources is served through the fingerprint recorded there;
-* cache misses are fanned out over a
-  :class:`~repro.engine.scheduler.WorkerPool` (``jobs=N``), each worker
-  discharging the subgoals of its passes with a process-local view of the
-  subgoal cache, so even a *changed* pass reuses the obligations it shares
-  with its previous version;
+* cache misses are proved in the calling process, one after another, each
+  discharging its subgoals through one subgoal table shared by the whole
+  run, so even a *changed* pass reuses the obligations it shares with its
+  previous version or with the passes proved before it;
 * results come back in input order with an :class:`EngineStats` block
-  (hits, misses, jobs, wall time) that the reports surface;
+  (hits, misses, wall time) that the reports surface;
 * dependency information (the fingerprint each verified configuration's
   key came to, and the digest of the sources it read) is recorded at
-  verification time, and ``verify_passes(changed_paths=...)`` also uses
-  it to re-fingerprint the passes an edit to a listed file can have
-  invalidated (see :mod:`repro.incremental`).
+  verification time (see :mod:`repro.incremental`).
 
-The CLI (``repro verify --all --jobs 8``), the pass manager's
-verify-before-run mode, and the Table 2 benchmark driver all route through
+The CLI (``repro verify --all``), the pass manager's verify-before-run
+mode, and the Table 2 benchmark driver all route through
 :func:`verify_passes`.
 """
 
@@ -58,9 +55,8 @@ from repro.verify.results import (
 )
 from repro.verify.session import Subgoal
 
-# The verifier, the discharge pipeline and the worker pool are imported
-# where they are called: a run the proof store serves whole never loads
-# them.
+# The verifier and the discharge pipeline are imported where they are
+# called: a run the proof store serves whole never loads them.
 
 #: Passes that need a coupling map to be instantiated (Table 2 suite).
 COUPLING_PASSES = {
@@ -94,8 +90,8 @@ def default_pass_kwargs(pass_class, coupling=None) -> Optional[Dict]:
 
 
 # --------------------------------------------------------------------------- #
-# Result (de)serialisation — cache entries and worker return values are plain
-# JSON-shaped dicts, never pickled result objects.
+# Result (de)serialisation — cache entries are plain JSON-shaped dicts,
+# never pickled result objects.
 # --------------------------------------------------------------------------- #
 def result_to_payload(result: VerificationResult) -> dict:
     analysis = None
@@ -213,12 +209,9 @@ def payload_to_result(payload: dict, from_cache: bool = False,
 # --------------------------------------------------------------------------- #
 @dataclass
 class SubgoalAccounting:
-    """What one pass's discharge run contributed and consumed.
-
-    The in-process path and the pool workers hand the same shape around:
-    new subgoal and certificate records for the store, hit and miss
-    counts, and the hit keys whose recency the store refreshes.
-    """
+    """What one pass's discharge run contributed and consumed: new
+    subgoal and certificate records for the store, hit and miss counts,
+    and the hit keys whose recency the store refreshes."""
 
     new_subgoals: Dict[str, dict] = field(default_factory=dict)
     new_certificates: Dict[str, dict] = field(default_factory=dict)
@@ -313,63 +306,6 @@ def resolve_qualname(module_name: str, qualname: str):
     return obj
 
 
-#: Per-worker-process snapshot of the subgoal cache, installed once by the
-#: pool initializer rather than pickled into every task (the snapshot can be
-#: large, the tasks are many).
-_worker_subgoal_table: Dict[str, dict] = {}
-
-
-def _install_worker_subgoal_table(table: Dict[str, dict]) -> None:
-    global _worker_subgoal_table
-    _worker_subgoal_table = table
-
-
-def _verify_task(task: dict) -> dict:
-    """Worker entry point: verify one pass from a picklable task description."""
-    from repro.verify.discharge import Discharger
-
-    pass_class = resolve_qualname(task["module"], task["qualname"])
-
-    def _run() -> Tuple[VerificationResult, SubgoalAccounting]:
-        return _verify_one(
-            pass_class,
-            task["kwargs"],
-            task["counterexample_search"],
-            dict(_worker_subgoal_table),
-            discharger=Discharger(task.get("solver", DEFAULT_SOLVER)),
-        )
-
-    spans = None
-    if task.get("trace"):
-        # Spans cannot stream to the parent's sink across the process
-        # boundary; collect them and piggyback the batch on the result.
-        with _trace.collecting(node="pool") as collector:
-            with collector.span(pass_class.__name__, kind="pass",
-                                solver=task.get("solver", DEFAULT_SOLVER)) as handle:
-                submitted = task.get("submitted_at")
-                if submitted is not None:
-                    # perf_counter is system-wide on Linux; clamp anyway in
-                    # case the platform's clock is per-process.
-                    handle.attrs["queue_wait"] = round(
-                        max(0.0, time.perf_counter() - float(submitted)), 6)
-                result, acct = _run()
-                handle.attrs["subgoals"] = len(result.subgoals)
-        spans = collector.drain()
-    else:
-        result, acct = _run()
-    output = {
-        "result": result_to_payload(result),
-        "new_subgoals": acct.new_subgoals,
-        "new_certificates": acct.new_certificates,
-        "subgoal_hits": acct.hits,
-        "subgoal_misses": acct.misses,
-        "subgoal_hit_keys": acct.hit_keys,
-    }
-    if spans is not None:
-        output["spans"] = spans
-    return output
-
-
 # --------------------------------------------------------------------------- #
 # The batch API
 # --------------------------------------------------------------------------- #
@@ -377,8 +313,6 @@ def _verify_task(task: dict) -> dict:
 class EngineStats:
     """What one :func:`verify_passes` run did, for reports and logs."""
 
-    jobs: int = 1
-    used_processes: bool = False
     passes_total: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -394,25 +328,28 @@ class EngineStats:
     #: ``builtin``, ``bounded``, ``z3``).
     solver: str = "builtin"
     #: Incremental runs only (``verify_passes(changed_paths=...)``): how
-    #: many passes were actually re-fingerprinted because a dependency file
-    #: changed (or no dependency entry existed).  ``None`` on full runs.
+    #: many passes the recorded fingerprint did not serve (their sources
+    #: moved, they had no dependency entry, or their proof was evicted), so
+    #: their key was derived again.  ``None`` on full runs.
     stale_passes: Optional[int] = None
 
     def to_dict(self) -> Dict[str, object]:
         """JSON view with a fixed, documented field order.
 
-        ``daemon`` and ``cluster`` are always ``null``; the keys stay so
-        the report's shape does not change.
+        Every run proves in-process, so ``jobs`` is always ``1`` and
+        ``used_processes`` always ``false``; ``daemon`` and ``cluster`` are
+        always ``null``.  The keys stay so the report's shape does not
+        change.
         """
         return {
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "jobs": self.jobs,
+            "jobs": 1,
             "wall_seconds": round(self.wall_seconds, 6),
             "subgoal_hits": self.subgoal_hits,
             "subgoal_misses": self.subgoal_misses,
             "invalidated": self.invalidated,
-            "used_processes": self.used_processes,
+            "used_processes": False,
             "passes_total": self.passes_total,
             "cache_dir": self.cache_dir,
             "backend": self.backend,
@@ -431,7 +368,7 @@ class EngineStats:
             incremental = f"{self.stale_passes} stale re-checked, "
         solver = "" if self.solver in (None, "builtin") else f" [solver: {self.solver}]"
         return (
-            f"engine: {self.passes_total} passes, jobs={self.jobs}, "
+            f"engine: {self.passes_total} passes, jobs=1, "
             f"{incremental}"
             f"cache {self.cache_hits} hit / {self.cache_misses} miss "
             f"(subgoals {self.subgoal_hits}/{self.subgoal_hits + self.subgoal_misses} reused), "
@@ -463,19 +400,6 @@ def batch_distinct_configs(pairs: Sequence[Tuple[Type, Optional[Dict]]]):
         yield batch
 
 
-def _check_changed_paths(changed_paths) -> None:
-    """Reject a bare string ``changed_paths`` at every entry point.
-
-    Iterating a string would silently treat its characters as one-letter
-    paths: no dependency entry matches, every pass — including a genuinely
-    edited one — is served through its recorded fingerprint, and the
-    caller's bug becomes a stale verdict instead of an error.
-    """
-    if isinstance(changed_paths, (str, bytes)):
-        raise TypeError(
-            "changed_paths must be an iterable of paths, not a bare string")
-
-
 @dataclass
 class EngineReport:
     """Ordered verification results plus the engine statistics."""
@@ -500,7 +424,6 @@ class EngineReport:
 def verify_passes(
     pass_classes: Sequence[Type],
     *,
-    jobs: int = 1,
     cache: Optional[ProofCache] = None,
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
@@ -511,13 +434,10 @@ def verify_passes(
     record_deps: bool = True,
     solver: str = "auto",
 ) -> EngineReport:
-    """Verify a batch of passes in parallel, reusing cached proofs.
+    """Verify a batch of passes in this process, reusing cached proofs.
 
     ``cache`` takes precedence over ``cache_dir``; with ``use_cache=False``
-    the run is fully stateless (no reads, no writes).  Verdicts are
-    independent of ``jobs``: scheduling only changes wall time.
-    ``jobs=0`` means "auto": one worker per CPU (capped at 8), the same
-    convention the CLI's ``--jobs 0`` exposes.
+    the run is fully stateless (no reads, no writes).
 
     ``solver`` selects the :mod:`repro.prover` backend that discharges
     subgoals (``auto`` resolves to the builtin congruence-closure prover).
@@ -537,18 +457,15 @@ def verify_passes(
     :mod:`repro.incremental.deps`) is fresh through the fingerprint
     recorded there, skipping source extraction and key derivation: the
     entry's ``sources`` digest still equals the content digest of
-    everything its key reads.  ``changed_paths`` switches the run
-    *incremental*: passes whose recorded dependency files intersect the
-    change set are re-fingerprinted too, and ``stats.stale_passes``
-    reports how many passes took that full path (an entry whose sources
-    moved takes it whether or not the change set names the edit).  Pass
-    an empty iterable for "nothing changed".  Passes without a dependency
-    entry are conservatively treated as stale.  Verdicts are identical to
-    a full run.  ``record_deps=False`` writes no dependency entries, for
-    cached runs that will never be re-driven incrementally.
+    everything its key reads.  Every other pass has its key derived again.
+    ``changed_paths`` (the files the caller saw change; an empty iterable
+    for "nothing changed") decides nothing about which keys are derived:
+    it switches on ``stats.stale_passes``, the count of passes the
+    recorded fingerprint did not serve.  Verdicts are identical to a full
+    run.  ``record_deps=False`` writes no dependency entries, for cached
+    runs that will never be re-driven incrementally.
     """
     started = time.perf_counter()
-    _check_changed_paths(changed_paths)
     # A long-lived process may have edited a source file since it last
     # hashed one: the digests, and the toolchain hash the store opens
     # under, are then read again.
@@ -559,13 +476,7 @@ def verify_passes(
     # without creating the cache directory.
     backend = resolve_solver(solver)
     kwargs_fn = pass_kwargs_fn or default_pass_kwargs
-    jobs = int(jobs)
-    if jobs <= 0:
-        from repro.engine.scheduler import default_jobs
-
-        jobs = default_jobs()
-    stats = EngineStats(jobs=jobs, passes_total=len(pass_classes),
-                        solver=backend.name)
+    stats = EngineStats(passes_total=len(pass_classes), solver=backend.name)
 
     own_cache = False
     if cache is None and use_cache:
@@ -598,21 +509,20 @@ def resolve_pending(
     the fingerprint recorded in it, without deriving its key: the entry's
     ``sources`` digest (:func:`repro.incremental.deps.sources_digest`,
     everything the key reads besides the configuration's identity,
-    ``solver`` included) equals the current one, and on incremental runs
-    its watch set also misses ``changed_paths``.  Every other
-    configuration is fingerprinted and served on a hit, and its entry is
-    rewritten when its key or its sources moved.  Returns ``(results,
-    pending)``: ``results`` is a list aligned with ``pass_classes``
-    holding the cached results (``None`` where work remains) and
-    ``pending`` lists ``(index, pass_class, pass_kwargs, key)`` for
-    everything that must actually be proved.
+    ``solver`` included) equals the current one, so its key is the
+    recorded one.  Every other configuration is fingerprinted and served
+    on a hit, and its entry is rewritten when its key or its sources
+    moved.  ``changed_paths`` only switches on ``stats.stale_passes``.
+    Returns ``(results, pending)``: ``results`` is a list aligned with
+    ``pass_classes`` holding the cached results (``None`` where work
+    remains) and ``pending`` lists ``(index, pass_class, pass_kwargs,
+    key)`` for everything that must actually be proved.
 
     ``recorder`` (a :class:`~repro.telemetry.stats.StatsRecorder`) receives
     the canonical pass-tier outcome for every requested key: ``hit``
-    (served from the cache), ``stale`` (invalidated incrementally and
-    re-proved), or ``miss`` (cold).  This phase runs in the parent
-    process whether or not the pending work goes to a worker pool, so the
-    recorded outcomes are identical at any worker count.
+    (served from the cache), ``stale`` (not served by its recorded
+    fingerprint on an incremental run, and re-proved), or ``miss``
+    (cold).
     """
     if cache is not None:
         stats.backend = getattr(cache, "backend", None)
@@ -623,20 +533,15 @@ def resolve_pending(
     incremental = changed_paths is not None and indexed
     track_deps = record_deps and indexed and hasattr(cache, "put_deps")
     dep_index: Dict[str, dict] = {}
-    changed: set = set()
     if indexed:
         from repro.incremental.deps import (
             build_dep_entry,
-            entry_watch_paths,
             identity_key,
             sources_digest,
         )
 
         dep_index = cache.deps_snapshot()
     if incremental:
-        from repro.incremental.detect import normalize_path
-
-        changed = {normalize_path(path) for path in changed_paths}
         stats.stale_passes = 0
 
     tracer = _trace.current()
@@ -651,8 +556,7 @@ def resolve_pending(
             sources = sources_digest(pass_class.__module__, solver, data)
             entry = dep_index.get(ident)
             if entry is not None and sources is not None \
-                    and entry.get("sources") == sources and (
-                        not changed or changed.isdisjoint(entry_watch_paths(entry))):
+                    and entry.get("sources") == sources:
                 key = entry["fingerprint"]
         fresh = key is not None
         if not fresh:
@@ -671,7 +575,8 @@ def resolve_pending(
                     dep_index[ident] = entry
         cached = cache.get_pass(key) if cache is not None else None
         # On incremental runs, whatever the recorded fingerprint did not
-        # serve (no fresh entry, or an evicted proof) counts as stale.
+        # serve (sources moved, no entry, or an evicted proof) counts as
+        # stale.
         stale_pass = incremental and not (fresh and cached is not None)
         if stale_pass:
             stats.stale_passes += 1
@@ -726,8 +631,7 @@ def _verify_passes_with_cache(
     if cache is not None and store_stats.enabled():
         try:
             recorder = store_stats.StatsRecorder(
-                cache.directory, backend=getattr(cache, "backend", None),
-                workers=stats.jobs)
+                cache.directory, backend=getattr(cache, "backend", None))
             cache.recorder = recorder
         except Exception:
             recorder = None
@@ -740,89 +644,41 @@ def _verify_passes_with_cache(
 
     tracer = _trace.current()
     if pending:
-        # The first miss loads the prover and the verifier, here in the
-        # parent and before any fork, so pool workers inherit both.
-        import repro.verify.verifier  # noqa: F401
+        # The first miss loads the prover and the verifier.
         from repro.verify.discharge import Discharger
 
         discharger = Discharger(backend)
         subgoal_table = cache.subgoal_snapshot() if cache is not None else {}
-        if stats.jobs > 1 and len(pending) > 1:
-            from repro.engine.scheduler import WorkerPool
-
-            pool = WorkerPool(stats.jobs, initializer=_install_worker_subgoal_table,
-                              initargs=(subgoal_table,))
-            tasks = [
-                {
-                    "module": pass_class.__module__,
-                    "qualname": pass_class.__qualname__,
-                    "kwargs": pass_kwargs,
-                    "counterexample_search": counterexample_search,
-                    "solver": discharger.solver_name,
-                }
-                for _, pass_class, pass_kwargs, _ in pending
-            ]
+        for index, pass_class, pass_kwargs, key in pending:
+            table = subgoal_table if share_subgoals else dict(subgoal_table)
             if tracer is not None:
-                submitted = time.perf_counter()
-                for task in tasks:
-                    task["trace"] = True
-                    task["submitted_at"] = submitted
-            try:
-                outputs = pool.map(_verify_task, tasks)
-            finally:
-                # The in-process fallback installs the snapshot in *this*
-                # process; do not leak it into later runs.
-                _install_worker_subgoal_table({})
-            stats.used_processes = pool.used_processes
-            for (index, _, _, key), output in zip(pending, outputs):
-                results[index] = payload_to_result(output["result"])
-                stats.subgoal_hits += output["subgoal_hits"]
-                stats.subgoal_misses += output["subgoal_misses"]
-                if recorder is not None:
-                    recorder.note_unit(output["subgoal_hit_keys"],
-                                       output["new_subgoals"].keys())
-                    recorder.note_certificates(
-                        (output.get("new_certificates") or {}).keys())
-                if tracer is not None and output.get("spans"):
-                    tracer.absorb(output["spans"], parent=pool.span_id)
-                if cache is not None:
-                    cache.put_pass(key, output["result"])
-                    for sub_key, value in output["new_subgoals"].items():
-                        if not cache.has_subgoal(sub_key):
-                            cache.put_subgoal(sub_key, value)
-                    store_certificates(cache, output.get("new_certificates") or {})
-                    cache.touch_subgoals(output["subgoal_hit_keys"])
-        else:
-            for index, pass_class, pass_kwargs, key in pending:
-                table = subgoal_table if share_subgoals else dict(subgoal_table)
-                if tracer is not None:
-                    with tracer.span(pass_class.__name__, kind="pass",
-                                     solver=discharger.solver_name) as handle:
-                        result, acct = _verify_one(
-                            pass_class, pass_kwargs, counterexample_search,
-                            table, discharger=discharger,
-                        )
-                        handle.attrs["subgoals"] = len(result.subgoals)
-                else:
+                with tracer.span(pass_class.__name__, kind="pass",
+                                 solver=discharger.solver_name) as handle:
                     result, acct = _verify_one(
-                        pass_class, pass_kwargs, counterexample_search, table,
-                        discharger=discharger,
+                        pass_class, pass_kwargs, counterexample_search,
+                        table, discharger=discharger,
                     )
-                results[index] = result
-                stats.subgoal_hits += acct.hits
-                stats.subgoal_misses += acct.misses
-                if recorder is not None:
-                    recorder.note_unit(acct.hit_keys, acct.new_subgoals.keys())
-                    recorder.note_certificates(acct.new_certificates.keys())
-                if cache is not None:
-                    cache.put_pass(key, result_to_payload(result))
-                    for sub_key, value in acct.new_subgoals.items():
-                        # With private per-pass tables two passes can both
-                        # "discover" a shared subgoal; store it once.
-                        if not cache.has_subgoal(sub_key):
-                            cache.put_subgoal(sub_key, value)
-                    store_certificates(cache, acct.new_certificates)
-                    cache.touch_subgoals(acct.hit_keys)
+                    handle.attrs["subgoals"] = len(result.subgoals)
+            else:
+                result, acct = _verify_one(
+                    pass_class, pass_kwargs, counterexample_search, table,
+                    discharger=discharger,
+                )
+            results[index] = result
+            stats.subgoal_hits += acct.hits
+            stats.subgoal_misses += acct.misses
+            if recorder is not None:
+                recorder.note_unit(acct.hit_keys, acct.new_subgoals.keys())
+                recorder.note_certificates(acct.new_certificates.keys())
+            if cache is not None:
+                cache.put_pass(key, result_to_payload(result))
+                for sub_key, value in acct.new_subgoals.items():
+                    # With private per-pass tables two passes can both
+                    # "discover" a shared subgoal; store it once.
+                    if not cache.has_subgoal(sub_key):
+                        cache.put_subgoal(sub_key, value)
+                store_certificates(cache, acct.new_certificates)
+                cache.touch_subgoals(acct.hit_keys)
 
     backend_stats = None
     stats_fn = getattr(backend, "stats", None)
@@ -856,8 +712,7 @@ def _verify_passes_with_cache(
 def finalize_stats(stats, cache, base_hits, base_misses, base_invalidated,
                    pending_count, started) -> None:
     """Close out one run's counters as deltas over the cache's totals, so
-    hit/miss accounting is the same however the pending work was
-    scheduled."""
+    a long-lived cache's earlier runs are not counted again."""
     if cache is not None:
         stats.cache_hits = cache.stats.pass_hits - base_hits
         stats.cache_misses = cache.stats.pass_misses - base_misses

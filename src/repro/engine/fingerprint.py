@@ -11,7 +11,7 @@ computes the stable SHA-256 keys that make this sound:
 * :func:`subgoal_fingerprint` — hashes one proof obligation (lhs/rhs element
   sequences plus the path facts) after *canonicalising the symbolic uids*.
   Fresh symbolic values draw uids from a process-global counter, so the same
-  pass verified twice (or in two worker processes) produces different raw
+  pass verified twice (or in two processes) produces different raw
   uids; renaming them in order of first appearance makes the key stable.
 * :func:`toolchain_fingerprint` — the content digest of every module the
   verifier and this module statically import (rule set, commutation
@@ -42,7 +42,7 @@ incremental layer relies on):
    beside that digest is served, underived, while the digest holds.
 2. **Keys are deterministic across processes.**  Symbolic uids are renamed
    in order of first appearance before hashing, so the same obligation
-   produced in two worker processes (with different raw uid counters) maps
+   produced in two processes (with different raw uid counters) maps
    to the same subgoal key:
 
    >>> renamer = _UidRenamer()
@@ -259,7 +259,8 @@ def subgoal_uid_map(subgoal: Subgoal) -> Dict[str, str]:
     raw uids to identical canonical names.  Proof certificates and reported
     ``rules_used`` use this to record rule names (which embed raw uids) in
     session-independent form, so a certificate written today can restrict
-    a replay tomorrow and a report does not depend on the worker count.
+    a replay tomorrow and a report does not depend on which process proved
+    it.
     """
     return _normal_form(subgoal)[1]
 

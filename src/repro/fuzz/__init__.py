@@ -10,8 +10,8 @@ reproducer (:mod:`repro.fuzz.shrink`), and persists the minimised,
 certificate-carrying witnesses in a schema-versioned JSONL corpus
 (:mod:`repro.fuzz.corpus`) that replays as deterministic regression
 units.  Campaigns decompose into independent seed-range batches, so
-``repro fuzz --workers N`` runs them on the engine's ``--jobs`` process
-pool (:mod:`repro.fuzz.campaign`).
+``repro fuzz --workers N`` runs them on the engine's process pool
+(:mod:`repro.fuzz.campaign`).
 """
 
 from repro.fuzz.campaign import (

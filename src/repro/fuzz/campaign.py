@@ -12,7 +12,7 @@ own process — a fuzzing hit travels with its symbolic diagnosis.
 Campaigns decompose into independent seed-range batches, and
 :func:`run_campaign` maps :func:`execute_fuzz_unit` over contiguous case
 batches on the engine's process pool
-(:class:`repro.engine.scheduler.WorkerPool`, the ``--jobs`` executor);
+(:class:`repro.engine.scheduler.WorkerPool`, whose one user this is);
 ``--workers 1`` runs the batches in-process.  Each batch is a JSON spec of
 case indices, and a case is generated from ``(seed, index, config)``
 alone, which is why a case's outcome (and therefore the corpus bytes)
@@ -347,7 +347,7 @@ def run_campaign(
     Seed-range batches map over a
     :class:`~repro.engine.scheduler.WorkerPool` of ``workers`` processes;
     ``workers=1`` runs them in-process and ``workers=0`` means one per CPU
-    (:func:`~repro.engine.scheduler.default_jobs`), as ``--jobs 0`` does.
+    (:func:`~repro.engine.scheduler.default_jobs`).
     """
     from repro.engine.scheduler import WorkerPool, default_jobs
 

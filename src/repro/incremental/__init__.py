@@ -11,12 +11,12 @@ when nothing changed.  This package makes verification
   each verified configuration's key can depend on (its pass module's
   closure plus the toolchain's), persisted as a schema-versioned sidecar
   next to the proof cache;
-* :mod:`repro.incremental.detect` turns a set of changed paths — found by
-  stdlib mtime/size/sha polling, no third-party watcher — into the minimal
-  set of stale configurations;
-* :mod:`repro.incremental.watch` runs the loop: poll, then route exactly
-  the stale passes back through :func:`repro.engine.verify_passes` in a
-  fresh interpreter, and print per-cycle engine statistics.
+* :mod:`repro.incremental.detect` finds the watched files whose content
+  changed, by stdlib mtime/size/sha polling (no third-party watcher);
+* :mod:`repro.incremental.watch` runs the loop: poll, then, on a change,
+  run :func:`repro.engine.verify_passes` in a fresh interpreter, which
+  re-checks exactly the passes whose sources moved, and print per-cycle
+  engine statistics.
 
 ``repro watch`` is the CLI surface.
 """

@@ -6,10 +6,10 @@ and, when the cheap stat differs, confirms the edit with a SHA-256 of the
 content — so ``touch`` without a content change (editor save hooks, git
 checkout of an identical file) does not invalidate anything.
 
-The change set goes to ``verify_passes(changed_paths=...)``, which
-re-checks exactly the configurations whose watch set
-(:func:`repro.incremental.deps.entry_watch_paths`) it meets, plus any
-whose recorded sources digest moved; paths are compared in
+A nonempty change set starts a ``repro watch`` cycle, which calls
+``verify_passes(changed_paths=...)``: that run re-checks exactly the
+configurations whose recorded sources digest moved, whatever the set
+lists, and counts them as stale.  Watched paths are kept in
 :func:`normalize_path` form.
 """
 

@@ -4,10 +4,11 @@ Each cycle polls the watched files (the union of every dependency entry's
 file set), and when something really changed it verifies in a fresh
 interpreter: a child process, started with ``sys.executable`` on the
 watcher's ``sys.path``, runs :func:`repro.engine.verify_passes` with
-``changed_paths`` set on the same store, so only the passes whose
-dependency files changed are re-fingerprinted (and, if their key moved,
-re-proved).  The watcher rebuilds the child's results and prints the
-per-cycle :class:`~repro.engine.driver.EngineStats` line.
+``changed_paths`` set on the same store, so only the passes whose sources
+moved are re-fingerprinted (and, if their key moved, re-proved), and the
+cycle reports how many they were.  The watcher rebuilds the child's
+results and prints the per-cycle
+:class:`~repro.engine.driver.EngineStats` line.
 
 Why a fresh interpreter: ``from m import f`` binds ``f`` once, when the
 importing module runs, so reloading ``m`` in place leaves every such
@@ -64,7 +65,6 @@ def verify_in_child(request: dict) -> None:
     kwargs_fn = request["pass_kwargs_fn"]
     report = verify_passes(
         [resolve_qualname(*reference) for reference in request["passes"]],
-        jobs=request["jobs"],
         cache_dir=request["cache_dir"],
         pass_kwargs_fn=resolve_qualname(*kwargs_fn) if kwargs_fn else None,
         counterexample_search=request["counterexample_search"],
@@ -119,13 +119,11 @@ class Watcher:
 
     def __init__(self, pass_classes: Sequence[Type], *,
                  cache_dir: Optional[str] = None,
-                 jobs: int = 1,
                  counterexample_search: bool = True,
                  pass_kwargs_fn: Optional[Callable] = None,
                  extra_paths: Sequence[str] = ()) -> None:
         self.pass_classes = list(pass_classes)
         self.cache_dir = cache_dir
-        self.jobs = jobs
         self.counterexample_search = counterexample_search
         self.kwargs_reference = None
         if pass_kwargs_fn is not None:
@@ -151,7 +149,6 @@ class Watcher:
             "passes": [(cls.__module__, cls.__qualname__) for cls in self.pass_classes],
             "pass_kwargs_fn": self.kwargs_reference,
             "cache_dir": self.cache_dir,
-            "jobs": self.jobs,
             "counterexample_search": self.counterexample_search,
             "changed_paths": None if changed_paths is None else sorted(changed_paths),
         }

@@ -6,8 +6,8 @@ identity, sequence engine, solver, library lemma, ...), which solver
 *backend* ran (when one did), which rewrite rules actually fired, how many
 instantiations/rewrite steps it took, and the wall time.  Certificates are
 the per-obligation evidence objects the abstract-diagnosis line of work
-(Comini & Titolo; Falaschi & Olarte) builds on: small enough to ship back
-from a pool worker, persisted as their own tier of the proof store, and
+(Comini & Titolo; Falaschi & Olarte) builds on: small, persisted as their
+own tier of the proof store, and
 *replayable* — :func:`replay_certificate` re-discharges the subgoal
 along the recorded path (same method, same backend, the fired rule subset)
 and checks the verdict matches, which is how the test suite audits a warm

@@ -73,8 +73,7 @@ class Term:
         (``__new__`` requires arguments), and identity-based ``__eq__`` makes
         a structurally-equal-but-distinct copy unusable.  Rebuilding through
         the constructor restores the interning invariant, which lets rule
-        sets and whole solver contexts cross process boundaries — the
-        verification engine ships work to multiprocessing workers this way.
+        sets and whole solver contexts cross process boundaries.
         """
         return (Term, (self.op, self.args, self.sort, self.payload))
 

@@ -49,7 +49,6 @@ if TYPE_CHECKING:
         TRACE_SCHEMA_VERSION,
         Tracer,
         TraceWriter,
-        collecting,
         configure,
         current,
         shutdown,
@@ -70,7 +69,6 @@ __getattr__ = lazy_exports(__name__, {
         "TRACE_SCHEMA_VERSION",
         "Tracer",
         "TraceWriter",
-        "collecting",
         "configure",
         "current",
         "shutdown",
@@ -87,7 +85,6 @@ __all__ = [
     "TelemetryHistory",
     "TraceWriter",
     "Tracer",
-    "collecting",
     "configure",
     "current",
     "diff_summaries",

@@ -32,7 +32,7 @@ __all__ = [
 #: :func:`canonical_tree` so identical runs compare equal.  Import scan
 #: counts depend on the module rows the process already holds.
 _VOLATILE_ATTRS = frozenset({
-    "wall", "wall_seconds", "queue_wait", "created_at", "pid",
+    "wall", "wall_seconds", "created_at", "pid",
     "skeleton", "whole_file",
 })
 
@@ -150,11 +150,6 @@ def summarize_trace(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         for path in scans:
             scans[path] += int(event.get("attrs", {}).get(path) or 0)
 
-    # The worker pool stamps each task's submission time, so pooled pass
-    # spans carry how long they waited for a free worker.
-    queue_seconds = sum(float(span.get("attrs", {}).get("queue_wait") or 0.0)
-                        for span in pass_spans)
-
     return {
         "schema": TRACE_SCHEMA_VERSION,
         "records": len(records),
@@ -164,7 +159,6 @@ def summarize_trace(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         "solvers": dict(sorted(solvers.items())),
         "cache": dict(sorted(cache.items())),
         "scans": scans,
-        "queue_seconds": round(queue_seconds, 6),
     }
 
 
@@ -210,12 +204,6 @@ def render_summary(summary: Dict[str, Any], top: int = 10) -> List[str]:
         lines.append("")
         lines.append(f"import scans: {scans['skeleton']} skeleton, "
                      f"{scans['whole_file']} whole-file")
-
-    if summary.get("queue_seconds"):
-        prove = sum(item["seconds"] for item in summary["passes"])
-        lines.append("")
-        lines.append(f"queue/prove split: {summary['queue_seconds']:.4f}s "
-                     f"queued vs {prove:.4f}s proving")
     return lines
 
 

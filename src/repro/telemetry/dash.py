@@ -13,8 +13,7 @@ placeholder rather than a vanishing section, so the report's shape is
 stable and CI can assert on section ids:
 
 * ``history-trends`` — wall seconds and pass counts across recorded runs;
-* ``latest-run`` — the newest run's slowest passes and its queue/prove
-  split;
+* ``latest-run`` — the newest run's slowest passes;
 * ``tier-ratios`` — pass/subgoal hit-ratio evolution from the
   ``store_stats`` history table, plus the latest canonical aggregate;
 * ``fuzz-corpus`` — corpus size and failure-kind breakdown.
@@ -202,14 +201,6 @@ def _latest_run(runs: List[Dict]) -> str:
         body.append(_hbars(rows, label="slowest passes"))
     else:
         body.append(_placeholder("no pass spans in the recorded summary"))
-
-    queued = float(summary.get("queue_seconds") or 0.0)
-    prove = sum(float(item.get("seconds") or 0.0) for item in passes)
-    if queued or prove:
-        body.append(_hbars([("queued", queued), ("proving", prove)],
-                           bar=12, label="queue/prove split"))
-        body.append(f"<p>queue/prove split: {queued:.4f}s queued vs "
-                    f"{prove:.4f}s proving.</p>")
     return "".join(body)
 
 

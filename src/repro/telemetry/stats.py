@@ -1,23 +1,22 @@
 """Per-key proof-store analytics: the cost-attribution layer.
 
-Every verification run (in-process or pooled) can account each
-proof-store access to the responsible key and tier — which subgoal
-fingerprints are hot, which tier served them, and which evicted keys had
-to be re-proved ("wasted evictions", the direct input for LRU sizing).
+Every verification run accounts each proof-store access to the
+responsible key and tier — which subgoal fingerprints are hot, which tier
+served them, and which evicted keys had to be re-proved ("wasted
+evictions", the direct input for LRU sizing).
 
 The aggregate has two sections with very different guarantees:
 
 * ``canonical`` — derived purely from the run's *facts* (which pass keys
   hit or missed, which subgoal keys each unit touched, which were proved
-  this run) and therefore **byte-identical at any worker count and on
-  either cache backend**.  The rule that makes this work: a subgoal key
-  accessed ``a`` times is charged 1 miss and ``a - 1`` hits when it was
-  proved this run, and ``a`` hits otherwise (it must have been warm).
-  Two pool workers, each holding the run's starting snapshot, may both
-  prove the same key; the deduplicated proved-set still charges exactly
-  one miss — the same totals a sequential run produces.
-* ``local`` — wall-clock latency, byte counts, backend and worker count
-  for *this* process.  Useful for operators, never compared byte-for-byte.
+  this run) and therefore **byte-identical across runs of equal facts**.
+  The rule: a subgoal key accessed ``a`` times is charged 1 miss and
+  ``a - 1`` hits when it was proved this run, and ``a`` hits otherwise
+  (it must have been warm).  Passes with private subgoal tables
+  (``share_subgoals=False``) may each prove the same key; the
+  deduplicated proved-set still charges exactly one miss.
+* ``local`` — wall-clock latency, byte counts and backend for *this*
+  process.  Useful for operators, never compared byte-for-byte.
 
 Accounting is always on (disable with :func:`set_enabled` — the overhead
 bench ``repro bench stats`` measures the difference) and best-effort:
@@ -132,11 +131,9 @@ class StatsRecorder:
     ``note_io`` hook.
     """
 
-    def __init__(self, directory=None, *, backend: Optional[str] = None,
-                 workers: Optional[int] = None):
+    def __init__(self, directory=None, *, backend: Optional[str] = None):
         self.directory = str(directory) if directory is not None else None
         self.backend = backend
-        self.workers = workers
         self._lock = threading.Lock()
         self._pass_outcomes: Dict[str, str] = {}
         self._subgoal_accesses: Dict[str, int] = {}
@@ -224,7 +221,7 @@ class StatsRecorder:
         return wasted
 
     def canonical(self) -> Dict:
-        """The deterministic aggregate (worker-count/backend independent)."""
+        """The deterministic aggregate: equal facts, equal bytes."""
         with self._lock:
             pass_hits = sum(1 for outcome in self._pass_outcomes.values()
                             if outcome == "hit")
@@ -283,8 +280,6 @@ class StatsRecorder:
         payload: Dict = {"io": io, "written_at": round(time.time(), 3)}
         if self.backend is not None:
             payload["backend"] = self.backend
-        if self.workers is not None:
-            payload["workers"] = self.workers
         return payload
 
     # -- persistence -------------------------------------------------------- #
@@ -384,11 +379,8 @@ def render_stats_table(payload: Dict, top: int = 10) -> List[str]:
                          f"{row['hits']:6d} {row['misses']:6d}  {row['key']}")
     local = payload.get("local", {})
     if local:
-        backend = local.get("backend", "?")
-        workers = local.get("workers")
-        worker_text = f", workers {workers}" if workers is not None else ""
         lines.append(f"local (this process, not canonical): "
-                     f"backend {backend}{worker_text}")
+                     f"backend {local.get('backend', '?')}")
         for tier, row in sorted((local.get("io") or {}).items()):
             lines.append(f"  io {tier:12s}: {row.get('gets', 0)} gets "
                          f"({row.get('hits', 0)} hit), "

@@ -5,9 +5,7 @@ pool map) with a name, a kind, free-form attributes, and a parent — the
 innermost open span on the same thread.  An **event** is a zero-duration
 point (a cache hit, a discharge, an import-scan count).  Both are emitted
 as one JSON object per line to a schema-versioned trace file beside the
-proof cache, or buffered in memory when collecting spans to ship across a
-process boundary (pool tasks piggyback their batches on result messages;
-the parent absorbs them into one merged trace).
+proof cache, or kept in memory (``--profile`` without ``--trace``).
 
 Design rules that keep this safe to thread through every subsystem:
 
@@ -39,14 +37,13 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
     "SpanHandle",
     "TraceWriter",
     "Tracer",
-    "collecting",
     "configure",
     "current",
     "shutdown",
@@ -165,23 +162,21 @@ class TraceWriter:
 
 class SpanHandle:
     """Yielded by :meth:`Tracer.span`; mutate ``attrs`` to annotate the span
-    before it closes, and read ``id`` to parent absorbed records under it."""
+    before it closes."""
 
-    __slots__ = ("id", "attrs")
+    __slots__ = ("attrs",)
 
-    def __init__(self, span_id: int, attrs: Dict[str, Any]) -> None:
-        self.id = span_id
+    def __init__(self, attrs: Dict[str, Any]) -> None:
         self.attrs = attrs
 
 
 class Tracer:
     """Emits spans and events to a :class:`TraceWriter` or an in-memory list.
 
-    With ``writer=None`` the tracer is a **collector**: records accumulate
-    in :attr:`records` for shipping across a process boundary (see
-    :func:`collecting` and :meth:`absorb`).  With a writer, records stream
-    to disk; pass ``keep=True`` to additionally retain them in memory
-    (``repro verify --profile`` reads them back without re-parsing files).
+    With ``writer=None`` records accumulate in :attr:`records` only.  With
+    a writer, records stream to disk; pass ``keep=True`` to additionally
+    retain them in memory (``repro verify --profile`` reads them back
+    without re-parsing files).
 
     Thread-safe: the span stack is thread-local (each thread gets its own
     nesting), and record emission is serialised under a lock.
@@ -233,7 +228,7 @@ class Tracer:
         stack = self._stack()
         parent = stack[-1] if stack else None
         stack.append(span_id)
-        handle = SpanHandle(span_id, dict(attrs))
+        handle = SpanHandle(dict(attrs))
         start = time.perf_counter()
         try:
             yield handle
@@ -267,37 +262,6 @@ class Tracer:
         })
 
     # ------------------------------------------------------------------ #
-    def absorb(self, records: Sequence[Dict[str, Any]], *,
-               parent: Optional[int] = None) -> int:
-        """Merge a span batch collected in another process into this trace.
-
-        Ids are remapped to fresh local ids (internal parent/child links are
-        preserved; roots are re-parented under ``parent``).  Returns the
-        number of records absorbed.
-        """
-        mapping: Dict[int, int] = {}
-        batch = [rec for rec in records
-                 if isinstance(rec, dict) and rec.get("t") in ("span", "event")]
-        # Spans are written on completion, so a child precedes its parent in
-        # the batch: assign all new ids first, then rewrite links.
-        for rec in batch:
-            old = rec.get("id")
-            if isinstance(old, int):
-                mapping[old] = self._allocate_id()
-        for rec in batch:
-            merged = dict(rec)
-            merged["id"] = mapping.get(rec.get("id"), self._allocate_id())
-            merged["parent"] = mapping.get(rec.get("parent"), parent)
-            merged["attrs"] = dict(rec.get("attrs") or {})
-            self._emit(merged)
-        return len(batch)
-
-    def drain(self) -> List[Dict[str, Any]]:
-        """Return and clear the in-memory record buffer (collector mode)."""
-        with self._lock:
-            records, self.records = self.records, []
-        return records
-
     def flush(self) -> None:
         if self.writer is not None:
             self.writer.flush()
@@ -360,49 +324,23 @@ def shutdown() -> Optional[Dict[str, Any]]:
 def tracing(directory: Optional[str] = None, *, node: str = "main",
             **kwargs: Any) -> Iterator[Tracer]:
     """Scoped :func:`configure` / :func:`shutdown` pair."""
+    global _ACTIVE
     previous = _ACTIVE
     tracer = configure(directory, node=node, **kwargs)
     try:
         yield tracer
     finally:
         tracer.close()
-        _restore(previous)
-
-
-@contextmanager
-def collecting(node: str = "collector") -> Iterator[Tracer]:
-    """Swap in an in-memory collector as the active tracer.
-
-    Used where spans must cross a process boundary: pool tasks run under
-    ``collecting()`` and attach the drained records to the result message;
-    the parent re-absorbs them with :meth:`Tracer.absorb`.  Restores the
-    previous tracer on exit, so a task that runs in-process (the pool's
-    fallback) does not lose the parent's sink.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    collector = Tracer(None, node=node)
-    _ACTIVE = collector
-    try:
-        yield collector
-    finally:
-        _restore(previous)
-
-
-def _restore(previous: Optional[Tracer]) -> None:
-    global _ACTIVE
-    _ACTIVE = previous
+        _ACTIVE = previous
 
 
 def _flush_before_fork() -> None:
     """Empty the sink's buffer in the parent before any fork.
 
-    The engine forks worker pools while a trace may be open; a child
-    inheriting buffered-but-unflushed bytes would re-emit them when its
-    interpreter exits and flushes the shared handle.  An
-    empty buffer at fork time makes inheritance harmless — children only
-    ever collect spans in memory (see :func:`collecting`) and never write
-    the parent's file.
+    ``repro fuzz --workers N`` forks a worker pool while a trace may be
+    open; a child inheriting buffered-but-unflushed bytes would re-emit
+    them when its interpreter exits and flushes the shared handle.  An
+    empty buffer at fork time makes inheritance harmless.
     """
     tracer = _ACTIVE
     if tracer is not None:

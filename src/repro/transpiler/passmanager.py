@@ -57,13 +57,11 @@ class PassManager:
     """
 
     def __init__(self, passes: Sequence = (), *, verify_first: bool = False,
-                 verify_jobs: int = 1,
                  verify_cache_dir: Optional[str] = None) -> None:
         self._passes: List = list(passes)
         self.property_set = PropertySet()
         self.records: List[PassExecutionRecord] = []
         self.verify_first = verify_first
-        self.verify_jobs = verify_jobs
         self.verify_cache_dir = verify_cache_dir
         #: Config keys (see :meth:`_config_key`) this manager has already
         #: verified.
@@ -137,7 +135,6 @@ class PassManager:
                 batch_kwargs = {cls: kwargs for _, cls, kwargs in batch}
                 report = verify_passes(
                     [cls for _, cls, _ in batch],
-                    jobs=self.verify_jobs,
                     cache=cache,
                     pass_kwargs_fn=batch_kwargs.get,
                     counterexample_search=False,

@@ -51,7 +51,7 @@ def test_verify_with_jobs_and_cache(tmp_path, capsys):
     assert main(["verify", "CXCancellation", "Width", "--jobs", "2",
                  "--cache-dir", cache_dir, "--format", "json"]) == 0
     cold = json.loads(capsys.readouterr().out)
-    assert cold["engine"]["jobs"] == 2
+    assert cold["engine"]["jobs"] == 1          # every run proves in-process
     assert cold["engine"]["cache_misses"] == 2
     assert cold["engine"]["cache_hits"] == 0
     # Second run: everything served from the proof cache.
@@ -95,26 +95,27 @@ def test_verify_requires_a_selection(capsys):
 
 
 def test_verify_jobs_zero_auto_detects(capsys):
-    """--jobs 0 is the documented "auto" convention, never an error."""
-    from repro.engine import default_jobs
-
+    """--jobs 0 (once "auto") still parses, never an error; the run proves
+    in-process like any other."""
     assert main(["verify", "Width", "--jobs", "0", "--no-cache",
                  "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["engine"]["jobs"] == default_jobs()
-    assert payload["engine"]["jobs"] >= 1
+    assert payload["engine"]["jobs"] == 1
 
 
 def test_verify_jobs_help_documents_auto():
-    verify_parser = build_parser()._subparsers._group_actions[0].choices["verify"]
-    jobs_actions = [action for action in verify_parser._actions
-                    if "--jobs" in action.option_strings]
-    assert "auto-detects the CPU count" in jobs_actions[0].help
+    """Both --jobs options still parse, for older scripts; their help says
+    they have no effect."""
+    for command in ("verify", "watch"):
+        parser = build_parser()._subparsers._group_actions[0].choices[command]
+        jobs_actions = [action for action in parser._actions
+                        if "--jobs" in action.option_strings]
+        assert jobs_actions[0].help.startswith("no effect"), command
 
 
 def test_verify_workers_is_an_alias_of_jobs(tmp_path, capsys):
-    """--workers N runs on the --jobs pool: the same JSON report apart from
-    wall times, with jobs == N and no cluster block."""
+    """--workers N and --jobs N both still parse: the same JSON report
+    apart from wall times, with jobs == 1 and no cluster block."""
     import shutil
 
     cache_dir = tmp_path / "cache"
@@ -129,7 +130,7 @@ def test_verify_workers_is_an_alias_of_jobs(tmp_path, capsys):
             del result["time_seconds"]
         reports.append(report)
     assert reports[0] == reports[1]
-    assert reports[1]["engine"]["jobs"] == 2
+    assert reports[1]["engine"]["jobs"] == 1
     assert reports[1]["engine"]["cluster"] is None
 
 

@@ -1,10 +1,11 @@
-"""The batch driver: cache behaviour, parallel parity, scheduler fallback."""
+"""The batch driver: cache behaviour, one executor at any ``--jobs``, and
+the fuzz campaign's worker pool."""
 
 import pickle
 
 import pytest
 
-from repro.engine import ProofCache, WorkerPool, parallel_map, verify_passes
+from repro.engine import ProofCache, WorkerPool, verify_passes
 from repro.engine.driver import payload_to_result, result_to_payload
 from repro.engine.fingerprint import canonical_rule_names
 from repro.passes import (
@@ -32,10 +33,10 @@ def _summary(result):
 
 
 def test_cold_run_is_all_misses_then_warm_run_all_hits(tmp_path):
-    cold = verify_passes(SMALL_SUITE, jobs=1, cache_dir=tmp_path)
+    cold = verify_passes(SMALL_SUITE, cache_dir=tmp_path)
     assert cold.stats.cache_hits == 0
     assert cold.stats.cache_misses == len(SMALL_SUITE)
-    warm = verify_passes(SMALL_SUITE, jobs=1, cache_dir=tmp_path)
+    warm = verify_passes(SMALL_SUITE, cache_dir=tmp_path)
     assert warm.stats.cache_hits == len(SMALL_SUITE)
     assert warm.stats.cache_misses == 0
     assert [_summary(r) for r in cold.results] == [_summary(r) for r in warm.results]
@@ -44,8 +45,8 @@ def test_cold_run_is_all_misses_then_warm_run_all_hits(tmp_path):
 
 
 def test_cached_results_match_direct_verification(tmp_path):
-    verify_passes(SMALL_SUITE, jobs=1, cache_dir=tmp_path)
-    warm = verify_passes(SMALL_SUITE, jobs=1, cache_dir=tmp_path)
+    verify_passes(SMALL_SUITE, cache_dir=tmp_path)
+    warm = verify_passes(SMALL_SUITE, cache_dir=tmp_path)
     for pass_class, cached in zip(SMALL_SUITE, warm.results):
         direct = verify_pass(pass_class)
         assert _summary(cached) == _summary(direct)
@@ -64,19 +65,9 @@ def test_cached_results_match_direct_verification(tmp_path):
             assert cached.analysis.templates_used == direct.analysis.templates_used
 
 
-def test_jobs_parity_sequential_vs_parallel():
-    sequential = verify_passes(SMALL_SUITE, jobs=1, use_cache=False)
-    parallel = verify_passes(SMALL_SUITE, jobs=4, use_cache=False)
-    assert [_summary(r) for r in sequential.results] == [
-        _summary(r) for r in parallel.results
-    ]
-    assert sequential.stats.jobs == 1
-    assert parallel.stats.jobs == 4
-
-
 def test_failing_pass_round_trips_through_cache(tmp_path):
-    cold = verify_passes([BuggyOptimize1qGates], jobs=1, cache_dir=tmp_path)
-    warm = verify_passes([BuggyOptimize1qGates], jobs=1, cache_dir=tmp_path)
+    cold = verify_passes([BuggyOptimize1qGates], cache_dir=tmp_path)
+    warm = verify_passes([BuggyOptimize1qGates], cache_dir=tmp_path)
     assert warm.stats.cache_hits == 1
     for report in (cold, warm):
         (result,) = report.results
@@ -101,8 +92,8 @@ def test_subgoal_reuse_across_related_passes(tmp_path):
     # reuse the subgoals they share — here the analysis passes, whose
     # "circuit unchanged" obligation is canonically identical.
     cache = ProofCache(tmp_path)
-    verify_passes([Width], jobs=1, cache=cache)
-    report = verify_passes([Depth], jobs=1, cache=cache)
+    verify_passes([Width], cache=cache)
+    report = verify_passes([Depth], cache=cache)
     assert report.stats.cache_hits == 0  # different pass: no whole-pass hit
     assert report.stats.subgoal_hits > 0
     cache.close()
@@ -128,8 +119,8 @@ def test_subgoal_memoisation_within_verify_one():
 
 def test_stats_are_per_run_for_shared_cache(tmp_path):
     cache = ProofCache(tmp_path)
-    first = verify_passes(SMALL_SUITE, jobs=1, cache=cache)
-    second = verify_passes(SMALL_SUITE, jobs=1, cache=cache)
+    first = verify_passes(SMALL_SUITE, cache=cache)
+    second = verify_passes(SMALL_SUITE, cache=cache)
     assert first.stats.cache_misses == len(SMALL_SUITE)
     assert second.stats.cache_hits == len(SMALL_SUITE)
     assert second.stats.cache_misses == 0
@@ -137,21 +128,22 @@ def test_stats_are_per_run_for_shared_cache(tmp_path):
 
 
 def test_engine_stats_dict_field_order():
-    report = verify_passes([Width], jobs=1, use_cache=False)
+    report = verify_passes([Width], use_cache=False)
     keys = list(report.stats.to_dict().keys())
     assert keys[:4] == ["cache_hits", "cache_misses", "jobs", "wall_seconds"]
 
 
 # --------------------------------------------------------------------------- #
-# Scheduler
+# Scheduler (the executor of ``repro fuzz --workers``)
 # --------------------------------------------------------------------------- #
 def _square(value):
     return value * value
 
 
 def test_parallel_map_preserves_order():
+    """The fuzz campaign merges its batches in the order the pool returns."""
     values = list(range(20))
-    assert parallel_map(_square, values, jobs=4) == [v * v for v in values]
+    assert WorkerPool(4).map(_square, values) == [v * v for v in values]
 
 
 def test_worker_pool_falls_back_in_process_for_unpicklable_work():
@@ -169,7 +161,22 @@ def test_jobs_one_never_spawns_processes():
     assert pool.used_processes is False
 
 
-def _cold_json_report(tmp_path, name, jobs):
+#: Run ``repro verify`` in a fresh interpreter; print its exit code, its
+#: report and whether it loaded the worker pool.
+_VERIFY_AND_LIST_POOL = """
+import contextlib, io, json, sys
+import repro.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = repro.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "report": json.loads(out.getvalue()),
+                  "pool": [name for name in ("multiprocessing",
+                                             "repro.engine.scheduler")
+                           if name in sys.modules]}))
+"""
+
+
+def _cold_json_report(cache_dir, *flags):
     import json
     import os
     import subprocess
@@ -179,26 +186,34 @@ def _cold_json_report(tmp_path, name, jobs):
     src = Path(__file__).resolve().parents[2] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     completed = subprocess.run(
-        [sys.executable, "-m", "repro", "verify", "--all", "--format", "json",
-         "--jobs", str(jobs), "--cache-dir", str(tmp_path / name)],
+        [sys.executable, "-c", _VERIFY_AND_LIST_POOL, "verify", "--all",
+         "--format", "json", "--cache-dir", str(cache_dir), *flags],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert completed.returncode == 0, completed.stderr
-    report = json.loads(completed.stdout)
-    # What may differ between runs of equal work: times, and the engine
-    # block, which describes the scheduling (worker count, and subgoal hits
-    # that depend on which worker proved what first).
-    del report["engine"]
+    run = json.loads(completed.stdout)
+    assert run["code"] == 0
+    report = run["report"]
+    # What may differ between runs of equal work: times and the store's
+    # path.
     report["summary"].pop("total_seconds")
+    report["engine"].pop("wall_seconds")
+    report["engine"].pop("cache_dir")
     for row in report["results"]:
         row.pop("time_seconds")
-    return report
+    return report, run["pool"]
 
 
 def test_json_report_does_not_depend_on_the_worker_count(tmp_path):
-    """Rule names embed per-process uids; reported under each subgoal's
-    canonical renaming, a cold report is the same at any worker count."""
-    sequential = _cold_json_report(tmp_path, "j1", 1)
+    """Every run proves in-process: a cold report at any ``--jobs`` (or
+    ``--workers``) is the ``--jobs 1`` report, engine block included, and
+    the run loads no worker pool."""
+    sequential, pool = _cold_json_report(tmp_path / "j1", "--jobs", "1")
+    assert pool == []
     assert any(row["rules_used"] for row in sequential["results"])
-    for name in ("j2a", "j2b"):
-        assert _cold_json_report(tmp_path, name, 2) == sequential, name
+    engine = sequential["engine"]
+    assert (engine["jobs"], engine["used_processes"]) == (1, False)
+    for flags in (("--jobs", "2"), ("--workers", "2"), ("--jobs", "0")):
+        report, pool = _cold_json_report(tmp_path / "-".join(flags), *flags)
+        assert pool == [], flags
+        assert report == sequential, flags

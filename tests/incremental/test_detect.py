@@ -70,13 +70,18 @@ class {name}(AnalysisPass):
 
 def test_stale_identities_is_minimal(tmp_path, pass_package):
     # The stale set is what verify_passes(changed_paths=...) re-checks: a
-    # configuration whose watch set the change set meets, and no other.
-    # Each pass watches its own module and one shared data file.
+    # configuration one of whose sources an edit moved, and no other.
+    # Each pass reads its own module and one shared data file.
     shared = tmp_path / "shared.json"
     _write(shared, "{}")
     classes = {}
+
+    def write_probe(name, edit=""):
+        pass_package.write(f"{name.lower()}.py",
+                           PROBE.format(name=name, shared=str(shared)) + edit)
+
     for name in ("ProbeA", "ProbeB"):
-        pass_package.write(f"{name.lower()}.py", PROBE.format(name=name, shared=str(shared)))
+        write_probe(name)
         classes[name] = pass_package.load(name.lower(), name)
     cache_dir = str(tmp_path / "cache")
     assert verify_passes(list(classes.values()), cache_dir=cache_dir).all_verified
@@ -87,7 +92,10 @@ def test_stale_identities_is_minimal(tmp_path, pass_package):
                                  changed_paths=changed).stats.stale_passes}
 
     assert stale() == set()
+    write_probe("ProbeA", "# an edit\n")
     assert stale(pass_package.path_of("probea.py")) == {"ProbeA"}
+    write_probe("ProbeB", "# an edit\n")
     assert stale(pass_package.path_of("probeb.py")) == {"ProbeB"}
+    _write(shared, '{"edited": true}')
     assert stale(shared) == {"ProbeA", "ProbeB"}
     assert stale(tmp_path / "unrelated.py") == set()

@@ -38,11 +38,12 @@ def test_incremental_run_skips_unchanged_passes(tmp_path, pass_package):
     assert quiet.stats.cache_hits == 2
     assert quiet.stats.cache_misses == 0
 
+    pass_package.write("mod_a.py", pass_package.GOOD_WIDTH + "# an edit\n")
     only_a = verify_passes([width, size], cache_dir=cache_dir,
                            changed_paths=[pass_package.path_of("mod_a.py")])
     assert only_a.stats.stale_passes == 1
-    assert only_a.stats.cache_hits == 2  # unchanged source -> same key -> hit
-    assert only_a.stats.cache_misses == 0
+    assert only_a.stats.cache_hits == 1    # TempSize: its recorded key
+    assert only_a.stats.cache_misses == 1  # the edit moved TempWidth's key
     assert [r.verified for r in only_a.results] == \
         [r.verified for r in cold.results]
 
@@ -77,9 +78,12 @@ def test_an_entry_serves_its_key_while_its_sources_hold(tmp_path, pass_package,
     def run(**kwargs):
         del derived[:]
         stats = verify_passes(classes, cache_dir=cache_dir, **kwargs).stats
-        return derived[:], stats.cache_hits, stats.cache_misses
+        return derived[:], stats.cache_hits, stats.cache_misses, stats.stale_passes
 
-    assert run() == ([], 2, 0)   # a warm run derives no key
+    assert run() == ([], 2, 0, None)   # a warm run derives no key
+    # Nor does a run that lists a file no edit touched: the list decides
+    # nothing, and no pass counts as stale.
+    assert run(changed_paths=[pass_package.path_of("mod.py")]) == ([], 2, 0, 0)
     # A comment in one class moves both passes' sources, whatever the
     # change list says: both keys are derived again, and only the edited
     # one moved.  The run sees the edit with no reset of this process's
@@ -87,9 +91,9 @@ def test_an_entry_serves_its_key_while_its_sources_hold(tmp_path, pass_package,
     edited = two_passes.replace("class TempWidth(AnalysisPass):\n",
                                 "class TempWidth(AnalysisPass):\n    # an edit\n")
     pass_package.write("mod.py", edited)
-    assert run(changed_paths=[]) == (["TempWidth", "TempSize"], 1, 1)
+    assert run(changed_paths=[]) == (["TempWidth", "TempSize"], 1, 1, 2)
     # Both entries were rewritten with the new sources.
-    assert run() == ([], 2, 0)
+    assert run() == ([], 2, 0, None)
 
 
 def test_a_key_derived_after_an_edit_is_recorded_beside_its_own_sources(

@@ -75,25 +75,6 @@ def test_load_trace_reads_rotated_generations_oldest_first(tmp_path):
 # summarize_trace
 # --------------------------------------------------------------------- #
 
-def test_summarize_trace_sums_pool_queue_wait():
-    """Pooled pass spans carry their queue wait; the summary splits it
-    from the proving time."""
-    records = [
-        {"t": "span", "id": 1, "parent": None, "name": "CXCancellation",
-         "kind": "pass", "start": 0.0, "dur": 0.4, "node": "pool",
-         "attrs": {"queue_wait": 0.1, "subgoals": 3}},
-        {"t": "span", "id": 2, "parent": None, "name": "Width",
-         "kind": "pass", "start": 0.0, "dur": 0.2, "node": "pool",
-         "attrs": {"queue_wait": 0.05, "subgoals": 1}},
-    ]
-    summary = summarize_trace(records)
-    assert [item["name"] for item in summary["passes"]] == [
-        "CXCancellation", "Width"]
-    assert summary["queue_seconds"] == pytest.approx(0.15)
-    text = "\n".join(render_summary(summary))
-    assert "queue/prove split: 0.1500s queued vs 0.6000s proving" in text
-
-
 def test_summarize_trace_counts_cache_events():
     records = [
         {"t": "event", "id": 1, "parent": None, "name": "pass.cache",
@@ -168,7 +149,7 @@ def test_canonical_tree_drops_ids_timestamps_and_volatile_attrs():
     def run(extra):
         tracer = _trace.Tracer(None, node="main")
         with tracer.span("run", kind="run", wall=extra):
-            with tracer.span("P", kind="pass", queue_wait=extra):
+            with tracer.span("P", kind="pass", wall_seconds=extra):
                 tracer.event("hit", kind="cache", outcome="hit")
         return tracer.records
 

@@ -1,11 +1,11 @@
-"""Trace-sink rotation boundaries: absorbed batches must survive rotation.
+"""Trace-sink rotation boundaries: span batches must survive rotation.
 
-The JSONL sink rotates ``trace-<node>.jsonl`` at a byte cap, and a
-``--jobs N`` run absorbs the worker pool's span batches into that stream
-mid-run.  The dangerous case is a batch whose records land either side of
-a rotation: the reader must stitch the rotated generations back together
-oldest-first, keep parent links intact, and count every pass exactly once
-— losing a pass span to rotation would make the summary lie.
+The JSONL sink rotates ``trace-<node>.jsonl`` at a byte cap while a run
+writes its pass and subgoal spans.  The dangerous case is a batch whose
+records land either side of a rotation: the reader must stitch the
+rotated generations back together oldest-first, keep parent links intact,
+and count every pass exactly once — losing a pass span to rotation would
+make the summary lie.
 """
 
 from collections import Counter
@@ -16,20 +16,18 @@ from repro.telemetry.analyze import load_trace, summarize_trace
 from repro.telemetry.trace import TraceWriter, Tracer
 
 
-def _pool_batch(passes):
-    """Collect a pool-task-shaped span batch in a separate collector
-    tracer, as ``--jobs N`` tasks ship them inside their results."""
-    collector = Tracer(node="pool")
+def _write_passes(tracer, passes):
+    """Write one pass span per name, each holding one subgoal span, the
+    shape a cold verification writes."""
     for name in passes:
-        with collector.span(name, kind="pass", queue_wait=0.001):
-            with collector.span("subgoal.prove", kind="subgoal",
-                                key=f"k-{name}"):
+        with tracer.span(name, kind="pass"):
+            with tracer.span("subgoal.prove", kind="subgoal",
+                             key=f"k-{name}"):
                 pass
-    return collector.drain()
 
 
 def _assert_links_intact(records):
-    """Every absorbed subgoal span hangs under the pass span it ran in."""
+    """Every subgoal span hangs under the pass span it ran in."""
     spans = {rec["id"]: rec for rec in records if rec.get("t") == "span"}
     for rec in spans.values():
         if rec["kind"] == "subgoal":
@@ -44,11 +42,11 @@ def test_absorbed_batches_span_rotated_files(tmp_path, max_bytes):
     writer = TraceWriter(str(tmp_path), node="main",
                          max_bytes=max_bytes, max_files=50)
     tracer = Tracer(writer, node="main")
-    # Two absorbed batches with a flush between them, so records from one
-    # batch straddle at least one rotation boundary at these byte caps.
-    tracer.absorb(_pool_batch(passes[:6]))
+    # Two batches with a flush between them, so records from one batch
+    # straddle at least one rotation boundary at these byte caps.
+    _write_passes(tracer, passes[:6])
     writer.flush()
-    tracer.absorb(_pool_batch(passes[6:]))
+    _write_passes(tracer, passes[6:])
     writer.close()
 
     files = sorted(tmp_path.glob("trace-*.jsonl*"))
@@ -59,7 +57,6 @@ def test_absorbed_batches_span_rotated_files(tmp_path, max_bytes):
     summary = summarize_trace(records)
     counts = Counter(item["name"] for item in summary["passes"])
     assert counts == {name: 1 for name in passes}
-    assert summary["queue_seconds"] == pytest.approx(0.012)
 
 
 def test_rotation_drops_oldest_beyond_max_files(tmp_path):
@@ -84,7 +81,7 @@ def test_torn_line_at_rotation_boundary_is_skipped(tmp_path):
     writer = TraceWriter(str(tmp_path), node="main",
                          max_bytes=100000, max_files=3)
     tracer = Tracer(writer, node="main")
-    tracer.absorb(_pool_batch(["Pass00"]))
+    _write_passes(tracer, ["Pass00"])
     writer.close()
     live = tmp_path / "trace-main.jsonl"
     with open(live, "a", encoding="utf-8") as handle:

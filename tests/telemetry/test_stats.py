@@ -109,7 +109,7 @@ def test_unreferenced_journal_entries_survive(tmp_path):
 # Persistence
 # --------------------------------------------------------------------------- #
 def test_save_load_round_trip(tmp_path):
-    recorder = StatsRecorder(tmp_path, backend="jsonl", workers=2)
+    recorder = StatsRecorder(tmp_path, backend="jsonl")
     recorder.note_pass("p", "hit")
     recorder.note_io("pass", hit=True, seconds=0.001, nbytes=64)
     path = recorder.finalize_and_save()
@@ -117,13 +117,12 @@ def test_save_load_round_trip(tmp_path):
     payload = load_store_stats(tmp_path)
     assert payload["canonical"]["tiers"]["pass"]["hits"] == 1
     assert payload["local"]["backend"] == "jsonl"
-    assert payload["local"]["workers"] == 2
     assert payload["local"]["io"]["pass"]["bytes"] == 64
 
 
 def test_a_run_of_equal_facts_leaves_the_file_as_it_is(tmp_path):
-    def run(seconds, workers=1):
-        recorder = StatsRecorder(tmp_path, backend="jsonl", workers=workers)
+    def run(seconds, backend="jsonl"):
+        recorder = StatsRecorder(tmp_path, backend=backend)
         recorder.note_pass("p", "hit")
         recorder.note_io("pass", hit=True, seconds=seconds)
         recorder.finalize_and_save()
@@ -132,7 +131,7 @@ def test_a_run_of_equal_facts_leaves_the_file_as_it_is(tmp_path):
 
     first = run(0.001)
     assert run(0.002) == first          # only the timings differ
-    assert run(0.002, workers=2) != first
+    assert run(0.002, backend="other") != first
 
 
 def test_load_rejects_corrupt_and_foreign_schema(tmp_path):
@@ -146,7 +145,7 @@ def test_load_rejects_corrupt_and_foreign_schema(tmp_path):
 
 
 def test_render_table_mentions_every_surface(tmp_path):
-    recorder = StatsRecorder(tmp_path, backend="jsonl", workers=None)
+    recorder = StatsRecorder(tmp_path, backend="jsonl")
     recorder.note_pass("p", "stale")
     recorder.note_unit(["s"], [])
     recorder.note_io("subgoal", hit=True, nbytes=10)

@@ -1,4 +1,4 @@
-"""Core tracing API: spans, events, sinks, rotation, absorption."""
+"""Core tracing API: spans, events, sinks, rotation."""
 
 import json
 import os
@@ -59,59 +59,6 @@ def test_sibling_spans_share_a_parent():
     assert a["parent"] == outer["id"] == b["parent"]
 
 
-def test_absorb_remaps_ids_under_the_given_parent():
-    collector = Tracer(None, node="pool")
-    with collector.span("CXCancellation", kind="pass"):
-        collector.event("hit", kind="cache")
-    batch = collector.drain()
-    assert collector.records == []
-
-    parent = Tracer(None, node="main")
-    with parent.span("run", kind="run") as handle:
-        absorbed = parent.absorb(batch, parent=handle.id)
-    assert absorbed == 2
-    by_name = {rec.get("name"): rec for rec in parent.records}
-    span = by_name["CXCancellation"]
-    event = by_name["hit"]
-    run = by_name["run"]
-    # Internal links survive the remap; roots hang under the given parent.
-    assert event["parent"] == span["id"]
-    assert span["parent"] == run["id"]
-    assert len({span["id"], event["id"], run["id"]}) == 3
-
-
-def test_absorb_copies_attrs_and_node_unchanged():
-    collector = Tracer(None, node="pool")
-    with collector.span("Width", kind="pass", queue_wait=0.25):
-        pass
-    batch = collector.drain()
-    parent = Tracer(None, node="main")
-    assert parent.absorb(batch) == 1
-    (span,) = parent.records
-    assert span["attrs"] == {"queue_wait": 0.25}
-    assert span["node"] == "pool"
-    assert span["parent"] is None
-    # The merged record is a copy: later edits do not reach the batch.
-    span["attrs"]["queue_wait"] = 0.0
-    assert batch[0]["attrs"] == {"queue_wait": 0.25}
-
-
-def test_absorb_keeps_existing_worker_attr():
-    collector = Tracer(None, node="w")
-    with collector.span("Width", kind="pass", worker="original"):
-        pass
-    parent = Tracer(None, node="main")
-    parent.absorb(collector.drain())
-    (span,) = parent.records
-    assert span["attrs"]["worker"] == "original"
-
-
-def test_absorb_ignores_foreign_record_shapes():
-    parent = Tracer(None, node="main")
-    assert parent.absorb([{"t": "meta"}, "junk", 42, None]) == 0
-    assert parent.records == []
-
-
 # --------------------------------------------------------------------- #
 # Module-global switch
 # --------------------------------------------------------------------- #
@@ -135,21 +82,6 @@ def test_configure_and_shutdown_round_trip(tmp_path):
     assert records[1]["name"] == "work"
 
 
-def test_collecting_swaps_and_restores(tmp_path):
-    outer = _trace.configure(str(tmp_path), node="main")
-    with _trace.collecting(node="pool") as collector:
-        assert _trace.current() is collector
-        collector.event("inside", kind="cache")
-    assert _trace.current() is outer
-    _trace.shutdown()
-
-
-def test_collecting_without_active_tracer_restores_none():
-    with _trace.collecting(node="pool") as collector:
-        assert _trace.current() is collector
-    assert _trace.current() is None
-
-
 def test_tracing_context_manager_restores_previous(tmp_path):
     with _trace.tracing(str(tmp_path / "a"), node="outer") as outer:
         with _trace.tracing(str(tmp_path / "b"), node="inner") as inner:
@@ -164,7 +96,7 @@ def test_disabled_tracing_writes_nothing(tmp_path):
     from repro.passes import ALL_VERIFIED_PASSES
 
     cache_dir = tmp_path / "cache"
-    verify_passes(ALL_VERIFIED_PASSES[:2], jobs=1, cache_dir=str(cache_dir))
+    verify_passes(ALL_VERIFIED_PASSES[:2], cache_dir=str(cache_dir))
     trace_files = [path for path in cache_dir.rglob("*")
                    if path.name.startswith("trace-")]
     assert trace_files == []
