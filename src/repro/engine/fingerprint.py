@@ -13,6 +13,13 @@ computes the stable SHA-256 keys that make this sound:
   Fresh symbolic values draw uids from a process-global counter, so the same
   pass verified twice (or in two processes) produces different raw
   uids; renaming them in order of first appearance makes the key stable.
+  :func:`normalize_subgoal` renders each fact once, into a template of
+  static text and uid slots, and fills it twice: with unnamed uids masked
+  for the sort key, then with canonical names for the hashed text.  That
+  text is :func:`_canon` of the canonical tuple the engine used to build,
+  byte for byte (``tests/engine/canon_oracle.py`` keeps the tuple path as
+  the test oracle).  A template lives inside one call; the subgoal
+  memoises only its finished text and uid map.
 * :func:`toolchain_fingerprint` — the content digest of every module the
   verifier and this module statically import (rule set, commutation
   semantics, templates, gate library, prover), so changing any of them
@@ -80,8 +87,9 @@ ENGINE_VERSION = 3
 #: ``auto`` so seed-era call sites and ``--solver auto`` runs agree on keys.
 DEFAULT_SOLVER = "builtin"
 
-#: Raw uids minted by :mod:`repro.verify.symvalues` (``g3``, ``seg12``, ...).
-_UID_TOKEN = re.compile(r"\b(?:g|seg|int|idx|circ)\d+\b")
+#: Raw uids minted by :mod:`repro.verify.symvalues` (``g3``, ``seg12``, ...),
+#: captured so that ``split`` returns them between the text around them.
+_UID_TOKEN = re.compile(r"\b((?:g|seg|int|idx|circ)\d+)\b")
 
 #: The same tokens when embedded in underscore-joined rule names
 #: (``segment_commute_rev_seg210_g206``): ``\b`` never fires next to an
@@ -134,67 +142,87 @@ class _UidRenamer:
         return _UID_TOKEN.sub(lambda m: self.rename(m.group(0)), text)
 
 
-def _freeze_gate(gate: Gate) -> Tuple:
-    return ("gate", gate.name, tuple(gate.qubits), tuple(gate.params),
-            gate.condition, tuple(gate.q_controls or ()))
+def _gate_text(gate: Gate) -> str:
+    return _canon(("gate", gate.name, tuple(gate.qubits), tuple(gate.params),
+                   gate.condition, tuple(gate.q_controls or ())))
 
 
-def _freeze_element(element, renamer: _UidRenamer):
+def _element_text(element, rename) -> str:
+    """``_canon`` of one lhs/rhs element, its uid renamed through ``rename``."""
     if isinstance(element, Gate):
-        return _freeze_gate(element)
+        return _gate_text(element)
     if isinstance(element, SymGate):
-        return ("symgate", renamer.rename(element.uid))
+        return "('symgate'," + repr(rename(element.uid)) + ")"
     if isinstance(element, Segment):
-        return ("segment", renamer.rename(element.uid))
-    return ("other", repr(element))
+        return "('segment'," + repr(rename(element.uid)) + ")"
+    return "('other'," + repr(repr(element)) + ")"
 
 
-def _freeze_fact_arg(arg, renamer: _UidRenamer):
-    if isinstance(arg, (SymGate, Segment)):
-        return renamer.rename(arg.uid)
-    if isinstance(arg, Gate):
-        return _freeze_gate(arg)
-    if isinstance(arg, Fact):
-        return _freeze_fact(arg, renamer)
-    if isinstance(arg, tuple):
-        return tuple(_freeze_fact_arg(a, renamer) for a in arg)
-    if isinstance(arg, str):
-        return renamer.rename_embedded(arg)
-    return arg
+def _escape(text: str) -> str:
+    return text.replace("{", "{{").replace("}", "}}")
 
 
-def _freeze_fact(fact: Fact, renamer: _UidRenamer) -> Tuple:
-    return (fact.kind,) + tuple(_freeze_fact_arg(a, renamer) for a in fact.args)
+def _emit(value, text: list, slots: list) -> None:
+    """Append the template of one fact, fact argument or metadata value.
 
-
-class _MaskingRenamer:
-    """Read-only view of a renamer: known uids keep their canonical name,
-    unknown uids render as ``#?`` without being assigned one."""
-
-    def __init__(self, base: _UidRenamer) -> None:
-        self._base = base
-
-    def rename(self, uid: str) -> str:
-        return self._base._map.get(uid, "#?")
-
-    def rename_embedded(self, text: str) -> str:
-        return _UID_TOKEN.sub(lambda m: self.rename(m.group(0)), text)
-
-
-def _fact_shape_key(fact: Fact, renamer: _UidRenamer, value=None) -> str:
-    """A recording-order-independent sort key for one fact.
-
-    Uids already bound (by the lhs/rhs traversal) keep their canonical
-    names — two same-shape facts over different lhs gates sort by those
-    names, not by recording order — while still-unbound uids are masked.
-    Facts can only tie when byte-identical under this rendering, in which
-    case either tie order assigns interchangeable canonical ids.
+    Static text goes to ``text`` as a :meth:`str.format` string, rendered
+    once as :func:`_canon` renders it; each uid goes to ``slots`` behind a
+    ``{}``.  A slot is a bare uid (a symbolic gate's or segment's, or a
+    string that is one raw uid) or, for a string with raw uids embedded,
+    that string's own template.
     """
-    return _canon((_freeze_fact(fact, _MaskingRenamer(renamer)), value))
+    if isinstance(value, str):
+        pieces = _UID_TOKEN.split(value)
+        if len(pieces) == 1:
+            text.append(_escape(repr(value)))
+        else:
+            text.append("{}")
+            static, uids = pieces[0::2], tuple(pieces[1::2])
+            slots.append(uids[0] if static == ["", ""]
+                         else ("{}".join(map(_escape, static)), uids))
+    elif isinstance(value, (SymGate, Segment)):
+        text.append("{}")
+        slots.append(value.uid)
+    elif isinstance(value, tuple):
+        text.append("(")
+        for position, item in enumerate(value):
+            if position:
+                text.append(",")
+            _emit(item, text, slots)
+        text.append(")")
+    elif isinstance(value, Gate):
+        text.append(_escape(_gate_text(value)))
+    elif isinstance(value, Fact):
+        text.append("(" + _escape(_canon(value.kind)))
+        for arg in value.args:
+            text.append(",")
+            _emit(arg, text, slots)
+        text.append(")")
+    else:
+        text.append(_escape(_canon(value)))
 
 
-def normalize_subgoal(subgoal: Subgoal, renamer: Optional[_UidRenamer] = None) -> Tuple:
-    """A canonical, uid-independent structure describing one subgoal.
+def _template(value) -> Tuple[str, Tuple]:
+    """``(format string, uid slots)`` of one fact or fact argument."""
+    text: list = []
+    slots: list = []
+    _emit(value, text, slots)
+    return "".join(text), tuple(slots)
+
+
+def _fill(template: Tuple[str, Tuple], name) -> str:
+    """Render a template, each raw uid named by ``name``.  Every slot
+    stands for a string, so its text is quoted as :func:`_canon` quotes."""
+    fmt, slots = template
+    return fmt.format(*[
+        repr(name(slot) if slot.__class__ is str
+             else slot[0].format(*map(name, slot[1])))
+        for slot in slots
+    ])
+
+
+def normalize_subgoal(subgoal: Subgoal, renamer: Optional[_UidRenamer] = None) -> str:
+    """The canonical, uid-independent text of one subgoal.
 
     The human-readable ``description`` is deliberately excluded: rewording a
     message must not invalidate the proof.  lhs/rhs elements are renamed in
@@ -202,41 +230,46 @@ def normalize_subgoal(subgoal: Subgoal, renamer: Optional[_UidRenamer] = None) -
     uid-masked shape, then renamed — so the key depends on neither the raw
     uid counter values nor the order the facts were recorded in.
 
+    Each fact is rendered once, into a template of static text and uid
+    slots; the masked sort key and the final text both fill that template
+    (a uid the renamer has not named yet masks as ``#?``).  The text is
+    :func:`_canon` of the tuple ``("subgoal", kind, lhs, rhs, facts,
+    assumptions, metadata)`` with every uid renamed, byte for byte.
+
     ``renamer`` (normally fresh) lets callers observe the raw→canonical uid
     mapping the traversal builds; :func:`subgoal_uid_map` uses it to rename
     uids embedded elsewhere (rule names) consistently.
     """
     renamer = renamer if renamer is not None else _UidRenamer()
-    lhs = tuple(_freeze_element(e, renamer) for e in subgoal.lhs)
-    rhs = tuple(_freeze_element(e, renamer) for e in subgoal.rhs)
-    facts = tuple(
-        (_freeze_fact(fact, renamer), value)
-        for fact, value in sorted(
-            subgoal.path_facts, key=lambda fv: _fact_shape_key(fv[0], renamer, fv[1])
-        )
-    )
-    assumptions = tuple(
-        _freeze_fact(fact, renamer)
-        for fact in sorted(
-            subgoal.assumptions, key=lambda f: _fact_shape_key(f, renamer)
-        )
-    )
-    metadata = {
-        str(key): _freeze_fact_arg(value, renamer)
-        for key, value in subgoal.metadata.items()
-    }
-    return (
-        "subgoal",
-        subgoal.kind,
-        lhs,
-        rhs,
-        facts,
-        assumptions,
-        metadata,
-    )
+    rename = renamer.rename
+    known = renamer._map
+
+    def masked(uid: str) -> str:
+        return known.get(uid, "#?")
+
+    lhs = ",".join([_element_text(e, rename) for e in subgoal.lhs])
+    rhs = ",".join([_element_text(e, rename) for e in subgoal.rhs])
+
+    # Sort keys are all taken before the sort names anything: the tuple
+    # path's ``_canon((fact, value))``, with ``None`` for an assumption.
+    path_facts = [(_template(fact), "," + _canon(value) + ")")
+                  for fact, value in subgoal.path_facts]
+    path_facts.sort(key=lambda entry: "(" + _fill(entry[0], masked) + entry[1])
+    facts = ",".join(["(" + _fill(template, rename) + tail
+                      for template, tail in path_facts])
+    assumed = [_template(fact) for fact in subgoal.assumptions]
+    assumed.sort(key=lambda template: "(" + _fill(template, masked) + ",None)")
+    assumptions = ",".join([_fill(template, rename) for template in assumed])
+
+    metadata = {str(key): _fill(_template(value), rename)
+                for key, value in subgoal.metadata.items()}
+    return ("('subgoal'," + _canon(subgoal.kind) + ",(" + lhs + "),(" + rhs
+            + "),(" + facts + "),(" + assumptions + "),{"
+            + ",".join([f"{key}:{text}" for key, text in sorted(metadata.items())])
+            + "})")
 
 
-def _normal_form(subgoal: Subgoal) -> Tuple[Tuple, Dict[str, str]]:
+def _normal_form(subgoal: Subgoal) -> Tuple[str, Dict[str, str]]:
     """:func:`normalize_subgoal` of ``subgoal`` and the uid map it built.
 
     One traversal serves both the key and the certificate renaming, and is
@@ -290,10 +323,14 @@ def subgoal_fingerprint(subgoal: Subgoal, solver: str = DEFAULT_SOLVER) -> str:
     different backends never alias (their methods, certificates, and
     failure behaviour may differ even where verdicts must not).
     """
-    return _sha256(
-        _canon((ENGINE_VERSION, toolchain_fingerprint(), solver,
-                _normal_form(subgoal)[0]))
-    )
+    return _sha256(subgoal_key_text(subgoal, solver))
+
+
+def subgoal_key_text(subgoal: Subgoal, solver: str = DEFAULT_SOLVER) -> str:
+    """The text :func:`subgoal_fingerprint` hashes: :func:`_canon` of
+    ``(ENGINE_VERSION, toolchain_fingerprint(), solver, normal form)``."""
+    return (f"({_canon(ENGINE_VERSION)},{_canon(toolchain_fingerprint())},"
+            f"{_canon(solver)},{_normal_form(subgoal)[0]})")
 
 
 # --------------------------------------------------------------------------- #

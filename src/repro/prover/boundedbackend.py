@@ -89,7 +89,7 @@ def orientations_for(rules: Sequence[Rule],
         # bank), so skipping them preserves backend parity.
         if not rule.lhs.is_var():
             oriented.append((rule.lhs, rule.rhs, rule.name))
-        lhs_vars, rhs_vars = set(rule.lhs.variables()), set(rule.rhs.variables())
+        lhs_vars, rhs_vars = set(rule.lhs_variables), set(rule.rhs.variables())
         if not rule.rhs.is_var() and lhs_vars <= rhs_vars:
             oriented.append((rule.rhs, rule.lhs, rule.name))
     for fact in assumptions:

@@ -89,8 +89,9 @@ class FactBase:
             return ("gate", value.name, value.qubits, value.params)
         return value
 
-    def holds(self, kind: str, *args) -> bool:
-        return (kind,) + tuple(self._freeze(a) for a in args) in self.true_facts
+    def holds(self, kind: str, *uids: str) -> bool:
+        # A uid string is its own frozen form: look it up as given.
+        return (kind, *uids) in self.true_facts
 
     def holds_symmetric(self, kind: str, a, b) -> bool:
         return self.holds(kind, a, b) or self.holds(kind, b, a)
@@ -166,7 +167,8 @@ def collect_rules(encoder: Encoder, facts: FactBase, elements: Sequence) -> List
     seen_rule_keys = set()
 
     def add_rule(rule: Rule) -> None:
-        key = (repr(rule.lhs), repr(rule.rhs))
+        # Terms are hash-consed: the pair of sides is the rule's content.
+        key = (rule.lhs, rule.rhs)
         if key not in seen_rule_keys:
             seen_rule_keys.add(key)
             rules.append(rule)

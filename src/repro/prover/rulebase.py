@@ -88,8 +88,14 @@ class RuleBase:
 
     # ------------------------------------------------------------------ #
     def _instantiate_round(self, closure: CongruenceClosure,
-                           budget: List[int], fired: Set[str]) -> bool:
-        """One instantiation round; returns whether anything merged."""
+                           budget: List[int], fired: Set[str],
+                           instances: Set[Tuple]) -> bool:
+        """One instantiation round; returns whether anything merged.
+
+        ``instances`` holds every ``(rule, *bound terms)`` this check has
+        already asserted or found equal; a match that binds one again is
+        skipped before its sides are built (see :meth:`instantiate`).
+        """
         index = _BankIndex(closure)
         changed = False
 
@@ -105,8 +111,13 @@ class RuleBase:
         def try_match(rule: Rule, trigger: Term, target: Term) -> bool:
             nonlocal changed
             for bindings in _match(trigger, target, index, {}):
-                if any(v not in bindings for v in rule.lhs.variables()):
+                try:
+                    instance = (rule, *[bindings[v] for v in rule.lhs_variables])
+                except KeyError:
                     continue
+                if instance in instances:
+                    continue
+                instances.add(instance)
                 lhs = rule.lhs.substitute(bindings)
                 rhs = rule.rhs.substitute(bindings)
                 if not closure.equal(lhs, rhs):
@@ -152,13 +163,20 @@ class RuleBase:
         the module docstring.  Returns ``(instantiations_performed,
         fired_rule_names)``; the fired names are sorted and deduplicated,
         ready for a proof certificate.
+
+        An instance — a rule and the terms its lhs variables are bound to —
+        is built and compared once per check.  Merges are monotone, so an
+        instance asserted or found equal earlier in the check is equal
+        still: building it again would merge nothing and count nothing,
+        and skipping it leaves the counts and the fired names as they were.
         """
         if not self.rules:
             return 0, ()
         budget = [0, max_instances]  # [performed, limit]
         fired: Set[str] = set()
+        instances: Set[Tuple] = set()
         for _round in range(max_rounds):
-            changed = self._instantiate_round(closure, budget, fired)
+            changed = self._instantiate_round(closure, budget, fired, instances)
             if budget[0] >= max_instances or not changed:
                 break
         return budget[0], tuple(sorted(fired))

@@ -139,7 +139,7 @@ class _Z3Encoder:
 
     def encode_rule(self, rule: Rule):
         z3_module = self._z3
-        variables = [self.encode(v) for v in rule.lhs.variables()]
+        variables = [self.encode(v) for v in rule.lhs_variables]
         body = self.encode(rule.lhs) == self.encode(rule.rhs)
         if not variables:
             return body

@@ -97,12 +97,20 @@ class Term:
             yield from arg.subterms()
 
     def variables(self) -> List["Term"]:
-        """All distinct variables occurring in the term."""
-        seen: List[Term] = []
-        for sub in self.subterms():
-            if sub.is_var() and sub not in seen:
-                seen.append(sub)
-        return seen
+        """All distinct variables occurring in the term, in pre-order of
+        first appearance.  Each shared sub-term is walked once."""
+        found: List[Term] = []
+        visited = set()
+        stack = [self]
+        while stack:
+            term = stack.pop()
+            if term not in visited:
+                visited.add(term)
+                if term.op == "var":
+                    found.append(term)
+                else:
+                    stack.extend(reversed(term.args))
+        return found
 
     def substitute(self, bindings: Dict["Term", "Term"]) -> "Term":
         """Replace variables by their bindings (simultaneously)."""
@@ -194,9 +202,10 @@ def false() -> Term:
 class Rule:
     """A universally quantified equation ``forall vars. lhs = rhs``.
 
-    Pattern variables are ordinary :func:`var` terms occurring in ``lhs``;
-    the solver instantiates the rule by E-matching ``lhs`` (and optionally
-    extra trigger patterns) against the current term bank.
+    Pattern variables are ordinary :func:`var` terms occurring in ``lhs``
+    (``lhs_variables``, in order of first appearance); the solver
+    instantiates the rule by E-matching ``lhs`` (and optionally extra
+    trigger patterns) against the current term bank.
     """
 
     def __init__(self, name: str, lhs: Term, rhs: Term, triggers: Sequence[Term] = ()):
@@ -204,7 +213,8 @@ class Rule:
         self.lhs = lhs
         self.rhs = rhs
         self.triggers = tuple(triggers) if triggers else (lhs,)
-        missing = [v for v in rhs.variables() if v not in lhs.variables()]
+        self.lhs_variables: Tuple[Term, ...] = tuple(lhs.variables())
+        missing = [v for v in rhs.variables() if v not in self.lhs_variables]
         if missing:
             raise SolverError(
                 f"rule {name}: right-hand side has unbound variables {missing}"

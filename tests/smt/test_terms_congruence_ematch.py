@@ -44,6 +44,22 @@ def test_subterms_and_variables():
     assert set(term.variables()) == {x, y}
 
 
+def test_variables_come_in_pre_order_of_first_appearance():
+    x, y, z = var("x"), var("y"), var("z")
+    shared = app("g", x, y)
+    assert app("f", y, shared, app("h", shared, z), x).variables() == [y, x, z]
+    # A rule keeps its lhs variables in the same order.
+    rule = Rule("r", app("f", z, shared), app("h", x))
+    assert rule.lhs_variables == (z, x, y)
+
+
+def test_variables_of_a_deep_term_do_not_recurse():
+    term = var("x")
+    for _ in range(sys.getrecursionlimit() + 100):
+        term = app("s", term)
+    assert term.variables() == [var("x")]
+
+
 def test_substitute_replaces_variables():
     x, y = var("x"), var("y")
     term = app("f", x, app("g", y))
