@@ -11,7 +11,7 @@ setup(
     install_requires=["numpy", "networkx"],
     entry_points={
         "console_scripts": [
-            "repro = repro.cli:main",
+            "repro = repro.cli:console_main",
         ],
     },
 )

@@ -1,6 +1,6 @@
 """Entry point for ``python -m repro``."""
 
-from repro.cli import main
+from repro.cli import console_main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console_main())

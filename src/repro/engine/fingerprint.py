@@ -89,13 +89,16 @@ DEFAULT_SOLVER = "builtin"
 
 #: Raw uids minted by :mod:`repro.verify.symvalues` (``g3``, ``seg12``, ...),
 #: captured so that ``split`` returns them between the text around them.
-_UID_TOKEN = re.compile(r"\b((?:g|seg|int|idx|circ)\d+)\b")
+#: A token ends wherever no letter or digit follows, and ``_`` counts as a
+#: boundary (``\b`` would not), so the uids inside the composites the
+#: symbolic values mint (``nq_g7``, ``size_circ7_2``) are renamed too.
+_UID_TOKEN = re.compile(r"(?<![^\W_])((?:g|seg|int|idx|circ)\d+)(?![^\W_])")
 
-#: The same tokens when embedded in underscore-joined rule names
-#: (``segment_commute_rev_seg210_g206``): ``\b`` never fires next to an
-#: underscore, so both boundaries are dropped — safe for rule names, whose
-#: only prefix-plus-digits tokens *are* uids (digit runs are matched
-#: maximally, and every uid token there ends at ``_`` or end-of-name).
+#: The same tokens in underscore-joined rule names
+#: (``segment_commute_rev_seg210_g206``), matched with no boundary at all —
+#: safe for rule names, whose only prefix-plus-digits tokens *are* uids
+#: (digit runs are matched maximally, and every uid token there ends at
+#: ``_`` or end-of-name).
 _RULE_UID_TOKEN = re.compile(r"(?:g|seg|int|idx|circ)\d+")
 
 

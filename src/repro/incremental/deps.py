@@ -6,7 +6,10 @@ incremental index alike.  A module's imports are read from its import
 skeleton, the logical lines that hold its import statements, which one
 lexer pass cuts out and :mod:`ast` parses far faster than the whole file;
 where the skeleton cannot be trusted the whole file is parsed instead, so
-both give the same names (:func:`_scan_imports`).
+both give the same names (:func:`_scan_imports`).  The graph follows every
+``repro`` module and every module whose source file lies outside the
+interpreter's stdlib and site-packages, such as a user's pass package or
+a helper module beside a pass (:func:`_followed`).
 
 The toolchain hash is the content digest of the import closure of
 :data:`TOOLCHAIN_ROOTS`; a pass key adds its own module's closure
@@ -53,11 +56,14 @@ from repro.incremental.detect import normalize_path as _normalize
 #: Bump when the dependency-entry layout changes incompatibly; sidecar
 #: records written under another schema are ignored (and rewritten on the
 #: next verification) rather than misread.  v2: module rows, no paths.
-DEPS_SCHEMA_VERSION = 2
+#: v3: module rows keep every name outside the standard library.
+DEPS_SCHEMA_VERSION = 3
 
-#: Only modules under this package participate in the import walk; the
-#: stdlib and third-party dependencies are part of the interpreter
-#: environment, not of the watched source tree.
+#: Modules of this package are always followed, wherever it is installed.
+#: Any other module is followed when its source file lies outside the
+#: interpreter's stdlib and site-packages (:func:`_library_dirs`): a
+#: user's pass package and a sibling helper module are watched source,
+#: while the stdlib and third-party libraries are the environment.
 _PACKAGE_ROOT = "repro"
 
 #: The toolchain is what these modules statically import: the verifier
@@ -78,6 +84,36 @@ _stamps: Dict[str, Optional[Tuple[int, int]]] = {}
 
 def _in_package(name: str) -> bool:
     return name == _PACKAGE_ROOT or name.startswith(_PACKAGE_ROOT + ".")
+
+
+@lru_cache(maxsize=None)
+def _library_dirs() -> Tuple[str, ...]:
+    """The interpreter's stdlib and site-packages directories.
+
+    The stdlib is the directory :mod:`os` was loaded from; site-packages
+    are every directory :mod:`site` lists, the user's included (and, in a
+    virtual environment made with ``--system-site-packages``, its base
+    installation's).  These are the directories the ``sysconfig`` stdlib
+    and site-packages paths name, read from modules loaded at start-up:
+    loading :mod:`sysconfig` would add about 2 ms to every run that
+    resolves a third-party name, as every warm run does.
+    """
+    import site
+
+    found = {os.path.dirname(os.__file__), site.getusersitepackages(),
+             *site.getsitepackages()}
+    return tuple(sorted(_normalize(directory) for directory in found))
+
+
+def _followed(name: str) -> bool:
+    """Whether the walk follows the imported module ``name``: it has a
+    source file, and it is a package module or lies outside the
+    interpreter's libraries."""
+    path = module_source_path(name)
+    if path is None:
+        return False
+    return _in_package(name) or not any(
+        path.startswith(directory + os.sep) for directory in _library_dirs())
 
 
 @lru_cache(maxsize=None)
@@ -156,14 +192,16 @@ def _scan_imports(source: bytes) -> Tuple[str, ...]:
     rejects scans as no names, unless its skeleton parses: then its
     import statements count, which can only add modules to a closure.
 
-    Absolute names outside the package are dropped; relative ones keep
-    their leading dots until :func:`_resolve` anchors them at the
-    importing module.  ``from package import name`` is ambiguous between
-    a submodule and an attribute, so both readings are kept and
-    resolution keeps whichever names a file: ``from repro.utility import
-    circuit_ops`` yields ``repro.utility.circuit_ops`` while ``from
-    repro.verify.passes import AnalysisPass`` yields only
-    ``repro.verify.passes``.
+    Absolute names of the standard library (by top-level name, in
+    ``sys.stdlib_module_names``) are dropped, so the scan is a function of
+    the source bytes alone; relative ones keep their leading dots until
+    :func:`_resolve` anchors them at the importing module, which also
+    decides which of the rest are followed.  ``from package import
+    name`` is ambiguous between a submodule and an attribute, so both
+    readings are kept and resolution keeps whichever names a file:
+    ``from repro.utility import circuit_ops`` yields
+    ``repro.utility.circuit_ops`` while ``from repro.verify.passes import
+    AnalysisPass`` yields only ``repro.verify.passes``.
     """
     found = _skeleton_names(source)
     if found is None:
@@ -171,8 +209,8 @@ def _scan_imports(source: bytes) -> Tuple[str, ...]:
         found = _whole_file_names(source)
     else:
         _scan_counts["skeleton"] += 1
-    return tuple(sorted(name for name in found
-                        if name.startswith(".") or _in_package(name)))
+    return tuple(sorted(name for name in found if name.startswith(".")
+                        or name.partition(".")[0] not in sys.stdlib_module_names))
 
 
 def _skeleton_names(source: bytes) -> Optional[Set[str]]:
@@ -360,13 +398,13 @@ def _package_of(module_name: str, path: str, level: int, base: str) -> str:
 
 
 def _resolve(module_name: str, path: str, names: Iterable[str]) -> Tuple[str, ...]:
-    """The scanned ``names`` that name a package module with a source file."""
+    """The scanned ``names`` that name a followed module (:func:`_followed`)."""
     resolved: Set[str] = set()
     for name in names:
         if name.startswith("."):
             base = name.lstrip(".")
             name = _package_of(module_name, path, len(name) - len(base), base)
-        if _in_package(name) and module_source_path(name) is not None:
+        if _followed(name):
             resolved.add(name)
     return tuple(sorted(resolved))
 
@@ -424,7 +462,7 @@ def files_edited(module_names: Optional[Iterable[str]] = None) -> bool:
 
 @lru_cache(maxsize=None)
 def module_imports(module_name: str) -> Tuple[str, ...]:
-    """Package modules ``module_name`` imports, each backed by a source file."""
+    """Followed modules ``module_name`` imports, each backed by a source file."""
     digest = module_digest(module_name)
     if digest is None:
         return ()
@@ -434,7 +472,8 @@ def module_imports(module_name: str) -> Tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def import_closure(*roots: str, known: FrozenSet[str] = frozenset()) -> FrozenSet[str]:
-    """Transitive intra-package import closure of ``roots`` (inclusive).
+    """Transitive import closure of ``roots`` over followed modules
+    (inclusive).
 
     ``known``, a closure already walked, joins the result unvisited.
     """

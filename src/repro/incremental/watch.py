@@ -41,13 +41,16 @@ from repro.incremental.detect import ChangeDetector, normalize_path
 from repro.telemetry import trace as _trace
 
 #: The child's program: read the request from stdin, search the watcher's
-#: ``sys.path``, verify, and write the reply to stdout.
+#: ``sys.path``, verify, and write the reply to stdout.  Then it exits the
+#: way ``repro`` does (:func:`repro.cli.console_main`): the heap is frozen,
+#: so teardown skips the final collections over it.
 _CHILD_PROGRAM = (
-    "import json, sys\n"
+    "import gc, json, sys\n"
     "request = json.load(sys.stdin)\n"
     "sys.path[:] = request['sys_path']\n"
     "from repro.incremental.watch import verify_in_child\n"
     "verify_in_child(request)\n"
+    "gc.freeze()\n"
 )
 
 

@@ -19,8 +19,10 @@ from repro.verify.facts import Fact
 from repro.verify.session import Subgoal
 from repro.verify.symvalues import Segment, SymGate
 
-#: Raw uids minted by :mod:`repro.verify.symvalues` (``g3``, ``seg12``, ...).
-_UID_TOKEN = re.compile(r"\b(?:g|seg|int|idx|circ)\d+\b")
+#: Raw uids minted by :mod:`repro.verify.symvalues` (``g3``, ``seg12``, ...),
+#: alone or inside a composite (``nq_g7``, ``size_circ7_2``): ``_`` is a
+#: boundary, a letter or digit is not.
+_UID_TOKEN = re.compile(r"(?<![^\W_])(?:g|seg|int|idx|circ)\d+(?![^\W_])")
 
 
 def _freeze_gate(gate: Gate) -> Tuple:

@@ -153,3 +153,81 @@ def test_random_subgoals_render_as_the_oracle_does(subgoal):
     text = normalize_subgoal(subgoal, rendered)
     assert text == canon_oracle._canon(canon_oracle.normalize_subgoal(subgoal, reference))
     assert rendered._map == reference._map
+
+
+# --------------------------------------------------------------------------- #
+# Minted composite uids
+# --------------------------------------------------------------------------- #
+def test_uids_inside_minted_composites_are_renamed():
+    renamer = _UidRenamer()
+    assert [renamer.rename_embedded(text) for text in
+            ("size_circ7_2", "nq_g7", "(int3+1)", "g5", "xg7", "g7x")] == [
+        "size_circ#0_2", "nq_g#1", "(int#2+1)", "g#3", "xg7", "g7x"]
+
+
+#: Each value below is drawn as a function of ``name``, which spells a pool
+#: uid as one run's counter minted it, so one draw builds the same subgoal
+#: as two runs would.  Composites are minted as :mod:`repro.verify.symvalues`
+#: mints them: a gate's or circuit's qubit and clbit counts, a circuit's
+#: size, and integer arithmetic, nested.
+_minted = st.recursive(
+    _uid.map(lambda uid: lambda name: name(uid)),
+    lambda inner: st.one_of(
+        st.builds(lambda template, part: lambda name: template.format(part(name)),
+                  st.sampled_from(["nq_{}", "nc_{}", "size_{}_2", "({}+1)"]),
+                  inner),
+        st.builds(lambda left, right: lambda name: f"({left(name)}-{right(name)})",
+                  inner, inner),
+    ),
+    max_leaves=3,
+)
+_minted_sym = st.one_of(
+    st.sampled_from(_UIDS[:3]).map(
+        lambda uid: lambda name: SymGate(None, uid=name(uid))),
+    st.sampled_from(_UIDS[3:5]).map(
+        lambda uid: lambda name: Segment(None, uid=name(uid))),
+)
+_constant = st.one_of(_gate, _scalar, st.sampled_from(["cx", "h", ""])).map(
+    lambda value: lambda name: value)
+_minted_arg = st.one_of(_minted, _minted_sym, _constant)
+_minted_fact = st.builds(
+    lambda kind, args: lambda name: Fact(kind, tuple(arg(name) for arg in args)),
+    st.sampled_from(["is_cx", "same_qubits", "int_eq", "int_lt"]),
+    st.lists(_minted_arg, min_size=1, max_size=3),
+)
+_minted_subgoal = st.builds(
+    lambda kind, lhs, rhs, path_facts, assumptions, metadata: lambda name: Subgoal(
+        kind=kind, description="d",
+        lhs=tuple(element(name) for element in lhs),
+        rhs=tuple(element(name) for element in rhs),
+        path_facts=tuple((fact(name), value) for fact, value in path_facts),
+        assumptions=tuple(fact(name) for fact in assumptions),
+        metadata={key: value(name) for key, value in metadata.items()}),
+    st.sampled_from(["equivalence", "unchanged"]),
+    st.lists(st.one_of(_minted_sym, _constant), max_size=3),
+    st.lists(st.one_of(_minted_sym, _constant), max_size=3),
+    st.lists(st.tuples(_minted_fact, st.booleans()), max_size=6),
+    st.lists(_minted_fact, max_size=4),
+    st.dictionaries(st.sampled_from(["a", "b"]), _minted_arg, max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_minted_subgoal,
+       st.lists(st.integers(0, 9999), min_size=len(_UIDS), max_size=len(_UIDS),
+                unique=True))
+def test_subgoals_that_differ_only_in_uid_counters_get_one_key(build, counters):
+    """Another process mints the same uids from other counter values; the
+    key, the uid map's canonical side, and the oracle's text agree."""
+    recounted = {uid: uid.rstrip("0123456789") + str(counter)
+                 for uid, counter in zip(_UIDS, counters)}
+    first, second = build(lambda uid: uid), build(recounted.__getitem__)
+    assert subgoal_fingerprint(first) == subgoal_fingerprint(second)
+    assert sorted(subgoal_uid_map(first).values()) == sorted(
+        subgoal_uid_map(second).values())
+    for subgoal in (first, second):
+        rendered, reference = _UidRenamer(), _UidRenamer()
+        text = normalize_subgoal(subgoal, rendered)
+        assert text == canon_oracle._canon(
+            canon_oracle.normalize_subgoal(subgoal, reference))
+        assert rendered._map == reference._map

@@ -18,6 +18,9 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from typing import Tuple
+
+import pytest
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 #: A file no dependency entry watches.
@@ -167,3 +170,130 @@ def test_a_watch_cycle_proves_the_edited_gate_library(tmp_path):
                                for row in report["results"]]
     assert verdicts(warm) == verdicts(fresh)
     assert warm["summary"]["verified"] == 44
+
+
+# --------------------------------------------------------------------------- #
+# A user's pass package
+# --------------------------------------------------------------------------- #
+#: A user's CX-cancellation pass; the helper it imports decides whether
+#: two CX gates act on the same qubits.
+_USER_PASS = textwrap.dedent(
+    """
+    from repro.utility.circuit_ops import next_gate
+    from repro.verify.passes import GeneralPass
+    from repro.verify.templates import while_gate_remaining
+
+    from {helper} import same_target
+
+
+    class UserCXCancellation(GeneralPass):
+        def run(self, circuit):
+            def body(output, remain):
+                gate = remain[0]
+                if gate.is_cx_gate():
+                    partner = next_gate(remain, 0)
+                    if partner is not None:
+                        other = remain[partner]
+                        if other.is_cx_gate() and same_target(gate, other):
+                            remain.delete(partner)
+                            remain.delete(0)
+                            return
+                output.append(gate)
+                remain.delete(0)
+
+            return while_gate_remaining(circuit, body)
+    """
+)
+_HELPER = "def same_target(gate, other):\n    return other.qubits == gate.qubits\n"
+#: The edit: every later CX cancels the first, so the pass is unsound.
+_EDITED_HELPER = "def same_target(gate, other):\n    return True\n"
+
+#: Verify the user's pass in this fresh process: through ``verify_passes``
+#: on the store (``cached``) or without it (``fresh``), or through a
+#: ``Watcher`` that runs its baseline cycle, writes the edited helper and
+#: runs one more cycle (``watch``).
+_VERIFY_USER_PASS = textwrap.dedent(
+    """
+    import importlib
+    import json
+    import sys
+
+    root, module, store, mode, helper, edited = sys.argv[1:]
+    sys.path.insert(0, root)
+    pass_class = importlib.import_module(module).UserCXCancellation
+    if mode == "watch":
+        from repro.incremental.watch import Watcher
+
+        watcher = Watcher([pass_class], cache_dir=store)
+        baseline = watcher.run_cycle()
+        with open(helper, "w", encoding="utf-8") as handle:
+            handle.write(edited)
+        cycle = watcher.run_cycle()
+        print(json.dumps({"baseline": [r.verified for r in baseline.results],
+                          "verified": [r.verified for r in cycle.results]}))
+    else:
+        from repro.engine import verify_passes
+
+        report = verify_passes([pass_class], cache_dir=store,
+                               use_cache=mode == "cached")
+        print(json.dumps({"verified": [r.verified for r in report.results],
+                          "misses": report.stats.cache_misses}))
+    """
+)
+
+
+def _write_user_pass(root: Path, packaged: bool) -> Tuple[str, Path]:
+    """The pass module's name and its helper's path: ``mypkg.passes`` with
+    ``mypkg/helper.py``, or a top-level ``user_pass`` beside ``helper2.py``."""
+    if packaged:
+        (root / "mypkg").mkdir(parents=True)
+        (root / "mypkg" / "__init__.py").write_text("", encoding="utf-8")
+        (root / "mypkg" / "passes.py").write_text(
+            _USER_PASS.format(helper="mypkg.helper"), encoding="utf-8")
+        helper = root / "mypkg" / "helper.py"
+        module = "mypkg.passes"
+    else:
+        root.mkdir(parents=True)
+        (root / "user_pass.py").write_text(
+            _USER_PASS.format(helper="helper2"), encoding="utf-8")
+        helper = root / "helper2.py"
+        module = "user_pass"
+    helper.write_text(_HELPER, encoding="utf-8")
+    return module, helper
+
+
+def _run_user_pass(root: Path, module: str, store: Path, mode: str,
+                   helper: Path) -> dict:
+    # No bytecode is written: a helper edited within one mtime tick could
+    # otherwise be imported from its stale .pyc.
+    completed = subprocess.run(
+        [sys.executable, "-c", _VERIFY_USER_PASS, str(root), module, str(store),
+         mode, str(helper), _EDITED_HELPER],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(REPO_SRC), PYTHONDONTWRITEBYTECODE="1"),
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout)
+
+
+@pytest.mark.parametrize("packaged", [True, False], ids=["package", "sibling"])
+def test_stored_verdicts_follow_an_edit_to_a_user_helper(tmp_path, packaged):
+    """A helper that a user's pass imports is keyed and watched like a
+    ``repro`` module: once it is edited, the store serves what a run
+    without it reports, through ``verify_passes`` and through a watch
+    cycle."""
+    root = tmp_path / "user"
+    module, helper = _write_user_pass(root, packaged)
+    store = tmp_path / "store"
+    run = lambda mode, store=store: _run_user_pass(root, module, store, mode, helper)
+    assert run("cached") == {"verified": [True], "misses": 1}
+    assert run("cached") == {"verified": [True], "misses": 0}
+
+    helper.write_text(_EDITED_HELPER, encoding="utf-8")
+    fresh = run("fresh", store=tmp_path / "unused")
+    assert fresh["verified"] == [False]
+    assert run("cached") == {"verified": fresh["verified"], "misses": 1}
+
+    helper.write_text(_HELPER, encoding="utf-8")
+    watched = run("watch", store=tmp_path / "watch-store")
+    assert watched == {"baseline": [True], "verified": fresh["verified"]}
