@@ -9,7 +9,6 @@ from repro.bench.qasmbench import (
     qasmbench_suite,
     small_suite,
 )
-from repro.bench.solver import run_solver_bench
 from repro.bench.table2 import Table2Row, pass_kwargs_for, rule_usage_report, run_table2
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "rule_usage_report",
     "run_case_studies",
     "run_figure11",
-    "run_solver_bench",
     "run_table2",
     "small_suite",
 ]

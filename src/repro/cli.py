@@ -21,10 +21,9 @@ script, both of which call :func:`console_main`.  Commands:
     damage dropped on load.
 
 ``cache``
-    Maintain the proof cache: ``prune`` (LRU eviction to a bound),
-    ``migrate`` (read-only import of a ``proofs.sqlite`` left by the retired
-    sqlite tier), and ``gc`` (drop dependency-index entries for
-    configurations no longer in any suite).
+    Maintain the proof cache: ``prune`` (LRU eviction to a bound) and
+    ``gc`` (drop dependency-index entries for configurations no longer in
+    any suite).
 
 ``trace``
     Inspect a structured execution trace written by ``verify --trace DIR``:
@@ -311,28 +310,21 @@ def _payload_bytes_suffix(nbytes) -> str:
     return f", {nbytes / 1024:.1f} KiB payload"
 
 
-def _print_store(store: Dict, cache_dir: str, file=None) -> None:
+def _print_store(store: Dict) -> None:
     """The proof-store lines of ``repro status``.
 
-    ``damaged`` appears only when the load dropped unreadable lines;
-    ``migrate`` only while a ``proofs.sqlite`` from the retired sqlite tier
-    sits in the directory.
+    ``damaged`` appears only when the load dropped unreadable lines.
     """
-    if store:
-        print(f"store       : {store.get('entries_live', '?')} live entries "
-              f"({store.get('entries_stale', '?')} stale), "
-              f"{store.get('accumulated_hits', '?')} accumulated hits"
-              + _payload_bytes_suffix(store.get("payload_bytes")), file=file)
-        print(f"certificates: {store.get('cert_entries', '?')} entries, "
-              f"{store.get('cert_accumulated_hits', '?')} accumulated hits"
-              + _payload_bytes_suffix(store.get("cert_payload_bytes")), file=file)
+    print(f"store       : {store.get('entries_live', '?')} live entries "
+          f"({store.get('entries_stale', '?')} stale), "
+          f"{store.get('accumulated_hits', '?')} accumulated hits"
+          + _payload_bytes_suffix(store.get("payload_bytes")))
+    print(f"certificates: {store.get('cert_entries', '?')} entries, "
+          f"{store.get('cert_accumulated_hits', '?')} accumulated hits"
+          + _payload_bytes_suffix(store.get("cert_payload_bytes")))
     if store.get("corrupt_lines"):
         print(f"damaged     : {store['corrupt_lines']} unreadable lines "
-              f"dropped on load", file=file)
-    legacy = os.path.join(cache_dir, "proofs.sqlite")
-    if os.path.exists(legacy):
-        print(f"migrate     : {legacy} predates the JSONL store; import it "
-              f"with `repro cache migrate --cache-dir {cache_dir}`", file=file)
+              f"dropped on load")
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
@@ -343,7 +335,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
     cache_dir = args.cache_dir or str(default_cache_dir())
     if not os.path.exists(os.path.join(cache_dir, "proofs.jsonl")):
         print(f"no proof store in {cache_dir} yet", file=sys.stderr)
-        _print_store({}, cache_dir, file=sys.stderr)
         return 1
     try:
         with ProofCache(cache_dir) as store:
@@ -356,7 +347,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
         print(json_module.dumps({"daemon": None, "store": summary},
                                 indent=2, sort_keys=True))
     else:
-        _print_store(summary, cache_dir)
+        _print_store(summary)
     return 0
 
 
@@ -364,19 +355,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.engine import ProofCache, default_cache_dir
 
     cache_dir = args.cache_dir or str(default_cache_dir())
-    if args.cache_command == "migrate":
-        import sqlite3
-
-        from repro.engine.cache import migrate_sqlite
-
-        try:
-            migrated = migrate_sqlite(cache_dir)
-        except (OSError, sqlite3.Error) as exc:
-            print(f"cannot open proof cache: {exc}", file=sys.stderr)
-            return 2
-        print(f"migrated {migrated} entries from {cache_dir}/proofs.sqlite "
-              f"to {cache_dir}/proofs.jsonl")
-        return 0
     if args.cache_command == "gc":
         from repro.incremental.deps import identity_key
 
@@ -502,11 +480,10 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- #
 def _cmd_history(args: argparse.Namespace) -> int:
     import json as json_module
-    import sqlite3
     import time as time_module
 
     from repro.engine import default_cache_dir
-    from repro.telemetry.history import TelemetryHistory, history_path
+    from repro.telemetry.history import HistoryError, TelemetryHistory, history_path
 
     directory = args.cache_dir or str(default_cache_dir())
     command = args.history_command
@@ -602,7 +579,7 @@ def _cmd_history(args: argparse.Namespace) -> int:
             print(f"pruned history at {directory}: dropped {dropped} runs, "
                   f"{remaining} kept")
             return 0
-    except (OSError, sqlite3.Error) as exc:
+    except (OSError, HistoryError) as exc:
         print(f"cannot open run history: {exc}", file=sys.stderr)
         return 2
 
@@ -663,15 +640,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         from repro.bench.figure11 import main as figure11_main
 
         return figure11_main(["--small"] if args.small else [])
-    if args.target == "solver":
-        from repro.bench.solver import main as solver_main
-
-        argv = []
-        for name in args.solver or ():
-            argv += ["--solver", name]
-        if args.record:
-            argv += ["--record", args.record]
-        return solver_main(argv)
     if args.target == "telemetry":
         from repro.bench.telemetry import main as telemetry_main
 
@@ -884,11 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="keep at most N entries (LRU across passes and subgoals)")
     prune.add_argument("--cache-dir", default=None, metavar="DIR")
     prune.set_defaults(handler=_cmd_cache)
-    migrate = cache_sub.add_parser(
-        "migrate", help="import a proofs.sqlite left by the retired sqlite "
-                        "tier into the JSONL store (read-only)")
-    migrate.add_argument("--cache-dir", default=None, metavar="DIR")
-    migrate.set_defaults(handler=_cmd_cache)
     gc = cache_sub.add_parser(
         "gc", help="drop dependency entries for configurations not in any suite")
     gc.add_argument("--cache-dir", default=None, metavar="DIR")
@@ -1016,19 +979,16 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run one of the paper's evaluation drivers")
     bench.add_argument("target",
                        choices=("table2", "figure11", "case-studies",
-                                "solver", "telemetry", "stats"))
+                                "telemetry", "stats"))
     bench.add_argument("--small", action="store_true", help="figure11: use the trimmed suite")
     bench.add_argument("--new-passes-only", action="store_true",
                        help="table2: only the passes new in Qiskit 0.32")
-    bench.add_argument("--solver", action="append", default=None, metavar="NAME",
-                       help="solver: additionally measure this prover backend "
-                            "(repeatable)")
     bench.add_argument("--repeats", type=int, default=None, metavar="N",
                        help="telemetry/stats: warm off/on measurement pairs "
                             "(default 20)")
     bench.add_argument("--record", default=None, metavar="PATH",
-                       help="solver/telemetry/stats: write "
-                            "the measured comparison as JSON")
+                       help="telemetry/stats: write the measured "
+                            "comparison as JSON")
     bench.set_defaults(handler=_cmd_bench)
 
     fuzz = sub.add_parser(

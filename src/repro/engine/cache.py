@@ -46,8 +46,6 @@ from typing import Dict, Iterator, Optional, Set, Tuple
 _FILE_NAME = "proofs.jsonl"
 _DEPS_FILE_NAME = "deps.jsonl"
 _CERTS_FILE_NAME = "certs.jsonl"
-#: The retired sqlite tier's file, read only by :func:`migrate_sqlite`.
-_SQLITE_FILE_NAME = "proofs.sqlite"
 
 
 @dataclass
@@ -785,62 +783,3 @@ class ProofCache:
             "invalidated": self.stats.invalidated,
         }
 
-
-def migrate_sqlite(directory: os.PathLike) -> int:
-    """Import the ``proofs.sqlite`` of the retired sqlite tier, read-only.
-
-    Live-toolchain proofs and certificates join the store as its most
-    recently used entries, in ``last_used_at`` order (so LRU order
-    survives) and with their hit totals; current-schema ``deps`` rows come
-    along.  Keys are the same in both tiers, so the imported entries are
-    served warm.  Entries the JSONL store already holds win.  Returns the
-    number of proof entries imported (0 without a ``proofs.sqlite``); the
-    sqlite file is left untouched.
-    """
-    source = Path(directory) / _SQLITE_FILE_NAME
-    if not source.exists():
-        return 0
-    import sqlite3
-
-    from repro.incremental.deps import DEPS_SCHEMA_VERSION
-
-    # A cleanly closed store is one file: open it immutable, so no -shm/-wal
-    # side files appear.  A -wal left by a crash holds rows too: read it.
-    flags = "mode=ro" if Path(f"{source}-wal").exists() else "immutable=1"
-    connection = sqlite3.connect(f"{source.resolve().as_uri()}?{flags}", uri=True)
-    try:
-        layout = connection.execute(
-            "SELECT value FROM meta WHERE key = 'schema_version'").fetchone()
-        if layout != ("3",):
-            return 0        # the sqlite tier rebuilt other layouts on open
-        migrated = 0
-        with ProofCache(directory) as cache:
-            fingerprint = cache.active_fingerprint
-            for kind, key, value, hits in connection.execute(
-                    "SELECT kind, key, value, hits FROM proofs WHERE fp = ? "
-                    "ORDER BY last_used_at, kind, key", (fingerprint,)):
-                table = cache._passes if kind == "pass" else cache._subgoals
-                if key not in table:
-                    table[key] = json.loads(value)
-                    cache._touch(kind, key)
-                    if hits:
-                        cache._hits[(kind, key)] = hits
-                    migrated += 1
-            for key, value, hits in connection.execute(
-                    "SELECT key, value, hits FROM certs WHERE fp = ? "
-                    "ORDER BY last_used_at, key", (fingerprint,)):
-                if key not in cache._certs:
-                    cache._certs[key] = json.loads(value)
-                    cache._touch_cert(key)
-                    if hits:
-                        cache._cert_hits[key] = hits
-            for key, value in connection.execute(
-                    "SELECT key, value FROM deps WHERE schema = ?",
-                    (DEPS_SCHEMA_VERSION,)):
-                cache._deps.setdefault(key, json.loads(value))
-            cache.compact()
-            cache._compact_certs()
-            cache._compact_deps()
-        return migrated
-    finally:
-        connection.close()

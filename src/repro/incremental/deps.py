@@ -557,11 +557,14 @@ def module_row_records(entries: Iterable[Mapping]) -> Dict[str, dict]:
 
     A store writes these beside its entries (before them), so the next
     process rebuilds the same closures without parsing; ``repro cache gc``
-    keeps exactly the ones its surviving entries reach.
+    keeps exactly the ones its surviving entries reach.  Modules are
+    visited in sorted order, so a store's bytes do not depend on the
+    process's string hashing.
     """
     records: Dict[str, dict] = {}
-    for module_name in {entry.get("module") for entry in entries}:
-        for name in covered_modules(module_name):
+    for module_name in sorted({entry.get("module") for entry in entries},
+                              key=lambda name: name or ""):
+        for name in sorted(covered_modules(module_name)):
             digest = module_digest(name)
             records[MODULE_ROW_PREFIX + digest] = {
                 "schema": DEPS_SCHEMA_VERSION, "imports": list(_module_table[digest])}

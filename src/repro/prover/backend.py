@@ -128,9 +128,9 @@ def available_solvers() -> List[Tuple[str, bool]]:
 def reset_solver_state() -> None:
     """Drop every built backend, with its memoised state.
 
-    The next :func:`resolve_solver` builds a fresh instance, so a
-    measurement that calls this first (``repro bench solver``) starts from
-    empty memos.
+    The next :func:`resolve_solver` builds a fresh instance, so a run
+    that calls this first starts from empty memos: a measurement, or a
+    test that pins what a cold run discharges.
     """
     for backend in _INSTANCES.values():
         backend.reset()

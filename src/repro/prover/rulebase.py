@@ -1,10 +1,14 @@
-"""Operator-indexed compilation of a rewrite-rule set.
+"""E-matching through an operator-indexed compilation of a rewrite-rule set.
 
-:func:`repro.smt.ematch.instantiate_rules` — the seed-era instantiation
-loop — scans the whole rule list on every round of every check: each rule's
-trigger probes the term bank even when nothing in the bank can possibly
-match it.  A :class:`RuleBase` compiles the rule set once into a two-level
-index:
+Patterns are ordinary terms containing variables.  A pattern matches a
+ground term modulo the current congruence: at each position the matched
+sub-term may be any member of the equivalence class of the corresponding
+ground sub-term.  Matching runs against per-round indexes of the term bank
+(:class:`_BankIndex`: class membership and head-symbol indexes), so
+instantiation stays cheap even as rule applications grow the bank.
+
+A :class:`RuleBase` compiles the rule set once into a two-level index, so
+that a trigger never probes the bank for terms it cannot match:
 
 * level 1 keys every trigger by its head ``(op, payload, arity)``;
 * level 2 exploits the shape of this verifier's register rules — the
@@ -16,28 +20,28 @@ index:
   contains its literal.
 
 The arg-0 filter is congruence-aware, so it is exact: a candidate it skips
-cannot contribute any substitution the reference scan would have found
-through that candidate that is not also found through the candidate's
-matching class member (which is enumerated in its own right).  The compiled
-form is reusable across checks, hashable for memoisation
-(:meth:`RuleBase.fingerprint` — terms are hash-consed, so term identity is
-content identity), and instrumented: :meth:`RuleBase.instantiate` reports
-*which* rules fired, which is what proof certificates record and replay
-re-proves from.
+cannot contribute any substitution a scan of every rule against every
+candidate would have found through that candidate that is not also found
+through the candidate's matching class member (which is enumerated in its
+own right).  The compiled form is reusable across checks, hashable for
+memoisation (:meth:`RuleBase.fingerprint` — terms are hash-consed, so term
+identity is content identity), and instrumented:
+:meth:`RuleBase.instantiate` reports *which* rules fired, which is what
+proof certificates record and replay re-proves from.
 
-The linear scan is kept in :mod:`repro.smt.ematch` as the reference
-implementation; ``tests/prover/test_rulebase.py`` asserts the index derives
-exactly the equalities the linear scan derives, and ``repro bench solver``
-records the wall-time difference.
+This is the only e-matcher.  The tests keep the seed's linear scan, which
+tries every rule's triggers against every candidate each round, as the
+parity oracle: ``tests/prover/test_rulebase.py`` asserts the index derives
+exactly the equalities the scan derives, and that it beats the scan on a
+rule-heavy workload.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from repro.smt.congruence import CongruenceClosure
-from repro.smt.ematch import _BankIndex, _match
 from repro.smt.terms import Rule, Term
 
 #: Index key of one trigger head: operator, payload, arity.
@@ -46,6 +50,66 @@ HeadKey = Tuple[str, object, int]
 
 def _head_key(term: Term) -> HeadKey:
     return (term.op, term.payload, len(term.args))
+
+
+class _BankIndex:
+    """Snapshot indexes of the closure's term bank for one matching round."""
+
+    def __init__(self, closure: CongruenceClosure) -> None:
+        self.closure = closure
+        self.members: Dict[Term, List[Term]] = defaultdict(list)
+        self.by_head: Dict[HeadKey, List[Term]] = defaultdict(list)
+        for term in closure.terms():
+            root = closure.find(term)
+            self.members[root].append(term)
+            self.by_head[_head_key(term)].append(term)
+
+    def class_members(self, term: Term) -> List[Term]:
+        root = self.closure.find(term)
+        members = self.members.get(root)
+        return members if members else [term]
+
+
+def _match(pattern: Term, target: Term, index: _BankIndex,
+           bindings: Dict[Term, Term]) -> Iterator[Dict[Term, Term]]:
+    closure = index.closure
+    if pattern.is_var():
+        bound = bindings.get(pattern)
+        if bound is not None:
+            if closure.equal(bound, target):
+                yield bindings
+            return
+        new_bindings = dict(bindings)
+        new_bindings[pattern] = target
+        yield new_bindings
+        return
+    if pattern.is_literal():
+        if target.is_literal() and target.payload == pattern.payload:
+            yield bindings
+            return
+        for member in index.class_members(target):
+            if member.is_literal() and member.payload == pattern.payload:
+                yield bindings
+                return
+        return
+    for member in index.class_members(target):
+        if (
+            member.op != pattern.op
+            or member.payload != pattern.payload
+            or len(member.args) != len(pattern.args)
+        ):
+            continue
+        yield from _match_args(pattern.args, member.args, index, bindings)
+
+
+def _match_args(pattern_args, target_args, index, bindings) -> Iterator[Dict[Term, Term]]:
+    if not pattern_args:
+        yield bindings
+        return
+    head_pattern, *rest_patterns = pattern_args
+    head_target, *rest_targets = target_args
+    for new_bindings in _match(head_pattern, head_target, index, bindings):
+        yield from _match_args(tuple(rest_patterns), tuple(rest_targets), index, new_bindings)
 
 
 class RuleBase:
@@ -157,10 +221,9 @@ class RuleBase:
     ) -> Tuple[int, Tuple[str, ...]]:
         """Instantiate the rule set against the closure's term bank.
 
-        The semantics match :func:`repro.smt.ematch.instantiate_rules`
-        (assert ``lhs[sigma] = rhs[sigma]`` per match; rounds until a fixed
-        point or a budget); only the candidate enumeration differs — see
-        the module docstring.  Returns ``(instantiations_performed,
+        Each match asserts ``lhs[sigma] = rhs[sigma]``; rounds continue
+        until a fixed point, ``max_rounds`` or ``max_instances``.  The
+        candidates come from the index (see the module docstring).  Returns ``(instantiations_performed,
         fired_rule_names)``; the fired names are sorted and deduplicated,
         ready for a proof certificate.
 

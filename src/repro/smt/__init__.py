@@ -1,5 +1,6 @@
-"""A small SMT-style prover: terms, congruence closure, E-matching, contexts.
+"""A small SMT-style prover: terms, congruence closure, contexts.
 
-Import from the modules: :mod:`repro.smt.terms`, :mod:`repro.smt.congruence`,
-:mod:`repro.smt.ematch` and :mod:`repro.smt.solver`.
+Import from the modules: :mod:`repro.smt.terms`, :mod:`repro.smt.congruence`
+and :mod:`repro.smt.solver`.  E-matching lives in
+:mod:`repro.prover.rulebase`.
 """

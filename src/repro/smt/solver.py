@@ -11,12 +11,11 @@ turns into a concrete counterexample circuit.
 Every check runs one procedure: a fresh
 :class:`~repro.smt.congruence.CongruenceClosure` is loaded with the
 assumptions and instantiated through the operator-indexed
-:class:`~repro.prover.rulebase.RuleBase`; the reference linear scan
-(:func:`repro.smt.ematch.instantiate_rules`) is the rulebase's test oracle
-and micro-bench baseline.  The fact-loading and atom-proving halves are
-module-level functions (:func:`load_fact`, :func:`prove_atom`) so
-alternative solver backends (:mod:`repro.prover`) share one definition of
-what an assumption or a goal atom *means*.
+:class:`~repro.prover.rulebase.RuleBase`, the only e-matcher.  The
+fact-loading and atom-proving halves are module-level functions
+(:func:`load_fact`, :func:`prove_atom`) so alternative solver backends
+(:mod:`repro.prover`) share one definition of what an assumption or a goal
+atom *means*.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Optional
 
 __all__ = [
-    "DEFAULT_MIN_SPEEDUP",
     "DEFAULT_MAX_OVERHEAD_PCT",
     "DEFAULT_NOISE_PCT",
     "DEFAULT_MIN_SECONDS",
@@ -30,11 +29,6 @@ __all__ = [
     "is_regression",
     "regression_ratio",
 ]
-
-#: Fresh e-matching speedup may be far below the recorded figure on a
-#: loaded runner; an order-of-magnitude cushion still catches the indexed
-#: path degenerating into the linear scan.
-DEFAULT_MIN_SPEEDUP = 2.0
 
 #: Tracing overhead on a warm suite is a microsecond-scale effect measured
 #: against a millisecond-scale wall; the recorded baseline documents the

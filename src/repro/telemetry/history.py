@@ -46,12 +46,17 @@ from repro.telemetry.bounds import (
 __all__ = [
     "HISTORY_SCHEMA_VERSION",
     "DEFAULT_MAX_RUNS",
+    "HistoryError",
     "TelemetryHistory",
     "git_describe",
     "history_path",
 ]
 
 _DB_NAME = "history.sqlite"
+
+#: What a history store that cannot be opened or read raises, so that
+#: callers need not import :mod:`sqlite3` themselves.
+HistoryError = sqlite3.Error
 
 #: Bump when the table layout changes incompatibly; mismatched stores are
 #: rebuilt from scratch on open.  Version 2 added the ``store_stats`` table

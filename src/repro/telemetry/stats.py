@@ -70,8 +70,8 @@ def evictions_path(directory) -> str:
 def append_evictions(directory, entries: Iterable[Tuple[str, str]]) -> int:
     """Journal evicted ``(tier, key)`` pairs beside the cache.
 
-    Both cache backends call this from ``prune``; a later run's recorder
-    consumes the journal to count evicted-then-re-missed keys.
+    :meth:`repro.engine.cache.ProofCache.prune` calls this; a later run's
+    recorder consumes the journal to count evicted-then-re-missed keys.
     """
     lines = [json.dumps({"tier": tier, "key": key}, sort_keys=True)
              for tier, key in entries]

@@ -190,60 +190,6 @@ def test_cache_prune_rejects_negative(tmp_path, capsys):
     assert "must be >= 0" in capsys.readouterr().err
 
 
-def test_cache_migrate_from_sqlite_then_warm(tmp_path, capsys,
-                                             write_legacy_sqlite):
-    """A store the retired sqlite tier held serves the next run warm, with
-    its LRU order and hit totals carried over."""
-    from repro.engine import ProofCache
-
-    cache_dir = tmp_path / "cache"
-    assert main(["verify", "--all", "--cache-dir", str(cache_dir),
-                 "--format", "json"]) == 0
-    capsys.readouterr()
-    # Rebuild the cold run's store as a schema-v3 proofs.sqlite, in an
-    # order and with hit totals of its own, then drop the JSONL files.
-    with ProofCache(cache_dir) as cache:
-        order = sorted(cache.entries(), key=lambda entry: entry[1])
-        proofs = [(kind, key, cache.active_fingerprint, value, index % 3)
-                  for index, (kind, key, value) in enumerate(order)]
-    certs = [(record["key"], record["fp"], record["value"], 1)
-             for record in map(json.loads,
-                               (cache_dir / "certs.jsonl").read_text().splitlines())]
-    deps = [(record["key"], record["value"]["schema"], record["value"])
-            for record in map(json.loads,
-                              (cache_dir / "deps.jsonl").read_text().splitlines())]
-    write_legacy_sqlite(cache_dir, proofs, certs, deps)
-    for name in ("proofs.jsonl", "certs.jsonl", "deps.jsonl"):
-        (cache_dir / name).unlink()
-
-    assert main(["cache", "migrate", "--cache-dir", str(cache_dir)]) == 0
-    assert capsys.readouterr().out.strip() == (
-        f"migrated {len(proofs)} entries from {cache_dir}/proofs.sqlite "
-        f"to {cache_dir}/proofs.jsonl")
-    # The migrated file lists its entries least recently used first.
-    records = [json.loads(line) for line in
-               (cache_dir / "proofs.jsonl").read_text().splitlines()]
-    assert [(r["kind"], r["key"], r.get("hits", 0)) for r in records] == [
-        (kind, key, hits) for kind, key, _, _, hits in proofs]
-    assert main(["verify", "--all", "--cache-dir", str(cache_dir),
-                 "--format", "json"]) == 0
-    warm = json.loads(capsys.readouterr().out)
-    assert warm["summary"]["verified"] == warm["summary"]["total"] == 47
-    assert (warm["engine"]["cache_hits"], warm["engine"]["cache_misses"]) == (47, 0)
-
-
-def test_cache_migrate_without_sqlite_store(tmp_path, capsys):
-    assert main(["cache", "migrate", "--cache-dir", str(tmp_path)]) == 0
-    assert capsys.readouterr().out.startswith("migrated 0 entries from ")
-
-
-def test_cache_migrate_unopenable_store_is_a_clean_error(tmp_path, capsys):
-    (tmp_path / "proofs.jsonl").write_text("")
-    (tmp_path / "proofs.sqlite").mkdir()       # unopenable: it is a directory
-    assert main(["cache", "migrate", "--cache-dir", str(tmp_path)]) == 2
-    assert "cannot open proof cache" in capsys.readouterr().err
-
-
 def test_status_without_daemon_or_store(tmp_path, capsys):
     assert main(["status", "--cache-dir", str(tmp_path)]) == 1
     assert f"no proof store in {tmp_path} yet" in capsys.readouterr().err
@@ -275,20 +221,6 @@ def test_status_reports_store_damage_once(tmp_path, capsys):
     # Opening the store healed it.
     assert main(["status", "--cache-dir", str(cache_dir)]) == 0
     assert "damaged" not in capsys.readouterr().out
-
-
-def test_status_names_cache_migrate_beside_a_sqlite_store(tmp_path, capsys):
-    (tmp_path / "proofs.sqlite").write_bytes(b"")
-    assert main(["status", "--cache-dir", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert f"repro cache migrate --cache-dir {tmp_path}" in err
-    assert main(["verify", "Width", "--cache-dir", str(tmp_path),
-                 "--format", "json"]) == 0
-    capsys.readouterr()
-    assert main(["status", "--cache-dir", str(tmp_path)]) == 0
-    migrate = [line for line in capsys.readouterr().out.splitlines()
-               if "repro cache migrate" in line]
-    assert len(migrate) == 1
 
 
 # --------------------------------------------------------------------------- #

@@ -85,8 +85,7 @@ def _without_timings(value):
 def _verify(how, src: Path, store: Path, *flags: str):
     """Run one verification; returns its report (times and the store's
     path dropped, as ``tests/engine/test_driver_parallel.py`` drops them),
-    its store records (timings dropped, sorted: the order of module rows
-    follows the process's string hashing) and its stderr."""
+    its store records (timings dropped, in file order) and its stderr."""
     completed = subprocess.run(
         [sys.executable, *how, "verify", "--all", "--format", "json",
          "--cache-dir", str(store), *flags],
@@ -100,8 +99,8 @@ def _verify(how, src: Path, store: Path, *flags: str):
     report["engine"].pop("cache_dir")
     for row in report["results"]:
         row.pop("time_seconds")
-    records = {name: sorted(json.dumps(_without_timings(json.loads(line)), sort_keys=True)
-                            for line in (store / name).read_text(encoding="utf-8").splitlines())
+    records = {name: [_without_timings(json.loads(line))
+                      for line in (store / name).read_text(encoding="utf-8").splitlines()]
                for name in STORE_FILES}
     stats = json.loads((store / "store-stats.json").read_text(encoding="utf-8"))
     records["store-stats.json"] = stats["canonical"]

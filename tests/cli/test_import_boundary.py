@@ -195,3 +195,15 @@ def test_no_module_imports_a_network_library():
         if name.split(".")[0] in NETWORK_MODULES)
     assert offenders == []
 
+
+def test_only_the_history_store_imports_sqlite3():
+    """The proof store is JSON lines; ``history.sqlite`` is the one sqlite
+    file a ``repro`` process reads or writes."""
+    package = Path(REPO_SRC) / "repro"
+    importers = sorted(
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if any(name.split(".")[0] == "sqlite3"
+               for name in _imported_names(path.read_bytes())))
+    assert importers == [os.path.join("telemetry", "history.py")]
+

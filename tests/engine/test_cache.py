@@ -1,12 +1,12 @@
 """Proof-cache persistence, hit/miss accounting, invalidation, eviction,
-torn-write healing, and the import of the retired sqlite tier."""
+and torn-write healing."""
 
 import json
 import random
 
 import pytest
 
-from repro.engine.cache import ProofCache, default_cache_dir, migrate_sqlite
+from repro.engine.cache import ProofCache, default_cache_dir
 from repro.engine.fingerprint import toolchain_fingerprint
 from repro.incremental.deps import DEPS_SCHEMA_VERSION
 
@@ -407,68 +407,3 @@ def test_a_run_after_a_torn_write_matches_a_clean_run(tmp_path, seed):
     assert verdicts(warm) == verdicts(clean)
     assert (warm.stats.cache_hits, warm.stats.cache_misses) == (len(classes), 0)
 
-
-# --------------------------------------------------------------------------- #
-# Import of the retired sqlite tier
-# --------------------------------------------------------------------------- #
-def test_migrate_carries_hit_counters_over(tmp_path, write_legacy_sqlite):
-    """Hit totals and LRU order survive the import, and nothing proved
-    under another toolchain comes across."""
-    live = toolchain_fingerprint()
-    write_legacy_sqlite(tmp_path, [
-        ("pass", "hot", live, {"n": 0}, 5),
-        ("pass", "stale", "b" * 64, {"n": 1}, 9),
-        ("subgoal", "cold", live, _subgoal(), 0),
-        ("pass", "recent", live, {"n": 2}, 0),
-    ], certs=[("cold", live, {"cert": 1}, 3)],
-        deps=[("ident", DEPS_SCHEMA_VERSION, {"schema": DEPS_SCHEMA_VERSION}),
-              ("old", DEPS_SCHEMA_VERSION - 1, {"schema": 0})])
-    before = (tmp_path / "proofs.sqlite").read_bytes()
-    assert migrate_sqlite(tmp_path) == 3
-    assert (tmp_path / "proofs.sqlite").read_bytes() == before
-    assert sorted(path.name for path in tmp_path.iterdir()) == [
-        "certs.jsonl", "deps.jsonl", "proofs.jsonl", "proofs.sqlite"]
-    with ProofCache(tmp_path) as cache:
-        assert cache.hit_count("pass", "hot") == 5
-        assert cache.cert_hit_count("cold") == 3
-        assert cache.get_pass("stale") is None
-        assert "ident" in cache.deps_snapshot()
-        assert "old" not in cache.deps_snapshot()
-        assert cache.prune(2) == 1          # least recently used in sqlite
-        assert cache.get_pass("hot") is None
-        assert cache.has_subgoal("cold") and "recent" in cache
-
-
-def test_existing_jsonl_entries_win_over_migrated(tmp_path, write_legacy_sqlite):
-    with ProofCache(tmp_path) as cache:
-        cache.put_pass("pk", {"source": "jsonl"})
-        live = cache.active_fingerprint
-    write_legacy_sqlite(tmp_path, [("pass", "pk", live, {"source": "sqlite"}, 0)])
-    assert migrate_sqlite(tmp_path) == 0
-    with ProofCache(tmp_path) as cache:
-        assert cache.get_pass("pk") == {"source": "jsonl"}
-
-
-def test_migrate_reads_rows_still_in_the_wal(tmp_path, write_legacy_sqlite):
-    """A store whose writer died keeps rows in ``proofs.sqlite-wal``."""
-    import sqlite3
-
-    live = toolchain_fingerprint()
-    write_legacy_sqlite(tmp_path, [("pass", "checkpointed", live, {"n": 0}, 0)])
-    writer = sqlite3.connect(tmp_path / "proofs.sqlite")
-    writer.execute("PRAGMA journal_mode=WAL")
-    writer.execute("INSERT INTO proofs VALUES "
-                   "('pass', 'in-wal', ?, '{\"n\": 1}', 0, 1, 0)", (live,))
-    writer.commit()                   # committed to the WAL, not checkpointed
-    try:
-        assert (tmp_path / "proofs.sqlite-wal").stat().st_size > 0
-        assert migrate_sqlite(tmp_path) == 2
-    finally:
-        writer.close()
-    with ProofCache(tmp_path) as cache:
-        assert cache.get_pass("in-wal") == {"n": 1}
-
-
-def test_migrate_without_a_sqlite_store(tmp_path):
-    assert migrate_sqlite(tmp_path) == 0
-    assert list(tmp_path.iterdir()) == []

@@ -407,6 +407,23 @@ def test_module_rows_are_stored_once_beside_the_entries(tmp_path):
         assert cache.deps_snapshot() == entries
 
 
+def test_the_sidecar_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """Two cold runs of equal work write the same ``deps.jsonl``, byte for
+    byte, whatever order the process's string hashing gives its sets."""
+    sidecars = []
+    for seed in ("1", "2"):
+        store = tmp_path / f"seed-{seed}"
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "verify", "--all", "--cache-dir", str(store)],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=REPO_SRC, PYTHONHASHSEED=seed),
+        )
+        assert completed.returncode == 0, completed.stderr
+        sidecars.append((store / "deps.jsonl").read_bytes())
+    assert sorted(sidecars[0].splitlines()) == sorted(sidecars[1].splitlines())
+    assert sidecars[0] == sidecars[1]
+
+
 _OPEN_STORE_COUNTING_PARSES = """
     import ast
     import json

@@ -1,6 +1,7 @@
 """The pluggable solver backends: resolution, parity, graceful z3 skip."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.prover import (
     SOLVER_CHOICES,
     SolverUnavailable,
     available_solvers,
+    reset_solver_state,
     resolve_solver,
 )
 from repro.verify import Fact, Subgoal, VerificationSession
@@ -117,6 +119,33 @@ def test_suite_reports_are_backend_independent(tmp_path):
     payload = json.loads(reports["builtin"])
     assert payload["summary"]["all_verified"] is True
     assert payload["summary"]["total"] == 47
+
+
+#: How a stateless run of the suite discharges its 223 subgoals.  The
+#: solver stage is the only one that differs between the two backends.
+_SHARED_METHODS = {"identical": 67, "library lemma": 10, "structural": 37}
+SUITE_METHODS = {
+    "builtin": {"congruence closure": 109, **_SHARED_METHODS},
+    "bounded": {"bounded rewrite": 109, **_SHARED_METHODS},
+}
+
+
+def test_stateless_suite_runs_discharge_by_the_same_methods_per_backend():
+    """Each backend, from empty memos and with no store, proves the same
+    verdicts, and each stage discharges the same number of subgoals."""
+    verdicts = {}
+    for solver, expected in SUITE_METHODS.items():
+        reset_solver_state()
+        report = verify_passes(SUITE, use_cache=False, solver=solver,
+                               pass_kwargs_fn=pass_kwargs_for,
+                               counterexample_search=False)
+        methods = Counter(outcome.result.method for result in report.results
+                          for outcome in result.subgoals)
+        assert sum(result.num_subgoals for result in report.results) == 223
+        assert dict(methods) == expected, solver
+        verdicts[solver] = [(r.pass_name, r.verified) for r in report.results]
+    assert verdicts["builtin"] == verdicts["bounded"]
+    assert len(verdicts["builtin"]) == 47
 
 
 def test_solver_choice_separates_cache_keys(tmp_path):

@@ -1,18 +1,20 @@
-"""The indexed rulebase finds exactly what the reference linear scan finds."""
+"""The indexed rulebase finds exactly what the reference linear scan finds,
+and finds it faster on a rule-heavy workload."""
 
 import random
+import time
 
 import pytest
 
 from repro.circuit.gate import Gate
 from repro.prover.rulebase import RuleBase
 from repro.smt.congruence import CongruenceClosure
-from repro.smt.ematch import instantiate_rules
 from repro.smt.solver import goal_atoms
 from repro.smt.terms import CIRCUIT, Rule, app, eq, lit, var
 from repro.symbolic.rules import apply_sequence, cancellation_rule_for, gate_term
 from repro.verify import Fact, Subgoal, VerificationSession
 from repro.verify import facts as F
+from tests.smt.ematch_oracle import instantiate_rules
 
 
 def _closure_with(terms):
@@ -61,6 +63,44 @@ def test_cancellation_chain_matches_linear_scan():
     linear, indexed = _run_both(rules, seeds)
     assert linear.equal(*goal.args)
     assert indexed.equal(*goal.args)
+
+
+#: The indexed rulebase must beat the linear scan by at least this factor
+#: on the rule-heavy workload below.  On a 2-vCPU VM under CPython 3.11 it
+#: measures about 31x (0.027 s against 0.85 s for the five repeats); the
+#: cushion absorbs a loaded machine, and still fails if the index
+#: degenerates into probing every rule.
+MIN_SPEEDUP = 2.0
+
+
+def test_the_index_beats_the_linear_scan_on_a_rule_heavy_workload():
+    """256 cancellation rules over distinct qubits, and a goal chain only
+    four of them can fire on: the scan probes every rule each round, the
+    index dispatches on the encoded-gate discriminator."""
+    rules = [cancellation_rule_for(Gate("h", (i,))) for i in range(256)]
+    register = var("Q0", CIRCUIT)
+    sequence = []
+    for i in range(12):
+        gate = gate_term(Gate("h", (i % 4,)))
+        sequence += [gate, gate]
+    goal = eq(apply_sequence(sequence, register), register)
+    seeds = [sub for atom in goal_atoms(goal) for sub in atom.subterms()]
+
+    def timed(instantiate):
+        started = time.perf_counter()
+        for _ in range(5):
+            closure = _closure_with(seeds)
+            instantiate(closure)
+        return time.perf_counter() - started, closure
+
+    linear_wall, linear = timed(
+        lambda closure: instantiate_rules(list(rules), closure, max_rounds=8))
+    rulebase = RuleBase(rules)
+    indexed_wall, indexed = timed(
+        lambda closure: rulebase.instantiate(closure, max_rounds=8))
+    assert linear.equal(*goal.args)
+    assert indexed.equal(*goal.args)
+    assert linear_wall >= MIN_SPEEDUP * indexed_wall, (linear_wall, indexed_wall)
 
 
 def test_variable_and_literal_triggers_match_linear_scan():

@@ -7,9 +7,9 @@ whose arguments are already equal, until nothing changes"), and
 :meth:`~repro.smt.solver.Context.check`, which instantiates through the
 operator-indexed :class:`~repro.prover.rulebase.RuleBase`, is checked
 against the same procedure driven by the reference linear scan
-(:func:`repro.smt.ematch.instantiate_rules`).  Both run through hundreds of
-seeded random workloads (the same per-case seeding scheme the fuzz campaign
-uses, :func:`repro.fuzz.generate.case_seed`).
+(:func:`tests.smt.ematch_oracle.instantiate_rules`).  Both run through
+hundreds of seeded random workloads (the same per-case seeding scheme the
+fuzz campaign uses, :func:`repro.fuzz.generate.case_seed`).
 
 The kernel also promises determinism, not merely equal verdicts: two runs
 over the same workload must pick identical representatives and produce
@@ -22,9 +22,9 @@ import pytest
 
 from repro.fuzz.generate import case_seed
 from repro.smt.congruence import CongruenceClosure
-from repro.smt.ematch import instantiate_rules
 from repro.smt.solver import CheckResult, Context, goal_atoms, prove_atom
 from repro.smt.terms import QUBIT, Rule, app, eq, lit, var
+from tests.smt.ematch_oracle import instantiate_rules
 
 BASE_SEED = 20220613  # the paper's conference date; any constant works
 NUM_CLOSURE_CASES = 200

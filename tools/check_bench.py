@@ -7,15 +7,15 @@ never compares seconds against seconds.  Each bench kind instead gets two
 classes of invariant:
 
 * **Structural (noise-free).**  Facts that are deterministic on any
-  machine: verdicts identical between compared modes, the proof-method
-  histogram, subgoal counts, the number of trace records a warm run
-  emits.  These must match the recorded baseline *exactly* — a drift here
+  machine: verdicts identical between compared modes, the suite size,
+  the number of trace records a warm run emits, a warm run's pass and
+  subgoal hits.  These must match the recorded baseline *exactly* — a drift here
   means the bench is measuring different work, not that the machine is
   slow.
 * **Ratio (noise-tolerant).**  Dimensionless figures of merit — the
-  indexed-vs-linear e-matching speedup, the tracing-on overhead
-  percentage — bounded loosely enough to survive a busy shared runner
-  while still catching an order-of-magnitude regression.
+  tracing-on and accounting-on overhead percentages — bounded loosely
+  enough to survive a busy shared runner while still catching an
+  order-of-magnitude regression.
 
 Run from the repository root::
 
@@ -42,11 +42,7 @@ RECORDED_DIR = REPO_ROOT / "benchmarks" / "recorded"
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.telemetry.bounds import (  # noqa: E402
-    DEFAULT_MAX_OVERHEAD_PCT,
-    DEFAULT_MIN_SPEEDUP,
-    exceeds_ratio,
-)
+from repro.telemetry.bounds import DEFAULT_MAX_OVERHEAD_PCT, exceeds_ratio  # noqa: E402
 
 
 def _load(path: Path) -> Dict:
@@ -55,40 +51,6 @@ def _load(path: Path) -> Dict:
             return json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise SystemExit(f"check_bench: cannot read {path}: {exc}")
-
-
-def check_solver(fresh: Dict, recorded: Dict, *,
-                 min_speedup: float) -> List[str]:
-    errors = []
-    if fresh.get("verdicts_identical") is not True:
-        errors.append("solver: verdicts differ between compared solver modes")
-    indexed = float(fresh.get("indexed_wall_seconds", 0.0))
-    linear = float(fresh.get("linear_wall_seconds", 0.0))
-    if not indexed < linear:
-        errors.append(
-            f"solver: indexed e-matching ({indexed}s) did not beat the "
-            f"linear scan ({linear}s)")
-    speedup = float(fresh.get("speedup", 0.0))
-    if speedup < min_speedup:
-        errors.append(
-            f"solver: e-matching speedup {speedup}x is below the "
-            f"{min_speedup}x floor (recorded: {recorded.get('speedup')}x)")
-    # The per-solver proof-method histograms are machine-independent: the
-    # same subgoals must be discharged by the same methods as recorded.
-    fresh_runs = fresh.get("runs") or {}
-    for solver, baseline in (recorded.get("runs") or {}).items():
-        run = fresh_runs.get(solver)
-        if run is None:
-            if not (fresh.get("skipped_solvers") or {}).get(solver):
-                errors.append(f"solver: run for {solver!r} missing and not "
-                              f"marked skipped")
-            continue
-        for key in ("methods", "subgoals"):
-            if run.get(key) != baseline.get(key):
-                errors.append(
-                    f"solver: {solver} {key} drifted from the recorded "
-                    f"baseline ({run.get(key)!r} != {baseline.get(key)!r})")
-    return errors
 
 
 def check_telemetry(fresh: Dict, recorded: Dict, *,
@@ -147,15 +109,13 @@ def check_stats(fresh: Dict, recorded: Dict, *,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--kind", required=True,
-                        choices=("solver", "telemetry", "stats"),
+                        choices=("telemetry", "stats"),
                         help="which bench the fresh JSON came from")
     parser.add_argument("--fresh", required=True, metavar="PATH",
                         help="JSON written by `repro bench <kind> --record`")
     parser.add_argument("--recorded", default=None, metavar="PATH",
                         help="baseline JSON (default: "
                              "benchmarks/recorded/bench-<kind>.json)")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="solver: e-matching speedup floor")
     parser.add_argument("--max-overhead-pct", type=float,
                         default=DEFAULT_MAX_OVERHEAD_PCT,
                         help="telemetry/stats: overhead ceiling (%%)")
@@ -166,11 +126,7 @@ def main(argv=None) -> int:
     fresh = _load(Path(args.fresh))
     recorded = _load(recorded_path)
 
-    if args.kind == "solver":
-        min_speedup = args.min_speedup if args.min_speedup is not None \
-            else DEFAULT_MIN_SPEEDUP
-        errors = check_solver(fresh, recorded, min_speedup=min_speedup)
-    elif args.kind == "stats":
+    if args.kind == "stats":
         errors = check_stats(fresh, recorded,
                              max_overhead_pct=args.max_overhead_pct)
     else:
