@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.gate import Gate
@@ -271,20 +270,38 @@ def _mat_cswap(_params):
 # --------------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
 class GateSpec:
-    """Static description of a gate kind."""
+    """Static description of a gate kind: immutable, compared and hashed
+    by its fields."""
 
-    name: str
-    num_qubits: int
-    num_params: int
-    matrix: Callable[[Sequence[float]], np.ndarray]
-    self_inverse: bool = False
-    diagonal: bool = False
-    inverse_name: Optional[str] = None
-    inverse_param_negate: bool = False
-    aliases: Tuple[str, ...] = ()
-    basis_decomposition: Optional[Callable[[Gate], List[Gate]]] = None
+    def __init__(self, name: str, num_qubits: int, num_params: int,
+                 matrix: Callable[[Sequence[float]], np.ndarray],
+                 self_inverse: bool = False, diagonal: bool = False,
+                 inverse_name: Optional[str] = None,
+                 inverse_param_negate: bool = False,
+                 aliases: Tuple[str, ...] = (),
+                 basis_decomposition: Optional[Callable[[Gate], List[Gate]]] = None,
+                 ) -> None:
+        # ``__setattr__`` refuses every assignment, so fill ``__dict__``.
+        vars(self).update(
+            name=name, num_qubits=num_qubits, num_params=num_params,
+            matrix=matrix, self_inverse=self_inverse, diagonal=diagonal,
+            inverse_name=inverse_name, inverse_param_negate=inverse_param_negate,
+            aliases=aliases, basis_decomposition=basis_decomposition)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
 
 _REGISTRY: Dict[str, GateSpec] = {}

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Set, Tuple
 
@@ -48,30 +47,37 @@ _DEPS_FILE_NAME = "deps.jsonl"
 _CERTS_FILE_NAME = "certs.jsonl"
 
 
-@dataclass
 class CacheStats:
     """Hit/miss/invalidation counters for one engine run."""
 
-    pass_hits: int = 0
-    pass_misses: int = 0
-    subgoal_hits: int = 0
-    subgoal_misses: int = 0
-    stores: int = 0
-    invalidated: int = 0      # entries from an older rule set / engine version
-    corrupt_lines: int = 0    # unreadable lines skipped while loading
-    evicted: int = 0          # entries dropped by LRU pruning
-    deps_reclaimed: int = 0   # dependency-sidecar rows dropped by gc/prune
-    # Reclaimed payload bytes per tier (serialized-value sizes), so
-    # ``repro cache prune|gc`` can report what the eviction actually bought.
-    proof_bytes_reclaimed: int = 0
-    cert_bytes_reclaimed: int = 0
-    dep_bytes_reclaimed: int = 0
-    # The certificate tier keeps its own accounting (it used to shadow the
-    # subgoal tier's counters, which made its behaviour invisible).
-    cert_hits: int = 0
-    cert_misses: int = 0
-    cert_stores: int = 0
-    certs_evicted: int = 0    # certificates dropped when their subgoal died
+    def __init__(self, pass_hits: int = 0, pass_misses: int = 0,
+                 subgoal_hits: int = 0, subgoal_misses: int = 0,
+                 stores: int = 0, invalidated: int = 0, corrupt_lines: int = 0,
+                 evicted: int = 0, deps_reclaimed: int = 0,
+                 proof_bytes_reclaimed: int = 0, cert_bytes_reclaimed: int = 0,
+                 dep_bytes_reclaimed: int = 0, cert_hits: int = 0,
+                 cert_misses: int = 0, cert_stores: int = 0,
+                 certs_evicted: int = 0) -> None:
+        self.pass_hits = pass_hits
+        self.pass_misses = pass_misses
+        self.subgoal_hits = subgoal_hits
+        self.subgoal_misses = subgoal_misses
+        self.stores = stores
+        self.invalidated = invalidated      # entries from an older rule set / engine version
+        self.corrupt_lines = corrupt_lines  # unreadable lines skipped while loading
+        self.evicted = evicted              # entries dropped by LRU pruning
+        self.deps_reclaimed = deps_reclaimed  # dependency-sidecar rows dropped by gc/prune
+        # Reclaimed payload bytes per tier (serialized-value sizes), so
+        # ``repro cache prune|gc`` can report what the eviction actually bought.
+        self.proof_bytes_reclaimed = proof_bytes_reclaimed
+        self.cert_bytes_reclaimed = cert_bytes_reclaimed
+        self.dep_bytes_reclaimed = dep_bytes_reclaimed
+        # The certificate tier keeps its own accounting (it used to shadow the
+        # subgoal tier's counters, which made its behaviour invisible).
+        self.cert_hits = cert_hits
+        self.cert_misses = cert_misses
+        self.cert_stores = cert_stores
+        self.certs_evicted = certs_evicted  # certificates dropped when their subgoal died
 
 
 def _dumps(record) -> str:

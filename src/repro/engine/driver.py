@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import importlib
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from repro.engine.cache import (
@@ -207,17 +206,20 @@ def payload_to_result(payload: dict, from_cache: bool = False,
 # --------------------------------------------------------------------------- #
 # One pass, with subgoal-level memoisation
 # --------------------------------------------------------------------------- #
-@dataclass
 class SubgoalAccounting:
     """What one pass's discharge run contributed and consumed: new
     subgoal and certificate records for the store, hit and miss counts,
     and the hit keys whose recency the store refreshes."""
 
-    new_subgoals: Dict[str, dict] = field(default_factory=dict)
-    new_certificates: Dict[str, dict] = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
-    hit_keys: List[str] = field(default_factory=list)
+    def __init__(self, new_subgoals: Optional[Dict[str, dict]] = None,
+                 new_certificates: Optional[Dict[str, dict]] = None,
+                 hits: int = 0, misses: int = 0,
+                 hit_keys: Optional[List[str]] = None) -> None:
+        self.new_subgoals = {} if new_subgoals is None else new_subgoals
+        self.new_certificates = {} if new_certificates is None else new_certificates
+        self.hits = hits
+        self.misses = misses
+        self.hit_keys = [] if hit_keys is None else hit_keys
 
 
 def _make_caching_discharge(subgoal_table: Dict[str, dict],
@@ -309,29 +311,39 @@ def resolve_qualname(module_name: str, qualname: str):
 # --------------------------------------------------------------------------- #
 # The batch API
 # --------------------------------------------------------------------------- #
-@dataclass
 class EngineStats:
-    """What one :func:`verify_passes` run did, for reports and logs."""
+    """What one :func:`verify_passes` run did, for reports and logs.
 
-    passes_total: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    subgoal_hits: int = 0
-    subgoal_misses: int = 0
-    invalidated: int = 0
-    wall_seconds: float = 0.0
-    cache_dir: Optional[str] = None
-    #: The ``backend`` name of the proof store that served this run
-    #: (``jsonl``), or ``None`` for stateless (``--no-cache``) runs.
-    backend: Optional[str] = None
-    #: Which solver backend discharged this run's subgoals (resolved name:
-    #: ``builtin``, ``bounded``, ``z3``).
-    solver: str = "builtin"
-    #: Incremental runs only (``verify_passes(changed_paths=...)``): how
-    #: many passes the recorded fingerprint did not serve (their sources
-    #: moved, they had no dependency entry, or their proof was evicted), so
-    #: their key was derived again.  ``None`` on full runs.
-    stale_passes: Optional[int] = None
+    Its attributes are exactly its constructor's parameters, so
+    ``EngineStats(**vars(stats))`` copies one (a ``repro watch`` child
+    sends them to the watcher that way).
+    """
+
+    def __init__(self, passes_total: int = 0, cache_hits: int = 0,
+                 cache_misses: int = 0, subgoal_hits: int = 0,
+                 subgoal_misses: int = 0, invalidated: int = 0,
+                 wall_seconds: float = 0.0, cache_dir: Optional[str] = None,
+                 backend: Optional[str] = None, solver: str = "builtin",
+                 stale_passes: Optional[int] = None) -> None:
+        self.passes_total = passes_total
+        self.cache_hits = cache_hits
+        self.cache_misses = cache_misses
+        self.subgoal_hits = subgoal_hits
+        self.subgoal_misses = subgoal_misses
+        self.invalidated = invalidated
+        self.wall_seconds = wall_seconds
+        self.cache_dir = cache_dir
+        #: The ``backend`` name of the proof store that served this run
+        #: (``jsonl``), or ``None`` for stateless (``--no-cache``) runs.
+        self.backend = backend
+        #: Which solver backend discharged this run's subgoals (resolved name:
+        #: ``builtin``, ``bounded``, ``z3``).
+        self.solver = solver
+        #: Incremental runs only (``verify_passes(changed_paths=...)``): how
+        #: many passes the recorded fingerprint did not serve (their sources
+        #: moved, they had no dependency entry, or their proof was evicted), so
+        #: their key was derived again.  ``None`` on full runs.
+        self.stale_passes = stale_passes
 
     def to_dict(self) -> Dict[str, object]:
         """JSON view with a fixed, documented field order.
@@ -400,12 +412,13 @@ def batch_distinct_configs(pairs: Sequence[Tuple[Type, Optional[Dict]]]):
         yield batch
 
 
-@dataclass
 class EngineReport:
     """Ordered verification results plus the engine statistics."""
 
-    results: List[VerificationResult] = field(default_factory=list)
-    stats: EngineStats = field(default_factory=EngineStats)
+    def __init__(self, results: Optional[List[VerificationResult]] = None,
+                 stats: Optional[EngineStats] = None) -> None:
+        self.results = [] if results is None else results
+        self.stats = EngineStats() if stats is None else stats
 
     def __iter__(self):
         return iter(self.results)

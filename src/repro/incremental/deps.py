@@ -40,6 +40,9 @@ configuration through its recorded fingerprint while ``sources`` holds.
 
 from __future__ import annotations
 
+# At module scope although a warm run parses nothing (it pays about 1 ms
+# for it): perfbench/traced_verify.py counts parses by replacing this
+# module's ``ast`` attribute, which a lazy import would bypass.
 import ast
 import hashlib
 import importlib.machinery

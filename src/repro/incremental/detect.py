@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 
@@ -37,13 +36,27 @@ def _sha256_file(path: str) -> Optional[str]:
         return None
 
 
-@dataclass(frozen=True)
 class FileState:
-    """One watched file's snapshot: cheap stat plus content hash."""
+    """One watched file's snapshot: cheap stat plus content hash.
+    Immutable, compared and hashed by its fields."""
 
-    mtime_ns: int
-    size: int
-    sha256: Optional[str]
+    def __init__(self, mtime_ns: int, size: int, sha256: Optional[str]) -> None:
+        # ``__setattr__`` refuses every assignment, so fill ``__dict__``.
+        vars(self).update(mtime_ns=mtime_ns, size=size, sha256=sha256)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
 
 def file_state(path: str) -> Optional[FileState]:

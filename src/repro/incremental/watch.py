@@ -27,13 +27,11 @@ failed first cycle is retried whole on the next poll.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Set, Tuple, Type
 
 from repro.incremental.deps import dep_index_paths, reset_memos
@@ -76,21 +74,23 @@ def verify_in_child(request: dict) -> None:
     json.dump({
         "results": [dict(result_to_payload(result), from_cache=result.from_cache)
                     for result in report.results],
-        "stats": dataclasses.asdict(report.stats),
+        "stats": vars(report.stats),
     }, reply)
 
 
-@dataclass
 class WatchCycle:
     """What one polling cycle observed and did."""
 
-    index: int
-    changed_paths: Tuple[str, ...] = ()
-    stats: Optional[object] = None          # EngineStats | None (quiet cycle)
-    results: List = field(default_factory=list)
-    wall_seconds: float = 0.0
-    #: The failed child's last stderr line; ``None`` when nothing failed.
-    error: Optional[str] = None
+    def __init__(self, index: int, changed_paths: Tuple[str, ...] = (),
+                 stats: Optional[object] = None, results: Optional[List] = None,
+                 wall_seconds: float = 0.0, error: Optional[str] = None) -> None:
+        self.index = index
+        self.changed_paths = changed_paths
+        self.stats = stats          # EngineStats | None (quiet cycle)
+        self.results = [] if results is None else results
+        self.wall_seconds = wall_seconds
+        #: The failed child's last stderr line; ``None`` when nothing failed.
+        self.error = error
 
     @property
     def quiet(self) -> bool:

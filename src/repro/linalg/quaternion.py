@@ -10,21 +10,33 @@ back to ZYZ Euler angles, i.e. to a single ``u3`` gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
 class Quaternion:
-    """A quaternion ``w + x i + y j + z k``."""
+    """A quaternion ``w + x i + y j + z k``: immutable, compared and hashed
+    by its components."""
 
-    w: float
-    x: float
-    y: float
-    z: float
+    def __init__(self, w: float, x: float, y: float, z: float) -> None:
+        # ``__setattr__`` refuses every assignment, so fill ``__dict__``.
+        vars(self).update(w=w, x=x, y=y, z=z)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
     # ------------------------------------------------------------------ #
     # Construction

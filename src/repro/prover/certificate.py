@@ -16,7 +16,6 @@ store without trusting it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 #: Bumped when the payload layout changes; loaders ignore unknown versions
@@ -24,27 +23,43 @@ from typing import Dict, Optional, Tuple
 CERTIFICATE_VERSION = 1
 
 
-@dataclass(frozen=True)
 class ProofCertificate:
-    """The evidence record for one discharged subgoal."""
+    """The evidence record for one discharged subgoal: immutable, compared
+    and hashed by its fields.
 
-    proved: bool
-    #: Discharge-pipeline stage: ``identical`` | ``sequence engine`` |
-    #: ``congruence closure`` | ``bounded rewrite`` | ``library lemma`` |
-    #: ``structural`` | ``unknown``.
-    method: str
-    #: Solver backend that decided the goal (``builtin``/``bounded``/``z3``),
-    #: or ``None`` for stages that never reach a solver.
-    backend: Optional[str] = None
-    #: Names of the rules whose instantiation contributed to the proof
-    #: (builtin/bounded record the genuine firing set; z3 cannot observe
-    #: instantiations and records the full collected set — an upper
-    #: bound, which replay restriction handles soundly).
-    rules_fired: Tuple[str, ...] = ()
-    #: Rule instantiations / rewrite steps the solver performed.
-    instantiations: int = 0
-    wall_seconds: float = 0.0
-    reason: str = ""
+    ``method`` is the discharge-pipeline stage: ``identical`` | ``sequence
+    engine`` | ``congruence closure`` | ``bounded rewrite`` | ``library
+    lemma`` | ``structural`` | ``unknown``.  ``backend`` is the solver
+    backend that decided the goal (``builtin``/``bounded``/``z3``), or
+    ``None`` for stages that never reach a solver.  ``rules_fired`` names
+    the rules whose instantiation contributed to the proof (builtin/bounded
+    record the genuine firing set; z3 cannot observe instantiations and
+    records the full collected set — an upper bound, which replay
+    restriction handles soundly).  ``instantiations`` counts the rule
+    instantiations / rewrite steps the solver performed.
+    """
+
+    def __init__(self, proved: bool, method: str, backend: Optional[str] = None,
+                 rules_fired: Tuple[str, ...] = (), instantiations: int = 0,
+                 wall_seconds: float = 0.0, reason: str = "") -> None:
+        # ``__setattr__`` refuses every assignment, so fill ``__dict__``.
+        vars(self).update(proved=proved, method=method, backend=backend,
+                          rules_fired=rules_fired, instantiations=instantiations,
+                          wall_seconds=wall_seconds, reason=reason)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
     # ------------------------------------------------------------------ #
     def to_payload(self) -> Dict[str, object]:
@@ -79,13 +94,13 @@ class ProofCertificate:
             return None
 
 
-@dataclass
 class ReplayOutcome:
     """What re-discharging a subgoal along its certificate produced."""
 
-    ok: bool
-    reason: str = ""
-    result: object = None  # the fresh DischargeResult, when one was produced
+    def __init__(self, ok: bool, reason: str = "", result: object = None) -> None:
+        self.ok = ok
+        self.reason = reason
+        self.result = result  # the fresh DischargeResult, when one was produced
 
 
 def replay_certificate(subgoal, certificate: ProofCertificate) -> ReplayOutcome:

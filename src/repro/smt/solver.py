@@ -20,7 +20,6 @@ atom *means*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import SolverError
@@ -28,17 +27,19 @@ from repro.smt.congruence import CongruenceClosure
 from repro.smt.terms import Rule, Term, eq
 
 
-@dataclass
 class CheckResult:
     """Outcome of a single :meth:`Context.check` call."""
 
-    proved: bool
-    goal: Term
-    reason: str = ""
-    instantiations: int = 0
-    failed_atom: Optional[Term] = None
-    #: Names of the rules that actually fired during instantiation.
-    rules_fired: Tuple[str, ...] = ()
+    def __init__(self, proved: bool, goal: Term, reason: str = "",
+                 instantiations: int = 0, failed_atom: Optional[Term] = None,
+                 rules_fired: Tuple[str, ...] = ()) -> None:
+        self.proved = proved
+        self.goal = goal
+        self.reason = reason
+        self.instantiations = instantiations
+        self.failed_atom = failed_atom
+        #: Names of the rules that actually fired during instantiation.
+        self.rules_fired = rules_fired
 
     def __bool__(self) -> bool:
         return self.proved

@@ -23,7 +23,6 @@ test suite, mirroring the paper's once-and-for-all Coq proofs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.gate import Gate, normalize_angle
@@ -37,15 +36,18 @@ _MERGEABLE_ROTATIONS = {"rz", "rx", "ry", "u1", "rzz", "rxx", "cu1", "crz"}
 _DIAGONAL_BEFORE_MEASURE = {"z", "s", "sdg", "t", "tdg", "rz", "u1", "id"}
 
 
-@dataclass
 class EquivalenceReport:
     """Outcome of an equivalence check, with enough detail for diagnostics."""
 
-    equivalent: bool
-    reason: str = ""
-    normal_form_left: Tuple[Gate, ...] = ()
-    normal_form_right: Tuple[Gate, ...] = ()
-    permutation: Optional[Tuple[int, ...]] = None
+    def __init__(self, equivalent: bool, reason: str = "",
+                 normal_form_left: Tuple[Gate, ...] = (),
+                 normal_form_right: Tuple[Gate, ...] = (),
+                 permutation: Optional[Tuple[int, ...]] = None) -> None:
+        self.equivalent = equivalent
+        self.reason = reason
+        self.normal_form_left = normal_form_left
+        self.normal_form_right = normal_form_right
+        self.permutation = permutation
 
     def __bool__(self) -> bool:
         return self.equivalent

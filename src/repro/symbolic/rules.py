@@ -18,7 +18,6 @@ Rules exist at two levels:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.gate import Gate
@@ -32,16 +31,30 @@ SWAP = "swap"
 MERGE = "merge"
 
 
-@dataclass(frozen=True)
 class CircuitRule:
-    """One equivalence ``lhs == rhs`` between two small concrete circuits."""
+    """One equivalence ``lhs == rhs`` between two small concrete circuits.
+    Immutable, compared and hashed by its fields."""
 
-    name: str
-    kind: str
-    lhs: Tuple[Gate, ...]
-    rhs: Tuple[Gate, ...]
-    num_qubits: int
-    description: str = ""
+    def __init__(self, name: str, kind: str, lhs: Tuple[Gate, ...],
+                 rhs: Tuple[Gate, ...], num_qubits: int,
+                 description: str = "") -> None:
+        # ``__setattr__`` refuses every assignment, so fill ``__dict__``.
+        vars(self).update(name=name, kind=kind, lhs=lhs, rhs=rhs,
+                          num_qubits=num_qubits, description=description)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
 
 def _g(name: str, *qubits: int, params: Tuple[float, ...] = ()) -> Gate:

@@ -11,21 +11,35 @@ gates on the same qubit pair admit the cancellation rule).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 
-@dataclass(frozen=True)
 class Fact:
     """An atomic predicate about symbolic values.
 
     ``kind`` identifies the predicate; ``args`` are the identifiers (uids) of
-    the symbolic values involved plus any literal arguments.  Facts are value
-    objects so they can key dictionaries and be compared across paths.
+    the symbolic values involved plus any literal arguments.  Facts are
+    immutable value objects, compared and hashed by their fields, so they
+    can key dictionaries and be compared across paths.
     """
 
-    kind: str
-    args: Tuple = ()
+    def __init__(self, kind: str, args: Tuple = ()) -> None:
+        # ``__setattr__`` refuses every assignment, so fill ``__dict__``.
+        vars(self).update(kind=kind, args=args)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.args) == (other.kind, other.args)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.args))
 
     def __repr__(self) -> str:
         rendered = ", ".join(str(a) for a in self.args)

@@ -10,25 +10,28 @@ or CI logs when a whole pass suite is re-verified after a change.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.verify.results import VerificationResult
 
 
-@dataclass
 class ReportSummary:
     """Aggregate statistics over a collection of verification results."""
 
-    total: int = 0
-    verified: int = 0
-    rejected: int = 0
-    unsupported: int = 0
-    total_subgoals: int = 0
-    total_seconds: float = 0.0
-    slowest_pass: str = ""
-    slowest_seconds: float = 0.0
-    counterexamples: List[str] = field(default_factory=list)
+    def __init__(self, total: int = 0, verified: int = 0, rejected: int = 0,
+                 unsupported: int = 0, total_subgoals: int = 0,
+                 total_seconds: float = 0.0, slowest_pass: str = "",
+                 slowest_seconds: float = 0.0,
+                 counterexamples: Optional[List[str]] = None) -> None:
+        self.total = total
+        self.verified = verified
+        self.rejected = rejected
+        self.unsupported = unsupported
+        self.total_subgoals = total_subgoals
+        self.total_seconds = total_seconds
+        self.slowest_pass = slowest_pass
+        self.slowest_seconds = slowest_seconds
+        self.counterexamples = [] if counterexamples is None else counterexamples
 
     @property
     def all_verified(self) -> bool:

@@ -13,7 +13,6 @@ re-export them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
@@ -21,85 +20,106 @@ if TYPE_CHECKING:
     from repro.verify.session import Subgoal
 
 
-@dataclass
 class PassAnalysis:
     """The preprocessor's report for one pass class."""
 
-    pass_name: str
-    lines_of_code: int
-    branch_count: int
-    templates_used: Tuple[str, ...]
-    utilities_used: Tuple[str, ...]
-    raw_loops: int
-    non_critical_statements: int
-    supported: bool
-    unsupported_reason: str = ""
+    def __init__(self, pass_name: str, lines_of_code: int, branch_count: int,
+                 templates_used: Tuple[str, ...], utilities_used: Tuple[str, ...],
+                 raw_loops: int, non_critical_statements: int, supported: bool,
+                 unsupported_reason: str = "") -> None:
+        self.pass_name = pass_name
+        self.lines_of_code = lines_of_code
+        self.branch_count = branch_count
+        self.templates_used = templates_used
+        self.utilities_used = utilities_used
+        self.raw_loops = raw_loops
+        self.non_critical_statements = non_critical_statements
+        self.supported = supported
+        self.unsupported_reason = unsupported_reason
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
-@dataclass
 class DischargeResult:
     """Outcome of discharging one subgoal."""
 
-    proved: bool
-    method: str
-    reason: str = ""
-    #: The full rule set collected for the goal (reusability accounting
-    #: counts these; the certificate records the *fired* subset).
-    rules_used: Tuple[str, ...] = ()
-    #: Rule instantiations / rewrite steps the solver performed, if any.
-    instantiations: int = 0
-    #: The rules whose instantiation actually contributed (solver stages
-    #: report it; the certificate persists it for replay).
-    rules_fired: Tuple[str, ...] = ()
-    #: Attached by :class:`repro.verify.discharge.Discharger`; absent on
-    #: results reconstructed from cache payloads (certificates live in
-    #: their own cache tier).
-    certificate: Optional[object] = None
+    def __init__(self, proved: bool, method: str, reason: str = "",
+                 rules_used: Tuple[str, ...] = (), instantiations: int = 0,
+                 rules_fired: Tuple[str, ...] = (),
+                 certificate: Optional[object] = None) -> None:
+        self.proved = proved
+        self.method = method
+        self.reason = reason
+        #: The full rule set collected for the goal (reusability accounting
+        #: counts these; the certificate records the *fired* subset).
+        self.rules_used = rules_used
+        #: Rule instantiations / rewrite steps the solver performed, if any.
+        self.instantiations = instantiations
+        #: The rules whose instantiation actually contributed (solver stages
+        #: report it; the certificate persists it for replay).
+        self.rules_fired = rules_fired
+        #: Attached by :class:`repro.verify.discharge.Discharger`; absent on
+        #: results reconstructed from cache payloads (certificates live in
+        #: their own cache tier).
+        self.certificate = certificate
 
     def __bool__(self) -> bool:
         return self.proved
 
 
-@dataclass
 class SubgoalOutcome:
     """One subgoal together with its discharge result."""
 
-    subgoal: Subgoal
-    result: DischargeResult
+    def __init__(self, subgoal: Subgoal, result: DischargeResult) -> None:
+        self.subgoal = subgoal
+        self.result = result
 
 
-@dataclass
 class CounterExample:
     """A concrete circuit demonstrating that a pass is incorrect."""
 
-    kind: str                       # 'semantics' | 'non_termination' | 'crash'
-    description: str
-    input_circuit: Optional[QCircuit] = None
-    output_circuit: Optional[QCircuit] = None
-    confirmed: bool = False
-    details: Dict[str, object] = field(default_factory=dict)
+    def __init__(self, kind: str, description: str,
+                 input_circuit: Optional[QCircuit] = None,
+                 output_circuit: Optional[QCircuit] = None,
+                 confirmed: bool = False,
+                 details: Optional[Dict[str, object]] = None) -> None:
+        self.kind = kind                # 'semantics' | 'non_termination' | 'crash'
+        self.description = description
+        self.input_circuit = input_circuit
+        self.output_circuit = output_circuit
+        self.confirmed = confirmed
+        self.details = {} if details is None else details
 
     def __repr__(self) -> str:
         status = "confirmed" if self.confirmed else "candidate"
         return f"CounterExample({self.kind}, {status}: {self.description})"
 
 
-@dataclass
 class VerificationResult:
     """The outcome of verifying one compiler pass."""
 
-    pass_name: str
-    verified: bool
-    supported: bool
-    analysis: Optional[PassAnalysis]
-    subgoals: List[SubgoalOutcome] = field(default_factory=list)
-    paths_explored: int = 0
-    time_seconds: float = 0.0
-    counterexample: Optional[CounterExample] = None
-    failure_reasons: List[str] = field(default_factory=list)
-    #: True when this result was reconstructed from the engine's proof cache
-    #: instead of being re-proved in this process.
-    from_cache: bool = False
+    def __init__(self, pass_name: str, verified: bool, supported: bool,
+                 analysis: Optional[PassAnalysis],
+                 subgoals: Optional[List[SubgoalOutcome]] = None,
+                 paths_explored: int = 0, time_seconds: float = 0.0,
+                 counterexample: Optional[CounterExample] = None,
+                 failure_reasons: Optional[List[str]] = None,
+                 from_cache: bool = False) -> None:
+        self.pass_name = pass_name
+        self.verified = verified
+        self.supported = supported
+        self.analysis = analysis
+        self.subgoals = [] if subgoals is None else subgoals
+        self.paths_explored = paths_explored
+        self.time_seconds = time_seconds
+        self.counterexample = counterexample
+        self.failure_reasons = [] if failure_reasons is None else failure_reasons
+        #: True when this result was reconstructed from the engine's proof cache
+        #: instead of being re-proved in this process.
+        self.from_cache = from_cache
 
     @property
     def num_subgoals(self) -> int:

@@ -11,7 +11,6 @@ been covered (the branch expansion of Section 4).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.gate import DIRECTIVE_NAMES
@@ -25,29 +24,41 @@ from repro.verify.symvalues import CircuitElement, Segment, SymCircuit, SymGate
 MAX_PATHS = 256
 
 
-@dataclass
 class Subgoal:
-    """One proof obligation emitted on one execution path."""
+    """One proof obligation emitted on one execution path.
 
-    kind: str                      # 'equivalence' | 'equivalence_up_to_swaps' |
-    #                               'termination' | 'coupling' | 'unchanged'
-    description: str
-    lhs: Tuple[CircuitElement, ...] = ()
-    rhs: Tuple[CircuitElement, ...] = ()
-    path_facts: Tuple[Tuple[Fact, bool], ...] = ()
-    assumptions: Tuple[Fact, ...] = ()
-    metadata: Dict[str, object] = field(default_factory=dict)
+    Plain attributes, so :mod:`repro.engine.fingerprint` can memoise the
+    subgoal's normal form on it (``_normal_form_memo``).
+    """
+
+    def __init__(self, kind: str, description: str,
+                 lhs: Tuple[CircuitElement, ...] = (),
+                 rhs: Tuple[CircuitElement, ...] = (),
+                 path_facts: Tuple[Tuple[Fact, bool], ...] = (),
+                 assumptions: Tuple[Fact, ...] = (),
+                 metadata: Optional[Dict[str, object]] = None) -> None:
+        self.kind = kind    # 'equivalence' | 'equivalence_up_to_swaps' |
+        #                     'termination' | 'coupling' | 'unchanged'
+        self.description = description
+        self.lhs = lhs
+        self.rhs = rhs
+        self.path_facts = path_facts
+        self.assumptions = assumptions
+        self.metadata = {} if metadata is None else metadata
 
 
-@dataclass
 class PathRecord:
     """Everything that happened on one explored path."""
 
-    decisions: Tuple[bool, ...]
-    fact_decisions: Tuple[Tuple[Fact, bool], ...]
-    assumptions: Tuple[Fact, ...]
-    subgoals: Tuple[Subgoal, ...]
-    result: object = None
+    def __init__(self, decisions: Tuple[bool, ...],
+                 fact_decisions: Tuple[Tuple[Fact, bool], ...],
+                 assumptions: Tuple[Fact, ...], subgoals: Tuple[Subgoal, ...],
+                 result: object = None) -> None:
+        self.decisions = decisions
+        self.fact_decisions = fact_decisions
+        self.assumptions = assumptions
+        self.subgoals = subgoals
+        self.result = result
 
 
 class VerificationSession:

@@ -24,9 +24,12 @@ REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 #: A file no dependency entry watches.
 README = str(Path(__file__).resolve().parents[2] / "README.md")
 
-#: Top-level names a verification must leave out of ``sys.modules``.
+#: Top-level names a verification must leave out of ``sys.modules``.  The
+#: records a verification builds are plain classes, so it loads neither
+#: ``dataclasses`` nor the ``inspect`` that it imports.
 OFF_THE_VERIFY_PATH = ("numpy", "networkx", "repro.bench", "repro.dag",
-                       "repro.transpiler", "repro.qasm")
+                       "repro.transpiler", "repro.qasm", "dataclasses",
+                       "inspect")
 
 _VERIFY_COLD_THEN_WARM = textwrap.dedent(
     """
@@ -75,6 +78,24 @@ def test_verify_all_imports_only_what_it_runs(tmp_path):
     assert (cold["engine"]["cache_hits"], cold["engine"]["cache_misses"]) == (0, total)
     assert (warm["engine"]["cache_hits"], warm["engine"]["cache_misses"]) == (total, 0)
     assert outcome["loaded"] == []
+
+
+def test_a_watch_cycle_child_loads_no_dataclass_machinery():
+    """What a ``repro watch`` cycle's child imports before it verifies."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = REPO_SRC + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "import repro.incremental.watch\n"
+         "print([name for name in ('dataclasses', 'inspect') "
+         "if name in sys.modules])\n"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"
 
 
 # --------------------------------------------------------------------------- #

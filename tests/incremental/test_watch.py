@@ -175,6 +175,29 @@ def test_watcher_reverifies_only_the_edited_pass(tmp_path, pass_package):
     assert cycle.all_verified
 
 
+def test_engine_stats_survive_the_child_reply_field_for_field(monkeypatch):
+    """A cycle's stats cross to the watcher as the JSON reply's ``stats``
+    object, which the watcher turns back into ``EngineStats(**stats)``."""
+    import io
+
+    from repro.engine import driver
+    from repro.engine.driver import EngineReport, EngineStats
+    from repro.incremental.watch import verify_in_child
+
+    stats = EngineStats(passes_total=2, cache_hits=1, cache_misses=1,
+                        subgoal_hits=3, subgoal_misses=4, invalidated=5,
+                        wall_seconds=0.25, cache_dir="/store", backend="jsonl",
+                        solver="bounded", stale_passes=1)
+    monkeypatch.setattr(driver, "verify_passes",
+                        lambda *args, **kwargs: EngineReport(stats=stats))
+    reply = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", reply)
+    verify_in_child({"passes": [], "pass_kwargs_fn": None, "cache_dir": None,
+                     "counterexample_search": False, "changed_paths": None})
+    rebuilt = EngineStats(**json.loads(reply.getvalue())["stats"])
+    assert vars(rebuilt) == vars(stats)
+
+
 def test_watcher_watch_runs_bounded_cycles(tmp_path, pass_package):
     from repro.incremental.watch import Watcher
 
